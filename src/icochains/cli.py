@@ -273,6 +273,14 @@ def _cmd_selftest(_args) -> int:
     return EXIT_OK if acceptance.run_selftest(print) else 1
 
 
+def degree(text: str) -> int:
+    """argparse type of degree flags: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative degree, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -321,7 +329,7 @@ def build_parser() -> _Parser:
     p_dims = sub.add_parser("dims", help="cohomology dimension table from the rank oracle")
     p_dims.add_argument("--p", type=int, required=True)
     p_dims.add_argument("--r", type=int, required=True)
-    p_dims.add_argument("--max-n", type=int, required=True)
+    p_dims.add_argument("--max-n", type=degree, required=True)
     p_dims.add_argument("--budget", type=int, default=DEFAULT_MAX_ENTRIES,
                         help="matrix entry budget (default 2^24)")
     p_dims.set_defaults(func=_cmd_dims)
@@ -329,7 +337,7 @@ def build_parser() -> _Parser:
     p_count = sub.add_parser("count-terms", help="number of evaluations in the inverse formula")
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--n", type=int, required=True)
+    p_count.add_argument("--n", type=degree, required=True)
     p_count.set_defaults(func=_cmd_count_terms)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import ICochain, NotACocycleError
+from .cochain import ICochain, NotACocycleError, _coboundary_sums, _encode_keys
 from .group_ring import MOD_P, GroupContext
 
 DEFAULT_MAX_ENTRIES = 1 << 24
@@ -49,11 +49,6 @@ def cochain_basis(ctx: GroupContext, n: int) -> tuple:
     """All degree-n basis keys (tuples of nonidentity elements), in
     lexicographic order."""
     return tuple(itertools.product(tuple(ctx.nonidentity_elements()), repeat=n))
-
-
-@functools.lru_cache(maxsize=None)
-def _basis_index(ctx: GroupContext, n: int) -> dict:
-    return {key: i for i, key in enumerate(cochain_basis(ctx, n))}
 
 
 class FpMatrix:
@@ -147,22 +142,19 @@ def d_matrix(ctx: GroupContext, n: int,
     dim_src = (ctx.order - 1) ** n
     dim_dst = (ctx.order - 1) ** (n + 1)
     _check_budget(dim_dst, dim_src, max_entries)
-    src = cochain_basis(ctx, n)
-    dst_index = _basis_index(ctx, n + 1)
-    columns = []
-    for key in src:
-        delta = ICochain(ctx, n, MOD_P, {key: 1})
-        image = delta.coboundary()
-        columns.append({dst_index[t]: c for t, c in image.values.items()})
+    # every basis key with coefficient 1, images kept apart per source row
+    codes, sums = _coboundary_sums(ctx, n, np.arange(dim_src), [1] * dim_src,
+                                   MOD_P, by_entry=True)
+    bounds = np.searchsorted(codes // dim_dst, np.arange(dim_src + 1)).tolist()
+    rows, values = (codes % dim_dst).tolist(), sums.tolist()
+    columns = [dict(zip(rows[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
     return FpMatrix(ctx.p, dim_dst, dim_src, columns, max_entries)
 
 
 def vectorize(f: ICochain):
     """Coordinates of a cochain on the lexicographic basis."""
-    index = _basis_index(f.ctx, f.degree)
-    v = np.zeros(len(index), dtype=np.int64)
-    for key, c in f.values.items():
-        v[index[key]] = c
+    v = np.zeros((f.ctx.order - 1) ** f.degree, dtype=np.int64)
+    v[_encode_keys(f.ctx, f.degree, list(f.values))] = list(f.values.values())
     return v
 
 

@@ -258,6 +258,19 @@ def test_usage_errors_exit_64():
     assert main([]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "--p", "3", "--r", "1", "--max-n", "-1"],
+    ["count-terms", "--p", "3", "--r", "1", "--n", "-1"],
+])
+def test_negative_degree_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
 def test_cli_as_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "icochains.cli", "count-terms",

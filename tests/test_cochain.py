@@ -13,6 +13,7 @@ from functools import reduce
 import pytest
 
 from icochains import (
+    AlgebraElem,
     GroupContext,
     ICochain,
     INTEGERS,
@@ -25,6 +26,7 @@ from icochains import (
     perm_compose,
     perm_sign,
     random_cocycle,
+    realize,
     signed_permute,
 )
 from conftest import DESK, random_icochain, random_ideal_elem, random_normalized
@@ -187,6 +189,14 @@ def test_coboundary_squares_to_zero(p, r):
     assert checked == 100
 
 
+def assert_forms_agree(f):
+    """The vectorized ideal-form coboundary equals the bar form through the
+    correspondence, and is_cocycle reads the same answer off it."""
+    via_bar = f.to_normalized().coboundary().to_icochain()
+    assert f.coboundary() == via_bar
+    assert f.is_cocycle() == via_bar.is_zero()
+
+
 @pytest.mark.parametrize("p,r", DESK)
 def test_coboundaries_match_direct_formulas(p, r):
     ctx = GroupContext(p, r)
@@ -202,6 +212,44 @@ def test_coboundaries_match_direct_formulas(p, r):
             assert da.value_at(tup) == bar_value(a, tup)
             assert df.value_at(tup) == ideal_value(f, tup)
         assert da.to_icochain() == df  # the correspondence intertwines them
+    for n in range(5):
+        for ring in (MOD_P, INTEGERS):
+            assert_forms_agree(random_icochain(ctx, n, rng, ring=ring, max_support=40))
+        assert_forms_agree(random_cocycle(ctx, min(n, 2), seed=n))
+
+
+def test_coboundary_forms_agree_at_the_edges():
+    ctx = GroupContext(5, 2)
+    rng = random.Random(17)
+    # integer coefficients beyond int64
+    f = random_icochain(ctx, 2, rng, ring=INTEGERS, max_support=20)
+    f = f + ICochain(ctx, 2, INTEGERS, {((1, 2), (3, 4)): 2**70 + 1})
+    assert_forms_agree(f)
+    assert_forms_agree(f.scale(-(2**65)))
+    # packed terms fit int64 but a run of 3n terms of 2^61 may not
+    one = GroupContext(2, 1)
+    assert_forms_agree(ICochain(one, 6, INTEGERS, {((1,),) * 6: 2**61}))
+    # a key space past int64: 24^14 > 2^63 codes in degree 14
+    key = tuple(rng.choice(list(ctx.nonidentity_elements())) for _ in range(13))
+    assert 24**14 > 2**63
+    assert_forms_agree(ICochain(ctx, 13, MOD_P, {key: 3}))
+    assert_forms_agree(ICochain(ctx, 13, INTEGERS, {key: -(2**64)}))
+    # degree 0 and the empty cochain
+    for ring in (MOD_P, INTEGERS):
+        assert_forms_agree(ICochain.constant(ctx, 4, ring))
+        for n in range(4):
+            assert_forms_agree(ICochain.zero(ctx, n, ring))
+
+
+def test_is_cocycle_misses_no_entry():
+    ctx = GroupContext(5, 2)
+    f = realize(AlgebraElem.monomial(ctx, (2, 1)))
+    assert f.is_cocycle()
+    rng = random.Random(23)
+    for key in rng.sample(sorted(f.values), 5):
+        values = dict(f.values)
+        del values[key]
+        assert not ICochain(ctx, f.degree, MOD_P, values).is_cocycle()
 
 
 def test_coboundary_with_nontrivial_action():

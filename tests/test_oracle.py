@@ -12,6 +12,7 @@ from icochains import (
     GroupContext,
     ICochain,
     MOD_P,
+    NormalizedCochain,
     NotACocycleError,
     bockstein_cocycle,
     classes_equal,
@@ -29,6 +30,7 @@ from icochains import (
     realize,
     vectorize,
 )
+from icochains.acceptance import EXHAUSTIVE_TRIPLES
 from conftest import DESK, random_icochain
 
 
@@ -87,6 +89,16 @@ def test_d_matrix_is_linear_in_cochains():
     for _ in range(5):
         f = random_icochain(ctx, 2, rng)
         assert ((dn @ vectorize(f)) % 3 == vectorize(f.coboundary())).all()
+
+
+@pytest.mark.parametrize("p,r,max_n", EXHAUSTIVE_TRIPLES)
+def test_d_matrix_columns_are_bar_coboundaries(p, r, max_n):
+    ctx = GroupContext(p, r)
+    for n in range(max_n + 1):
+        dense = d_matrix(ctx, n).to_dense()
+        for j, key in enumerate(cochain_basis(ctx, n)):
+            bar = NormalizedCochain(ctx, n, MOD_P, {key: 1}).coboundary().to_icochain()
+            assert (dense[:, j] == vectorize(bar)).all(), (n, key)
 
 
 def test_budget_refusal():
