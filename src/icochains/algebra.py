@@ -235,16 +235,14 @@ def realize(e: AlgebraElem) -> ICochain:
 def _probe_expansions(ctx: GroupContext, i: int, m: int) -> list[dict]:
     """Difference-basis expansions of the degree-m probe factors for
     variable i, reduced mod p."""
-    p = ctx.p
-    s = ctx.generator(i)
-    t_exp = {s: 1}
-    top = as_difference_basis(shifted_monomial(
-        ctx, tuple((p - 1) if j == i - 1 else 0 for j in range(ctx.r))))
-    top_exp = {u: c % p for u, c in top.items() if c % p}
+    t_exp = {ctx.generator(i): 1}
     k, odd = divmod(m, 2)
     out = [t_exp] if odd else []
-    for _ in range(k):
-        out.extend((top_exp, t_exp))
+    if k:
+        top_exp = as_difference_basis(shifted_monomial(
+            ctx, tuple((ctx.p - 1) if j == i - 1 else 0 for j in range(ctx.r)), MOD_P))
+        for _ in range(k):
+            out.extend((top_exp, t_exp))
     return out
 
 

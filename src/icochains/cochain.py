@@ -19,8 +19,8 @@ coefficients.  What differs is the semantics of everything built on top:
 Both coboundary routes are implemented independently and agree (a fact the
 test suite checks pointwise on full bases).  The bar form is a plain loop
 over stored keys and serves as the reference.  The ideal form, which
-``ICochain.is_cocycle`` and the oracle's ``d_matrix`` also use, is one
-vectorized kernel: keys are encoded as integers in base p^r - 1, every
+``is_cocycle`` (of both kinds) and the oracle's ``d_matrix`` also use, is
+one vectorized kernel: keys are encoded as integers in base p^r - 1, every
 contraction term is generated as a numpy broadcast, and one sort followed
 by a segmented sum collapses equal keys.
 """
@@ -79,6 +79,15 @@ class _Cochain:
                 clean[key] = c
         self.values = clean
 
+    @classmethod
+    def _trusted(cls, ctx: GroupContext, degree: int, ring: str, values: dict):
+        """Wrap values that are already valid: keys of nonidentity group
+        elements, nonzero coefficients, reduced into [0, p) over MOD_P.
+        No check, no copy."""
+        cochain = cls.__new__(cls)
+        cochain.ctx, cochain.degree, cochain.ring, cochain.values = ctx, degree, ring, values
+        return cochain
+
     def _compatible(self, other: "_Cochain") -> None:
         if type(self) is not type(other):
             raise ValueError("cannot mix normalized cochains and ideal-tensor cochains")
@@ -114,6 +123,18 @@ class _Cochain:
 
     def is_zero(self) -> bool:
         return not self.values
+
+    def is_cocycle(self) -> bool:
+        """Whether the coboundary vanishes, decided by the vectorized
+        ideal-form kernel.  For a normalized cochain this is the same
+        test: its bar coboundary equals the ideal-form coboundary of the
+        corresponding ICochain value for value."""
+        return self._coboundary_sums()[0].size == 0
+
+    def _coboundary_sums(self) -> tuple:
+        keys = _encode_keys(self.ctx, self.degree, list(self.values))
+        return _coboundary_sums(self.ctx, self.degree, keys,
+                                list(self.values.values()), self.ring)
 
     def value_at(self, key: tuple) -> int:
         """The stored coefficient at a basis tuple (0 if absent or normalized away)."""
@@ -174,9 +195,6 @@ class NormalizedCochain(_Cochain):
                 t = key + (v,)
                 out[t] = out.get(t, 0) + trail_sign * c
         return NormalizedCochain(self.ctx, n + 1, self.ring, out)
-
-    def is_cocycle(self) -> bool:
-        return self.coboundary().is_zero()
 
 
 class Tensor:
@@ -258,21 +276,15 @@ class ICochain(_Cochain):
         ctx, n = self.ctx, self.degree
         codes, sums = self._coboundary_sums()
         out = dict(zip(_decode_keys(ctx, n + 1, codes), sums.tolist()))
-        if action is not None:
-            # (v - 1) . c = action(v, c) - c on the leading slot.
-            for key, c in self.values.items():
-                for v in ctx.nonidentity_elements():
-                    t = (v,) + key
-                    out[t] = out.get(t, 0) + action(v, c) - c
+        if action is None:
+            # The kernel's keys and sums are valid as they stand.
+            return ICochain._trusted(ctx, n + 1, self.ring, out)
+        # (v - 1) . c = action(v, c) - c on the leading slot.
+        for key, c in self.values.items():
+            for v in ctx.nonidentity_elements():
+                t = (v,) + key
+                out[t] = out.get(t, 0) + action(v, c) - c
         return ICochain(ctx, n + 1, self.ring, out)
-
-    def is_cocycle(self) -> bool:
-        return self._coboundary_sums()[0].size == 0
-
-    def _coboundary_sums(self) -> tuple:
-        keys = _encode_keys(self.ctx, self.degree, list(self.values))
-        return _coboundary_sums(self.ctx, self.degree, keys,
-                                list(self.values.values()), self.ring)
 
     def cup(self, other: "ICochain") -> "ICochain":
         """Cup product with the (-1)^(m n) front sign.

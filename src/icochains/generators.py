@@ -117,11 +117,13 @@ def probe_tensor(ctx: GroupContext, i: int, m: int) -> Tensor:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     t = shifted_generator(ctx, i)
-    t_top = shifted_monomial(ctx, tuple((ctx.p - 1) if j == i - 1 else 0 for j in range(ctx.r)))
     k, odd = divmod(m, 2)
     factors: list[RingElem] = [t] if odd else []
-    for _ in range(k):
-        factors.extend((t_top, t))
+    if k:
+        t_top = shifted_monomial(ctx, tuple((ctx.p - 1) if j == i - 1 else 0
+                                            for j in range(ctx.r)))
+        for _ in range(k):
+            factors.extend((t_top, t))
     return Tensor(ctx, factors)
 
 

@@ -207,6 +207,18 @@ def test_invert_rejects_non_cocycle(tmp_path, capsys):
     assert parse_algebra_document(out).terms == {(1,): 1}
 
 
+@pytest.mark.parametrize("p,r,n", [(1000003, 1, 1), (1000003, 2, 1), (100003, 1, 2)])
+def test_invert_empty_document_at_large_p(p, r, n, tmp_path, capsys):
+    # degree 1 builds no (s-1)^(p-1) factor; degree 2 builds it in O(p)
+    doc = {"schema_version": "1", "p": p, "r": r, "n": n,
+           "kind": "icochain", "coeff_ring": "Fp", "entries": []}
+    path = write_doc(tmp_path, "empty.json", json.dumps(doc))
+    code, out, _ = run_cli(capsys, "invert", "--unchecked", "--in", path)
+    assert code == EXIT_OK
+    result = json.loads(out)
+    assert (result["p"], result["r"], result["entries"]) == (p, r, [])
+
+
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):
     ctx = GroupContext(2, 1)
     doc = dumps_document(cochain_document(carry_cocycle(ctx, 1), "normalized"))

@@ -191,10 +191,12 @@ def test_coboundary_squares_to_zero(p, r):
 
 def assert_forms_agree(f):
     """The vectorized ideal-form coboundary equals the bar form through the
-    correspondence, and is_cocycle reads the same answer off it."""
-    via_bar = f.to_normalized().coboundary().to_icochain()
+    correspondence, and is_cocycle of both kinds reads the same answer off it."""
+    a = f.to_normalized()
+    via_bar = a.coboundary().to_icochain()
     assert f.coboundary() == via_bar
     assert f.is_cocycle() == via_bar.is_zero()
+    assert a.is_cocycle() == via_bar.is_zero()
 
 
 @pytest.mark.parametrize("p,r", DESK)
@@ -250,6 +252,25 @@ def test_is_cocycle_misses_no_entry():
         values = dict(f.values)
         del values[key]
         assert not ICochain(ctx, f.degree, MOD_P, values).is_cocycle()
+
+
+@pytest.mark.parametrize("p,r", DESK)
+def test_normalized_is_cocycle_matches_bar_coboundary(p, r):
+    ctx = GroupContext(p, r)
+    rng = random.Random(900 * p + r)
+    seen = set()
+    for n in range(4):
+        cocycles = [random_cocycle(ctx, min(n, 2), seed=n).to_normalized()]
+        if n:
+            cocycles.append(realize(AlgebraElem.monomial(
+                ctx, (n,) + (0,) * (r - 1))).to_normalized())
+        for a in cocycles + [random_normalized(ctx, n, rng, max_support=30)]:
+            for b in (a, NormalizedCochain(ctx, a.degree, MOD_P,
+                                           dict(list(a.values.items())[1:]))):
+                assert b.is_cocycle() == b.coboundary().is_zero()
+                seen.add(b.is_cocycle())
+    # at p = 2, r = 1 every cochain space is a line and every d is zero
+    assert seen == ({True} if (p, r) == (2, 1) else {True, False})
 
 
 def test_coboundary_with_nontrivial_action():

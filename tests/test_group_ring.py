@@ -1,5 +1,6 @@
 """Group-ring arithmetic, the shifted basis, and the augmentation map."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from icochains import (
     FpMatrix,
     GroupContext,
+    INTEGERS,
     MOD_P,
     RingElem,
     as_difference_basis,
@@ -19,6 +21,8 @@ from icochains import (
     shifted_monomial,
     to_shifted_basis,
 )
+from icochains import algebra, generators
+from icochains.algebra import _probe_expansions
 from conftest import DESK, random_ring_elem
 
 
@@ -74,6 +78,45 @@ def test_shifted_monomial_p3():
     split = (RingElem.from_group_elem(ctx, (1,)) - RingElem.unit(ctx)) + \
             (RingElem.from_group_elem(ctx, (2,)) - RingElem.unit(ctx))
     assert sq.mod_p() == split.mod_p()
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (3, 3)])
+@pytest.mark.parametrize("ring", [INTEGERS, MOD_P])
+def test_shifted_monomial_matches_repeated_multiplication(p, r, ring):
+    # the closed form against the convolution reference, exponents past p included
+    ctx = GroupContext(p, r)
+    powers = [[shifted_generator(ctx, i, ring).power(e) for e in range(2 * p + 1)]
+              for i in range(1, r + 1)]
+    for k in itertools.product(range(2 * p + 1), repeat=r):
+        expected = RingElem.unit(ctx, ring)
+        for i, e in enumerate(k):
+            expected = expected * powers[i][e]
+        got = shifted_monomial(ctx, k, ring)
+        assert got == expected, k
+
+
+def test_probe_top_factor_is_the_norm_element_mod_p(monkeypatch):
+    # C(p-1, j) (-1)^(p-1-j) = 1 mod p, so (s-1)^(p-1) = 1 + s + ... + s^(p-1)
+    p = 10007
+    ctx = GroupContext(p, 1)
+    top, t = _probe_expansions(ctx, 1, 2)
+    assert top == {(j,): 1 for j in range(1, p)}
+    assert t == {(1,): 1}
+    # without an even part no (s-1)^(p-1) factor is built at all
+    monkeypatch.setattr(algebra, "shifted_monomial", None)
+    monkeypatch.setattr(generators, "shifted_monomial", None)
+    assert _probe_expansions(ctx, 1, 1) == [{(1,): 1}]
+    assert _probe_expansions(ctx, 1, 0) == []
+    assert len(generators.probe_tensor(ctx, 1, 1)) == 1
+
+
+def test_shifted_monomial_rejects_bad_input():
+    ctx = GroupContext(3, 2)
+    for k in [(1,), (1, -1), (1, 1.0)]:
+        with pytest.raises(ValueError):
+            shifted_monomial(ctx, k)
+    with pytest.raises(ValueError):
+        shifted_monomial(ctx, (1, 1), "Q")
 
 
 @pytest.mark.parametrize("p,r", DESK)
