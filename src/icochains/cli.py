@@ -115,8 +115,9 @@ def parse_cochain_document(text: str):
             _expect(0 < value < ctx.p,
                     f"{where}.value: mod-p values must lie in [1, {ctx.p})")
         values[key] = value
+    # every key and value is checked above; the constructor would repeat it
     cls = NormalizedCochain if kind == "normalized" else ICochain
-    return cls(ctx, n, ring, values), kind
+    return cls._trusted(ctx, n, ring, values), kind
 
 
 def cochain_document(cochain, kind: str) -> dict:
@@ -194,7 +195,7 @@ def _cmd_invert(args) -> int:
     if args.kind_override:
         kind = args.kind_override
         cls = NormalizedCochain if kind == "normalized" else ICochain
-        cochain = cls(cochain.ctx, cochain.degree, cochain.ring, cochain.values)
+        cochain = cls._trusted(cochain.ctx, cochain.degree, cochain.ring, cochain.values)
     if cochain.ring != MOD_P:
         raise DocumentError("invert requires mod-p coefficients (coeff_ring 'Fp')")
     if not args.unchecked and not cochain.is_cocycle():

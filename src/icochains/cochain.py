@@ -28,6 +28,7 @@ by a segmented sum collapses equal keys.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -250,17 +251,33 @@ class ICochain(_Cochain):
         return self.evaluate_on_expansions([as_difference_basis(a) for a in tensor.factors])
 
     def evaluate_on_expansions(self, factors: Sequence[dict]) -> int:
-        """Evaluate on factors already written on the difference basis."""
+        """Evaluate on factors already written on the difference basis.
+
+        The value is the sum over basis tensors of the stored value times
+        the product of the factors' coefficients.  It runs over whichever
+        side is smaller: the stored entries, looking each slot up in its
+        factor, or the product of the factors' supports.
+        """
         if len(factors) != self.degree:
             raise ValueError(f"expected {self.degree} factors, got {len(factors)}")
         values = self.values
         total = 0
-        for combo in itertools.product(*(d.items() for d in factors)):
-            v = values.get(tuple(u for u, _ in combo))
-            if v:
-                for _, c in combo:
+        if len(values) <= math.prod(len(d) for d in factors):
+            for key, v in values.items():
+                for u, d in zip(key, factors):
+                    c = d.get(u)
+                    if not c:
+                        break
                     v *= c
-                total += v
+                else:
+                    total += v
+        else:
+            for combo in itertools.product(*(d.items() for d in factors)):
+                v = values.get(tuple(u for u, _ in combo))
+                if v:
+                    for _, c in combo:
+                        v *= c
+                    total += v
         return total % self.ctx.p if self.ring == MOD_P else total
 
     def coboundary(self, action: Action | None = None) -> "ICochain":

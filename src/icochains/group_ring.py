@@ -27,12 +27,40 @@ GroupElem = tuple
 MultiIndex = tuple
 
 
+# Strong-probable-prime bases 2..41 (the first 13 primes) decide primality
+# exactly below _PRIME_LIMIT, the least composite that passes all of them
+# (3 317 044 064 679 887 385 961 981 = 1287836182261 * 2575672364521).
+# Bases 2..37 alone are fooled by 318 665 857 834 031 151 167 461.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; fine for the small moduli used here."""
+    """Deterministic Miller-Rabin primality test.
+
+    Raises ValueError for n >= _PRIME_LIMIT, where the fixed witnesses no
+    longer decide the question.
+    """
+    if n >= _PRIME_LIMIT:
+        raise ValueError(f"primality is only decided below {_PRIME_LIMIT}, got {n}")
     if n < 2:
         return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import ICochain, NotACocycleError, _coboundary_sums, _encode_keys
+from .cochain import ICochain, NotACocycleError, _code_dtype, _coboundary_sums, _encode_keys
 from .group_ring import MOD_P, GroupContext
 
 DEFAULT_MAX_ENTRIES = 1 << 24
@@ -77,35 +77,56 @@ class FpMatrix:
         return cls(p, rows, cols, columns, max_entries)
 
     def to_dense(self):
-        dense = np.zeros((self.rows, self.cols), dtype=np.int64)
+        dense = np.zeros((self.rows, self.cols), dtype=_code_dtype(self.p))
         for j, col in enumerate(self.columns):
             for i, v in col.items():
                 dense[i, j] = v
         return dense
 
 
+def _elimination_dtype(p: int):
+    """Narrowest signed dtype holding every intermediate of a row update
+    mod p, whose magnitude stays below (p-1)^2 + p; exact Python ints
+    (``object``) once int64 no longer does."""
+    bound = (p - 1) ** 2 + p
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return object
+
+
 def _rref(mat, p: int):
-    """Reduced row echelon form mod p; returns (array, pivot columns)."""
-    red = np.asarray(mat, dtype=np.int64).copy() % p
+    """Reduced row echelon form mod p; returns (array, pivot columns).
+
+    Eliminates in ``_elimination_dtype(p)``.  All rows are zero left of the
+    current column, so each update touches only the trailing columns of the
+    rows that have a nonzero entry there.
+    """
+    dtype = _elimination_dtype(p)
+    red = np.asarray(mat)
+    # reduce before narrowing, so no entry wraps in the cast
+    red = red.astype(object) % p if dtype is object else red % p
+    red = red.astype(dtype, order="C", copy=False)
     rows, cols = red.shape
     pivots = []
     rank_so_far = 0
     for col in range(cols):
         if rank_so_far == rows:
             break
-        nz = np.nonzero(red[rank_so_far:, col])[0]
+        nz = np.flatnonzero(red[rank_so_far:, col])
         if nz.size == 0:
             continue
         pivot_row = rank_so_far + int(nz[0])
         if pivot_row != rank_so_far:
-            red[[rank_so_far, pivot_row]] = red[[pivot_row, rank_so_far]]
-        inv = pow(int(red[rank_so_far, col]), -1, p)
-        red[rank_so_far] = red[rank_so_far] * inv % p
-        col_vals = red[:, col].copy()
-        col_vals[rank_so_far] = 0
-        mask = col_vals != 0
-        if mask.any():
-            red[mask] = (red[mask] - np.outer(col_vals[mask], red[rank_so_far])) % p
+            red[[rank_so_far, pivot_row], col:] = red[[pivot_row, rank_so_far], col:]
+        lead = int(red[rank_so_far, col])
+        if lead != 1:
+            red[rank_so_far, col:] = red[rank_so_far, col:] * pow(lead, -1, p) % p
+        hit = np.flatnonzero(red[:, col])
+        hit = hit[hit != rank_so_far]
+        if hit.size:
+            red[hit, col:] = (red[hit, col:]
+                              - np.outer(red[hit, col], red[rank_so_far, col:])) % p
         pivots.append(col)
         rank_so_far += 1
     return red, pivots
@@ -123,7 +144,7 @@ def kernel_basis(m: FpMatrix) -> list:
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        v = np.zeros(m.cols, dtype=np.int64)
+        v = np.zeros(m.cols, dtype=_code_dtype(m.p))
         v[free] = 1
         for row_idx, pc in enumerate(pivots):
             v[pc] = (-red[row_idx, free]) % m.p

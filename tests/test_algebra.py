@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -211,6 +212,15 @@ def test_evaluation_counter_matches_count_terms(p, r):
         a = random_icochain(ctx, n, rng).to_normalized()
         _, evaluations = invert_normalized_counted(a)
         assert evaluations == count_terms(ctx, n)
+
+
+def test_invert_sparse_cochain_at_large_p():
+    # the probe's (s-1)^(p-1) factors have p-1 terms each; a degree-4
+    # signature (2,2) pairs two of them, (p-1)^2 ~ 10^8 products
+    ctx = GroupContext(10007, 2)
+    start = time.perf_counter()
+    assert invert(ICochain.zero(ctx, 4)).is_zero()
+    assert time.perf_counter() - start < 2.0
 
 
 def test_count_terms_spot_values():

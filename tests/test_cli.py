@@ -219,6 +219,19 @@ def test_invert_empty_document_at_large_p(p, r, n, tmp_path, capsys):
     assert (result["p"], result["r"], result["entries"]) == (p, r, [])
 
 
+@pytest.mark.parametrize("p,code", [(10**18 + 3, EXIT_OK),
+                                    (1287836182261 * 2575672364521, EXIT_INVALID)])
+def test_invert_document_with_huge_p_exits_cleanly(p, code, tmp_path):
+    # primality is decided at once below the Miller-Rabin bound and refused above it
+    doc = {"schema_version": "1", "p": p, "r": 1, "n": 1,
+           "kind": "icochain", "coeff_ring": "Fp", "entries": []}
+    path = write_doc(tmp_path, "huge.json", json.dumps(doc))
+    result = subprocess.run([sys.executable, "-m", "icochains.cli", "invert", "--in", path],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):
     ctx = GroupContext(2, 1)
     doc = dumps_document(cochain_document(carry_cocycle(ctx, 1), "normalized"))

@@ -7,6 +7,7 @@ ideal-tensor cochains) on explicitly enumerated tuples.
 """
 
 import itertools
+import math
 import random
 from functools import reduce
 
@@ -141,6 +142,35 @@ def test_eval_mod_p_invariance(p, r):
         shifted = alpha + random_ideal_elem(ctx, rng).scale(p)
         assert (f.evaluate(Tensor(ctx, [alpha, beta]))
                 == f.evaluate(Tensor(ctx, [shifted, beta])))
+
+
+def evaluate_by_product(f, factors):
+    """The sum over the whole product of the factors' supports."""
+    total = 0
+    for combo in itertools.product(*(d.items() for d in factors)):
+        v = f.values.get(tuple(u for u, _ in combo), 0)
+        for _, c in combo:
+            v *= c
+        total += v
+    return total % f.ctx.p if f.ring == MOD_P else total
+
+
+@pytest.mark.parametrize("ring", [MOD_P, INTEGERS])
+def test_eval_enumerations_agree(ring):
+    # evaluate_on_expansions runs over the stored entries when they are
+    # fewer than the product of the supports, and over the product otherwise
+    ctx = GroupContext(3, 2)
+    rng = random.Random(23)
+    nonid = list(ctx.nonidentity_elements())
+    sides = set()
+    for n in range(4):
+        for support in (0, 1, 5, 40, len(nonid) ** n):
+            f = random_icochain(ctx, n, rng, ring, max_support=support)
+            factors = [{u: rng.randint(-4, 4) for u in rng.sample(nonid, rng.randint(0, 8))}
+                       for _ in range(n)]
+            sides.add(len(f.values) <= math.prod(len(d) for d in factors))
+            assert f.evaluate_on_expansions(factors) == evaluate_by_product(f, factors)
+    assert sides == {True, False}
 
 
 def test_eval_kills_high_powers_mod_p():

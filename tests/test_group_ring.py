@@ -1,6 +1,7 @@
 """Group-ring arithmetic, the shifted basis, and the augmentation map."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -28,6 +29,40 @@ from conftest import DESK, random_ring_elem
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if by_trial_division(n)]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers pass Fermat's test to every coprime base
+    carmichael = {561: (3, 11, 17), 1105: (5, 13, 17), 1729: (7, 13, 19),
+                  41041: (7, 11, 13, 41),
+                  3215031751: (151, 751, 28351),
+                  3825123056546413051: (149491, 747451, 34233211)}
+    for n, factors in carmichael.items():
+        assert math.prod(factors) == n
+        assert all((n - 1) % (q - 1) == 0 for q in factors)
+        assert not is_prime(n)
+    # strong pseudoprime to every base 2..37
+    assert not is_prime(399165290221 * 798330580441)
+    for q in (2**31 - 1, 2**61 - 1, 10**18 + 3, 4294967311, 2**64 + 13):
+        assert is_prime(q)
+
+
+def test_is_prime_refuses_undecided_input():
+    limit = 1287836182261 * 2575672364521  # strong pseudoprime to bases 2..41
+    assert not is_prime(limit - 2)
+    for n in (limit, 2**89 - 1):
+        with pytest.raises(ValueError, match="primality"):
+            is_prime(n)
+        with pytest.raises(ValueError):
+            GroupContext(n, 1)
 
 
 def test_context_validation():

@@ -31,7 +31,65 @@ from icochains import (
     vectorize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
+from icochains.oracle import _rref
 from conftest import DESK, random_icochain
+
+
+def reference_rref(rows, cols, p):
+    """Gauss-Jordan mod p in Python ints, each row a {column: value} dict.
+
+    The slow reference for ``_rref``; sparse rows keep the 4096 x 512
+    coboundary matrix at (3, 2, n=3) to a few seconds.
+    """
+    red = [{j: a % p for j, a in enumerate(row) if a % p} for row in rows]
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(red)) if col in red[i]), None)
+        if pivot is None:
+            continue
+        red[r], red[pivot] = red[pivot], red[r]
+        inv = pow(red[r][col], -1, p)
+        red[r] = prow = {j: a * inv % p for j, a in red[r].items()}
+        for i, row in enumerate(red):
+            c = row.get(col)
+            if c and i != r:
+                for j, b in prow.items():
+                    v = (row.get(j, 0) - c * b) % p
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        pivots.append(col)
+    return [[row.get(j, 0) for j in range(cols)] for row in red], pivots
+
+
+# one prime on each side of every elimination-dtype boundary, and one
+# whose products overflow int64
+DTYPE_LADDER = [(2, np.int8), (3, np.int8), (11, np.int8), (13, np.int16),
+                (181, np.int16), (191, np.int32), (46337, np.int32),
+                (46349, np.int64), (4294967311, object)]
+
+
+def random_matrix(rng, p, rows, cols):
+    """A random rows x cols matrix mod p of random rank, with some zero
+    rows and columns."""
+    if rng.random() < 0.5:
+        mat = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    else:
+        k = rng.randrange(min(rows, cols) + 1)
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randrange(p) for _ in range(cols)] for _ in range(k)]
+        mat = [[sum(left[i][t] * right[t][j] for t in range(k)) % p for j in range(cols)]
+               for i in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.2:
+            mat[i] = [0] * cols
+    for j in range(cols):
+        if rng.random() < 0.2:
+            for row in mat:
+                row[j] = 0
+    return mat
 
 
 def test_rank_identity_and_zero():
@@ -54,6 +112,58 @@ def test_rank_plus_nullity():
             assert rank(m) + len(kb) == cols
             for v in kb:
                 assert not ((arr @ v) % p).any()
+
+
+@pytest.mark.parametrize("p,dtype", DTYPE_LADDER)
+def test_rref_matches_reference(p, dtype):
+    rng = random.Random(p)
+    shapes = [(4, 9), (9, 4), (1, 7), (7, 1), (1, 1), (6, 6), (0, 3), (3, 0)]
+    for rows, cols in shapes * 4:
+        # entries off their residues by a multiple of p: _rref reduces them
+        mat = [[a + p * rng.randint(-3, 3) for a in row]
+               for row in random_matrix(rng, p, rows, cols)]
+        red, pivots = _rref(np.array(mat, dtype=np.int64).reshape(rows, cols), p)
+        assert red.dtype == dtype
+        assert (red.tolist(), pivots) == reference_rref(mat, cols, p), (rows, cols, mat)
+
+
+def test_rref_is_exact_beyond_int64():
+    p = 2**64 + 13  # entries themselves overflow int64
+    rng = random.Random(64)
+    for rows, cols in [(3, 5), (5, 3), (4, 4), (2, 6)] * 3:
+        mat = random_matrix(rng, p, rows, cols)
+        red, pivots = _rref(np.array(mat, dtype=object), p)
+        assert (red.tolist(), pivots) == reference_rref(mat, cols, p)
+        columns = [{i: row[j] for i, row in enumerate(mat)} for j in range(cols)]
+        m = FpMatrix(p, rows, cols, columns)
+        assert rank(m) == len(pivots)
+        kb = kernel_basis(m)
+        assert len(kb) == cols - len(pivots)
+        for v in kb:
+            assert all(sum(a * int(b) for a, b in zip(row, v)) % p == 0 for row in mat)
+
+
+def test_rank_one_matrices_at_large_p():
+    # (p-1)^2 > 2^63: int64 row updates would wrap
+    p = 4294967311
+    rng = random.Random(4294967311)
+    for _ in range(200):
+        u = [rng.randrange(1, p) for _ in range(3)]
+        v = [rng.randrange(1, p) for _ in range(3)]
+        columns = [{i: a * b % p for i, a in enumerate(u)} for b in v]
+        assert rank(FpMatrix(p, 3, 3, columns)) == 1
+
+
+@pytest.mark.parametrize("p,r,max_n", EXHAUSTIVE_TRIPLES)
+def test_d_matrix_rref_matches_reference(p, r, max_n):
+    ctx = GroupContext(p, r)
+    for n in range(max_n + 1):
+        m = d_matrix(ctx, n)
+        dense = m.to_dense()
+        ref, ref_pivots = reference_rref(dense.tolist(), m.cols, p)
+        red, pivots = _rref(dense, p)
+        assert pivots == ref_pivots and red.tolist() == ref, n
+        assert rank(m) == len(ref_pivots)
 
 
 def test_dense_round_trip():
