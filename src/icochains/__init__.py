@@ -25,6 +25,8 @@ from .algebra import (
     shuffles,
 )
 from .cochain import (
+    DEFAULT_MAX_ENTRIES,
+    BudgetExceededError,
     ICochain,
     NormalizedCochain,
     NotACocycleError,
@@ -63,20 +65,29 @@ from .group_ring import (
     shifted_monomial,
     to_shifted_basis,
 )
-from .oracle import (
-    DEFAULT_MAX_ENTRIES,
-    BudgetExceededError,
-    CohomologyReport,
-    FpMatrix,
-    classes_equal,
-    cochain_basis,
-    cohomology_report,
-    d_matrix,
-    is_coboundary,
-    kernel_basis,
-    random_cocycle,
-    rank,
-    vectorize,
-)
 
 __version__ = "0.1.0"
+
+# The oracle needs numpy, so its names are resolved on first access
+# (PEP 562): importing the package does not import numpy.
+_ORACLE_NAMES = frozenset({
+    "CohomologyReport",
+    "FpMatrix",
+    "classes_equal",
+    "cochain_basis",
+    "cohomology_report",
+    "d_matrix",
+    "is_coboundary",
+    "kernel_basis",
+    "random_cocycle",
+    "rank",
+    "vectorize",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

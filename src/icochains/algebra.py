@@ -32,7 +32,7 @@ from .cochain import (
     perm_sign,
 )
 from .generators import generator_power_cocycle, probe_tuple, q_choices
-from .group_ring import MOD_P, GroupContext, as_difference_basis, shifted_monomial
+from .group_ring import MOD_P, GroupContext, NormExpansion
 
 MonomialSig = tuple  # r nonnegative ints; degree = their sum
 
@@ -222,25 +222,28 @@ def realize(e: AlgebraElem) -> ICochain:
     if e.is_zero():
         return ICochain.zero(ctx, 0)
     degree = next(iter(e.degrees()))
-    result = ICochain.zero(ctx, degree)
+    p = ctx.p
+    values: dict = {}
     for sig, c in e.terms.items():
         cocycle = cup_many([generator_power_cocycle(ctx, i, m)
                             for i, m in enumerate(sig, start=1)])
-        result = result + cocycle.scale(c)
-    return result
+        for key, v in cocycle.values.items():
+            values[key] = (values.get(key, 0) + c * v) % p
+    # The keys come from cup_many; only the zero sums need dropping.
+    return ICochain._trusted(ctx, degree, MOD_P, {k: v for k, v in values.items() if v})
 
 
 # -- the inverse map ----------------------------------------------------
 
-def _probe_expansions(ctx: GroupContext, i: int, m: int) -> list[dict]:
+def _probe_expansions(ctx: GroupContext, i: int, m: int) -> list:
     """Difference-basis expansions of the degree-m probe factors for
-    variable i, reduced mod p."""
+    variable i, reduced mod p; each (s_i - 1)^(p-1) factor is the
+    closed-form ``NormExpansion``."""
     t_exp = {ctx.generator(i): 1}
     k, odd = divmod(m, 2)
     out = [t_exp] if odd else []
     if k:
-        top_exp = as_difference_basis(shifted_monomial(
-            ctx, tuple((ctx.p - 1) if j == i - 1 else 0 for j in range(ctx.r)), MOD_P))
+        top_exp = NormExpansion(ctx, i)
         for _ in range(k):
             out.extend((top_exp, t_exp))
     return out
@@ -260,17 +263,24 @@ def invert(f: ICochain) -> AlgebraElem:
     """
     _require_mod_p(f)
     if f.ctx.p == 2:
-        return _invert_direct_p2(f)
+        return _invert_direct_p2(f)[0]
     return invert_via_shuffles(f)
 
 
-def _invert_direct_p2(f: ICochain) -> AlgebraElem:
-    # Coefficient of a monomial = sum of values on all tensors of shifted
-    # generators whose index word has that content.
+def _invert_direct_p2(f) -> tuple[AlgebraElem, int]:
+    """The p = 2 inverse of either cochain kind, with the number of
+    cochain evaluations it performed.
+
+    The coefficient of a monomial is the sum of the values on all tuples
+    of generators (tensors of shifted generators) whose index word has
+    that content; both kinds store those values under the same keys.
+    """
     ctx = f.ctx
     gens = [ctx.generator(i) for i in range(1, ctx.r + 1)]
+    evaluations = 0
     terms: dict = {}
     for word in itertools.product(range(ctx.r), repeat=f.degree):
+        evaluations += 1
         v = f.values.get(tuple(gens[i] for i in word))
         if v:
             sig = [0] * ctx.r
@@ -278,7 +288,7 @@ def _invert_direct_p2(f: ICochain) -> AlgebraElem:
                 sig[i] += 1
             sig = tuple(sig)
             terms[sig] = terms.get(sig, 0) + v
-    return AlgebraElem(ctx, terms)
+    return AlgebraElem(ctx, terms), evaluations
 
 
 def invert_via_shuffles(f: ICochain) -> AlgebraElem:
@@ -334,21 +344,11 @@ def invert_normalized_counted(a: NormalizedCochain) -> tuple[AlgebraElem, int]:
     evaluations performed (the advertised term count of the formula)."""
     _require_mod_p(a)
     ctx = a.ctx
+    if ctx.p == 2:
+        return _invert_direct_p2(a)
     n = a.degree
     evaluations = 0
     terms: dict = {}
-    if ctx.p == 2:
-        gens = [ctx.generator(i) for i in range(1, ctx.r + 1)]
-        for word in itertools.product(range(ctx.r), repeat=n):
-            evaluations += 1
-            v = a.values.get(tuple(gens[i] for i in word))
-            if v:
-                sig = [0] * ctx.r
-                for i in word:
-                    sig[i] += 1
-                sig = tuple(sig)
-                terms[sig] = terms.get(sig, 0) + v
-        return AlgebraElem(ctx, terms), evaluations
     for comp in compositions(n, ctx.r):
         block_tuples = [
             [probe_tuple(ctx, i, ni, q) for q in q_choices(ctx, ni)]

@@ -11,6 +11,11 @@ and serialization is byte-stable for identical inputs.
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (matrix budget), with the
 required size in the message; 64 usage errors such as unknown flags.
+
+Only the commands that compute a coboundary or a rank import numpy:
+``invert`` with its cocycle check, ``d``, ``check-cocycle``, ``dims`` and
+``selftest``.  The oracle and the acceptance suite are imported inside
+their handlers.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import argparse
 import json
 import sys
 
-from . import acceptance
 from .algebra import (
     AlgebraElem,
     count_terms,
@@ -28,9 +32,14 @@ from .algebra import (
     invert_normalized,
     realize,
 )
-from .cochain import ICochain, NormalizedCochain, NotACocycleError
+from .cochain import (
+    DEFAULT_MAX_ENTRIES,
+    BudgetExceededError,
+    ICochain,
+    NormalizedCochain,
+    NotACocycleError,
+)
 from .group_ring import INTEGERS, MOD_P, GroupContext
-from .oracle import DEFAULT_MAX_ENTRIES, BudgetExceededError, cohomology_report
 
 SCHEMA_VERSION = "1"
 
@@ -255,6 +264,8 @@ def _cmd_check_cocycle(args) -> int:
 
 
 def _cmd_dims(args) -> int:
+    from .oracle import cohomology_report
+
     ctx = GroupContext(args.p, args.r)
     lines = ["n dim_C dim_Z dim_B dim_H expected_H"]
     for n in range(args.max_n + 1):
@@ -271,6 +282,8 @@ def _cmd_count_terms(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
+    from . import acceptance
+
     return EXIT_OK if acceptance.run_selftest(print) else 1
 
 

@@ -20,9 +20,10 @@ Both coboundary routes are implemented independently and agree (a fact the
 test suite checks pointwise on full bases).  The bar form is a plain loop
 over stored keys and serves as the reference.  The ideal form, which
 ``is_cocycle`` (of both kinds) and the oracle's ``d_matrix`` also use, is
-one vectorized kernel: keys are encoded as integers in base p^r - 1, every
-contraction term is generated as a numpy broadcast, and one sort followed
-by a segmented sum collapses equal keys.
+one vectorized kernel in ``kernel.py``: keys are encoded as integers in
+base p^r - 1, every contraction term is generated as a numpy broadcast,
+and one sort followed by a segmented sum collapses equal keys.  This
+module itself does not import numpy.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .group_ring import (
     INTEGERS,
     MOD_P,
     GroupContext,
+    NormExpansion,
     RingElem,
     _check_ring,
     as_difference_basis,
@@ -49,8 +49,24 @@ from .group_ring import (
 Action = Callable[[tuple, int], int]
 
 
+# Default entry budget of the oracle's dense matrices.
+DEFAULT_MAX_ENTRIES = 1 << 24
+
+
 class NotACocycleError(ValueError):
     """Raised when an operation defined on cohomology classes gets a non-cocycle."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A matrix would exceed the configured entry budget."""
+
+    def __init__(self, required: int, budget: int):
+        super().__init__(
+            f"matrix needs {required} entries, over the budget of {budget}; "
+            "raise max_entries to proceed"
+        )
+        self.required = required
+        self.budget = budget
 
 
 class _Cochain:
@@ -133,9 +149,11 @@ class _Cochain:
         return self._coboundary_sums()[0].size == 0
 
     def _coboundary_sums(self) -> tuple:
-        keys = _encode_keys(self.ctx, self.degree, list(self.values))
-        return _coboundary_sums(self.ctx, self.degree, keys,
-                                list(self.values.values()), self.ring)
+        from . import kernel  # numpy loads only when a coboundary is computed
+
+        keys = kernel._encode_keys(self.ctx, self.degree, list(self.values))
+        return kernel._coboundary_sums(self.ctx, self.degree, keys,
+                                       list(self.values.values()), self.ring)
 
     def value_at(self, key: tuple) -> int:
         """The stored coefficient at a basis tuple (0 if absent or normalized away)."""
@@ -256,13 +274,15 @@ class ICochain(_Cochain):
         The value is the sum over basis tensors of the stored value times
         the product of the factors' coefficients.  It runs over whichever
         side is smaller: the stored entries, looking each slot up in its
-        factor, or the product of the factors' supports.
+        factor, or the product of the factors' supports.  A factor may be
+        a ``NormExpansion``, whose support can outgrow ``len()``.
         """
         if len(factors) != self.degree:
             raise ValueError(f"expected {self.degree} factors, got {len(factors)}")
         values = self.values
         total = 0
-        if len(values) <= math.prod(len(d) for d in factors):
+        sizes = (d.size if isinstance(d, NormExpansion) else len(d) for d in factors)
+        if len(values) <= math.prod(sizes):
             for key, v in values.items():
                 for u, d in zip(key, factors):
                     c = d.get(u)
@@ -290,9 +310,11 @@ class ICochain(_Cochain):
         skips that term entirely.  The contractions run in one vectorized
         pass (``_coboundary_sums``).
         """
+        from . import kernel  # numpy loads only when a coboundary is computed
+
         ctx, n = self.ctx, self.degree
         codes, sums = self._coboundary_sums()
-        out = dict(zip(_decode_keys(ctx, n + 1, codes), sums.tolist()))
+        out = dict(zip(kernel._decode_keys(ctx, n + 1, codes), sums.tolist()))
         if action is None:
             # The kernel's keys and sums are valid as they stand.
             return ICochain._trusted(ctx, n + 1, self.ring, out)
@@ -309,16 +331,7 @@ class ICochain(_Cochain):
         Requires mod-p coefficients (the trivial-action hypothesis under
         which the block formula holds is automatic for our modules).
         """
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-        if self.ring != MOD_P or other.ring != MOD_P:
-            raise ValueError("cup products are defined for mod-p cochains")
-        sign = -1 if (self.degree * other.degree) % 2 else 1
-        values: dict = {}
-        for ku, cu in self.values.items():
-            for kv, cv in other.values.items():
-                values[ku + kv] = sign * cu * cv
-        return ICochain(self.ctx, self.degree + other.degree, MOD_P, values)
+        return cup_many([self, other])
 
 
 def cup_many(factors: Sequence[ICochain]) -> ICochain:
@@ -327,6 +340,7 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
     The front sign is (-1)^(l(l-1)/2) where l counts the odd-degree
     factors; this equals the product of the pairwise signs picked up by
     left-nested cupping, so the result coincides with reduce(cup, factors).
+    Keys are concatenations of valid keys, so they are not re-checked.
     """
     factors = list(factors)
     if not factors:
@@ -340,131 +354,16 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
     l = sum(1 for f in factors if f.degree % 2)
     sign = -1 if (l * (l - 1) // 2) % 2 else 1
     degree = sum(f.degree for f in factors)
+    p = ctx.p
     values: dict = {}
+    # Concatenation is injective at fixed factor degrees: no key repeats.
     for combo in itertools.product(*(f.values.items() for f in factors)):
-        key = tuple(itertools.chain.from_iterable(k for k, _ in combo))
         c = sign
         for _, v in combo:
-            c *= v
-        values[key] = values.get(key, 0) + c
-    return ICochain(ctx, degree, MOD_P, values)
-
-
-# -- vectorized ideal-form coboundary ----------------------------------
-#
-# A degree-n key is encoded as an integer in base N = p^r - 1: slot 1 is
-# the most significant digit and each nonidentity element is its index in
-# lexicographic order, so a code equals the key's row in
-# ``oracle.cochain_basis``.
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _code_dtype(limit: int):
-    """int64 when every value stays below ``limit`` <= 2^63, else exact Python ints."""
-    return np.int64 if limit - 1 <= _INT64_MAX else object
-
-
-def _encode_keys(ctx: GroupContext, n: int, keys: list) -> np.ndarray:
-    """Codes of degree-n keys (tuples of nonidentity exponent vectors)."""
-    big_n = ctx.order - 1
-    dtype = _code_dtype(big_n**n)
-    if not keys or n == 0:
-        return np.zeros(len(keys), dtype=dtype)
-    vectors = np.array(keys, dtype=np.int64).reshape(len(keys), n, ctx.r)
-    index = (vectors @ ctx.p ** np.arange(ctx.r - 1, -1, -1, dtype=np.int64) - 1).astype(dtype)
-    codes = index[:, 0]
-    for j in range(1, n):
-        codes = codes * big_n + index[:, j]
-    return codes
-
-
-def _decode_keys(ctx: GroupContext, n: int, codes: np.ndarray) -> list:
-    """The degree-n keys (tuples of exponent vectors) with the given codes."""
-    big_n = ctx.order - 1
-    elems = list(ctx.nonidentity_elements())
-    slots = []
-    for _ in range(n):
-        slots.append([elems[i] for i in (codes % big_n).tolist()])
-        codes = codes // big_n
-    return list(zip(*reversed(slots)))
-
-
-def _coboundary_sums(ctx: GroupContext, n: int, codes: np.ndarray, coeffs: list,
-                     ring: str, by_entry: bool = False) -> tuple:
-    """Ideal-form coboundary of sparse degree-n data as one sort-and-reduce.
-
-    Entry e is the key with code ``codes[e]`` and coefficient
-    ``coeffs[e]``.  Its image under the coboundary is, for each slot i
-    with sign (-1)^i, the contraction (x-1)(y-1) = (xy-1) - (x-1) - (y-1)
-    read backwards: the key k_i at slot i is hit by the (n+1)-keys with
-    (x, x^-1 k_i) for x != k_i (coefficient +sign), (k_i, y) for every y
-    and (x, k_i) for every x (coefficient -sign) in slots i, i+1.  Each
-    family is an (E, N) broadcast; x^-1 k_i is worked out on exponent
-    digits, with no p^r x p^r table.
-
-    Terms are packed as code * width + coefficient digit (c mod p, or
-    c + m for integers bounded by m in absolute value), sorted once, and
-    equal codes are summed.  Packed values and sums are int64 when their
-    bounds fit, otherwise exact Python ints.  With ``by_entry`` every
-    code is offset by e * N^(n+1), which keeps the images of the entries
-    apart.
-
-    Returns (codes, sums): the distinct (n+1)-key codes in increasing
-    order and their nonzero sums, reduced into [1, p) over MOD_P.
-    """
-    p, r, big_n = ctx.p, ctx.r, ctx.order - 1
-    entries = len(coeffs)
-    if n == 0 or entries == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    if ring == MOD_P:
-        shift, width = 0, p
-    else:
-        shift = max(abs(c) for c in coeffs)
-        width = 2 * shift + 1
-    span = big_n ** (n + 1)
-    # Besides zero terms a code is hit at most once per slot and family,
-    # so a run sums at most 3n digits.
-    dtype = _code_dtype(max((entries if by_entry else 1) * span * width,
-                            3 * n * max(p - 1, shift) + 1))
-    c = np.array(coeffs, dtype=dtype)
-    pos, neg = (c % p, -c % p) if ring == MOD_P else (c + shift, shift - c)
-    codes = np.asarray(codes).astype(dtype)
-    offset = np.arange(entries, dtype=dtype) * (span * width) if by_entry else 0
-    elems = np.arange(big_n, dtype=dtype)
-    # exponent digits of the elements, most significant first
-    digits = (np.arange(1, big_n + 1)[:, None]
-              // p ** np.arange(r - 1, -1, -1)) % p
-    terms = np.empty((n, 3, entries, big_n), dtype=dtype)
-    rows = np.arange(entries)
-    for i in range(1, n + 1):
-        low = big_n ** (n - i)  # weight of slot i in a degree-n code
-        k = (codes // low) % big_n
-        k_index = k.astype(np.int64)
-        kd = digits[k_index]
-        # the (n+1)-code with slots i, i+1 empty; they weigh low*N and low
-        base = ((codes // (low * big_n)) * (low * big_n * big_n) + codes % low) * width + offset
-        wa, wb = low * big_n * width, low * width
-        plus, minus = (neg, pos) if i % 2 else (pos, neg)
-        lex = sum(((kd[:, j, None] - digits[None, :, j]) % p) * p ** (r - 1 - j)
-                  for j in range(r))
-        family = terms[i - 1]
-        family[0] = (base + plus)[:, None] + elems * wa + (lex - 1).astype(dtype) * wb
-        family[0][rows, k_index] = offset + shift  # x = k_i: a zero term
-        family[1] = (base + minus + k * wa)[:, None] + elems * wb
-        family[2] = (base + minus + k * wb)[:, None] + elems * wa
-    flat = terms.reshape(-1)
-    flat.sort()
-    values = flat % width
-    flat //= width
-    if shift:
-        values -= shift
-    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    sums = np.add.reduceat(values, starts)
-    if ring == MOD_P:
-        sums %= p
-    keep = np.flatnonzero(sums)
-    return flat[starts[keep]], sums[keep]
+            c = c * v % p
+        if c:
+            values[tuple(itertools.chain.from_iterable(k for k, _ in combo))] = c
+    return ICochain._trusted(ctx, degree, MOD_P, values)
 
 
 # -- signed symmetric-group action -------------------------------------

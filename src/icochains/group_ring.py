@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -389,3 +390,39 @@ def as_difference_basis(a: RingElem) -> dict:
         raise ValueError("element has nonzero augmentation, not in the augmentation ideal")
     identity = a.ctx.identity
     return {u: c for u, c in a.terms.items() if u != identity}
+
+
+class NormExpansion(Mapping):
+    """(s_i - 1)^(p-1) over F_p on the difference basis, in closed form.
+
+    C(p-1, j) (-1)^(p-1-j) = 1 mod p, so the power is the norm element
+    1 + s_i + ... + s_i^(p-1); it lies in the augmentation ideal, so its
+    coefficient on s_i^j - 1 is 1 for every j = 1..p-1.  A lookup costs
+    O(r) at any p.  ``size`` is the support size p - 1 as a plain int,
+    since ``len()`` fails past ``sys.maxsize``.
+    ``as_difference_basis(shifted_monomial(...))`` is the reference.
+    """
+
+    __slots__ = ("ctx", "i", "size")
+
+    def __init__(self, ctx: GroupContext, i: int):
+        self.ctx, self.i, self.size = ctx, ctx.check_index(i), ctx.p - 1
+
+    def get(self, u, default=None):
+        j = self.i - 1
+        if (isinstance(u, tuple) and len(u) == self.ctx.r and 0 < u[j] < self.ctx.p
+                and not any(u[:j]) and not any(u[j + 1:])):
+            return 1
+        return default
+
+    def __getitem__(self, u):
+        c = self.get(u)
+        if c is None:
+            raise KeyError(u)
+        return c
+
+    def __iter__(self):
+        return (self.ctx.generator_power(self.i, k) for k in range(1, self.ctx.p))
+
+    def __len__(self) -> int:
+        return self.size

@@ -21,22 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cochain import ICochain, NotACocycleError, _code_dtype, _coboundary_sums, _encode_keys
+from .cochain import DEFAULT_MAX_ENTRIES, BudgetExceededError, ICochain, NotACocycleError
 from .group_ring import MOD_P, GroupContext
-
-DEFAULT_MAX_ENTRIES = 1 << 24
-
-
-class BudgetExceededError(RuntimeError):
-    """A matrix would exceed the configured entry budget."""
-
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"matrix needs {required} entries, over the budget of {budget}; "
-            "raise max_entries to proceed"
-        )
-        self.required = required
-        self.budget = budget
+from .kernel import _code_dtype, _coboundary_sums, _encode_keys
 
 
 def _check_budget(rows: int, cols: int, max_entries: int) -> None:

@@ -223,6 +223,35 @@ def test_invert_sparse_cochain_at_large_p():
     assert time.perf_counter() - start < 2.0
 
 
+def test_invert_beyond_sys_maxsize():
+    # the (s-1)^(p-1) factor has p-1 > sys.maxsize terms, more than len() reports
+    p = 2**64 + 13
+    ctx = GroupContext(p, 1)
+    f = ICochain(ctx, 2, MOD_P, {((p - 2,), (1,)): 5, ((3,), (2,)): 7})
+    assert invert(f) == AlgebraElem.monomial(ctx, (2,), 5)
+    g = ICochain(ctx, 3, MOD_P, {((1,), (p - 1,), (1,)): 4})
+    assert invert(g) == AlgebraElem.monomial(ctx, (3,), 4)
+
+
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (5, 2)])
+def test_realize_output_is_canonical(p, r):
+    # the constructor re-validates and reduces, so equality shows that the
+    # unchecked output of realize/cup_many is already canonical
+    ctx = GroupContext(p, r)
+    rng = random.Random(p * 10 + r)
+    for degree in (1, 2, 3):
+        sigs = list(compositions(degree, r))
+        for _ in range(3):
+            chosen = rng.sample(sigs, min(len(sigs), rng.randint(2, 3)))
+            e = AlgebraElem(ctx, {sig: rng.randrange(1, p) for sig in chosen})
+            f = realize(e)
+            assert f.degree == degree and len(e.terms) > 1
+            assert f == ICochain(ctx, degree, MOD_P, f.values)
+    f = realize(AlgebraElem.monomial(ctx, (1,) + (0,) * (r - 1)))
+    g = cup_many([f, f.scale(-1)])
+    assert g == ICochain(ctx, 2, MOD_P, g.values)
+
+
 def test_count_terms_spot_values():
     assert count_terms(GroupContext(3, 1), 2) == 2
     assert count_terms(GroupContext(3, 2), 2) == 6

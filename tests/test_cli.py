@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from icochains import GroupContext, bockstein_cocycle, carry_cocycle, exponent_cocycle
+from icochains import (
+    AlgebraElem,
+    GroupContext,
+    bockstein_cocycle,
+    carry_cocycle,
+    exponent_cocycle,
+    realize,
+)
 from icochains.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -222,14 +229,18 @@ def test_invert_empty_document_at_large_p(p, r, n, tmp_path, capsys):
 @pytest.mark.parametrize("p,code", [(10**18 + 3, EXIT_OK),
                                     (1287836182261 * 2575672364521, EXIT_INVALID)])
 def test_invert_document_with_huge_p_exits_cleanly(p, code, tmp_path):
-    # primality is decided at once below the Miller-Rabin bound and refused above it
-    doc = {"schema_version": "1", "p": p, "r": 1, "n": 1,
-           "kind": "icochain", "coeff_ring": "Fp", "entries": []}
-    path = write_doc(tmp_path, "huge.json", json.dumps(doc))
-    result = subprocess.run([sys.executable, "-m", "icochains.cli", "invert", "--in", path],
-                            capture_output=True, text=True, timeout=10)
-    assert result.returncode == code, result.stderr
-    assert "Traceback" not in result.stderr
+    # primality is decided at once below the Miller-Rabin bound and refused
+    # above it; the (s-1)^(p-1) factor of degrees >= 2 is read in closed form
+    for n in (1, 2, 3, 4):
+        doc = {"schema_version": "1", "p": p, "r": 1, "n": n,
+               "kind": "icochain", "coeff_ring": "Fp", "entries": []}
+        path = write_doc(tmp_path, f"huge{n}.json", json.dumps(doc))
+        for flags in ([], ["--unchecked"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "icochains.cli", "invert", *flags, "--in", path],
+                capture_output=True, text=True, timeout=10)
+            assert result.returncode == code, (n, flags, result.stderr)
+            assert "Traceback" not in result.stderr
 
 
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):
@@ -307,3 +318,44 @@ def test_cli_as_subprocess():
         [sys.executable, "-m", "icochains.cli", "dims", "--bad-flag"],
         capture_output=True, text=True)
     assert result.returncode == EXIT_USAGE
+
+
+# Runs cli.main in a fresh interpreter, then checks whether numpy was
+# imported against the expectation given as the first argument.
+_IMPORT_PROBE = """
+import sys
+from icochains import cli
+expect_numpy, argv = sys.argv[1] == "numpy", sys.argv[2:]
+assert cli.main(argv) == 0, argv
+assert ("numpy" in sys.modules) == expect_numpy, argv
+"""
+
+
+def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
+    def doc(name, f):
+        return write_doc(tmp_path, name, dumps_document(cochain_document(f, "icochain")))
+
+    ctx2, ctx3 = GroupContext(2, 2), GroupContext(3, 2)
+    p2 = doc("p2.json", realize(AlgebraElem.monomial(ctx2, (1, 1))))
+    p3 = doc("p3.json", realize(AlgebraElem.monomial(ctx3, (1, 1))))
+    p3b = doc("b3.json", exponent_cocycle(ctx3, 1))
+    without = [
+        ["tau", "--p", "3", "--r", "2", "--sig", "2,1"],
+        ["invert", "--unchecked", "--in", p2],
+        ["invert", "--unchecked", "--in", p3],
+        ["invert", "--unchecked", "--normalized", "--in", p3],
+        ["cup", "--in", p3, "--in", p3b],
+        ["count-terms", "--p", "3", "--r", "2", "--n", "4"],
+    ]
+    with_numpy = [
+        ["invert", "--in", p3],
+        ["d", "--in", p3b],
+        ["check-cocycle", "--in", p3],
+        ["dims", "--p", "2", "--r", "1", "--max-n", "1"],
+    ]
+    for expect, runs in (("no-numpy", without), ("numpy", with_numpy)):
+        for argv in runs:
+            result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, expect, *argv],
+                                    capture_output=True, text=True, timeout=60)
+            assert result.returncode == 0, (expect, argv, result.stderr)
+
