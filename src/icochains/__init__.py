@@ -68,14 +68,14 @@ from .group_ring import (
 
 __version__ = "0.1.0"
 
-# The oracle needs numpy, so its names are resolved on first access
-# (PEP 562): importing the package does not import numpy.
+# Names resolved on first access (PEP 562), so that importing the package
+# loads neither the oracle, which needs numpy, nor the block oracle, which
+# only ``dims`` and the checks use.
+_GRADED_NAMES = frozenset({"CohomologyReport", "cohomology_report"})
 _ORACLE_NAMES = frozenset({
-    "CohomologyReport",
     "FpMatrix",
     "classes_equal",
     "cochain_basis",
-    "cohomology_report",
     "d_matrix",
     "is_coboundary",
     "kernel_basis",
@@ -86,8 +86,10 @@ _ORACLE_NAMES = frozenset({
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _GRADED_NAMES:
+        from . import graded as module
+    elif name in _ORACLE_NAMES:
+        from . import oracle as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)

@@ -32,8 +32,9 @@ from .generators import (
     probe_tensor_split,
     q_choices,
 )
+from .graded import cohomology_report
 from .group_ring import MOD_P, GroupContext, shifted_monomial
-from .oracle import classes_equal, cochain_basis, cohomology_report
+from .oracle import classes_equal, cochain_basis
 
 # Contexts every broad check runs over; bigger ones appear where a
 # criterion calls for them.

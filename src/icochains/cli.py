@@ -9,13 +9,14 @@ coefficients in [1, p).  All output is deterministic: entries are sorted
 and serialization is byte-stable for identical inputs.
 
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
-(input is not a cocycle); 3 resource refusal (matrix budget), with the
+(input is not a cocycle); 3 resource refusal (entry budget), with the
 required size in the message; 64 usage errors such as unknown flags.
 
-Only the commands that compute a coboundary or a rank import numpy:
-``invert`` with its cocycle check, ``d``, ``check-cocycle``, ``dims`` and
-``selftest``.  The oracle and the acceptance suite are imported inside
-their handlers.
+Only the commands that compute a coboundary or run the dense oracle
+import numpy: ``invert`` with its cocycle check, ``d``, ``check-cocycle``
+and ``selftest``.  ``dims`` ranks the multigraded blocks of ``graded`` in
+pure Python.  The rank modules and the acceptance suite are imported
+inside their handlers.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ def _cmd_check_cocycle(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    from .oracle import cohomology_report
+    from .graded import cohomology_report
 
     ctx = GroupContext(args.p, args.r)
     lines = ["n dim_C dim_Z dim_B dim_H expected_H"]
@@ -345,7 +346,9 @@ def build_parser() -> _Parser:
     p_dims.add_argument("--r", type=int, required=True)
     p_dims.add_argument("--max-n", type=degree, required=True)
     p_dims.add_argument("--budget", type=int, default=DEFAULT_MAX_ENTRIES,
-                        help="matrix entry budget (default 2^24)")
+                        help="budget (default 2^24) on the degree-n and degree-(n+1) "
+                             "keys enumerated and on rows x columns of the largest "
+                             "multidegree block")
     p_dims.set_defaults(func=_cmd_dims)
 
     p_count = sub.add_parser("count-terms", help="number of evaluations in the inverse formula")

@@ -49,7 +49,7 @@ from .group_ring import (
 Action = Callable[[tuple, int], int]
 
 
-# Default entry budget of the oracle's dense matrices.
+# Default entry budget of the oracles' dense matrices and enumerated keys.
 DEFAULT_MAX_ENTRIES = 1 << 24
 
 
@@ -58,11 +58,12 @@ class NotACocycleError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A matrix would exceed the configured entry budget."""
+    """A matrix, or the key set of a block computation, would exceed the
+    configured entry budget."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"matrix needs {required} entries, over the budget of {budget}; "
+            f"the computation needs {required} entries, over the budget of {budget}; "
             "raise max_entries to proceed"
         )
         self.required = required
@@ -145,7 +146,20 @@ class _Cochain:
         """Whether the coboundary vanishes, decided by the vectorized
         ideal-form kernel.  For a normalized cochain this is the same
         test: its bar coboundary equals the ideal-form coboundary of the
-        corresponding ICochain value for value."""
+        corresponding ICochain value for value.
+
+        A nonzero cochain of degree n >= 1 with E entries and
+        3nE <= N = p^r - 1 is never a cocycle, so such input is answered
+        without the kernel, whose work grows with N.  Take a stored key K
+        with coefficient c: the slot-n contraction of K gives every
+        (n+1)-key (K, y) the term -+c, and each of the other 3nE - 1
+        (entry, slot, family) term sets of the kernel meets the line
+        {(K, y)} in at most one point, so one of its N points keeps a
+        nonzero value.
+        """
+        n, entries = self.degree, len(self.values)
+        if n and entries and 3 * n * entries <= self.ctx.order - 1:
+            return False
         return self._coboundary_sums()[0].size == 0
 
     def _coboundary_sums(self) -> tuple:

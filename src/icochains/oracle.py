@@ -2,14 +2,17 @@
 
 Builds coboundary matrices on the full difference-tensor basis, computes
 ranks and kernels by Gauss-Jordan elimination mod p, and answers the
-questions the rest of the library is checked against: cohomology
-dimensions, coboundary membership, class equality, and seeded random
-cocycles.  Nothing here depends on the inverse-map code, so agreement with
-it is meaningful evidence.
+questions the rest of the library is checked against: coboundary
+membership, class equality, and seeded random cocycles.  Nothing here
+depends on the inverse-map code, so agreement with it is meaningful
+evidence.
 
-Matrix sizes grow as (p^r - 1)^(2n+1); anything whose dense form exceeds a
-configurable entry budget is refused with an explicit error rather than
-attempted.
+The degree-n matrix has (p^r - 1)^(2n+1) dense entries; anything whose
+dense form exceeds a configurable entry budget is refused with an explicit
+error rather than attempted.  Cohomology dimensions (``cohomology_report``,
+re-exported here) come from the multigraded blocks of ``graded`` instead;
+``d_matrix`` and ``rank`` stay as the dense reference they are checked
+against.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cochain import DEFAULT_MAX_ENTRIES, BudgetExceededError, ICochain, NotACocycleError
+from .graded import CohomologyReport, cohomology_report  # re-exported
 from .group_ring import MOD_P, GroupContext
 from .kernel import _code_dtype, _coboundary_sums, _encode_keys
 
@@ -169,36 +172,6 @@ def vectorize(f: ICochain):
 def cochain_from_vector(ctx: GroupContext, n: int, vec) -> ICochain:
     basis = cochain_basis(ctx, n)
     return ICochain(ctx, n, MOD_P, {basis[i]: int(c) for i, c in enumerate(vec) if c % ctx.p})
-
-
-@dataclass(frozen=True)
-class CohomologyReport:
-    """Dimension bookkeeping for one degree, from ranks alone."""
-
-    p: int
-    r: int
-    n: int
-    dim_cochains: int
-    rank_dn: int
-    dim_ker_dn: int
-    rank_d_prev: int
-    dim_h: int
-
-
-def cohomology_report(ctx: GroupContext, n: int,
-                      max_entries: int = DEFAULT_MAX_ENTRIES) -> CohomologyReport:
-    """Compute dim H^n as nullity(d_n) minus rank(d_(n-1))."""
-    dim_c = (ctx.order - 1) ** n
-    rank_dn = _rank_cached(ctx, n, max_entries)
-    dim_ker = dim_c - rank_dn
-    rank_prev = _rank_cached(ctx, n - 1, max_entries) if n > 0 else 0
-    return CohomologyReport(ctx.p, ctx.r, n, dim_c, rank_dn, dim_ker,
-                            rank_prev, dim_ker - rank_prev)
-
-
-@functools.lru_cache(maxsize=None)
-def _rank_cached(ctx: GroupContext, n: int, max_entries: int) -> int:
-    return rank(d_matrix(ctx, n, max_entries))
 
 
 @functools.lru_cache(maxsize=None)

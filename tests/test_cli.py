@@ -243,6 +243,21 @@ def test_invert_document_with_huge_p_exits_cleanly(p, code, tmp_path):
             assert "Traceback" not in result.stderr
 
 
+def test_sparse_document_at_huge_p_is_not_a_cocycle(tmp_path):
+    # 3nE <= p - 1: decided without the kernel's O(p) broadcasts
+    p = 10**18 + 3
+    for n in (1, 2):
+        doc = {"schema_version": "1", "p": p, "r": 1, "n": n,
+               "kind": "icochain", "coeff_ring": "Fp",
+               "entries": [{"key": [[5]] * n, "value": 1}]}
+        path = write_doc(tmp_path, f"one{n}.json", json.dumps(doc))
+        for argv in (["check-cocycle", "--in", path], ["invert", "--in", path]):
+            result = subprocess.run([sys.executable, "-m", "icochains.cli", *argv],
+                                    capture_output=True, text=True, timeout=10)
+            assert result.returncode == EXIT_NOT_COCYCLE, (n, argv, result.stderr)
+            assert "Traceback" not in result.stderr
+
+
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):
     ctx = GroupContext(2, 1)
     doc = dumps_document(cochain_document(carry_cocycle(ctx, 1), "normalized"))
@@ -267,6 +282,25 @@ def test_dims_budget_exit(capsys):
                              "--max-n", "3", "--budget", "1000")
     assert code == EXIT_BUDGET
     assert "entries" in err and out == ""
+
+
+def test_dims_past_the_dense_budget(capsys):
+    # the dense d_3 at (3, 2) alone would have 8^7 > 2^24 entries
+    code, out, _ = run_cli(capsys, "dims", "--p", "3", "--r", "2", "--max-n", "4")
+    assert code == EXIT_OK
+    rows = [line.split() for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0", "1", "2", "3", "4"]
+    assert all(row[4] == row[5] for row in rows)
+
+
+def test_dims_refuses_before_enumerating():
+    # N = 342: degree 2 needs N^2 + N^3 keys, over the 2^24 default
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "dims", "--p", "7", "--r", "3", "--max-n", "3"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == EXIT_BUDGET
+    assert str(342**2 + 342**3) in result.stderr
+    assert result.stdout == ""
 
 
 def test_count_terms_command(capsys):
@@ -346,12 +380,12 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
         ["invert", "--unchecked", "--normalized", "--in", p3],
         ["cup", "--in", p3, "--in", p3b],
         ["count-terms", "--p", "3", "--r", "2", "--n", "4"],
+        ["dims", "--p", "2", "--r", "1", "--max-n", "1"],
     ]
     with_numpy = [
         ["invert", "--in", p3],
         ["d", "--in", p3b],
         ["check-cocycle", "--in", p3],
-        ["dims", "--p", "2", "--r", "1", "--max-n", "1"],
     ]
     for expect, runs in (("no-numpy", without), ("numpy", with_numpy)):
         for argv in runs:

@@ -12,6 +12,8 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icochains import (
     AlgebraElem,
@@ -282,6 +284,37 @@ def test_is_cocycle_misses_no_entry():
         values = dict(f.values)
         del values[key]
         assert not ICochain(ctx, f.degree, MOD_P, values).is_cocycle()
+
+
+# (p, r) with N = p^r - 1 >= 3, so some degree-1 cochain has 3nE <= N
+SPARSE_CONTEXTS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 1), (7, 1), (13, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sparse_cochains_are_not_cocycles(data):
+    """The sparse-cocycle lemma: a nonzero degree-n >= 1 cochain with
+    3nE <= N is never a cocycle, checked against the kernel."""
+    p, r = data.draw(st.sampled_from(SPARSE_CONTEXTS))
+    ctx = GroupContext(p, r)
+    big_n = ctx.order - 1
+    n = data.draw(st.integers(1, 3))
+    bound = big_n // (3 * n)
+    # mostly at or under the lemma's bound, sometimes just over it
+    entries = data.draw(st.integers(1, max(1, bound + 2)))
+    entries = min(entries, big_n**n)
+    codes = data.draw(st.sets(st.integers(0, big_n**n - 1),
+                              min_size=entries, max_size=entries))
+    basis = cochain_basis(ctx, n)
+    ring = data.draw(st.sampled_from([MOD_P, INTEGERS]))
+    value = st.integers(1, p - 1) if ring == MOD_P else st.integers(-9, 9).filter(bool)
+    values = {basis[c]: data.draw(value) for c in sorted(codes)}
+    cls = data.draw(st.sampled_from([ICochain, NormalizedCochain]))
+    f = cls(ctx, n, ring, values)
+    by_kernel = f._coboundary_sums()[0].size == 0
+    assert f.is_cocycle() == by_kernel
+    if 3 * n * entries <= big_n:
+        assert not by_kernel
 
 
 @pytest.mark.parametrize("p,r", DESK)

@@ -1,5 +1,6 @@
 """The rank/kernel oracle and the class-level comparisons built on it."""
 
+import itertools
 import random
 
 import numpy as np
@@ -31,6 +32,8 @@ from icochains import (
     vectorize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
+from icochains.cochain import DEFAULT_MAX_ENTRIES
+from icochains.graded import _block_ranks
 from icochains.oracle import _rref
 from conftest import DESK, random_icochain
 
@@ -234,6 +237,54 @@ def test_cohomology_dimension_tables():
             assert rep.dim_h == graded_dimension(ctx, n)
             assert rep.dim_h == rep.dim_ker_dn - rep.rank_d_prev >= 0
             assert rep.dim_cochains == (p**r - 1) ** n
+
+
+def block_ranks(ctx, n):
+    """Rank of each multidegree block of d_n; absent blocks have rank 0."""
+    return dict(_block_ranks(ctx, n, DEFAULT_MAX_ENTRIES)) if n >= 0 else {}
+
+
+@pytest.mark.parametrize("p,r,max_n", EXHAUSTIVE_TRIPLES + [(2, 4, 2), (5, 2, 2)])
+def test_block_ranks_match_dense_rank(p, r, max_n):
+    ctx = GroupContext(p, r)
+    for n in range(max_n + 1):
+        assert sum(block_ranks(ctx, n).values()) == rank(d_matrix(ctx, n)), n
+
+
+def monomial_weights(p, r, n):
+    """Multidegree -> number of degree-n basis monomials of that weight.
+
+    x_i weighs e_i; for odd p, y_i (degree 2) weighs p e_i.  At p = 2
+    the monomials are the x^a with |a| = n, of weight a.
+    """
+    counts = {}
+    if p == 2:
+        gens = [(a, a) for a in itertools.product(range(n + 1), repeat=r)]
+    else:
+        gens = [(tuple(e + 2 * k for e, k in zip(eps, ks)),
+                 tuple(e + p * k for e, k in zip(eps, ks)))
+                for eps in itertools.product((0, 1), repeat=r)
+                for ks in itertools.product(range(n // 2 + 1), repeat=r)]
+    for degrees, weight in gens:
+        if sum(degrees) == n:
+            counts[weight] = counts.get(weight, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("p,r,max_n", [(3, 2, 3), (2, 3, 3), (5, 1, 5), (2, 2, 6), (3, 1, 6)])
+def test_multigraded_dimensions(p, r, max_n):
+    """dim H^n_m, block by block, equals the count of degree-n basis
+    monomials of weight m: each class sits in its own block."""
+    ctx = GroupContext(p, r)
+    for n in range(max_n + 1):
+        keys = {}
+        for key in itertools.product(tuple(ctx.nonidentity_elements()), repeat=n):
+            weight = tuple(map(sum, zip(*key))) if n else (0,) * r
+            keys[weight] = keys.get(weight, 0) + 1
+        rank_n, rank_prev = block_ranks(ctx, n), block_ranks(ctx, n - 1)
+        dims = {m: k - rank_n.get(m, 0) - rank_prev.get(m, 0) for m, k in keys.items()}
+        assert all(d >= 0 for d in dims.values()), n
+        assert {m: d for m, d in dims.items() if d} == monomial_weights(p, r, n), n
 
 
 def test_is_coboundary_basics():
