@@ -107,32 +107,53 @@ def parse_cochain_document(text: str):
     _expect(ring in (INTEGERS, MOD_P), "field 'coeff_ring' must be 'Z' or 'Fp'")
     entries = obj.get("entries")
     _expect(isinstance(entries, list), "field 'entries' must be a list")
+    # every key and value is checked here; the constructor would repeat it
+    cls = NormalizedCochain if kind == "normalized" else ICochain
+    return cls._trusted(ctx, n, ring, _entry_values(entries, ctx, n, ring)), kind
+
+
+def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
+    """The validated {key: value} map of a cochain document's entries.
+
+    Each distinct exponent vector goes through ``_check_vector`` once; a
+    later vector of r exact ints that equals it reuses its tuple.  The
+    types are checked before the lookup, because True == 1 and 1.0 == 1
+    hash alike.  Messages are built only when a check fails.
+    """
+    int_row = [int] * ctx.r
+    vectors: dict = {}  # every vector validated so far, mapped to itself
     values: dict = {}
     for idx, entry in enumerate(entries):
-        where = f"entries[{idx}]"
-        _expect(isinstance(entry, dict) and set(entry) == {"key", "value"},
-                f"{where}: must be an object with exactly 'key' and 'value'")
+        if not (isinstance(entry, dict) and entry.keys() == {"key", "value"}):
+            raise DocumentError(f"entries[{idx}]: must be an object with exactly "
+                                "'key' and 'value'")
         key_raw = entry["key"]
-        _expect(isinstance(key_raw, list) and len(key_raw) == n,
-                f"{where}.key: expected a list of {n} exponent vectors")
-        key = tuple(_check_vector(v, ctx, f"{where}.key[{j}]", allow_zero=False)
-                    for j, v in enumerate(key_raw))
-        _expect(key not in values, f"{where}: duplicate key")
+        if not (isinstance(key_raw, list) and len(key_raw) == n):
+            raise DocumentError(f"entries[{idx}].key: expected a list of {n} exponent vectors")
+        key = []
+        for vec in key_raw:
+            u = (vectors.get(tuple(vec))
+                 if type(vec) is list and list(map(type, vec)) == int_row else None)
+            if u is None:
+                u = _check_vector(vec, ctx, f"entries[{idx}].key[{len(key)}]",
+                                  allow_zero=False)
+                vectors[u] = u
+            key.append(u)
+        key = tuple(key)
+        if key in values:
+            raise DocumentError(f"entries[{idx}]: duplicate key")
         value = entry["value"]
-        _expect(_is_int(value) and value != 0,
-                f"{where}.value: must be a nonzero integer")
-        if ring == MOD_P:
-            _expect(0 < value < ctx.p,
-                    f"{where}.value: mod-p values must lie in [1, {ctx.p})")
+        if not (_is_int(value) and value != 0):
+            raise DocumentError(f"entries[{idx}].value: must be a nonzero integer")
+        if ring == MOD_P and not 0 < value < ctx.p:
+            raise DocumentError(f"entries[{idx}].value: mod-p values must lie in [1, {ctx.p})")
         values[key] = value
-    # every key and value is checked above; the constructor would repeat it
-    cls = NormalizedCochain if kind == "normalized" else ICochain
-    return cls._trusted(ctx, n, ring, values), kind
+    return values
 
 
 def cochain_document(cochain, kind: str) -> dict:
-    entries = [{"key": [list(u) for u in key], "value": c}
-               for key, c in sorted(cochain.values.items())]
+    # keys stay tuples of exponent-vector tuples, which JSON writes as arrays
+    entries = [{"key": key, "value": c} for key, c in sorted(cochain.values.items())]
     return {
         "schema_version": SCHEMA_VERSION,
         "p": cochain.ctx.p,
@@ -185,7 +206,51 @@ def algebra_document(e: AlgebraElem) -> dict:
 
 
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The text of a document built by ``cochain_document`` or
+    ``algebra_document``.
+
+    It is byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``
+    plus a newline, which on Python 3.11 never uses the C encoder.  The
+    fields and entries of the two layouts are written directly, and each
+    distinct exponent vector is rendered once per document.
+    """
+    fields = []
+    for name, value in sorted(doc.items()):
+        text = _entries_text(value) if name == "entries" else json.dumps(value)
+        fields.append(f"  {json.dumps(name)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def _array_text(items: list, level: int) -> str:
+    """An indent-2 JSON array of rendered items whose brackets sit at
+    nesting ``level``."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+
+
+def _entries_text(entries: list) -> str:
+    """The ``entries`` array: {key, value} cochain entries, whose exponent
+    vectors repeat, or {coeff, signature} algebra entries."""
+    vectors: dict = {}
+    rendered = []
+    for entry in entries:
+        if "key" in entry:
+            slots = []
+            for u in entry["key"]:
+                u = tuple(u)
+                text = vectors.get(u)
+                if text is None:
+                    text = vectors[u] = _array_text(list(map(int.__repr__, u)), 4)
+                slots.append(text)
+            rendered.append(f'{{\n      "key": {_array_text(slots, 3)},\n'
+                            f'      "value": {int.__repr__(entry["value"])}\n    }}')
+        else:
+            sig = _array_text(list(map(int.__repr__, entry["signature"])), 3)
+            rendered.append(f'{{\n      "coeff": {int.__repr__(entry["coeff"])},\n'
+                            f'      "signature": {sig}\n    }}')
+    return _array_text(rendered, 1)
 
 
 def _read_input(path: str) -> str:

@@ -49,7 +49,8 @@ from .group_ring import (
 Action = Callable[[tuple, int], int]
 
 
-# Default entry budget of the oracles' dense matrices and enumerated keys.
+# Default entry budget of the oracles' dense matrices and enumerated keys, and
+# of the terms of coboundaries and cup products.
 DEFAULT_MAX_ENTRIES = 1 << 24
 
 
@@ -58,8 +59,8 @@ class NotACocycleError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A matrix, or the key set of a block computation, would exceed the
-    configured entry budget."""
+    """A matrix, the key set of a block computation, or the terms of a
+    coboundary or cup product would exceed the configured entry budget."""
 
     def __init__(self, required: int, budget: int):
         super().__init__(
@@ -68,6 +69,13 @@ class BudgetExceededError(RuntimeError):
         )
         self.required = required
         self.budget = budget
+
+
+def _check_output_budget(required: int) -> None:
+    """Refuse, before allocating, an output of more terms than the default
+    entry budget."""
+    if required > DEFAULT_MAX_ENTRIES:
+        raise BudgetExceededError(required, DEFAULT_MAX_ENTRIES)
 
 
 class _Cochain:
@@ -206,10 +214,12 @@ class NormalizedCochain(_Cochain):
         With the default trivial action the leading term u_1 . a(u_2, ...)
         reduces to a plain copy of a(u_2, ...).
         """
+        n = self.degree
+        # per entry: N leading, at most N per inner slot and N trailing terms
+        _check_output_budget(len(self.values) * (n + 2) * (self.ctx.order - 1))
         out: dict = {}
         nonid = list(self.ctx.nonidentity_elements())
         inv = self.ctx.inverse
-        n = self.degree
         trail_sign = -1 if (n + 1) % 2 else 1
         for key, c in self.values.items():
             for v in nonid:
@@ -327,6 +337,9 @@ class ICochain(_Cochain):
         from . import kernel  # numpy loads only when a coboundary is computed
 
         ctx, n = self.ctx, self.degree
+        # the kernel's three (E, N) families per slot, plus the action term
+        _check_output_budget(len(self.values) * (3 * n + (action is not None))
+                             * (ctx.order - 1))
         codes, sums = self._coboundary_sums()
         out = dict(zip(kernel._decode_keys(ctx, n + 1, codes), sums.tolist()))
         if action is None:
@@ -355,6 +368,8 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
     factors; this equals the product of the pairwise signs picked up by
     left-nested cupping, so the result coincides with reduce(cup, factors).
     Keys are concatenations of valid keys, so they are not re-checked.
+    Refuses, before enumerating, a product of supports over the default
+    entry budget.
     """
     factors = list(factors)
     if not factors:
@@ -365,6 +380,7 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
             raise ValueError("context mismatch")
         if f.ring != MOD_P:
             raise ValueError("cup products are defined for mod-p cochains")
+    _check_output_budget(math.prod(len(f.values) for f in factors))
     l = sum(1 for f in factors if f.degree % 2)
     sign = -1 if (l * (l - 1) // 2) % 2 else 1
     degree = sum(f.degree for f in factors)

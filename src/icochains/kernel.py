@@ -42,6 +42,8 @@ def _encode_keys(ctx: GroupContext, n: int, keys: list) -> np.ndarray:
 
 def _decode_keys(ctx: GroupContext, n: int, codes: np.ndarray) -> list:
     """The degree-n keys (tuples of exponent vectors) with the given codes."""
+    if not len(codes):
+        return []  # without listing the N elements, which huge p forbids
     big_n = ctx.order - 1
     elems = list(ctx.nonidentity_elements())
     slots = []

@@ -258,6 +258,31 @@ def test_sparse_document_at_huge_p_is_not_a_cocycle(tmp_path):
             assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("kind,n,code", [("icochain", 1, EXIT_BUDGET),
+                                         ("normalized", 1, EXIT_BUDGET),
+                                         ("icochain", 0, EXIT_OK)])
+def test_d_at_huge_p_refuses_before_allocating(kind, n, code, tmp_path):
+    # the coboundary of one entry has about 3nN terms; degree 0 has none
+    doc = {"schema_version": "1", "p": 10**18 + 3, "r": 1, "n": n, "kind": kind,
+           "coeff_ring": "Fp", "entries": [{"key": [[5]] * n, "value": 1}]}
+    path = write_doc(tmp_path, "one.json", json.dumps(doc))
+    result = subprocess.run([sys.executable, "-m", "icochains.cli", "d", "--in", path],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    if code == EXIT_BUDGET:
+        assert str(3 * (10**18 + 2)) in result.stderr and result.stdout == ""
+
+
+def test_tau_refuses_an_over_budget_cup_product():
+    # three degree-2 factors at N = 342: a product of about 1.3e14 keys
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "tau", "--p", "7", "--r", "3", "--sig", "2,2,2"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == EXIT_BUDGET, result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):
     ctx = GroupContext(2, 1)
     doc = dumps_document(cochain_document(carry_cocycle(ctx, 1), "normalized"))
