@@ -8,6 +8,14 @@ algebra document carries (p, r) and entries mapping monomial signatures to
 coefficients in [1, p).  All output is deterministic: entries are sorted
 and serialization is byte-stable for identical inputs.
 
+``dumps_document`` writes the two layouts directly.  Its text is
+byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
+which the tests keep as the reference, and it renders each distinct
+exponent vector once.  ``parse_cochain_document`` validates each distinct
+exponent vector once: a later vector of r exact ints equal to it reuses
+its tuple, and anything else goes through the full check, so every
+message and exit code is that of the per-entry check.
+
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (entry budget), with the
 required size in the message; 64 usage errors such as unknown flags.
@@ -131,12 +139,11 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
         if not (isinstance(key_raw, list) and len(key_raw) == n):
             raise DocumentError(f"entries[{idx}].key: expected a list of {n} exponent vectors")
         key = []
-        for vec in key_raw:
+        for j, vec in enumerate(key_raw):
             u = (vectors.get(tuple(vec))
                  if type(vec) is list and list(map(type, vec)) == int_row else None)
             if u is None:
-                u = _check_vector(vec, ctx, f"entries[{idx}].key[{len(key)}]",
-                                  allow_zero=False)
+                u = _check_vector(vec, ctx, f"entries[{idx}].key[{j}]", allow_zero=False)
                 vectors[u] = u
             key.append(u)
         key = tuple(key)
