@@ -20,6 +20,7 @@ from .algebra import (
     invert_normalized_counted,
     invert_via_shuffles,
     monomial_mul,
+    perm_sign,
     realize,
     shuffle_count,
     shuffles,
@@ -32,13 +33,8 @@ from .cochain import (
     NotACocycleError,
     Tensor,
     cup_many,
-    perm_compose,
-    perm_inverse,
-    perm_sign,
-    signed_permute,
 )
 from .generators import (
-    binomial_mod_p,
     bockstein_cocycle,
     bockstein_pair_value,
     carry_cocycle,
@@ -55,15 +51,11 @@ from .group_ring import (
     MOD_P,
     GroupContext,
     RingElem,
-    ShiftedPolynomial,
     as_difference_basis,
     augmentation,
-    from_shifted_basis,
-    in_augmentation_ideal,
     is_prime,
     shifted_generator,
     shifted_monomial,
-    to_shifted_basis,
 )
 
 __version__ = "0.1.0"

@@ -28,10 +28,10 @@ from .cochain import (
     ICochain,
     NormalizedCochain,
     NotACocycleError,
+    _check_output_budget,
     cup_many,
-    perm_sign,
 )
-from .generators import generator_power_cocycle, probe_tuple, q_choices
+from .generators import _power_support, generator_power_cocycle, probe_tuple, q_choices
 from .group_ring import MOD_P, GroupContext, NormExpansion
 
 MonomialSig = tuple  # r nonnegative ints; degree = their sum
@@ -198,6 +198,16 @@ def shuffles(block_sizes: Sequence[int]) -> Iterator[tuple]:
     return rec(tuple(range(n)), tuple(block_sizes))
 
 
+def perm_sign(perm: Sequence[int]) -> int:
+    """The sign of a 0-based permutation, by counting inversions."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
 def shuffle_count(block_sizes: Sequence[int]) -> int:
     total = sum(block_sizes)
     count = 1
@@ -214,7 +224,9 @@ def realize(e: AlgebraElem) -> ICochain:
 
     A basis signature (n_1, ..., n_r) maps to the cup product of the
     degree-n_i generator powers of the r variables, taken in variable
-    order; the map extends linearly.
+    order; the map extends linearly.  Each signature's support is known
+    before any factor is built (a product of nonzero residues mod p is
+    nonzero), and one over the default entry budget is refused first.
     """
     if not e.is_homogeneous():
         raise ValueError("can only realize homogeneous elements")
@@ -222,6 +234,8 @@ def realize(e: AlgebraElem) -> ICochain:
     if e.is_zero():
         return ICochain.zero(ctx, 0)
     degree = next(iter(e.degrees()))
+    for sig in e.terms:
+        _check_output_budget(math.prod(_power_support(ctx, m) for m in sig))
     p = ctx.p
     values: dict = {}
     for sig, c in e.terms.items():

@@ -10,8 +10,8 @@ coefficients.  What differs is the semantics of everything built on top:
 
 * the coboundary of a normalized cochain follows the classical bar formula;
 * the coboundary of an ICochain contracts adjacent tensor factors with the
-  group-ring product, picking up only the alternating signs when the module
-  action is trivial;
+  group-ring product, with alternating signs (the coefficients are F_p or Z
+  with the trivial action, on which an ideal element acts as zero);
 * an ICochain evaluates on arbitrary ideal tensors by multilinearity;
 * cup products concatenate tensor factors, with the sign convention that
   (f cup g) on an (m+n)-tensor is (-1)^(m n) f(first m) g(last n).
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .group_ring import (
     INTEGERS,
@@ -42,12 +42,6 @@ from .group_ring import (
     as_difference_basis,
     augmentation,
 )
-
-# Optional module action for coefficients: (group element, value) -> value.
-# None means the trivial action.  Only the unit-test surface exercises
-# nontrivial actions; all shipped computations use trivial modules.
-Action = Callable[[tuple, int], int]
-
 
 # Default entry budget of the oracles' dense matrices and enumerated keys, and
 # of the terms of coboundaries and cup products.
@@ -64,9 +58,7 @@ class BudgetExceededError(RuntimeError):
 
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"the computation needs {required} entries, over the budget of {budget}; "
-            "raise max_entries to proceed"
-        )
+            f"the computation needs {required} entries, over the budget of {budget}")
         self.required = required
         self.budget = budget
 
@@ -120,23 +112,31 @@ class _Cochain:
         if self.ctx != other.ctx or self.ring != other.ring or self.degree != other.degree:
             raise ValueError("context, ring, or degree mismatch")
 
+    def _like(self, values: dict):
+        """A cochain of this kind, context, ring and degree holding values
+        whose keys are already valid: reduce mod p, drop zeros, no key check."""
+        if self.ring == MOD_P:
+            p = self.ctx.p
+            values = {k: m for k, c in values.items() if (m := c % p)}
+        else:
+            values = {k: c for k, c in values.items() if c}
+        return self._trusted(self.ctx, self.degree, self.ring, values)
+
     def __add__(self, other):
         self._compatible(other)
         values = dict(self.values)
         for key, c in other.values.items():
             values[key] = values.get(key, 0) + c
-        return type(self)(self.ctx, self.degree, self.ring, values)
+        return self._like(values)
 
     def __neg__(self):
-        return type(self)(self.ctx, self.degree, self.ring,
-                          {k: -c for k, c in self.values.items()})
+        return self._like({k: -c for k, c in self.values.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: int):
-        return type(self)(self.ctx, self.degree, self.ring,
-                          {k: c * v for k, v in self.values.items()})
+        return self._like({k: c * v for k, v in self.values.items()})
 
     def __eq__(self, other) -> bool:
         if type(self) is not type(other):
@@ -208,11 +208,11 @@ class NormalizedCochain(_Cochain):
         """The corresponding ideal-tensor functional (value-for-value)."""
         return ICochain(self.ctx, self.degree, self.ring, self.values)
 
-    def coboundary(self, action: Action | None = None) -> "NormalizedCochain":
+    def coboundary(self) -> "NormalizedCochain":
         """The bar coboundary; normalized because this cochain is.
 
-        With the default trivial action the leading term u_1 . a(u_2, ...)
-        reduces to a plain copy of a(u_2, ...).
+        The action on the coefficients is trivial, so the leading term
+        u_1 . a(u_2, ...) is a plain copy of a(u_2, ...).
         """
         n = self.degree
         # per entry: N leading, at most N per inner slot and N trailing terms
@@ -224,7 +224,7 @@ class NormalizedCochain(_Cochain):
         for key, c in self.values.items():
             for v in nonid:
                 t = (v,) + key
-                out[t] = out.get(t, 0) + (c if action is None else action(v, c))
+                out[t] = out.get(t, 0) + c
             for j in range(1, n + 1):
                 kj = key[j - 1]
                 sign_c = -c if j % 2 else c
@@ -324,33 +324,24 @@ class ICochain(_Cochain):
                     total += v
         return total % self.ctx.p if self.ring == MOD_P else total
 
-    def coboundary(self, action: Action | None = None) -> "ICochain":
+    def coboundary(self) -> "ICochain":
         """The coboundary in ideal-tensor form.
 
         On an (n+1)-tensor this is the alternating sum over adjacent
-        factor contractions a_i a_(i+1) (a product in the group ring),
-        plus the module-action term when the action is nontrivial; an
-        ideal element acts as zero on a trivial module, so the default
-        skips that term entirely.  The contractions run in one vectorized
+        factor contractions a_i a_(i+1) (a product in the group ring); an
+        ideal element acts as zero on the trivial coefficient module, so
+        there is no action term.  The contractions run in one vectorized
         pass (``_coboundary_sums``).
         """
         from . import kernel  # numpy loads only when a coboundary is computed
 
         ctx, n = self.ctx, self.degree
-        # the kernel's three (E, N) families per slot, plus the action term
-        _check_output_budget(len(self.values) * (3 * n + (action is not None))
-                             * (ctx.order - 1))
+        # the kernel's three (E, N) families per slot
+        _check_output_budget(len(self.values) * 3 * n * (ctx.order - 1))
         codes, sums = self._coboundary_sums()
         out = dict(zip(kernel._decode_keys(ctx, n + 1, codes), sums.tolist()))
-        if action is None:
-            # The kernel's keys and sums are valid as they stand.
-            return ICochain._trusted(ctx, n + 1, self.ring, out)
-        # (v - 1) . c = action(v, c) - c on the leading slot.
-        for key, c in self.values.items():
-            for v in ctx.nonidentity_elements():
-                t = (v,) + key
-                out[t] = out.get(t, 0) + action(v, c) - c
-        return ICochain(ctx, n + 1, self.ring, out)
+        # The kernel's keys and sums are valid as they stand.
+        return ICochain._trusted(ctx, n + 1, self.ring, out)
 
     def cup(self, other: "ICochain") -> "ICochain":
         """Cup product with the (-1)^(m n) front sign.
@@ -395,49 +386,3 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
             values[tuple(itertools.chain.from_iterable(k for k, _ in combo))] = c
     return ICochain._trusted(ctx, degree, MOD_P, values)
 
-
-# -- signed symmetric-group action -------------------------------------
-
-def perm_inverse(perm: Sequence[int]) -> tuple:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
-
-
-def perm_compose(s: Sequence[int], t: Sequence[int]) -> tuple:
-    """The product (s t)(i) = t(s(i)): s acts first, then t.
-
-    This left-to-right convention is the one under which the signed slot
-    action below is a group action:
-    ``signed_permute(f, perm_compose(s, t)) ==
-    signed_permute(signed_permute(f, t), s)``.
-    """
-    return tuple(t[s[i]] for i in range(len(s)))
-
-
-def perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def signed_permute(f: ICochain, perm: Sequence[int]) -> ICochain:
-    """The signed permutation action on tensor slots.
-
-    (sigma f) evaluated on b_1 x ... x b_n is sgn(sigma) times f on the
-    tensor whose j-th slot holds b at sigma^(-1)(j); permutations are
-    0-based tuples with perm[i] = sigma(i).  The action satisfies
-    (sigma tau) f = sigma (tau f).
-    """
-    if sorted(perm) != list(range(f.degree)):
-        raise ValueError(f"permutation must be of size {f.degree}: {perm!r}")
-    sign = perm_sign(perm)
-    values = {}
-    for key, c in f.values.items():
-        newkey = tuple(key[perm[i]] for i in range(len(perm)))
-        values[newkey] = sign * c
-    return ICochain(f.ctx, f.degree, f.ring, values)

@@ -106,6 +106,21 @@ def generator_power_cocycle(ctx: GroupContext, i: int, m: int) -> ICochain:
     return cup_many(factors)
 
 
+def _power_support(ctx: GroupContext, m: int) -> int:
+    """The number of entries of ``generator_power_cocycle(ctx, i, m)``, for
+    any i, without building it.
+
+    The degree-1 generator is nonzero on the (p-1) p^(r-1) elements with
+    a nonzero i-th exponent, the degree-2 one on the p(p-1)/2 p^(2r-2)
+    pairs whose i-th exponents carry, and a cup's support is the product
+    of its factors' supports, since products of nonzero residues mod p
+    are nonzero.
+    """
+    p, r = ctx.p, ctx.r
+    k, odd = divmod(m, 2)
+    return ((p - 1) * p ** (r - 1)) ** odd * (p * (p - 1) // 2 * p ** (2 * r - 2)) ** k
+
+
 def probe_tensor(ctx: GroupContext, i: int, m: int) -> Tensor:
     """The degree-m probe tensor for variable i.
 
@@ -138,7 +153,11 @@ def _check_q(ctx: GroupContext, m: int, q: Sequence[int]) -> tuple:
 
 def probe_tuple(ctx: GroupContext, i: int, m: int, q: Sequence[int]) -> tuple:
     """The group-element tuple of a split probe: even m gives
-    (s_i^q1, s_i, ..., s_i^qk, s_i), odd m prepends one s_i."""
+    (s_i^q1, s_i, ..., s_i^qk, s_i), odd m prepends one s_i.
+
+    >>> probe_tuple(GroupContext(3, 1), 1, 3, (2,))
+    ((1,), (2,), (1,))
+    """
     ctx.check_index(i)
     q = _check_q(ctx, m, q)
     s = ctx.generator(i)
@@ -164,22 +183,3 @@ def q_choices(ctx: GroupContext, m: int) -> Iterator[tuple]:
     """All split patterns for degree m: tuples in [1, p-1]^(m//2)."""
     return itertools.product(range(1, ctx.p), repeat=m // 2)
 
-
-def binomial_mod_p(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p by base-p digit products.
-
-    >>> binomial_mod_p(4, 2, 2)
-    0
-    """
-    if n < 0 or k < 0:
-        raise ValueError("binomial_mod_p needs nonnegative arguments")
-    if k > n:
-        return 0
-    result = 1
-    while n or k:
-        nd, n = n % p, n // p
-        kd, k = k % p, k // p
-        if kd > nd:
-            return 0
-        result = result * math.comb(nd, kd) % p
-    return result

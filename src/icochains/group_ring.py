@@ -2,18 +2,18 @@
 
 G is F_p^r written multiplicatively: an element is an exponent vector
 ``(k_1, ..., k_r)`` with ``0 <= k_i < p``, and multiplication adds exponents
-mod p.  Ring elements are stored sparsely on the group basis.  Alongside it
-the module provides the shifted-monomial basis, built from the differences
-``s_i - 1`` of the distinguished generators, and conversions between the two
-bases.  The augmentation ideal (kernel of the coefficient-sum map) has the
-nonidentity differences ``u - 1`` as a second basis; ``as_difference_basis``
-rewrites an element on it.
+mod p.  Ring elements are stored sparsely on the group basis, the only
+basis they are kept on.  ``shifted_monomial`` expands the products of the
+differences ``s_i - 1`` of the distinguished generators onto it.  The
+augmentation ideal (kernel of the coefficient-sum map) has the nonidentity
+differences ``u - 1`` as a basis; ``as_difference_basis`` rewrites an
+element on it, and ``NormExpansion`` gives (s_i - 1)^(p-1) there in closed
+form.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator
@@ -22,10 +22,9 @@ from typing import Iterator
 INTEGERS = "Z"
 MOD_P = "Fp"
 
-# A group element (or a shifted-monomial exponent vector) is a plain tuple
-# of ints; validation happens at the GroupContext / RingElem boundary.
+# A group element is a plain tuple of ints; validation happens at the
+# GroupContext / RingElem boundary.
 GroupElem = tuple
-MultiIndex = tuple
 
 
 # Strong-probable-prime bases 2..41 (the first 13 primes) decide primality
@@ -244,48 +243,10 @@ class RingElem:
         return f"RingElem(p={self.ctx.p}, r={self.ctx.r}, {self.ring}, {{{items}}})"
 
 
-class ShiftedPolynomial:
-    """An element of the group ring written on the shifted-monomial basis.
-
-    A shifted monomial with exponent vector k is the product of the
-    differences (s_i - 1)^(k_i); with 0 <= k_i < p these monomials form a
-    basis of Z[G].  This is a derived view: the group basis is canonical
-    and multiplication lives on RingElem.
-    """
-
-    __slots__ = ("ctx", "ring", "terms")
-
-    def __init__(self, ctx: GroupContext, ring: str, terms: dict):
-        self.ctx = ctx
-        self.ring = _check_ring(ring)
-        p = ctx.p
-        clean = {}
-        for k, c in terms.items():
-            ctx.check_elem(k)  # same shape constraint as group elements
-            if ring == MOD_P:
-                c %= p
-            if c:
-                clean[k] = c
-        self.terms = clean
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShiftedPolynomial):
-            return NotImplemented
-        return self.ctx == other.ctx and self.ring == other.ring and self.terms == other.terms
-
-    def __repr__(self):
-        items = ", ".join(f"{k}: {c}" for k, c in sorted(self.terms.items()))
-        return f"ShiftedPolynomial(p={self.ctx.p}, r={self.ctx.r}, {self.ring}, {{{items}}})"
-
-
 def augmentation(a: RingElem) -> int:
     """Sum of the coefficients; a ring map onto the coefficient ring."""
     total = sum(a.terms.values())
     return total % a.ctx.p if a.ring == MOD_P else total
-
-
-def in_augmentation_ideal(a: RingElem) -> bool:
-    return augmentation(a) == 0
 
 
 def shifted_generator(ctx: GroupContext, i: int, ring: str = INTEGERS) -> RingElem:
@@ -352,31 +313,6 @@ def shifted_monomial(ctx: GroupContext, k, ring: str = INTEGERS) -> RingElem:
         terms = {u: c % p for u, c in terms.items()}
     # Products of nonzero coefficients stay nonzero, over Z and over F_p.
     return RingElem._trusted(ctx, ring, terms)
-
-
-def to_shifted_basis(a: RingElem) -> ShiftedPolynomial:
-    """Rewrite a on the shifted-monomial basis.
-
-    Substitutes s^m = prod_i (1 + (s_i - 1))^(m_i) and expands binomially;
-    since every m_i < p the resulting exponents stay below p.  The
-    coefficient of the constant monomial equals the augmentation.
-    """
-    terms: dict = {}
-    for m, c in a.terms.items():
-        for k in itertools.product(*(range(mi + 1) for mi in m)):
-            coeff = c
-            for mi, ki in zip(m, k):
-                coeff *= math.comb(mi, ki)
-            terms[k] = terms.get(k, 0) + coeff
-    return ShiftedPolynomial(a.ctx, a.ring, terms)
-
-
-def from_shifted_basis(q: ShiftedPolynomial) -> RingElem:
-    """Expand a shifted polynomial back onto the group basis."""
-    result = RingElem.zero(q.ctx, q.ring)
-    for k, c in q.terms.items():
-        result = result + shifted_monomial(q.ctx, k, q.ring).scale(c)
-    return result
 
 
 def as_difference_basis(a: RingElem) -> dict:

@@ -27,11 +27,13 @@ from icochains import (
     invert_normalized_counted,
     invert_via_shuffles,
     monomial_mul,
+    perm_sign,
     random_cocycle,
     realize,
     shuffle_count,
     shuffles,
 )
+from icochains.generators import _power_support
 from conftest import DESK, random_icochain
 
 
@@ -80,6 +82,8 @@ def test_shuffles_small():
     assert len(list(shuffles((2, 1)))) == 3
     assert list(shuffles((3,))) == [(0, 1, 2)]
     assert list(shuffles((0, 2))) == [(0, 1)]
+    assert perm_sign((1, 0, 2)) == -1
+    assert perm_sign((1, 2, 0)) == 1
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (1, 3), (2, 1, 2), (0, 2, 1), (1, 1, 1, 1)])
@@ -250,6 +254,17 @@ def test_realize_output_is_canonical(p, r):
     f = realize(AlgebraElem.monomial(ctx, (1,) + (0,) * (r - 1)))
     g = cup_many([f, f.scale(-1)])
     assert g == ICochain(ctx, 2, MOD_P, g.values)
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                 (5, 1), (5, 2), (7, 1)])
+def test_power_support_predicts_realize(p, r):
+    # realize refuses on this prediction before building any factor
+    ctx = GroupContext(p, r)
+    for degree in range(5):
+        for sig in compositions(degree, r):
+            predicted = math.prod(_power_support(ctx, m) for m in sig)
+            assert predicted == len(realize(AlgebraElem.monomial(ctx, sig)).values), sig
 
 
 def test_count_terms_spot_values():

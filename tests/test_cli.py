@@ -281,6 +281,18 @@ def test_tau_refuses_an_over_budget_cup_product():
         capture_output=True, text=True, timeout=10)
     assert result.returncode == EXIT_BUDGET, result.stderr
     assert "Traceback" not in result.stderr and result.stdout == ""
+    # no flag of tau can raise the budget, so the message offers none
+    assert "max_entries" not in result.stderr
+
+
+def test_tau_refuses_before_building_a_factor():
+    # one degree-2 factor at p = 101, r = 2 has 101*100/2 * 101^2 entries
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "tau", "--p", "101", "--r", "2", "--sig", "2,0"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == EXIT_BUDGET, result.stderr
+    assert "51515050" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):

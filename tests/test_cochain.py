@@ -1,4 +1,4 @@
-"""Cochain correspondence, coboundaries, cups, and the signed slot action.
+"""Cochain correspondence, linear structure, coboundaries and cups.
 
 The coboundary implementations accumulate sparsely from stored keys; the
 tests check them against direct evaluations of the defining formulas
@@ -26,20 +26,16 @@ from icochains import (
     Tensor,
     cochain_basis,
     cup_many,
-    perm_compose,
-    perm_sign,
     random_cocycle,
     realize,
-    signed_permute,
 )
 from conftest import DESK, random_icochain, random_ideal_elem, random_normalized
 
 
-def bar_value(a, tup, action=None):
+def bar_value(a, tup):
     """Direct bar-formula value of the coboundary of a at an (n+1)-tuple."""
     ctx, n = a.ctx, a.degree
-    head = a.value_at(tup[1:])
-    total = head if action is None else action(tup[0], head)
+    total = a.value_at(tup[1:])
     for j in range(1, n + 1):
         v = a.value_at(tup[: j - 1] + (ctx.mul(tup[j - 1], tup[j]),) + tup[j + 1:])
         total += -v if j % 2 else v
@@ -48,15 +44,12 @@ def bar_value(a, tup, action=None):
     return total % ctx.p if a.ring == MOD_P else total
 
 
-def ideal_value(f, tup, action=None):
+def ideal_value(f, tup):
     """Direct contraction-formula value of the coboundary of f at a tuple."""
     ctx, n = f.ctx, f.degree
     unit = RingElem.unit(ctx, f.ring)
     diffs = [RingElem.from_group_elem(ctx, u, f.ring) - unit for u in tup]
     total = 0
-    if action is not None:
-        val = f.evaluate(Tensor(ctx, diffs[1:]))
-        total += action(tup[0], val) - val
     for i in range(1, n + 1):
         factors = diffs[: i - 1] + [diffs[i - 1] * diffs[i]] + diffs[i + 1:]
         v = f.evaluate(Tensor(ctx, factors))
@@ -92,6 +85,39 @@ def test_keys_reject_identity_and_shape():
         ICochain(ctx, 1, MOD_P, {((0,),): 1})
     with pytest.raises(ValueError):
         ICochain(ctx, 2, MOD_P, {((1,),): 1})
+
+
+@pytest.mark.parametrize("p,r", DESK)
+def test_linear_operations_match_the_constructor(p, r):
+    # the operations wrap their result without re-checking keys; it must
+    # equal what the validating constructor builds from the same dict
+    ctx = GroupContext(p, r)
+    rng = random.Random(100 * p + r)
+    for cls in (ICochain, NormalizedCochain):
+        for ring in (MOD_P, INTEGERS):
+            for n in range(3):
+                f = cls(ctx, n, ring, random_icochain(ctx, n, rng, ring, 12).values)
+                g_values = dict(random_icochain(ctx, n, rng, ring, 12).values)
+                # some entries of f + g cancel
+                g_values.update((k, -c) for k, c in list(f.values.items())[:3])
+                g = cls(ctx, n, ring, g_values)
+                added = dict(f.values)
+                for k, c in g.values.items():
+                    added[k] = added.get(k, 0) + c
+                assert f + g == cls(ctx, n, ring, added)
+                assert -f == cls(ctx, n, ring, {k: -c for k, c in f.values.items()})
+                assert f - g == cls(ctx, n, ring, {
+                    k: f.values.get(k, 0) - g.values.get(k, 0)
+                    for k in set(f.values) | set(g.values)})
+                assert (f - f).is_zero()
+                for c in (0, p, -1, 2**70):
+                    assert f.scale(c) == cls(ctx, n, ring,
+                                             {k: c * v for k, v in f.values.items()})
+    f = ICochain.zero(ctx, 1)
+    a = NormalizedCochain.zero(ctx, 1)
+    for op in (lambda: f + a, lambda: a + f, lambda: f - a, lambda: a - f):
+        with pytest.raises(ValueError):
+            op()
 
 
 def test_eval_matches_stored_values():
@@ -336,28 +362,6 @@ def test_normalized_is_cocycle_matches_bar_coboundary(p, r):
     assert seen == ({True} if (p, r) == (2, 1) else {True, False})
 
 
-def test_coboundary_with_nontrivial_action():
-    # p = 2, coefficients Z, a generator acting by -1: a genuine module
-    ctx = GroupContext(2, 2)
-
-    def action(u, c):
-        return -c if (u[0] + u[1]) % 2 else c
-
-    rng = random.Random(8)
-    nonid = list(ctx.nonidentity_elements())
-    for n in range(3):
-        a = random_normalized(ctx, n, rng, ring=INTEGERS, max_support=6)
-        f = a.to_icochain()
-        da, df = a.coboundary(action), f.coboundary(action)
-        assert da.to_icochain() == df
-        assert da.coboundary(action).is_zero()
-        assert df.coboundary(action).is_zero()
-        for _ in range(20):
-            tup = tuple(rng.choice(nonid) for _ in range(n + 1))
-            assert da.value_at(tup) == bar_value(a, tup, action)
-            assert df.value_at(tup) == ideal_value(f, tup, action)
-
-
 def test_cup_sign_on_degree_one():
     # (f cup g)(alpha x beta) = -f(alpha) g(beta) in odd characteristic
     ctx = GroupContext(3, 1)
@@ -426,32 +430,3 @@ def test_cup_degree_zero_factor_scales():
     assert two.cup(f) == f.scale(2)
     assert f.cup(two) == f.scale(2)
 
-
-def test_signed_permute_identity_and_transposition():
-    ctx = GroupContext(3, 1)
-    rng = random.Random(15)
-    f = random_icochain(ctx, 2, rng)
-    assert signed_permute(f, (0, 1)) == f
-    swapped = signed_permute(f, (1, 0))
-    for key in cochain_basis(ctx, 2):
-        assert swapped.value_at(key) == (-f.value_at((key[1], key[0]))) % 3
-
-
-def test_signed_permute_action_axiom():
-    ctx = GroupContext(3, 1)
-    rng = random.Random(16)
-    perms = list(itertools.permutations(range(3)))
-    for _ in range(20):
-        f = random_icochain(ctx, 3, rng)
-        s, t = rng.choice(perms), rng.choice(perms)
-        assert (signed_permute(f, perm_compose(s, t))
-                == signed_permute(signed_permute(f, t), s))
-    assert perm_sign((1, 0, 2)) == -1
-    assert perm_sign((1, 2, 0)) == 1
-
-
-def test_signed_permute_size_check():
-    ctx = GroupContext(3, 1)
-    f = ICochain.zero(ctx, 2)
-    with pytest.raises(ValueError):
-        signed_permute(f, (0, 1, 2))

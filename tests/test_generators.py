@@ -1,6 +1,5 @@
-"""The explicit generator cocycles, their probes, and Lucas binomials."""
+"""The explicit generator cocycles and their probes."""
 
-import math
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from icochains import (
     ICochain,
     RingElem,
     Tensor,
-    binomial_mod_p,
     bockstein_cocycle,
     bockstein_pair_value,
     carry_cocycle,
@@ -214,21 +212,3 @@ def test_split_expansion_identity(p, r):
                           for q in q_choices(ctx, m)) % p
                 assert lhs == rhs
 
-
-def test_binomial_mod_p_against_exact():
-    for p in (2, 3, 5, 7):
-        for n in range(30):
-            for k in range(30):
-                assert binomial_mod_p(n, k, p) == math.comb(n, k) % p if k <= n \
-                    else binomial_mod_p(n, k, p) == 0
-
-
-def test_binomial_mod_p_shift_identity():
-    # C(p+c, p+h) = C(c, h) mod p for digits c, h below p
-    for p in (2, 3, 5):
-        for c in range(p):
-            for h in range(p):
-                assert binomial_mod_p(p + c, p + h, p) == binomial_mod_p(c, h, p)
-    assert binomial_mod_p(4, 2, 2) == 0
-    for n in range(10):
-        assert binomial_mod_p(n, 0, 7) == 1
