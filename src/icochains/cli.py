@@ -20,11 +20,11 @@ Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (entry budget), with the
 required size in the message; 64 usage errors such as unknown flags.
 
-Only the commands that compute a coboundary or run the dense oracle
-import numpy: ``invert`` with its cocycle check, ``d``, ``check-cocycle``
-and ``selftest``.  ``dims`` ranks the multigraded blocks of ``graded`` in
-pure Python.  The rank modules and the acceptance suite are imported
-inside their handlers.
+Only ``d`` on an icochain document, which runs the coboundary kernel, and
+``selftest``, which runs the dense oracle, import numpy.  ``invert`` and
+``check-cocycle`` decide cocycles on the bar formula in pure Python, and
+``dims`` ranks the multigraded blocks of ``graded`` in pure Python.  The
+rank modules and the acceptance suite are imported inside their handlers.
 """
 
 from __future__ import annotations

@@ -18,12 +18,14 @@ coefficients.  What differs is the semantics of everything built on top:
 
 Both coboundary routes are implemented independently and agree (a fact the
 test suite checks pointwise on full bases).  The bar form is a plain loop
-over stored keys and serves as the reference.  The ideal form, which
-``is_cocycle`` (of both kinds) and the oracle's ``d_matrix`` also use, is
-one vectorized kernel in ``kernel.py``: keys are encoded as integers in
-base p^r - 1, every contraction term is generated as a numpy broadcast,
-and one sort followed by a segmented sum collapses equal keys.  This
-module itself does not import numpy.
+over stored keys and serves as the reference.  The ideal form, which the
+oracle's ``d_matrix`` also uses, is one vectorized kernel in
+``kernel.py``: keys are encoded as integers in base p^r - 1, every
+contraction term is generated as a numpy broadcast, and one sort followed
+by a segmented sum collapses equal keys.  ``is_cocycle`` (of both kinds)
+uses neither: it sums the bar coboundary in pure Python, one
+first-argument partition at a time, and only at the r generators of G.
+This module itself does not import numpy.
 """
 
 from __future__ import annotations
@@ -151,31 +153,33 @@ class _Cochain:
         return not self.values
 
     def is_cocycle(self) -> bool:
-        """Whether the coboundary vanishes, decided by the vectorized
-        ideal-form kernel.  For a normalized cochain this is the same
-        test: its bar coboundary equals the ideal-form coboundary of the
-        corresponding ICochain value for value.
+        """Whether the coboundary vanishes, decided in pure Python on the
+        bar formula.  For an ICochain this is the same test: its
+        ideal-form coboundary equals the bar coboundary of the
+        corresponding normalized cochain value for value.
 
         A nonzero cochain of degree n >= 1 with E entries and
         3nE <= N = p^r - 1 is never a cocycle, so such input is answered
-        without the kernel, whose work grows with N.  Take a stored key K
-        with coefficient c: the slot-n contraction of K gives every
-        (n+1)-key (K, y) the term -+c, and each of the other 3nE - 1
-        (entry, slot, family) term sets of the kernel meets the line
+        at once, whatever the size of N.  Take a stored key K with
+        coefficient c: the slot-n contraction of K gives every (n+1)-key
+        (K, y) of the ideal-form coboundary the term -+c, and each of its
+        other 3nE - 1 (entry, slot, family) term sets meets the line
         {(K, y)} in at most one point, so one of its N points keeps a
         nonzero value.
+
+        Otherwise a bar coboundary of E (n+2) N terms over the default
+        entry budget is refused before any work, and
+        ``_bar_coboundary_vanishes`` decides the rest.
         """
         n, entries = self.degree, len(self.values)
-        if n and entries and 3 * n * entries <= self.ctx.order - 1:
+        if not n or not entries:
+            return True
+        big_n = self.ctx.order - 1
+        if 3 * n * entries <= big_n:
             return False
-        return self._coboundary_sums()[0].size == 0
-
-    def _coboundary_sums(self) -> tuple:
-        from . import kernel  # numpy loads only when a coboundary is computed
-
-        keys = kernel._encode_keys(self.ctx, self.degree, list(self.values))
-        return kernel._coboundary_sums(self.ctx, self.degree, keys,
-                                       list(self.values.values()), self.ring)
+        # per entry: N leading, at most N per inner slot and N trailing terms
+        _check_output_budget(entries * (n + 2) * big_n)
+        return _bar_coboundary_vanishes(self.ctx, n, self.values, self.ring)
 
     def value_at(self, key: tuple) -> int:
         """The stored coefficient at a basis tuple (0 if absent or normalized away)."""
@@ -186,11 +190,95 @@ class _Cochain:
         return self.values.get(key, 0)
 
     def mod_p(self):
-        return type(self)(self.ctx, self.degree, MOD_P, self.values)
+        p = self.ctx.p
+        return self._trusted(self.ctx, self.degree, MOD_P,
+                             {k: m for k, c in self.values.items() if (m := c % p)})
 
     def __repr__(self):
         return (f"{type(self).__name__}(p={self.ctx.p}, r={self.ctx.r}, "
                 f"degree={self.degree}, {self.ring}, {len(self.values)} entries)")
+
+
+def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str) -> bool:
+    """Whether the bar coboundary df of degree-n >= 1 values is zero,
+    computed one first-argument partition at a time.
+
+    The first arguments a at which df(a, ...) vanishes form a subgroup:
+    d(df) = 0 read at (a, b, x_3, ...) gives df(b, x_3, ...) =
+    df(ab, x_3, ...) once df vanishes on the tuples starting with a,
+    since every other term starts with a.  So df = 0 exactly when its
+    partitions at the r generators s_i vanish, and only those are summed.
+
+    A degree-n key is coded in base N = p^r - 1, slot 1 most significant,
+    each element as its index among the nonidentity elements in
+    lexicographic order.  The sums on (a, x_2, ..., x_(n+1)) come from
+    the leading term f(x_2, ...) of every entry; the slot-1 term
+    -f(a x_2, x_3, ...) of every entry (k_1, ...) with k_1 != a, at
+    x_2 = a^-1 k_1; and the inner terms and the trailing term of the
+    entries with k_1 = a alone.  The pairs (x, x^-1 k) of an inner slot
+    are listed only for the k that occur.
+    """
+    p, r, big_n = ctx.p, ctx.r, ctx.order - 1
+    top = big_n ** (n - 1)  # weight of slot 1 in a degree-n code
+    index: dict = {}
+    codes = {}
+    for key, c in values.items():
+        code = 0
+        for u in key:
+            i = index.get(u)
+            if i is None:
+                i = 0
+                for digit in u:
+                    i = i * p + digit
+                i = index[u] = i - 1
+            code = code * big_n + i
+        codes[code] = c
+    trail = 1 if n % 2 else -1  # (-1)^(n+1)
+    pairs: dict = {}
+    for g in range(r):
+        w = p ** (r - 1 - g)  # weight of exponent g in an element's value
+        a = w - 1  # the index of the generator s_(g+1)
+        sums = dict(codes)  # the leading term
+        get = sums.get
+        own = []
+        for code, c in codes.items():
+            b, rest = divmod(code, top)
+            if b == a:
+                own.append((rest, c))
+                continue
+            # a^-1 b lowers exponent g of b by one, mod p
+            t = (b - w if (b + 1) // w % p else b + (p - 1) * w) * top + rest
+            sums[t] = get(t, 0) - c
+        for rest, c in own:
+            for j in range(2, n + 1):
+                low = big_n ** (n - j)  # weight of slot j in a degree-n code
+                k = rest // low % big_n
+                offsets = pairs.get((k, low))
+                if offsets is None:
+                    offsets = pairs[k, low] = [o * low for o in _pair_codes(p, r, k)]
+                base = rest // (low * big_n) * (low * big_n * big_n) + rest % low
+                term = -c if j % 2 else c
+                for o in offsets:
+                    t = base + o
+                    sums[t] = get(t, 0) + term
+            base = rest * big_n
+            term = trail * c
+            for t in range(base, base + big_n):
+                sums[t] = get(t, 0) + term
+        if any(map(p.__rmod__, sums.values()) if ring == MOD_P else sums.values()):
+            return False
+    return True
+
+
+def _pair_codes(p: int, r: int, k: int) -> list:
+    """The base-N codes of the 2-slot keys (x, x^-1 k), x neither 1 nor k:
+    the keys whose two slots multiply to the element of index k."""
+    big_n = p**r - 1
+    quotients = [0]  # value of x^-1 k, for x in lexicographic order
+    for g in range(r - 1, -1, -1):
+        digit = (k + 1) // p**g % p
+        quotients = [q * p + (digit - x) % p for q in quotients for x in range(p)]
+    return [(x - 1) * big_n + q - 1 for x, q in enumerate(quotients) if x and q]
 
 
 class NormalizedCochain(_Cochain):
@@ -206,7 +294,7 @@ class NormalizedCochain(_Cochain):
 
     def to_icochain(self) -> "ICochain":
         """The corresponding ideal-tensor functional (value-for-value)."""
-        return ICochain(self.ctx, self.degree, self.ring, self.values)
+        return ICochain._trusted(self.ctx, self.degree, self.ring, dict(self.values))
 
     def coboundary(self) -> "NormalizedCochain":
         """The bar coboundary; normalized because this cochain is.
@@ -275,7 +363,7 @@ class ICochain(_Cochain):
 
     def to_normalized(self) -> NormalizedCochain:
         """The corresponding normalized cochain (value-for-value)."""
-        return NormalizedCochain(self.ctx, self.degree, self.ring, self.values)
+        return NormalizedCochain._trusted(self.ctx, self.degree, self.ring, dict(self.values))
 
     def evaluate(self, tensor: Tensor) -> int:
         """Evaluate on an ideal tensor by expanding each factor.
@@ -331,14 +419,15 @@ class ICochain(_Cochain):
         factor contractions a_i a_(i+1) (a product in the group ring); an
         ideal element acts as zero on the trivial coefficient module, so
         there is no action term.  The contractions run in one vectorized
-        pass (``_coboundary_sums``).
+        pass (``kernel._coboundary_sums``).
         """
         from . import kernel  # numpy loads only when a coboundary is computed
 
-        ctx, n = self.ctx, self.degree
+        ctx, n, values = self.ctx, self.degree, self.values
         # the kernel's three (E, N) families per slot
-        _check_output_budget(len(self.values) * 3 * n * (ctx.order - 1))
-        codes, sums = self._coboundary_sums()
+        _check_output_budget(len(values) * 3 * n * (ctx.order - 1))
+        codes, sums = kernel._coboundary_sums(ctx, n, kernel._encode_keys(ctx, n, list(values)),
+                                              list(values.values()), self.ring)
         out = dict(zip(kernel._decode_keys(ctx, n + 1, codes), sums.tolist()))
         # The kernel's keys and sums are valid as they stand.
         return ICochain._trusted(ctx, n + 1, self.ring, out)

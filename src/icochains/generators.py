@@ -51,7 +51,8 @@ def carry_cocycle_over_z(ctx: GroupContext, i: int) -> NormalizedCochain:
         for v in ctx.nonidentity_elements():
             if u[i - 1] + v[i - 1] >= ctx.p:
                 values[(u, v)] = 1
-    return NormalizedCochain(ctx, 2, INTEGERS, values)
+    # keys of nonidentity elements, coefficient 1: valid as built
+    return NormalizedCochain._trusted(ctx, 2, INTEGERS, values)
 
 
 def carry_cocycle(ctx: GroupContext, i: int) -> NormalizedCochain:

@@ -28,7 +28,7 @@ with them is independent evidence.  The module does not import numpy.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cochain import DEFAULT_MAX_ENTRIES, BudgetExceededError
 from .group_ring import GroupContext
@@ -118,8 +118,7 @@ def _block_ranks(ctx: GroupContext, n: int, max_entries: int) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Dimension bookkeeping for one degree, from ranks alone."""
 
     p: int

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Iterator
 
 # Coefficient-ring tags.  MOD_P values are always stored reduced into [0, p).
@@ -65,25 +64,45 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class GroupContext:
     """Ambient parameters (p, r) for G = F_p^r, shared by all values.
+    Immutable, compared and hashed by (p, r).
 
     >>> ctx = GroupContext(3, 2)
+    >>> ctx
+    GroupContext(p=3, r=2)
     >>> ctx.mul((1, 2), (2, 2))
     (0, 1)
     >>> ctx.identity
     (0, 0)
     """
 
-    p: int
-    r: int
+    __slots__ = ("p", "r")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
+    def __init__(self, p: int, r: int):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if r < 1:
+            raise ValueError(f"r must be >= 1, got {r}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupContext")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable GroupContext")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GroupContext:
+            return NotImplemented
+        return self.p == other.p and self.r == other.r
+
+    def __hash__(self):
+        return hash((self.p, self.r))
+
+    def __repr__(self):
+        return f"GroupContext(p={self.p!r}, r={self.r!r})"
 
     @property
     def identity(self) -> GroupElem:

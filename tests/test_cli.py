@@ -1,12 +1,14 @@
 """CLI commands, document validation, exit codes, and byte stability."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import icochains
 from icochains import (
     AlgebraElem,
     GroupContext,
@@ -274,6 +276,20 @@ def test_d_at_huge_p_refuses_before_allocating(kind, n, code, tmp_path):
         assert str(3 * (10**18 + 2)) in result.stderr and result.stdout == ""
 
 
+def test_check_cocycle_refuses_an_over_budget_check(tmp_path):
+    # 1 400 degree-1 entries at p = 4099 pass the sparse lemma (3 * 1400 > 4098);
+    # their bar coboundary has 1400 * 3 * 4098 = 17 211 600 terms
+    doc = {"schema_version": "1", "p": 4099, "r": 1, "n": 1, "kind": "icochain",
+           "coeff_ring": "Fp", "entries": [{"key": [[u]], "value": 1} for u in range(1, 1401)]}
+    path = write_doc(tmp_path, "wide.json", json.dumps(doc))
+    for argv in (["check-cocycle", "--in", path], ["invert", "--in", path]):
+        result = subprocess.run([sys.executable, "-m", "icochains.cli", *argv],
+                                capture_output=True, text=True, timeout=10)
+        assert result.returncode == EXIT_BUDGET, (argv, result.stderr)
+        assert "17211600" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
+
 def test_tau_refuses_an_over_budget_cup_product():
     # three degree-2 factors at N = 342: a product of about 1.3e14 keys
     result = subprocess.run(
@@ -415,14 +431,15 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
         ["invert", "--unchecked", "--in", p2],
         ["invert", "--unchecked", "--in", p3],
         ["invert", "--unchecked", "--normalized", "--in", p3],
+        ["invert", "--in", p3],
+        ["invert", "--normalized", "--in", p3],
+        ["check-cocycle", "--in", p3],
         ["cup", "--in", p3, "--in", p3b],
         ["count-terms", "--p", "3", "--r", "2", "--n", "4"],
         ["dims", "--p", "2", "--r", "1", "--max-n", "1"],
     ]
     with_numpy = [
-        ["invert", "--in", p3],
         ["d", "--in", p3b],
-        ["check-cocycle", "--in", p3],
     ]
     for expect, runs in (("no-numpy", without), ("numpy", with_numpy)):
         for argv in runs:
@@ -430,3 +447,11 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
                                     capture_output=True, text=True, timeout=60)
             assert result.returncode == 0, (expect, argv, result.stderr)
 
+
+def test_cli_import_path_skips_dataclasses():
+    # dataclasses costs each process about 12 ms at startup
+    src = str(Path(icochains.__file__).resolve().parents[1])
+    probe = "import sys, icochains.cli, icochains.graded; sys.exit('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr

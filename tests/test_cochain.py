@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from icochains import (
     AlgebraElem,
+    BudgetExceededError,
     GroupContext,
     ICochain,
     INTEGERS,
@@ -337,10 +338,100 @@ def test_sparse_cochains_are_not_cocycles(data):
     values = {basis[c]: data.draw(value) for c in sorted(codes)}
     cls = data.draw(st.sampled_from([ICochain, NormalizedCochain]))
     f = cls(ctx, n, ring, values)
-    by_kernel = f._coboundary_sums()[0].size == 0
+    by_kernel = ICochain(ctx, n, ring, values).coboundary().is_zero()
     assert f.is_cocycle() == by_kernel
     if 3 * n * entries <= big_n:
         assert not by_kernel
+
+
+def check_agrees(f) -> bool:
+    """is_cocycle of both kinds on f's values equals what the kernel and
+    the bar loop say; returns that answer."""
+    ctx, n, ring, values = f.ctx, f.degree, f.ring, f.values
+    by_kernel = ICochain(ctx, n, ring, values).coboundary().is_zero()
+    by_bar = NormalizedCochain(ctx, n, ring, values).coboundary().is_zero()
+    assert by_kernel == by_bar
+    assert ICochain(ctx, n, ring, values).is_cocycle() == by_kernel
+    assert NormalizedCochain(ctx, n, ring, values).is_cocycle() == by_kernel
+    return by_kernel
+
+
+@pytest.mark.parametrize("p,r,max_n", [(2, 1, 5), (2, 2, 4), (2, 3, 3), (3, 1, 4),
+                                       (3, 2, 3), (5, 1, 3), (5, 2, 2), (7, 1, 2)])
+def test_is_cocycle_agrees_with_both_coboundaries(p, r, max_n):
+    """Coboundaries, realize outputs and random cocycles, and each of them
+    with one entry changed, over both rings and read as both kinds."""
+    ctx = GroupContext(p, r)
+    rng = random.Random(1000 * p + r)
+    nonid = list(ctx.nonidentity_elements())
+    seen = set()
+    for n in range(1, max_n + 1):
+        for ring in (MOD_P, INTEGERS):
+            cocycles = [random_normalized(ctx, n - 1, rng, ring=ring, max_support=6).coboundary()]
+            if ring == MOD_P:
+                cocycles.append(realize(AlgebraElem.monomial(ctx, (n,) + (0,) * (r - 1))))
+                if (p**r - 1) ** n <= 300:
+                    cocycles.append(random_cocycle(ctx, n, seed=n))
+            for f in cocycles:
+                assert check_agrees(f)
+                for _ in range(3):
+                    key = tuple(rng.choice(nonid) for _ in range(n))
+                    values = dict(f.values)
+                    values[key] = values.get(key, 0) + rng.randint(1, max(1, p - 1))
+                    seen.add(check_agrees(ICochain(ctx, n, ring, values)))
+            if r > 1 and (p**r - 1) ** n <= 600:
+                for i in range(r):
+                    seen.add(check_agrees(pulled_back(ctx, n, i, rng, ring)))
+    assert False in seen
+
+
+def pulled_back(ctx, n, i, rng, ring):
+    """A random cochain that reads only the exponents other than i of its
+    arguments.  Its coboundary vanishes on every tuple that starts with the
+    generator s_(i+1), and in general on no other partition."""
+    quotient, values = {}, {}
+    for key in itertools.product(list(ctx.nonidentity_elements()), repeat=n):
+        image = tuple(u[:i] + u[i + 1:] for u in key)
+        if all(any(v) for v in image):
+            if image not in quotient:
+                quotient[image] = rng.randint(0, ctx.p - 1) if ring == MOD_P else rng.randint(-3, 3)
+            values[key] = quotient[image]
+    return ICochain(ctx, n, ring, values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_cocycle_agrees_on_perturbed_coboundaries(data):
+    """A random coboundary plus a few random entries, against the kernel
+    and the bar loop."""
+    p, r = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]))
+    ctx = GroupContext(p, r)
+    n = data.draw(st.integers(1, 3))
+    ring = data.draw(st.sampled_from([MOD_P, INTEGERS]))
+    value = st.integers(1, p - 1) if ring == MOD_P else st.integers(-5, 5).filter(bool)
+
+    def draw_values(degree, max_size):
+        basis = cochain_basis(ctx, degree)
+        picks = data.draw(st.dictionaries(st.integers(0, len(basis) - 1), value,
+                                          max_size=max_size))
+        return {basis[i]: c for i, c in picks.items()}
+
+    f = NormalizedCochain(ctx, n - 1, ring, draw_values(n - 1, 5)).coboundary()
+    values = dict(f.values)
+    for key, c in draw_values(n, 2).items():
+        values[key] = values.get(key, 0) + c
+    check_agrees(ICochain(ctx, n, ring, values))
+
+
+def test_is_cocycle_refuses_an_over_budget_check():
+    # past the sparse lemma, the bar coboundary's E (n+2) N terms are bounded
+    ctx = GroupContext(4099, 1)
+    f = ICochain(ctx, 1, MOD_P, {((u,),): 1 for u in range(1, 1401)})
+    with pytest.raises(BudgetExceededError) as info:
+        f.is_cocycle()
+    assert info.value.required == 1400 * 3 * 4098
+    with pytest.raises(BudgetExceededError):
+        f.to_normalized().is_cocycle()
 
 
 @pytest.mark.parametrize("p,r", DESK)

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from icochains import (
+    INTEGERS,
+    MOD_P,
     GroupContext,
     ICochain,
+    NormalizedCochain,
     RingElem,
     Tensor,
     bockstein_cocycle,
@@ -21,6 +24,7 @@ from icochains import (
     q_choices,
     shifted_monomial,
 )
+from icochains.acceptance import EXHAUSTIVE_TRIPLES
 from conftest import DESK, random_icochain
 
 
@@ -91,6 +95,23 @@ def test_carry_cocycle_is_cocycle():
 def test_bockstein_cocycle_matches_carry():
     ctx = GroupContext(3, 2)
     assert bockstein_cocycle(ctx, 1) == carry_cocycle(ctx, 1).to_icochain()
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p, r, _ in EXHAUSTIVE_TRIPLES] + [(7, 3)])
+def test_bockstein_cocycle_equals_the_constructor_path(p, r):
+    # carry_cocycle_over_z, mod_p and to_icochain wrap keys they know are
+    # valid; the checking constructors must build the same cochains
+    ctx = GroupContext(p, r)
+    nonid = list(ctx.nonidentity_elements())
+    for i in range(1, r + 1):
+        values = {(u, v): 1 for u in nonid for v in nonid if u[i - 1] + v[i - 1] >= p}
+        over_z = NormalizedCochain(ctx, 2, INTEGERS, values)
+        assert carry_cocycle_over_z(ctx, i) == over_z
+        assert carry_cocycle(ctx, i) == NormalizedCochain(ctx, 2, MOD_P, over_z.values)
+        b = bockstein_cocycle(ctx, i)
+        assert b == ICochain(ctx, 2, MOD_P, over_z.values)
+        assert b.to_normalized() == NormalizedCochain(ctx, 2, MOD_P, b.values)
+        assert b.to_normalized().values is not b.values
 
 
 def test_bockstein_pair_value_example():
