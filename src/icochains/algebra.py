@@ -16,6 +16,19 @@ coefficient is a signed sum, over shuffles of the blocks, of evaluations on
 a fixed probe tensor.  ``invert_normalized`` computes the same coefficients
 directly from normalized-cochain values on explicit group-element tuples.
 Both kill coboundaries exactly, so they are well defined on cohomology.
+
+Each stored key meets at most one (signature, shuffle, split) term of that
+formula.  Its slots must be powers of single generators; its word of
+generator indices fixes the signature and, blocks being increasing, the
+shuffle, whose sign is the parity of the word's out-of-order pairs; and
+each block must hold s_i itself on an odd block's leading slot and on the
+second slot of every pair (from the block's end: the last slot and every
+second one before it), any power on the split slots.  So the inverse is
+also a sum over the E entries, in O(E n r), for both kinds and p = 2.
+``invert`` and ``invert_normalized`` take it when E is below
+``count_terms``, which is at least r^n and (p-1)^(n//2), so bit lengths
+settle most inputs.  The formula paths stay as the references, and
+``invert_normalized_counted`` always runs the formula.
 """
 
 from __future__ import annotations
@@ -268,14 +281,70 @@ def _require_mod_p(f) -> None:
         raise ValueError("the inverse map is defined for mod-p cochains")
 
 
+def _block_sign(comp: Sequence[int]) -> int:
+    """(-1)^(l(l-1)/2), l the number of odd blocks of the signature."""
+    l = sum(1 for ni in comp if ni % 2)
+    return -1 if (l * (l - 1) // 2) % 2 else 1
+
+
+def _fewer_entries_than_terms(f) -> bool:
+    """Whether f has fewer entries than ``count_terms`` evaluations.
+
+    The count is at least r^n (one term per word at p = 2) and at least
+    (p-1)^(n//2) (the splits of one signature), so bit lengths decide
+    most inputs; the rest have degree below the entry count's bit length.
+    """
+    ctx, n, entries = f.ctx, f.degree, len(f.values)
+    bits = entries.bit_length()
+    if bits <= n * (ctx.r.bit_length() - 1) or bits <= n // 2 * ((ctx.p - 1).bit_length() - 1):
+        return True
+    return entries < count_terms(ctx, n)
+
+
+def _invert_entry_sum(f) -> AlgebraElem:
+    """The inverse map of either cochain kind as a sum over its stored
+    keys, in O(E n r): each key meets at most one term of the formula
+    (see the module docstring).  A key is read from its last slot, which
+    ends a block and so is a generator on every probe; most keys off the
+    probes fail that first test."""
+    ctx = f.ctx
+    generators = {ctx.generator(i) for i in range(1, ctx.r + 1)}
+    slots: dict = {}  # element -> (generator index, exponent), or None
+    totals: dict = {}
+    for key, v in f.values.items():
+        if key and key[-1] not in generators:
+            continue
+        sizes = [0] * ctx.r  # slots of each generator read so far
+        inversions = 0  # pairs of the generator word out of order
+        for u in reversed(key):
+            slot = slots.get(u, False)
+            if slot is False:
+                support = [g for g, e in enumerate(u) if e]
+                slot = slots[u] = (support[0], u[support[0]]) if len(support) == 1 else None
+            if slot is None:
+                break
+            g, e = slot
+            if e != 1 and not sizes[g] % 2:
+                break  # an even offset from the block's end holds s_g on the probe
+            inversions += sum(sizes[:g])
+            sizes[g] += 1
+        else:
+            comp = tuple(sizes)
+            totals[comp] = totals.get(comp, 0) + (-v if inversions % 2 else v)
+    return AlgebraElem(ctx, {comp: _block_sign(comp) * t for comp, t in totals.items()})
+
+
 def invert(f: ICochain) -> AlgebraElem:
     """Map a degree-n cochain to algebra coordinates.
 
     This is the raw linear map on cochains; it vanishes on coboundaries,
     so on cocycles it computes the inverse of ``realize`` on classes.  Use
-    ``invert_class`` to insist on cocycle input.
+    ``invert_class`` to insist on cocycle input.  It sums over the stored
+    entries when they are fewer than the formula's evaluations.
     """
     _require_mod_p(f)
+    if _fewer_entries_than_terms(f):
+        return _invert_entry_sum(f)
     if f.ctx.p == 2:
         return _invert_direct_p2(f)[0]
     return invert_via_shuffles(f)
@@ -328,11 +397,8 @@ def invert_via_shuffles(f: ICochain) -> AlgebraElem:
             for j, d in enumerate(factors):
                 permuted[sigma[j]] = d
             total += perm_sign(sigma) * f.evaluate_on_expansions(permuted)
-        l = sum(1 for ni in comp if ni % 2)
-        if (l * (l - 1) // 2) % 2:
-            total = -total
         if total % ctx.p:
-            terms[comp] = total
+            terms[comp] = _block_sign(comp) * total
     return AlgebraElem(ctx, terms)
 
 
@@ -348,14 +414,19 @@ def invert_normalized(a: NormalizedCochain) -> AlgebraElem:
     """Inverse map computed from normalized-cochain values directly.
 
     Evaluates a on explicit group-element tuples (no ideal-tensor detour);
-    agrees exactly with ``invert`` of the corresponding ICochain.
+    agrees exactly with ``invert`` of the corresponding ICochain.  Like
+    ``invert``, it sums over the stored entries when they are fewer.
     """
+    _require_mod_p(a)
+    if _fewer_entries_than_terms(a):
+        return _invert_entry_sum(a)
     return invert_normalized_counted(a)[0]
 
 
 def invert_normalized_counted(a: NormalizedCochain) -> tuple[AlgebraElem, int]:
-    """Like ``invert_normalized``, also reporting the number of cochain
-    evaluations performed (the advertised term count of the formula)."""
+    """The formula path of ``invert_normalized``, also reporting the number
+    of cochain evaluations performed (the advertised term count of the
+    formula); it never takes the entry sum."""
     _require_mod_p(a)
     ctx = a.ctx
     if ctx.p == 2:
@@ -379,11 +450,8 @@ def invert_normalized_counted(a: NormalizedCochain) -> tuple[AlgebraElem, int]:
                 v = a.values.get(tuple(arg))
                 if v:
                     total += sgn * v
-        l = sum(1 for ni in comp if ni % 2)
-        if (l * (l - 1) // 2) % 2:
-            total = -total
         if total % ctx.p:
-            terms[comp] = total
+            terms[comp] = _block_sign(comp) * total
     return AlgebraElem(ctx, terms), evaluations
 
 
@@ -393,17 +461,29 @@ def count_terms(ctx: GroupContext, n: int) -> int:
     """Exact number of cochain evaluations in the degree-n inverse formula.
 
     Each signature contributes the multinomial number of shuffles times
-    (p-1)^(number of split choices).
+    (p-1)^(number of split choices).  The sum is taken one variable at a
+    time, T_k(n) = sum_m C(n, m) (p-1)^(m//2) T_(k-1)(n-m) with
+    T_1(m) = (p-1)^(m//2), in at most (r-1) n^2 steps.  Before any
+    arithmetic it refuses a count whose bound r^n (p-1)^(n//2) has more
+    decimal digits than the default entry budget, or more steps than it.
 
     >>> count_terms(GroupContext(3, 2), 2)
     6
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = 0
-    for comp in compositions(n, ctx.r):
-        total += shuffle_count(comp) * (ctx.p - 1) ** sum(ni // 2 for ni in comp)
-    return total
+    p, r = ctx.p, ctx.r
+    # the digits of r^n (p-1)^(n//2), which bounds the count, then the steps
+    _check_output_budget(int(n * math.log10(r) + n // 2 * math.log10(p - 1)) + 1)
+    _check_output_budget((r - 1) * n * n)
+    if r == 1 or n == 0:
+        return (p - 1) ** (n // 2)
+    first = [(p - 1) ** (m // 2) for m in range(n + 1)]  # T_1
+    layer = first
+    for _ in range(r - 2):
+        layer = [sum(math.comb(k, m) * first[m] * layer[k - m] for m in range(k + 1))
+                 for k in range(n + 1)]
+    return sum(math.comb(n, m) * first[m] * layer[n - m] for m in range(n + 1))
 
 
 def count_terms_closed_form(ctx: GroupContext, n: int) -> float:

@@ -350,8 +350,34 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_count_terms(args) -> int:
-    print(count_terms(GroupContext(args.p, args.r), args.n))
+    print(_decimal_text(count_terms(GroupContext(args.p, args.r), args.n)))
     return EXIT_OK
+
+
+def _decimal_text(x: int) -> str:
+    """The decimal digits of a nonnegative int of any length.
+
+    ``str`` refuses ints of more than 4 300 digits and is quadratic past
+    them on Python 3.11; this splits x at powers of two and rejoins the
+    halves in ``decimal``, whose products are subquadratic.
+    """
+    import decimal
+
+    powers: dict = {}
+
+    def convert(value: int, bits: int) -> decimal.Decimal:
+        if bits <= 4096:
+            return decimal.Decimal(value)
+        half = bits >> 1
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        high = value >> half
+        return convert(value - (high << half), half) + convert(high, bits - half) * powers[half]
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        return str(convert(x, x.bit_length()))
 
 
 def _cmd_selftest(_args) -> int:
@@ -360,12 +386,17 @@ def _cmd_selftest(_args) -> int:
     return EXIT_OK if acceptance.run_selftest(print) else 1
 
 
-def degree(text: str) -> int:
-    """argparse type of degree flags: a nonnegative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative degree, got {value}")
-    return value
+def _nonnegative(name: str):
+    """The argparse type of a flag taking a nonnegative integer; ``name``
+    appears in its messages."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be a nonnegative {name}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -416,8 +447,8 @@ def build_parser() -> _Parser:
     p_dims = sub.add_parser("dims", help="cohomology dimension table from the rank oracle")
     p_dims.add_argument("--p", type=int, required=True)
     p_dims.add_argument("--r", type=int, required=True)
-    p_dims.add_argument("--max-n", type=degree, required=True)
-    p_dims.add_argument("--budget", type=int, default=DEFAULT_MAX_ENTRIES,
+    p_dims.add_argument("--max-n", type=_nonnegative("degree"), required=True)
+    p_dims.add_argument("--budget", type=_nonnegative("budget"), default=DEFAULT_MAX_ENTRIES,
                         help="budget (default 2^24) on the degree-n and degree-(n+1) "
                              "keys enumerated and on rows x columns of the largest "
                              "multidegree block")
@@ -426,7 +457,7 @@ def build_parser() -> _Parser:
     p_count = sub.add_parser("count-terms", help="number of evaluations in the inverse formula")
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--n", type=degree, required=True)
+    p_count.add_argument("--n", type=_nonnegative("degree"), required=True)
     p_count.set_defaults(func=_cmd_count_terms)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")

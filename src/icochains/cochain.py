@@ -167,18 +167,20 @@ class _Cochain:
         {(K, y)} in at most one point, so one of its N points keeps a
         nonzero value.
 
-        Otherwise a bar coboundary of E (n+2) N terms over the default
-        entry budget is refused before any work, and
-        ``_bar_coboundary_vanishes`` decides the rest.
+        Otherwise ``_bar_coboundary_vanishes`` decides the rest, unless
+        the terms it sums, at most E (2r + (n-1)(N-1) + N), are over the
+        default entry budget; then it is refused before any work.
         """
         n, entries = self.degree, len(self.values)
         if not n or not entries:
             return True
-        big_n = self.ctx.order - 1
+        r, big_n = self.ctx.r, self.ctx.order - 1
         if 3 * n * entries <= big_n:
             return False
-        # per entry: N leading, at most N per inner slot and N trailing terms
-        _check_output_budget(entries * (n + 2) * big_n)
+        # per entry: a leading and a slot-1 term in each of the r partitions,
+        # and in the one partition of its first slot N - 1 terms per inner
+        # slot and N trailing terms
+        _check_output_budget(entries * (2 * r + (n - 1) * (big_n - 1) + big_n))
         return _bar_coboundary_vanishes(self.ctx, n, self.values, self.ring)
 
     def value_at(self, key: tuple) -> int:

@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icochains import (
     AlgebraElem,
@@ -12,6 +14,7 @@ from icochains import (
     ICochain,
     INTEGERS,
     MOD_P,
+    NormalizedCochain,
     NotACocycleError,
     bockstein_cocycle,
     compositions,
@@ -33,6 +36,7 @@ from icochains import (
     shuffle_count,
     shuffles,
 )
+from icochains.algebra import _invert_direct_p2, _invert_entry_sum
 from icochains.generators import _power_support
 from conftest import DESK, random_icochain
 
@@ -218,6 +222,56 @@ def test_evaluation_counter_matches_count_terms(p, r):
         assert evaluations == count_terms(ctx, n)
 
 
+ENTRY_SUM_CONTEXTS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
+
+
+@st.composite
+def sparse_cochains(draw):
+    """A mod-p ICochain of degree 0-5 with up to 12 entries whose slots are
+    mostly generator powers (often s_i itself), the rest any element."""
+    p, r = draw(st.sampled_from(ENTRY_SUM_CONTEXTS))
+    n = draw(st.integers(0, 5))
+    power = st.builds(lambda g, e: tuple(e if j == g else 0 for j in range(r)),
+                      st.integers(0, r - 1), st.one_of(st.just(1), st.integers(1, p - 1)))
+    other = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).filter(any).map(tuple)
+    slot = st.one_of(power, power, power, other)
+    keys = draw(st.lists(st.tuples(*[slot] * n), max_size=12, unique=True))
+    values = {key: draw(st.integers(1, p - 1)) for key in keys}
+    return ICochain(GroupContext(p, r), n, MOD_P, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_cochains())
+def test_entry_sum_matches_the_formula_paths(f):
+    a = f.to_normalized()
+    expected = _invert_entry_sum(f)
+    assert _invert_entry_sum(a) == expected
+    assert invert_via_shuffles(f) == expected
+    assert invert_normalized_counted(a)[0] == expected
+    if f.ctx.p == 2:
+        assert _invert_direct_p2(f)[0] == expected
+    assert invert(f) == expected and invert_normalized(a) == expected
+
+
+@pytest.mark.parametrize("p", [503, 1009])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_entry_sum_on_large_p_documents(p, n):
+    # 200-entry r = 1 cochains, 20 of them on the probe's support (s^q at the
+    # split slot, s elsewhere), as the benchmark's invert-largep documents
+    ctx = GroupContext(p, 1)
+    rng = random.Random(p * 10 + n)
+    split = 1 if n % 2 else 0
+    keys = {tuple((q,) if j == split else (1,) for j in range(n))
+            for q in rng.sample(range(1, p), 20)} if n > 1 else {((1,),)}
+    while len(keys) < 200:
+        keys.add(tuple((rng.randrange(1, p),) for _ in range(n)))
+    a = NormalizedCochain(ctx, n, MOD_P, {k: rng.randrange(1, p) for k in keys})
+    expected = invert_normalized_counted(a)[0]
+    assert not expected.is_zero()
+    assert invert_via_shuffles(a.to_icochain()) == expected
+    assert invert_normalized(a) == expected == invert(a.to_icochain())
+
+
 def test_invert_sparse_cochain_at_large_p():
     # the probe's (s-1)^(p-1) factors have p-1 terms each; a degree-4
     # signature (2,2) pairs two of them, (p-1)^2 ~ 10^8 products
@@ -277,6 +331,17 @@ def test_count_terms_spot_values():
         for n in range(6):
             assert count_terms(ctx, n) == r**n
     assert count_terms(GroupContext(3, 1), 0) == 1
+
+
+def test_count_terms_matches_the_enumeration():
+    # the signatures' terms, summed one composition at a time
+    for p in (2, 3, 5, 7):
+        for r in range(1, 5):
+            ctx = GroupContext(p, r)
+            for n in range(8):
+                enumerated = sum(shuffle_count(comp) * (p - 1) ** sum(m // 2 for m in comp)
+                                 for comp in compositions(n, r))
+                assert count_terms(ctx, n) == enumerated, (p, r, n)
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])

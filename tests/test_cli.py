@@ -1,5 +1,6 @@
 """CLI commands, document validation, exit codes, and byte stability."""
 
+import decimal
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from icochains import (
     GroupContext,
     bockstein_cocycle,
     carry_cocycle,
+    count_terms_closed_form,
     exponent_cocycle,
     realize,
 )
@@ -278,15 +280,24 @@ def test_d_at_huge_p_refuses_before_allocating(kind, n, code, tmp_path):
 
 def test_check_cocycle_refuses_an_over_budget_check(tmp_path):
     # 1 400 degree-1 entries at p = 4099 pass the sparse lemma (3 * 1400 > 4098);
-    # their bar coboundary has 1400 * 3 * 4098 = 17 211 600 terms
+    # the summed partition has at most 1400 * (2 + 4098) terms: decided
     doc = {"schema_version": "1", "p": 4099, "r": 1, "n": 1, "kind": "icochain",
            "coeff_ring": "Fp", "entries": [{"key": [[u]], "value": 1} for u in range(1, 1401)]}
     path = write_doc(tmp_path, "wide.json", json.dumps(doc))
+    for argv, out in ((["check-cocycle", "--in", path], "false\n"), (["invert", "--in", path], "")):
+        result = subprocess.run([sys.executable, "-m", "icochains.cli", *argv],
+                                capture_output=True, text=True, timeout=10)
+        assert result.returncode == EXIT_NOT_COCYCLE, (argv, result.stderr)
+        assert "Traceback" not in result.stderr and result.stdout == out
+    # 2 100 degree-2 keys (s, s^u) bound 2100 * (2 + 4097 + 4098) terms: refused
+    doc["n"] = 2
+    doc["entries"] = [{"key": [[1], [u]], "value": 1} for u in range(1, 2101)]
+    path = write_doc(tmp_path, "wide2.json", json.dumps(doc))
     for argv in (["check-cocycle", "--in", path], ["invert", "--in", path]):
         result = subprocess.run([sys.executable, "-m", "icochains.cli", *argv],
                                 capture_output=True, text=True, timeout=10)
         assert result.returncode == EXIT_BUDGET, (argv, result.stderr)
-        assert "17211600" in result.stderr
+        assert "17213700" in result.stderr
         assert "Traceback" not in result.stderr and result.stdout == ""
 
 
@@ -337,6 +348,15 @@ def test_dims_budget_exit(capsys):
     assert "entries" in err and out == ""
 
 
+def test_negative_dims_budget_is_a_usage_error():
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "dims", "--p", "3", "--r", "1",
+         "--max-n", "2", "--budget", "-1"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == EXIT_USAGE
+    assert "nonnegative budget" in result.stderr and result.stdout == ""
+
+
 def test_dims_past_the_dense_budget(capsys):
     # the dense d_3 at (3, 2) alone would have 8^7 > 2^24 entries
     code, out, _ = run_cli(capsys, "dims", "--p", "3", "--r", "2", "--max-n", "4")
@@ -360,6 +380,48 @@ def test_count_terms_command(capsys):
     code, out, _ = run_cli(capsys, "count-terms", "--p", "2", "--r", "2", "--n", "3")
     assert code == EXIT_OK
     assert out.strip() == "8"
+
+
+def test_count_terms_of_any_length():
+    def count_terms_text(*argv):
+        result = subprocess.run([sys.executable, "-m", "icochains.cli", "count-terms", *argv],
+                                capture_output=True, text=True, timeout=10)
+        assert result.returncode == EXIT_OK, (argv, result.stderr)
+        return result.stdout.strip()
+
+    # r = n = 30 enumerated 30-part compositions
+    count = int(count_terms_text("--p", "3", "--r", "30", "--n", "30"))
+    assert abs(count - count_terms_closed_form(GroupContext(3, 30), 30)) <= 1e-9 * count
+    # 2^50000 has 15 052 digits, past the 4 300 that int-to-str allows
+    with decimal.localcontext() as context:
+        context.prec = 20000
+        assert count_terms_text("--p", "3", "--r", "1", "--n", "100000") == str(
+            decimal.Decimal(2) ** 50000)
+
+
+@pytest.mark.parametrize("argv,required", [
+    (["--p", "3", "--r", "5000", "--n", "60"], 4999 * 60 * 60),  # DP steps
+    (["--p", "3", "--r", "1", "--n", "1000000000"], 150514998),  # digits of 2^(5 10^8)
+])
+def test_count_terms_refuses_before_computing(argv, required):
+    result = subprocess.run([sys.executable, "-m", "icochains.cli", "count-terms", *argv],
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == EXIT_BUDGET, result.stderr
+    assert str(required) in result.stderr and result.stdout == ""
+
+
+@pytest.mark.parametrize("p,r,kind", [(3, 8, "icochain"), (3, 8, "normalized"),
+                                      (2, 8, "icochain")])
+def test_invert_empty_degree_8_document(p, r, kind, tmp_path):
+    # the formula would take count_terms evaluations (86 265 216 at p = 3)
+    doc = {"schema_version": "1", "p": p, "r": r, "n": 8, "kind": kind,
+           "coeff_ring": "Fp", "entries": []}
+    path = write_doc(tmp_path, "empty8.json", json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "invert", "--unchecked", "--in", path],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == EXIT_OK, result.stderr
+    assert json.loads(result.stdout)["entries"] == []
 
 
 def test_malformed_input_exit(tmp_path, capsys):

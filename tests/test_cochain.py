@@ -424,14 +424,18 @@ def test_is_cocycle_agrees_on_perturbed_coboundaries(data):
 
 
 def test_is_cocycle_refuses_an_over_budget_check():
-    # past the sparse lemma, the bar coboundary's E (n+2) N terms are bounded
+    # past the sparse lemma, the E (2r + (n-1)(N-1) + N) terms summed at the
+    # generator partitions are bounded: 1400 * 4100 are within the budget
     ctx = GroupContext(4099, 1)
     f = ICochain(ctx, 1, MOD_P, {((u,),): 1 for u in range(1, 1401)})
+    assert not f.is_cocycle()
+    assert not f.to_normalized().is_cocycle()
+    g = ICochain(ctx, 2, MOD_P, {((1,), (u,)): 1 for u in range(1, 2101)})
     with pytest.raises(BudgetExceededError) as info:
-        f.is_cocycle()
-    assert info.value.required == 1400 * 3 * 4098
+        g.is_cocycle()
+    assert info.value.required == 2100 * (2 + 4097 + 4098) == 17213700
     with pytest.raises(BudgetExceededError):
-        f.to_normalized().is_cocycle()
+        g.to_normalized().is_cocycle()
 
 
 @pytest.mark.parametrize("p,r", DESK)
