@@ -18,7 +18,6 @@ from .algebra import (
     compositions,
     count_terms,
     count_terms_closed_form,
-    graded_dimension,
     invert,
     invert_normalized_counted,
     realize,
@@ -32,7 +31,7 @@ from .generators import (
     probe_tensor_split,
     q_choices,
 )
-from .graded import cohomology_report
+from .graded import cohomology_report, graded_dimension
 from .group_ring import MOD_P, GroupContext, shifted_monomial
 from .oracle import classes_equal, cochain_basis
 

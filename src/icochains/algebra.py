@@ -37,15 +37,9 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .cochain import (
-    ICochain,
-    NormalizedCochain,
-    NotACocycleError,
-    _check_output_budget,
-    cup_many,
-)
+from .cochain import ICochain, NormalizedCochain, _check_output_budget, cup_many
 from .generators import _power_support, generator_power_cocycle, probe_tuple, q_choices
-from .group_ring import MOD_P, GroupContext, NormExpansion
+from .group_ring import MOD_P, GroupContext, NormExpansion, NotACocycleError
 
 MonomialSig = tuple  # r nonnegative ints; degree = their sum
 
@@ -500,22 +494,3 @@ def count_terms_closed_form(ctx: GroupContext, n: int) -> float:
         math.comb(ctx.r, k) * a ** (ctx.r - k) * b**k * ((ctx.r - 2 * k) * w) ** n
         for k in range(ctx.r + 1)
     )
-
-
-def graded_dimension(ctx: GroupContext, n: int) -> int:
-    """Number of monomial signatures of degree n (the expected dim H^n).
-
-    For p = 2 this is the count of degree-n monomials in r variables; for
-    p > 2 it splits over the exterior part of size l and the polynomial
-    part of total degree k with 2k + l = n.  Both equal C(n+r-1, r-1).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if ctx.p == 2:
-        return math.comb(n + ctx.r - 1, ctx.r - 1)
-    total = 0
-    for l in range(min(ctx.r, n) + 1):
-        if (n - l) % 2 == 0:
-            k = (n - l) // 2
-            total += math.comb(ctx.r, l) * math.comb(k + ctx.r - 1, ctx.r - 1)
-    return total

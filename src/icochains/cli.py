@@ -20,35 +20,29 @@ Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (entry budget), with the
 required size in the message; 64 usage errors such as unknown flags.
 
-Only ``d`` on an icochain document, which runs the coboundary kernel, and
-``selftest``, which runs the dense oracle, import numpy.  ``invert`` and
-``check-cocycle`` decide cocycles on the bar formula in pure Python, and
-``dims`` ranks the multigraded blocks of ``graded`` in pure Python.  The
-rank modules and the acceptance suite are imported inside their handlers.
+At module level this file imports only ``sys``; ``argparse`` loads in
+``build_parser``, ``json`` in the document functions, and each library
+module in the handler that runs it, so a process compiles only what its
+command needs.  ``dims`` loads ``group_ring`` and ``graded`` and ranks the
+multigraded blocks in pure Python, with no cochain, algebra or inverse-map
+code.  ``tau``, ``invert``, ``cup``, ``d``, ``check-cocycle`` and
+``count-terms`` load ``algebra`` or ``cochain`` (and through them
+``group_ring`` and ``generators``).  Only ``d`` on an icochain document,
+which runs the coboundary kernel, and ``selftest``, which runs the dense
+oracle, import numpy; ``invert`` and ``check-cocycle`` decide cocycles on
+the bar formula in pure Python.  The handlers reach ``realize``,
+``invert``, ``invert_normalized`` and the four document functions through
+this module's globals, so replacing one of these names here (as a tracer
+does) reaches every command that calls it.
+
+Only the CLI's own boundary errors become exit codes: ``DocumentError``
+(including a bad ``--p``/``--r``), ``NotACocycleError`` and
+``BudgetExceededError``.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-
-from .algebra import (
-    AlgebraElem,
-    count_terms,
-    graded_dimension,
-    invert,
-    invert_normalized,
-    realize,
-)
-from .cochain import (
-    DEFAULT_MAX_ENTRIES,
-    BudgetExceededError,
-    ICochain,
-    NormalizedCochain,
-    NotACocycleError,
-)
-from .group_ring import INTEGERS, MOD_P, GroupContext
 
 SCHEMA_VERSION = "1"
 
@@ -76,10 +70,17 @@ def _is_int(value) -> bool:
 def _context_from(obj: dict, where: str) -> GroupContext:
     _expect(_is_int(obj.get("p")) and _is_int(obj.get("r")),
             f"{where}: fields 'p' and 'r' must be integers")
+    return _group_context(obj["p"], obj["r"], f"{where}: ")
+
+
+def _group_context(p: int, r: int, where: str = "") -> GroupContext:
+    """GroupContext(p, r), whose ValueError becomes a DocumentError."""
+    from .group_ring import GroupContext
+
     try:
-        return GroupContext(obj["p"], obj["r"])
+        return GroupContext(p, r)
     except ValueError as exc:
-        raise DocumentError(f"{where}: {exc}") from None
+        raise DocumentError(f"{where}{exc}") from None
 
 
 def _check_vector(vec, ctx: GroupContext, where: str, allow_zero: bool) -> tuple:
@@ -98,9 +99,14 @@ def parse_cochain_document(text: str):
     Returns (cochain, kind) where the cochain is a NormalizedCochain or an
     ICochain according to the document's kind tag.
     """
+    import json
+
+    from .cochain import ICochain, NormalizedCochain
+    from .group_ring import INTEGERS, MOD_P
+
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from None
     _expect(isinstance(obj, dict), "document must be a JSON object")
     _expect(obj.get("schema_version") == SCHEMA_VERSION,
@@ -128,6 +134,8 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
     types are checked before the lookup, because True == 1 and 1.0 == 1
     hash alike.  Messages are built only when a check fails.
     """
+    from .group_ring import MOD_P
+
     int_row = [int] * ctx.r
     vectors: dict = {}  # every vector validated so far, mapped to itself
     values: dict = {}
@@ -173,9 +181,13 @@ def cochain_document(cochain, kind: str) -> dict:
 
 
 def parse_algebra_document(text: str) -> AlgebraElem:
+    import json
+
+    from .algebra import AlgebraElem
+
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from None
     _expect(isinstance(obj, dict), "document must be a JSON object")
     _expect(obj.get("schema_version") == SCHEMA_VERSION,
@@ -221,6 +233,8 @@ def dumps_document(doc: dict) -> str:
     fields and entries of the two layouts are written directly, and each
     distinct exponent vector is rendered once per document.
     """
+    import json
+
     fields = []
     for name, value in sorted(doc.items()):
         text = _entries_text(value) if name == "entries" else json.dumps(value)
@@ -261,18 +275,57 @@ def _entries_text(entries: list) -> str:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of the cochain document at ``path``, or of stdin for "-".
+
+    The parser's modules load here, before the read, and ``invert`` loads
+    ``algebra`` before calling this, so in a pipe such as
+    ``tau | invert --in -`` the reader compiles them while the writer is
+    still computing.
+    """
+    import json  # noqa: F401  (for the parser, ahead of the read)
+
+    from . import cochain  # noqa: F401
+
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
+# -- the library entry points the handlers call ---------------------------
+#
+# The handlers call these names, and the four document functions above,
+# through this module's globals, so a tracer can replace any of them here.
+# Each loads ``algebra`` on its first call.
+
+def realize(e):
+    from . import algebra
+    return algebra.realize(e)
+
+
+def invert(f):
+    from . import algebra
+    return algebra.invert(f)
+
+
+def invert_normalized(a):
+    from . import algebra
+    return algebra.invert_normalized(a)
+
+
 # -- command handlers ---------------------------------------------------
+#
+# Each handler imports the library modules it runs, so a process compiles
+# only what its command needs.
 
 def _cmd_invert(args) -> int:
+    from . import algebra  # noqa: F401  (for invert, ahead of the read)
+    from .cochain import ICochain, NormalizedCochain
+    from .group_ring import MOD_P, NotACocycleError
+
     cochain, kind = parse_cochain_document(_read_input(args.infile))
     if args.kind_override:
         kind = args.kind_override
@@ -291,7 +344,9 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    ctx = GroupContext(args.p, args.r)
+    from .algebra import AlgebraElem
+
+    ctx = _group_context(args.p, args.r)
     try:
         sig = tuple(int(s) for s in args.sig.split(","))
     except ValueError:
@@ -304,6 +359,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_cup(args) -> int:
+    from .group_ring import MOD_P
+
     if len(args.infile) < 2:
         raise DocumentError("cup needs at least two --in documents")
     factors = []
@@ -337,9 +394,10 @@ def _cmd_check_cocycle(args) -> int:
 
 
 def _cmd_dims(args) -> int:
-    from .graded import cohomology_report
+    from .graded import check_table_budget, cohomology_report, graded_dimension
 
-    ctx = GroupContext(args.p, args.r)
+    ctx = _group_context(args.p, args.r)
+    check_table_budget(ctx, args.max_n, args.budget)
     lines = ["n dim_C dim_Z dim_B dim_H expected_H"]
     for n in range(args.max_n + 1):
         rep = cohomology_report(ctx, n, max_entries=args.budget)
@@ -350,7 +408,9 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_count_terms(args) -> int:
-    print(_decimal_text(count_terms(GroupContext(args.p, args.r), args.n)))
+    from .algebra import count_terms
+
+    print(_decimal_text(count_terms(_group_context(args.p, args.r), args.n)))
     return EXIT_OK
 
 
@@ -386,28 +446,30 @@ def _cmd_selftest(_args) -> int:
     return EXIT_OK if acceptance.run_selftest(print) else 1
 
 
-def _nonnegative(name: str):
-    """The argparse type of a flag taking a nonnegative integer; ``name``
-    appears in its messages."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be a nonnegative {name}, got {value}")
-        return value
+def build_parser():
+    import argparse
 
-    parse.__name__ = name
-    return parse
+    from .group_ring import DEFAULT_MAX_ENTRIES
 
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"error: {message}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    def nonnegative(name: str):
+        """The type of a flag taking a nonnegative integer; ``name``
+        appears in its messages."""
+        def parse(text: str) -> int:
+            value = int(text)
+            if value < 0:
+                raise argparse.ArgumentTypeError(f"must be a nonnegative {name}, got {value}")
+            return value
 
+        parse.__name__ = name
+        return parse
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="icochains",
+    parser = Parser(prog="icochains",
                      description="Mod-p cohomology of elementary abelian groups "
                                  "at explicit cochain level.")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -447,17 +509,17 @@ def build_parser() -> _Parser:
     p_dims = sub.add_parser("dims", help="cohomology dimension table from the rank oracle")
     p_dims.add_argument("--p", type=int, required=True)
     p_dims.add_argument("--r", type=int, required=True)
-    p_dims.add_argument("--max-n", type=_nonnegative("degree"), required=True)
-    p_dims.add_argument("--budget", type=_nonnegative("budget"), default=DEFAULT_MAX_ENTRIES,
-                        help="budget (default 2^24) on the degree-n and degree-(n+1) "
-                             "keys enumerated and on rows x columns of the largest "
+    p_dims.add_argument("--max-n", type=nonnegative("degree"), required=True)
+    p_dims.add_argument("--budget", type=nonnegative("budget"), default=DEFAULT_MAX_ENTRIES,
+                        help="budget (default 2^24) on the key slots the whole table "
+                             "enumerates and on rows x columns of the largest "
                              "multidegree block")
     p_dims.set_defaults(func=_cmd_dims)
 
     p_count = sub.add_parser("count-terms", help="number of evaluations in the inverse formula")
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--n", type=_nonnegative("degree"), required=True)
+    p_count.add_argument("--n", type=nonnegative("degree"), required=True)
     p_count.set_defaults(func=_cmd_count_terms)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
@@ -472,6 +534,8 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    from .group_ring import BudgetExceededError, NotACocycleError
+
     try:
         return args.func(args)
     except DocumentError as exc:
@@ -483,9 +547,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 def entry_point() -> None:

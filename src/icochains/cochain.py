@@ -34,35 +34,19 @@ import itertools
 import math
 from typing import Sequence
 
-from .group_ring import (
+from .group_ring import (  # the budget and cocycle errors are re-exported
+    DEFAULT_MAX_ENTRIES,
     INTEGERS,
     MOD_P,
+    BudgetExceededError,
     GroupContext,
     NormExpansion,
+    NotACocycleError,
     RingElem,
     _check_ring,
     as_difference_basis,
     augmentation,
 )
-
-# Default entry budget of the oracles' dense matrices and enumerated keys, and
-# of the terms of coboundaries and cup products.
-DEFAULT_MAX_ENTRIES = 1 << 24
-
-
-class NotACocycleError(ValueError):
-    """Raised when an operation defined on cohomology classes gets a non-cocycle."""
-
-
-class BudgetExceededError(RuntimeError):
-    """A matrix, the key set of a block computation, or the terms of a
-    coboundary or cup product would exceed the configured entry budget."""
-
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"the computation needs {required} entries, over the budget of {budget}")
-        self.required = required
-        self.budget = budget
 
 
 def _check_output_budget(required: int) -> None:

@@ -22,16 +22,21 @@ block ranks.  Each block is row-reduced mod p in pure Python.
 
 This derivation of d shares no code with the coboundary kernel, the
 difference-basis ``oracle.d_matrix`` or the inverse map, so agreement
-with them is independent evidence.  The module does not import numpy.
+with them is independent evidence.  ``graded_dimension`` gives the
+expected dim H^n as a count of monomial signatures, without any block.
+The module imports only ``group_ring``, so ``dims`` loads no cochain,
+algebra or inverse-map code, and no numpy.  ``check_table_budget``
+refuses a whole dimension table, counted in key slots, before its first
+degree.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
-from .cochain import DEFAULT_MAX_ENTRIES, BudgetExceededError
-from .group_ring import GroupContext
+from .group_ring import DEFAULT_MAX_ENTRIES, BudgetExceededError, GroupContext
 
 
 def _rank_mod_p(rows, p: int) -> int:
@@ -145,3 +150,41 @@ def cohomology_report(ctx: GroupContext, n: int,
     rank_prev = _rank(ctx, n - 1, max_entries) if n > 0 else 0
     return CohomologyReport(ctx.p, ctx.r, n, dim_c, rank_dn, dim_ker,
                             rank_prev, dim_ker - rank_prev)
+
+
+def check_table_budget(ctx: GroupContext, max_n: int, max_entries: int) -> None:
+    """Refuse the reports of degrees 0..max_n before the first is computed.
+
+    Degree n enumerates the N^n n-keys and the N^(n+1) (n+1)-keys, and
+    building a key costs one step per slot, so the table needs
+    sum_n n N^n + (n+1) N^(n+1) slots (N = p^r - 1).  At N = 1 a count of
+    keys would stay at 2 per degree while the work grows with n.  The
+    terms grow with n, so the sum stops at the first degree whose running
+    total exceeds ``max_entries``, and that total is the one reported.
+    """
+    big_n, required = ctx.order - 1, 0
+    for n in range(max_n + 1):
+        required += n * big_n**n + (n + 1) * big_n ** (n + 1)
+        if required > max_entries:
+            raise BudgetExceededError(required, max_entries)
+
+
+def graded_dimension(ctx: GroupContext, n: int) -> int:
+    """Number of monomial signatures of degree n (the expected dim H^n).
+
+    It counts monomials and calls no block code, so the block ranks are
+    checked against it.  For p = 2 this is the count of degree-n
+    monomials in r variables; for p > 2 it splits over the exterior part
+    of size l and the polynomial part of total degree k with 2k + l = n.
+    Both equal C(n+r-1, r-1).
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if ctx.p == 2:
+        return math.comb(n + ctx.r - 1, ctx.r - 1)
+    total = 0
+    for l in range(min(ctx.r, n) + 1):
+        if (n - l) % 2 == 0:
+            k = (n - l) // 2
+            total += math.comb(ctx.r, l) * math.comb(k + ctx.r - 1, ctx.r - 1)
+    return total

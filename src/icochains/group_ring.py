@@ -8,7 +8,9 @@ differences ``s_i - 1`` of the distinguished generators onto it.  The
 augmentation ideal (kernel of the coefficient-sum map) has the nonidentity
 differences ``u - 1`` as a basis; ``as_difference_basis`` rewrites an
 element on it, and ``NormExpansion`` gives (s_i - 1)^(p-1) there in closed
-form.
+form.  The entry budget and the two errors every layer raises
+(``BudgetExceededError``, ``NotACocycleError``) live here too, so the block
+oracle and the CLI reach them without loading any cochain code.
 """
 
 from __future__ import annotations
@@ -24,6 +26,25 @@ MOD_P = "Fp"
 # A group element is a plain tuple of ints; validation happens at the
 # GroupContext / RingElem boundary.
 GroupElem = tuple
+
+# Default entry budget of the oracles' dense matrices and enumerated keys, and
+# of the terms of coboundaries and cup products.
+DEFAULT_MAX_ENTRIES = 1 << 24
+
+
+class NotACocycleError(ValueError):
+    """Raised when an operation defined on cohomology classes gets a non-cocycle."""
+
+
+class BudgetExceededError(RuntimeError):
+    """A matrix, the key set of a block computation, or the terms of a
+    coboundary or cup product would exceed the configured entry budget."""
+
+    def __init__(self, required: int, budget: int):
+        super().__init__(
+            f"the computation needs {required} entries, over the budget of {budget}")
+        self.required = required
+        self.budget = budget
 
 
 # Strong-probable-prime bases 2..41 (the first 13 primes) decide primality

@@ -23,9 +23,15 @@ import random
 
 import numpy as np
 
-from .cochain import DEFAULT_MAX_ENTRIES, BudgetExceededError, ICochain, NotACocycleError
+from .cochain import ICochain
 from .graded import CohomologyReport, cohomology_report  # re-exported
-from .group_ring import MOD_P, GroupContext
+from .group_ring import (  # the budget and cocycle errors are re-exported
+    DEFAULT_MAX_ENTRIES,
+    MOD_P,
+    BudgetExceededError,
+    GroupContext,
+    NotACocycleError,
+)
 from .kernel import _code_dtype, _coboundary_sums, _encode_keys
 
 

@@ -19,6 +19,7 @@ from icochains import (
     exponent_cocycle,
     realize,
 )
+from icochains import cli as cli_module
 from icochains.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
@@ -366,14 +367,51 @@ def test_dims_past_the_dense_budget(capsys):
     assert all(row[4] == row[5] for row in rows)
 
 
+def _table_slots(big_n, max_n):
+    return sum(n * big_n**n + (n + 1) * big_n ** (n + 1) for n in range(max_n + 1))
+
+
 def test_dims_refuses_before_enumerating():
-    # N = 342: degree 2 needs N^2 + N^3 keys, over the 2^24 default
+    # N = 342: the key slots of degrees 0..2 pass the 2^24 default
     result = subprocess.run(
         [sys.executable, "-m", "icochains.cli", "dims", "--p", "7", "--r", "3", "--max-n", "3"],
         capture_output=True, text=True, timeout=10)
     assert result.returncode == EXIT_BUDGET
-    assert str(342**2 + 342**3) in result.stderr
+    assert str(_table_slots(342, 2)) in result.stderr
     assert result.stdout == ""
+
+
+def test_dims_refuses_a_long_table_before_its_first_degree():
+    # N = 1: one key per degree, but building degree n's costs n slots, so
+    # the table's cost grows with max-n (1 600 degrees take about 3 s)
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "dims", "--p", "2", "--r", "1",
+         "--max-n", "10000"],
+        capture_output=True, text=True, timeout=10)
+    assert result.returncode == EXIT_BUDGET, result.stderr
+    assert f"needs {(4096 + 1) ** 2} entries" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tau", "--p", "4", "--r", "2", "--sig", "1,1"], "p must be prime, got 4"),
+    (["dims", "--p", "3", "--r", "0", "--max-n", "1"], "r must be >= 1, got 0"),
+    (["count-terms", "--p", "9", "--r", "1", "--n", "2"], "p must be prime, got 9"),
+])
+def test_bad_context_flags_are_invalid_input(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_INVALID
+    assert err == f"error: {message}\n" and out == ""
+
+
+def test_internal_value_errors_propagate(monkeypatch):
+    # only the CLI's own boundary errors become exit codes
+    def broken(_e):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli_module, "realize", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["tau", "--p", "3", "--r", "1", "--sig", "1"])
 
 
 def test_count_terms_command(capsys):
@@ -433,6 +471,23 @@ def test_malformed_input_exit(tmp_path, capsys):
     assert code == EXIT_INVALID
 
 
+def test_undecodable_input_exit(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"p": "\xff"}')
+    code, out, err = run_cli(capsys, "check-cocycle", "--in", str(path))
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_overlong_integer_is_invalid_json(tmp_path, capsys):
+    # json.loads raises a plain ValueError past the 4 300-digit int limit
+    doc = ('{"schema_version": "1", "p": 3, "r": 1, "n": 1, "kind": "icochain", '
+           '"coeff_ring": "Z", "entries": [{"key": [[1]], "value": 1' + "0" * 5000 + '}]}')
+    code, out, err = run_cli(capsys, "check-cocycle", "--in", write_doc(tmp_path, "big.json", doc))
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: invalid JSON: Exceeds the limit")
+
+
 def test_usage_errors_exit_64():
     with pytest.raises(SystemExit) as info:
         main(["invert", "--bogus"])
@@ -469,14 +524,23 @@ def test_cli_as_subprocess():
     assert result.returncode == EXIT_USAGE
 
 
-# Runs cli.main in a fresh interpreter, then checks whether numpy was
-# imported against the expectation given as the first argument.
+# Imports the package and the CLI in a fresh interpreter, checking that
+# neither loads a submodule it does not need, then runs cli.main and checks
+# whether numpy was imported against the first argument, and that none of
+# the comma-separated modules in the second was.
 _IMPORT_PROBE = """
 import sys
-from icochains import cli
-expect_numpy, argv = sys.argv[1] == "numpy", sys.argv[2:]
+expect_numpy, absent, argv = sys.argv[1] == "numpy", sys.argv[2].split(","), sys.argv[3:]
+before = set(sys.modules)
+import icochains
+assert [m for m in sys.modules if m.startswith("icochains.")] == [], "import icochains"
+import icochains.cli as cli
+loaded = set(sys.modules) - before
+assert [m for m in loaded if m.startswith("icochains.")] == ["icochains.cli"], loaded
+assert not loaded & {"json", "argparse"}, loaded
 assert cli.main(argv) == 0, argv
 assert ("numpy" in sys.modules) == expect_numpy, argv
+assert [m for m in absent if m in set(sys.modules) - before] == [], argv
 """
 
 
@@ -488,26 +552,50 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
     p2 = doc("p2.json", realize(AlgebraElem.monomial(ctx2, (1, 1))))
     p3 = doc("p3.json", realize(AlgebraElem.monomial(ctx3, (1, 1))))
     p3b = doc("b3.json", exponent_cocycle(ctx3, 1))
-    without = [
-        ["tau", "--p", "3", "--r", "2", "--sig", "2,1"],
-        ["invert", "--unchecked", "--in", p2],
-        ["invert", "--unchecked", "--in", p3],
-        ["invert", "--unchecked", "--normalized", "--in", p3],
-        ["invert", "--in", p3],
-        ["invert", "--normalized", "--in", p3],
-        ["check-cocycle", "--in", p3],
-        ["cup", "--in", p3, "--in", p3b],
-        ["count-terms", "--p", "3", "--r", "2", "--n", "4"],
-        ["dims", "--p", "2", "--r", "1", "--max-n", "1"],
+    block_only = "icochains.algebra,icochains.cochain,icochains.generators,json"
+    without = [  # argv, other modules that must not load
+        (["tau", "--p", "3", "--r", "2", "--sig", "2,1"], ""),
+        (["invert", "--unchecked", "--in", p2], ""),
+        (["invert", "--unchecked", "--in", p3], ""),
+        (["invert", "--unchecked", "--normalized", "--in", p3], ""),
+        (["invert", "--in", p3], ""),
+        (["invert", "--normalized", "--in", p3], ""),
+        (["check-cocycle", "--in", p3], ""),
+        (["cup", "--in", p3, "--in", p3b], ""),
+        (["count-terms", "--p", "3", "--r", "2", "--n", "4"], "json"),
+        (["dims", "--p", "2", "--r", "1", "--max-n", "1"], block_only),
+        (["dims", "--p", "3", "--r", "2", "--max-n", "3"], block_only),
     ]
     with_numpy = [
-        ["d", "--in", p3b],
+        (["d", "--in", p3b], ""),
     ]
     for expect, runs in (("no-numpy", without), ("numpy", with_numpy)):
-        for argv in runs:
-            result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, expect, *argv],
-                                    capture_output=True, text=True, timeout=60)
+        for argv, absent in runs:
+            result = subprocess.run(
+                [sys.executable, "-c", _IMPORT_PROBE, expect, absent, *argv],
+                capture_output=True, text=True, timeout=60)
             assert result.returncode == 0, (expect, argv, result.stderr)
+
+
+# The cli names a tracer replaces to time each layer of a command.
+TRACED_NAMES = ("realize", "invert", "invert_normalized", "parse_cochain_document",
+                "cochain_document", "algebra_document", "dumps_document")
+
+
+def test_handlers_call_the_traced_names(monkeypatch, tmp_path, capsys):
+    calls = dict.fromkeys(TRACED_NAMES, 0)
+    for name in TRACED_NAMES:
+        def counting(*args, _name=name, _original=getattr(cli_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(cli_module, name, counting)
+    code, out, _ = run_cli(capsys, "tau", "--p", "3", "--r", "2", "--sig", "1,1")
+    assert code == EXIT_OK
+    path = write_doc(tmp_path, "tau.json", out)
+    for kind in ("--icochain", "--normalized"):
+        assert run_cli(capsys, "invert", kind, "--in", path)[0] == EXIT_OK
+    assert all(calls.values()), calls
 
 
 def test_cli_import_path_skips_dataclasses():
