@@ -38,7 +38,7 @@ import math
 from typing import Iterator, Sequence
 
 from .cochain import ICochain, NormalizedCochain, _check_output_budget, cup_many
-from .generators import _power_support, generator_power_cocycle, probe_tuple, q_choices
+from .generators import _power_factors, _power_support, probe_tuple, q_choices
 from .group_ring import MOD_P, GroupContext, NormExpansion, NotACocycleError
 
 MonomialSig = tuple  # r nonnegative ints; degree = their sum
@@ -234,6 +234,11 @@ def realize(e: AlgebraElem) -> ICochain:
     order; the map extends linearly.  Each signature's support is known
     before any factor is built (a product of nonzero residues mod p is
     nonzero), and one over the default entry budget is refused first.
+
+    Each signature is one flat ``cup_many`` of all its generator factors,
+    so a one-term element comes back, scaled, with its keys in sorted
+    order; only a sum of several terms is accumulated and its zero sums
+    dropped.
     """
     if not e.is_homogeneous():
         raise ValueError("can only realize homogeneous elements")
@@ -244,14 +249,28 @@ def realize(e: AlgebraElem) -> ICochain:
     for sig in e.terms:
         _check_output_budget(math.prod(_power_support(ctx, m) for m in sig))
     p = ctx.p
-    values: dict = {}
+    if len(e.terms) == 1:
+        [(sig, c)] = e.terms.items()
+        values = _signature_cocycle(ctx, sig).values
+        if c != 1:  # c lies in [1, p), so no product vanishes
+            values = {key: c * v % p for key, v in values.items()}
+        return ICochain._trusted(ctx, degree, MOD_P, values)
+    values = {}
     for sig, c in e.terms.items():
-        cocycle = cup_many([generator_power_cocycle(ctx, i, m)
-                            for i, m in enumerate(sig, start=1)])
-        for key, v in cocycle.values.items():
+        for key, v in _signature_cocycle(ctx, sig).values.items():
             values[key] = (values.get(key, 0) + c * v) % p
     # The keys come from cup_many; only the zero sums need dropping.
     return ICochain._trusted(ctx, degree, MOD_P, {k: v for k, v in values.items() if v})
+
+
+def _signature_cocycle(ctx: GroupContext, sig: MonomialSig) -> ICochain:
+    """The cocycle of one signature: the degree-1 and degree-2 generators
+    of every variable, in variable order, cupped in one ``cup_many``.  Its
+    sign is that of the nested cup of generator powers, since each power
+    has at most one odd factor."""
+    factors = [f for i, m in enumerate(sig, start=1)
+               for f in _power_factors(ctx, i, m)]
+    return cup_many(factors) if factors else ICochain.constant(ctx, 1)
 
 
 # -- the inverse map ----------------------------------------------------

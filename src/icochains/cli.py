@@ -10,8 +10,9 @@ and serialization is byte-stable for identical inputs.
 
 ``dumps_document`` writes the two layouts directly.  Its text is
 byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
-which the tests keep as the reference, and it renders each distinct
-exponent vector once.  ``parse_cochain_document`` validates each distinct
+which the tests keep as the reference.  It renders each distinct exponent
+vector once, and the text of each key up to its last slot once per run of
+keys that share it.  ``parse_cochain_document`` validates each distinct
 exponent vector once: a later vector of r exact ints equal to it reuses
 its tuple, and anything else goes through the full check, so every
 message and exit code is that of the per-entry check.
@@ -38,6 +39,17 @@ does) reaches every command that calls it.
 Only the CLI's own boundary errors become exit codes: ``DocumentError``
 (including a bad ``--p``/``--r``), ``NotACocycleError`` and
 ``BudgetExceededError``.  Any other exception is a bug and propagates.
+
+``main`` runs one command and returns its exit code; tests and in-process
+callers use it.  ``entry_point``, the console script and ``python -m``
+entry, runs ``main``, flushes stdout and stderr and leaves with
+``os._exit``, skipping the interpreter's teardown (its shutdown garbage
+collection and module cleanup), which in a pipe such as ``tau | invert``
+would delay the reader's end of input and the pipe's end.  ``atexit``
+handlers therefore do not run.  When a flush fails, or a tracer or
+profiler is installed (coverage, ``python -m cProfile``), it leaves
+through ``sys.exit`` and the usual shutdown instead.  Exceptions, and
+argparse's ``SystemExit``, propagate out of ``main`` either way.
 """
 
 from __future__ import annotations
@@ -230,8 +242,9 @@ def dumps_document(doc: dict) -> str:
 
     It is byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``
     plus a newline, which on Python 3.11 never uses the C encoder.  The
-    fields and entries of the two layouts are written directly, and each
-    distinct exponent vector is rendered once per document.
+    fields and entries of the two layouts are written directly; each
+    distinct exponent vector is rendered once per document, and each key
+    prefix (all slots but the last) once per run of entries sharing it.
     """
     import json
 
@@ -253,20 +266,32 @@ def _array_text(items: list, level: int) -> str:
 
 def _entries_text(entries: list) -> str:
     """The ``entries`` array: {key, value} cochain entries, whose exponent
-    vectors repeat, or {coeff, signature} algebra entries."""
+    vectors repeat, or {coeff, signature} algebra entries.
+
+    A cochain entry's text up to its key's last slot is rendered once per
+    run of entries whose keys agree on every slot but the last, which in
+    sorted order is one run per prefix.
+    """
     vectors: dict = {}
+
+    def vector_text(u) -> str:
+        u = tuple(u)
+        text = vectors.get(u)
+        if text is None:
+            text = vectors[u] = _array_text(list(map(int.__repr__, u)), 4)
+        return text
+
     rendered = []
+    prefix = head = None
     for entry in entries:
         if "key" in entry:
-            slots = []
-            for u in entry["key"]:
-                u = tuple(u)
-                text = vectors.get(u)
-                if text is None:
-                    text = vectors[u] = _array_text(list(map(int.__repr__, u)), 4)
-                slots.append(text)
-            rendered.append(f'{{\n      "key": {_array_text(slots, 3)},\n'
-                            f'      "value": {int.__repr__(entry["value"])}\n    }}')
+            key = entry["key"]
+            if key[:-1] != prefix:
+                prefix = key[:-1]
+                head = '{\n      "key": [' + "".join(
+                    f"\n        {vector_text(u)}," for u in prefix)
+            tail = f"\n        {vector_text(key[-1])}\n      ]," if key else "],"
+            rendered.append(f'{head}{tail}\n      "value": {int.__repr__(entry["value"])}\n    }}')
         else:
             sig = _array_text(list(map(int.__repr__, entry["signature"])), 3)
             rendered.append(f'{{\n      "coeff": {int.__repr__(entry["coeff"])},\n'
@@ -550,7 +575,20 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    """Run ``main`` and exit with its code, without the interpreter's
+    teardown unless a flush fails or a tracer or profiler is installed
+    (see the module docstring)."""
+    import os
+
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -428,14 +428,20 @@ class ICochain(_Cochain):
 
 
 def cup_many(factors: Sequence[ICochain]) -> ICochain:
-    """Cup product of several cochains in one pass.
+    """Cup product of several cochains.
 
     The front sign is (-1)^(l(l-1)/2) where l counts the odd-degree
     factors; this equals the product of the pairwise signs picked up by
     left-nested cupping, so the result coincides with reduce(cup, factors).
-    Keys are concatenations of valid keys, so they are not re-checked.
     Refuses, before enumerating, a product of supports over the default
     entry budget.
+
+    The product is one fold, a factor at a time, from {(): sign}: each
+    key so far is extended by each key of the next factor, taken in
+    sorted order.  Keys are concatenations of valid keys, so they are not
+    re-checked; the keys of a factor share one length, so the result's
+    keys come out in sorted order and never repeat; and products of
+    nonzero residues mod p are nonzero, so no value is dropped.
     """
     factors = list(factors)
     if not factors:
@@ -449,15 +455,11 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
     _check_output_budget(math.prod(len(f.values) for f in factors))
     l = sum(1 for f in factors if f.degree % 2)
     sign = -1 if (l * (l - 1) // 2) % 2 else 1
-    degree = sum(f.degree for f in factors)
     p = ctx.p
-    values: dict = {}
-    # Concatenation is injective at fixed factor degrees: no key repeats.
-    for combo in itertools.product(*(f.values.items() for f in factors)):
-        c = sign
-        for _, v in combo:
-            c = c * v % p
-        if c:
-            values[tuple(itertools.chain.from_iterable(k for k, _ in combo))] = c
+    values = {(): sign % p}
+    for f in factors:
+        items = sorted(f.values.items())
+        values = {k + fk: c * fc % p for k, c in values.items() for fk, fc in items}
+    degree = sum(f.degree for f in factors)
     return ICochain._trusted(ctx, degree, MOD_P, values)
 

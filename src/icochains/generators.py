@@ -87,24 +87,29 @@ def bockstein_pair_value(ctx: GroupContext, i: int, k: int, l: int) -> int:
     return sum((-1) ** (k + l - h) * math.comb(k + l, h) for h in range(p, k + l + 1))
 
 
-def generator_power_cocycle(ctx: GroupContext, i: int, m: int) -> ICochain:
-    """The degree-m cup power realizing the m-th power of variable i.
+def _power_factors(ctx: GroupContext, i: int, m: int) -> list:
+    """The generator cocycles whose cup is the m-th power of variable i.
 
-    Even m = 2k: the cup of k copies of the degree-2 generator; odd
-    m = 2k + 1: the degree-1 generator cupped with k copies of the
-    degree-2 one.  m = 0 gives the constant-1 degree-0 cochain.
+    Even m = 2k: k copies of the degree-2 generator; odd m = 2k + 1: the
+    degree-1 generator followed by k copies of the degree-2 one.  m = 0
+    gives no factors.  The degree-2 generator is built once and repeated.
     """
     ctx.check_index(i)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m == 0:
-        return ICochain.constant(ctx, 1)
     k, odd = divmod(m, 2)
-    factors = []
-    if odd:
-        factors.append(exponent_cocycle(ctx, i))
-    factors.extend(bockstein_cocycle(ctx, i) for _ in range(k))
-    return cup_many(factors)
+    factors = [exponent_cocycle(ctx, i)] if odd else []
+    if k:
+        factors += [bockstein_cocycle(ctx, i)] * k
+    return factors
+
+
+def generator_power_cocycle(ctx: GroupContext, i: int, m: int) -> ICochain:
+    """The degree-m cup power realizing the m-th power of variable i: the
+    cup of its ``_power_factors``, or for m = 0 the constant-1 degree-0
+    cochain."""
+    factors = _power_factors(ctx, i, m)
+    return cup_many(factors) if factors else ICochain.constant(ctx, 1)
 
 
 def _power_support(ctx: GroupContext, m: int) -> int:

@@ -291,6 +291,21 @@ def test_invert_beyond_sys_maxsize():
     assert invert(g) == AlgebraElem.monomial(ctx, (3,), 4)
 
 
+@pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (5, 1)])
+def test_realize_is_the_nested_cup_of_generator_powers(p, r):
+    # realize cups every generator factor in one flat cup_many; the nested
+    # cup of the variables' generator powers is the definition
+    ctx = GroupContext(p, r)
+    for n in range(5):
+        for sig in compositions(n, r):
+            nested = cup_many([generator_power_cocycle(ctx, i, m)
+                               for i, m in enumerate(sig, start=1)])
+            for c in {1, p - 1}:
+                f = realize(AlgebraElem.monomial(ctx, sig, c))
+                assert f == nested.scale(c), (sig, c)
+                assert list(f.values) == sorted(f.values), (sig, c)
+
+
 @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (5, 2)])
 def test_realize_output_is_canonical(p, r):
     # the constructor re-validates and reduces, so equality shows that the

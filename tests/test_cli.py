@@ -605,3 +605,144 @@ def test_cli_import_path_skips_dataclasses():
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                             timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
+
+
+# -- the process exit path ------------------------------------------------
+#
+# entry_point flushes and leaves through os._exit.  These tests run it as a
+# process with stdout block-buffered, as it is by default in a pipe, where
+# leaving without the flush would drop the tail of the output.
+
+CLI = [sys.executable, "-m", "icochains.cli"]
+# the exit path without the fast exit
+SYS_EXIT = [sys.executable, "-c", "import sys; from icochains.cli import main; sys.exit(main())"]
+TAU_222 = ["tau", "--p", "2", "--r", "3", "--sig", "2,2,2"]
+
+
+def process_env(unbuffered: bool = False) -> dict:
+    src = str(Path(icochains.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+NOT_A_COCYCLE = json.dumps({
+    "schema_version": "1", "p": 3, "r": 1, "n": 1, "kind": "icochain",
+    "coeff_ring": "Fp", "entries": [{"key": [[1]], "value": 1}],
+})
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["count-terms", "--p", "3", "--r", "1", "--n", "2"], EXIT_OK),
+    (["invert", "--in", "missing.json"], EXIT_INVALID),
+    (["invert", "--in", "f.json"], EXIT_NOT_COCYCLE),
+    (["dims", "--p", "3", "--r", "2", "--max-n", "3", "--budget", "1000"], EXIT_BUDGET),
+    (["dims", "--bad-flag"], EXIT_USAGE),
+])
+def test_process_exits_as_main_returns(argv, code, tmp_path, capsys, monkeypatch):
+    write_doc(tmp_path, "f.json", NOT_A_COCYCLE)
+    monkeypatch.chdir(tmp_path)
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        in_process = exc.code
+    captured = capsys.readouterr()
+    result = subprocess.run(CLI + argv, capture_output=True, text=True, cwd=tmp_path,
+                            env=process_env(), timeout=10)
+    assert in_process == code
+    assert (result.returncode, result.stdout, result.stderr) == (code, captured.out, captured.err)
+
+
+def test_tau_pipes_into_invert_through_an_os_pipe():
+    ctx = GroupContext(2, 3)
+    env = process_env()
+    tau = subprocess.Popen(CLI + TAU_222, stdout=subprocess.PIPE, env=env)
+    try:
+        inverted = subprocess.run(CLI + ["invert", "--in", "-"], stdin=tau.stdout,
+                                  capture_output=True, text=True, env=env, timeout=10)
+        assert tau.wait(timeout=10) == 0
+    finally:
+        tau.stdout.close()
+        tau.kill()
+        tau.wait()
+    assert inverted.returncode == 0, inverted.stderr
+    assert inverted.stdout == dumps_document(
+        algebra_document(AlgebraElem.monomial(ctx, (2, 2, 2))))
+    # every byte of the document leaves the process, not only what the
+    # buffer had passed on before the exit
+    expected = dumps_document(cochain_document(
+        realize(AlgebraElem.monomial(ctx, (2, 2, 2))), "icochain"))
+    result = subprocess.run(CLI + TAU_222, capture_output=True, env=env, timeout=10)
+    assert result.returncode == 0
+    assert len(result.stdout) == len(expected) and result.stdout.decode() == expected
+
+
+def _exit_outcome(argv: list, env: dict, close_after=None) -> tuple:
+    """(exit code, last line of stderr) of a process whose stdout is a pipe
+    that the reader closes before reading (``close_after`` None) or after
+    ``close_after`` bytes.  The traceback frames above the last line
+    differ between entry points."""
+    if close_after is None:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                                    env=env, timeout=10)
+        finally:
+            os.close(write_end)
+        code, err = result.returncode, result.stderr
+    else:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            proc.stdout.read(close_after)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+            proc.wait()
+        code = proc.returncode
+    return code, err.decode().splitlines()[-1:]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv,close_after", [
+    (TAU_222, 20),  # like `| head -c 20`
+    (["count-terms", "--p", "3", "--r", "1", "--n", "2"], None),
+])
+def test_closed_reader_gives_the_sys_exit_outcome(argv, close_after, unbuffered):
+    env = process_env(unbuffered)
+    assert (_exit_outcome(CLI + argv, env, close_after)
+            == _exit_outcome(SYS_EXIT + argv, env, close_after))
+
+
+def test_profiler_still_prints_its_report():
+    result = subprocess.run([sys.executable, "-m", "cProfile", *CLI[1:],
+                             "count-terms", "--p", "2", "--r", "1", "--n", "1"],
+                            capture_output=True, text=True, env=process_env(), timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("1\n")
+    assert "function calls" in result.stdout and "Ordered by" in result.stdout
+
+
+# Runs the CLI module as __main__ through runpy, with a trace function
+# installed when the first argument is "trace", and reports a SystemExit.
+_RUNPY_PROBE = """
+import runpy, sys
+if sys.argv.pop(1) == "trace":
+    sys.settrace(lambda *args: None)
+try:
+    runpy.run_module("icochains.cli", run_name="__main__")
+except SystemExit as exc:
+    print("sys.exit", exc.code)
+    raise
+"""
+
+
+@pytest.mark.parametrize("mode,stdout", [("trace", "1\nsys.exit 0\n"), ("plain", "1\n")])
+def test_tracer_makes_the_cli_exit_through_sys_exit(mode, stdout):
+    result = subprocess.run([sys.executable, "-c", _RUNPY_PROBE, mode,
+                             "count-terms", "--p", "2", "--r", "1", "--n", "1"],
+                            capture_output=True, text=True, env=process_env(), timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")

@@ -517,6 +517,47 @@ def test_cup_many_equals_nested():
             assert cup_many(fs) == reduce(lambda x, y: x.cup(y), fs)
 
 
+def reference_cup_many(factors):
+    """The product definition of ``cup_many``: each combination of one
+    entry per factor, in factor order, contributes the concatenation of
+    their keys with the product of the front sign and their values."""
+    ctx = factors[0].ctx
+    l = sum(1 for f in factors if f.degree % 2)
+    sign = -1 if (l * (l - 1) // 2) % 2 else 1
+    values = {}
+    for combo in itertools.product(*(f.values.items() for f in factors)):
+        c = sign
+        for _, v in combo:
+            c = c * v % ctx.p
+        if c:
+            values[tuple(itertools.chain.from_iterable(k for k, _ in combo))] = c
+    return ICochain(ctx, sum(f.degree for f in factors), MOD_P, values)
+
+
+@st.composite
+def cup_factors(draw):
+    """One to four small mod-p cochains of degrees 0-3 on one group; a
+    factor may be empty."""
+    p, r = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]))
+    ctx = GroupContext(p, r)
+    elements = list(ctx.nonidentity_elements())
+    factors = []
+    for degree in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)):
+        keys = draw(st.lists(st.tuples(*[st.sampled_from(elements)] * degree),
+                             max_size=1 if degree == 0 else 5, unique=True))
+        factors.append(ICochain(ctx, degree, MOD_P,
+                                {key: draw(st.integers(1, p - 1)) for key in keys}))
+    return factors
+
+
+@given(cup_factors())
+@settings(max_examples=200, deadline=None)
+def test_cup_many_fold_matches_product_definition(factors):
+    result = cup_many(factors)
+    assert result == reference_cup_many(factors)
+    assert list(result.values) == sorted(result.values)
+
+
 def test_cup_degree_zero_factor_scales():
     ctx = GroupContext(3, 1)
     rng = random.Random(14)
