@@ -20,9 +20,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": (
         "AlgebraElem", "compositions", "count_terms", "count_terms_closed_form",
-        "invert", "invert_class", "invert_normalized", "invert_normalized_counted",
-        "invert_via_shuffles", "monomial_mul", "perm_sign", "realize",
-        "shuffle_count", "shuffles",
+        "invert", "invert_normalized", "invert_normalized_counted", "monomial_mul",
+        "perm_sign", "realize", "shuffle_count", "shuffles",
     ),
     "cochain": ("ICochain", "NormalizedCochain", "Tensor", "cup_many"),
     "generators": (

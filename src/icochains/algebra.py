@@ -10,12 +10,15 @@ signature entry m = 2k + l, l in {0, 1}, stands for (i-th degree-1
 variable)^l times (its Bockstein)^k.
 
 ``realize`` maps a signature to an explicit cocycle by cupping generator
-powers.  ``invert`` is the reverse map on cochain representatives: for
-p = 2 it reads off values on tensors of shifted generators; for p > 2 each
-coefficient is a signed sum, over shuffles of the blocks, of evaluations on
-a fixed probe tensor.  ``invert_normalized`` computes the same coefficients
-directly from normalized-cochain values on explicit group-element tuples.
-Both kill coboundaries exactly, so they are well defined on cohomology.
+powers.  ``invert`` is the reverse map on cochain representatives of
+either kind, one function of the stored values: both kinds store the same
+keys, and the paper's formula reads nothing else.  For p = 2 the
+coefficient of a monomial sums the values on tuples of generators; for
+p > 2 it is a signed sum, over shuffles of the blocks and splits of each
+block's (s_i - 1)^(p-1) factors, of values on explicit group-element
+tuples (the probes).  It kills coboundaries exactly, so it is well
+defined on cohomology.  ``invert_normalized`` is the same function under
+its older name.
 
 Each stored key meets at most one (signature, shuffle, split) term of that
 formula.  Its slots must be powers of single generators; its word of
@@ -24,11 +27,11 @@ shuffle, whose sign is the parity of the word's out-of-order pairs; and
 each block must hold s_i itself on an odd block's leading slot and on the
 second slot of every pair (from the block's end: the last slot and every
 second one before it), any power on the split slots.  So the inverse is
-also a sum over the E entries, in O(E n r), for both kinds and p = 2.
-``invert`` and ``invert_normalized`` take it when E is below
-``count_terms``, which is at least r^n and (p-1)^(n//2), so bit lengths
-settle most inputs.  The formula paths stay as the references, and
-``invert_normalized_counted`` always runs the formula.
+also a sum over the E entries, in O(E n r).  ``invert`` picks one of the
+two paths by size alone: the entry sum when E is below ``count_terms``,
+which is at least r^n and (p-1)^(n//2), so bit lengths settle most
+inputs, and the formula otherwise.  ``invert_normalized_counted`` always
+runs the formula; the tests compare the entry sum with it.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .cochain import ICochain, NormalizedCochain, _check_output_budget, cup_many
+from .cochain import ICochain, _check_output_budget, cup_many
 from .generators import _power_factors, _power_support, probe_tuple, q_choices
-from .group_ring import MOD_P, GroupContext, NormExpansion, NotACocycleError
+from .group_ring import MOD_P, GroupContext
 
 MonomialSig = tuple  # r nonnegative ints; degree = their sum
 
@@ -275,20 +278,6 @@ def _signature_cocycle(ctx: GroupContext, sig: MonomialSig) -> ICochain:
 
 # -- the inverse map ----------------------------------------------------
 
-def _probe_expansions(ctx: GroupContext, i: int, m: int) -> list:
-    """Difference-basis expansions of the degree-m probe factors for
-    variable i, reduced mod p; each (s_i - 1)^(p-1) factor is the
-    closed-form ``NormExpansion``."""
-    t_exp = {ctx.generator(i): 1}
-    k, odd = divmod(m, 2)
-    out = [t_exp] if odd else []
-    if k:
-        top_exp = NormExpansion(ctx, i)
-        for _ in range(k):
-            out.extend((top_exp, t_exp))
-    return out
-
-
 def _require_mod_p(f) -> None:
     if f.ring != MOD_P:
         raise ValueError("the inverse map is defined for mod-p cochains")
@@ -347,20 +336,21 @@ def _invert_entry_sum(f) -> AlgebraElem:
     return AlgebraElem(ctx, {comp: _block_sign(comp) * t for comp, t in totals.items()})
 
 
-def invert(f: ICochain) -> AlgebraElem:
-    """Map a degree-n cochain to algebra coordinates.
+def invert(f) -> AlgebraElem:
+    """Map a degree-n cochain of either kind to algebra coordinates.
 
     This is the raw linear map on cochains; it vanishes on coboundaries,
-    so on cocycles it computes the inverse of ``realize`` on classes.  Use
-    ``invert_class`` to insist on cocycle input.  It sums over the stored
-    entries when they are fewer than the formula's evaluations.
+    so on cocycles it computes the inverse of ``realize`` on classes.  It
+    sums over the stored entries when they are fewer than the formula's
+    evaluations, and runs the formula otherwise.
     """
     _require_mod_p(f)
     if _fewer_entries_than_terms(f):
         return _invert_entry_sum(f)
-    if f.ctx.p == 2:
-        return _invert_direct_p2(f)[0]
-    return invert_via_shuffles(f)
+    return invert_normalized_counted(f)[0]
+
+
+invert_normalized = invert
 
 
 def _invert_direct_p2(f) -> tuple[AlgebraElem, int]:
@@ -387,59 +377,12 @@ def _invert_direct_p2(f) -> tuple[AlgebraElem, int]:
     return AlgebraElem(ctx, terms), evaluations
 
 
-def invert_via_shuffles(f: ICochain) -> AlgebraElem:
-    """The shuffle-sum form of the inverse map, valid for every p.
-
-    For each signature (n_1, ..., n_r) of the degree, the coefficient is
-    (-1)^(l(l-1)/2) (l = number of odd n_i) times the sum over block
-    shuffles sigma of sgn(sigma) times f evaluated on the probe tensor
-    with its slots scattered by sigma.  For p = 2 this agrees with the
-    direct form used by ``invert``.
-    """
-    _require_mod_p(f)
-    ctx = f.ctx
-    n = f.degree
-    terms: dict = {}
-    for comp in compositions(n, ctx.r):
-        factors: list[dict] = []
-        for i, ni in enumerate(comp, start=1):
-            factors.extend(_probe_expansions(ctx, i, ni))
-        total = 0
-        for sigma in shuffles(comp):
-            permuted: list = [None] * n
-            for j, d in enumerate(factors):
-                permuted[sigma[j]] = d
-            total += perm_sign(sigma) * f.evaluate_on_expansions(permuted)
-        if total % ctx.p:
-            terms[comp] = _block_sign(comp) * total
-    return AlgebraElem(ctx, terms)
-
-
-def invert_class(f: ICochain) -> AlgebraElem:
-    """Inverse map on a cohomology class; raises unless f is a cocycle."""
-    _require_mod_p(f)
-    if not f.is_cocycle():
-        raise NotACocycleError("input cochain is not a cocycle")
-    return invert(f)
-
-
-def invert_normalized(a: NormalizedCochain) -> AlgebraElem:
-    """Inverse map computed from normalized-cochain values directly.
-
-    Evaluates a on explicit group-element tuples (no ideal-tensor detour);
-    agrees exactly with ``invert`` of the corresponding ICochain.  Like
-    ``invert``, it sums over the stored entries when they are fewer.
-    """
-    _require_mod_p(a)
-    if _fewer_entries_than_terms(a):
-        return _invert_entry_sum(a)
-    return invert_normalized_counted(a)[0]
-
-
-def invert_normalized_counted(a: NormalizedCochain) -> tuple[AlgebraElem, int]:
-    """The formula path of ``invert_normalized``, also reporting the number
-    of cochain evaluations performed (the advertised term count of the
-    formula); it never takes the entry sum."""
+def invert_normalized_counted(a) -> tuple[AlgebraElem, int]:
+    """The formula path of ``invert`` on a cochain of either kind, also
+    reporting the number of cochain evaluations performed (the advertised
+    term count of the formula); it never takes the entry sum.  At p > 2
+    it reads the values on the split probe tuples: mod p, the splits
+    s_i^q - 1 of each (s_i - 1)^(p-1) factor sum to that factor."""
     _require_mod_p(a)
     ctx = a.ctx
     if ctx.p == 2:

@@ -348,14 +348,10 @@ def invert_normalized(a):
 
 def _cmd_invert(args) -> int:
     from . import algebra  # noqa: F401  (for invert, ahead of the read)
-    from .cochain import ICochain, NormalizedCochain
     from .group_ring import MOD_P, NotACocycleError
 
     cochain, kind = parse_cochain_document(_read_input(args.infile))
-    if args.kind_override:
-        kind = args.kind_override
-        cls = NormalizedCochain if kind == "normalized" else ICochain
-        cochain = cls._trusted(cochain.ctx, cochain.degree, cochain.ring, cochain.values)
+    kind = args.kind_override or kind
     if cochain.ring != MOD_P:
         raise DocumentError("invert requires mod-p coefficients (coeff_ring 'Fp')")
     if not args.unchecked and not cochain.is_cocycle():

@@ -40,7 +40,6 @@ from .group_ring import (  # the budget and cocycle errors are re-exported
     MOD_P,
     BudgetExceededError,
     GroupContext,
-    NormExpansion,
     NotACocycleError,
     RingElem,
     _check_ring,
@@ -372,15 +371,13 @@ class ICochain(_Cochain):
         The value is the sum over basis tensors of the stored value times
         the product of the factors' coefficients.  It runs over whichever
         side is smaller: the stored entries, looking each slot up in its
-        factor, or the product of the factors' supports.  A factor may be
-        a ``NormExpansion``, whose support can outgrow ``len()``.
+        factor, or the product of the factors' supports.
         """
         if len(factors) != self.degree:
             raise ValueError(f"expected {self.degree} factors, got {len(factors)}")
         values = self.values
         total = 0
-        sizes = (d.size if isinstance(d, NormExpansion) else len(d) for d in factors)
-        if len(values) <= math.prod(sizes):
+        if len(values) <= math.prod(len(d) for d in factors):
             for key, v in values.items():
                 for u, d in zip(key, factors):
                     c = d.get(u)

@@ -15,7 +15,7 @@ from icochains import (
     INTEGERS,
     MOD_P,
     NormalizedCochain,
-    NotACocycleError,
+    Tensor,
     bockstein_cocycle,
     compositions,
     count_terms,
@@ -25,12 +25,11 @@ from icochains import (
     generator_power_cocycle,
     graded_dimension,
     invert,
-    invert_class,
     invert_normalized,
     invert_normalized_counted,
-    invert_via_shuffles,
     monomial_mul,
     perm_sign,
+    probe_tensor,
     random_cocycle,
     realize,
     shuffle_count,
@@ -39,6 +38,29 @@ from icochains import (
 from icochains.algebra import _invert_direct_p2, _invert_entry_sum
 from icochains.generators import _power_support
 from conftest import DESK, random_icochain
+
+
+def invert_via_shuffles(f) -> AlgebraElem:
+    """The shuffle form of the inverse map, the slow reference for
+    ``invert`` at every p: the coefficient of a signature (n_1, ..., n_r)
+    is (-1)^(l(l-1)/2) (l the number of odd n_i) times the sum over block
+    shuffles sigma of sgn(sigma) times f on the probe tensors' factors,
+    scattered by sigma.  Either cochain kind is read as an ICochain."""
+    ctx, n = f.ctx, f.degree
+    f = ICochain(ctx, n, f.ring, f.values)
+    terms = {}
+    for comp in compositions(n, ctx.r):
+        factors = [a for i, m in enumerate(comp, start=1)
+                   for a in probe_tensor(ctx, i, m).factors]
+        total = 0
+        for sigma in shuffles(comp):
+            permuted = [None] * n
+            for j, a in enumerate(factors):
+                permuted[sigma[j]] = a
+            total += perm_sign(sigma) * f.evaluate(Tensor(ctx, permuted))
+        odd = sum(m % 2 for m in comp)
+        terms[comp] = (-1) ** (odd * (odd - 1) // 2) * total
+    return AlgebraElem(ctx, terms)
 
 
 def test_monomial_mul_examples():
@@ -153,16 +175,6 @@ def test_invert_requires_mod_p():
         invert(f)
 
 
-def test_invert_class_demands_cocycle():
-    ctx = GroupContext(3, 1)
-    non_cocycle = ICochain(ctx, 1, MOD_P, {((1,),): 1, ((2,),): 1})
-    assert not non_cocycle.is_cocycle()
-    with pytest.raises(NotACocycleError):
-        invert_class(non_cocycle)
-    f = random_cocycle(ctx, 2, seed=3)
-    assert invert_class(f) == invert(f)
-
-
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_invert_kills_coboundaries_random(p, r):
     ctx = GroupContext(p, r)
@@ -203,13 +215,32 @@ def test_p2_cup_powers_of_degree_one_generator():
                 assert generator_power_cocycle(ctx, i, m) == cup_many([fi] * m)
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (3, 1), (3, 2), (5, 1)])
+# The contexts, with their top degrees, where invert is checked against the
+# shuffle form on cocycles of both kinds.
+AGREE_MAX_DEGREE = {(2, 2): 3, (3, 1): 3, (3, 2): 4, (5, 1): 3, (5, 2): 3, (3, 3): 3,
+                    (7, 1): 5}
+
+
+@pytest.mark.parametrize("p,r", list(AGREE_MAX_DEGREE))
 def test_invert_normalized_agrees(p, r):
+    # a realized class, alone and plus the coboundary of a random cochain,
+    # has E >= count_terms, so invert runs the formula; the shuffle form and
+    # invert of either kind recover the class
     ctx = GroupContext(p, r)
-    for n in range(4):
-        for seed in range(7):
-            f = random_cocycle(ctx, n, seed=seed)
-            assert invert_normalized(f.to_normalized()) == invert(f)
+    rng = random.Random(100 * p + r)
+    for n in range(AGREE_MAX_DEGREE[p, r] + 1):
+        sigs = list(compositions(n, r))
+        for _ in range(2):
+            e = AlgebraElem(ctx, {sig: rng.randrange(1, p)
+                                  for sig in rng.sample(sigs, min(2, len(sigs)))})
+            cocycles = [realize(e)]
+            if n:
+                g = random_icochain(ctx, n - 1, rng, max_support=20)
+                cocycles.append(cocycles[0] + g.coboundary())
+            for f in cocycles:
+                assert len(f.values) >= count_terms(ctx, n)
+                assert invert_via_shuffles(f) == e
+                assert invert(f) == e and invert(f.to_normalized()) == e
 
 
 @pytest.mark.parametrize("p,r", DESK)
@@ -281,8 +312,20 @@ def test_invert_sparse_cochain_at_large_p():
     assert time.perf_counter() - start < 2.0
 
 
+def test_formula_path_at_large_p():
+    # E = p - 1 = count_terms: invert runs the formula, one probe tuple
+    # ((q), (1)) per split q, each a stored key of value 1
+    p = 10007
+    ctx = GroupContext(p, 1)
+    f = ICochain(ctx, 2, MOD_P, {((q,), (1,)): 1 for q in range(1, p)})
+    assert len(f.values) == count_terms(ctx, 2)
+    start = time.perf_counter()
+    assert invert(f).terms == {(2,): p - 1}
+    assert time.perf_counter() - start < 2.0
+
+
 def test_invert_beyond_sys_maxsize():
-    # the (s-1)^(p-1) factor has p-1 > sys.maxsize terms, more than len() reports
+    # count_terms is p - 1 > sys.maxsize; invert sums the stored entries
     p = 2**64 + 13
     ctx = GroupContext(p, 1)
     f = ICochain(ctx, 2, MOD_P, {((p - 2,), (1,)): 5, ((3,), (2,)): 7})

@@ -131,6 +131,30 @@ def test_invert_override_flag(tmp_path, capsys):
     assert out_n == out_i  # the correspondence is value-for-value
 
 
+@pytest.mark.parametrize("kind", ["icochain", "normalized"])
+def test_invert_kind_flags_keep_the_output(tmp_path, capsys, kind):
+    # invert reads only the stored values, so neither the document's kind nor
+    # a flag changes its output, on the formula path (a realized cocycle) or
+    # on the entry sum (a 2-entry document, --unchecked)
+    code, tau_out, _ = run_cli(capsys, "tau", "--p", "3", "--r", "2", "--sig", "2,1")
+    assert code == EXIT_OK
+    sparse = json.dumps({"schema_version": "1", "p": 3, "r": 2, "n": 3, "kind": "icochain",
+                         "coeff_ring": "Fp", "entries": [
+                             {"key": [[1, 0], [2, 0], [1, 0]], "value": 2},
+                             {"key": [[0, 1], [1, 1], [1, 0]], "value": 1}]})
+    for text, expected in [(tau_out, {(2, 1): 1}), (sparse, {(3, 0): 2})]:
+        doc = json.loads(text)
+        doc["kind"] = kind
+        path = write_doc(tmp_path, "f.json", json.dumps(doc))
+        outputs = set()
+        for flags in [(), ("--normalized",), ("--icochain",)]:
+            code, out, _ = run_cli(capsys, "invert", "--unchecked", "--in", path, *flags)
+            assert code == EXIT_OK
+            outputs.add(out)
+        assert len(outputs) == 1
+        assert parse_algebra_document(outputs.pop()).terms == expected
+
+
 def test_tau_invert_round_trip(capsys):
     code, tau_out, _ = run_cli(capsys, "tau", "--p", "3", "--r", "1", "--sig", "2")
     assert code == EXIT_OK

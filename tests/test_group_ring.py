@@ -19,9 +19,7 @@ from icochains import (
     shifted_generator,
     shifted_monomial,
 )
-from icochains import algebra, generators
-from icochains.algebra import _probe_expansions
-from icochains.group_ring import NormExpansion
+from icochains import generators
 from conftest import DESK, random_ring_elem
 
 
@@ -129,47 +127,19 @@ def test_shifted_monomial_matches_repeated_multiplication(p, r, ring):
 
 
 def test_probe_top_factor_is_the_norm_element_mod_p(monkeypatch):
-    # C(p-1, j) (-1)^(p-1-j) = 1 mod p, so (s-1)^(p-1) = 1 + s + ... + s^(p-1)
+    # C(p-1, j) (-1)^(p-1-j) = 1 mod p, so (s-1)^(p-1) = 1 + s + ... + s^(p-1):
+    # the splits s^q - 1, q = 1..p-1, sum to it, so the inverse formula reads
+    # the probe tuples in place of the probe tensor
     p = 10007
     ctx = GroupContext(p, 1)
-    top, t = _probe_expansions(ctx, 1, 2)
-    assert top == {(j,): 1 for j in range(1, p)}
-    assert t == {(1,): 1}
+    top, t = generators.probe_tensor(ctx, 1, 2).factors
+    assert {u: c % p for u, c in as_difference_basis(top).items()} == {
+        (j,): 1 for j in range(1, p)}
+    assert as_difference_basis(t) == {(1,): 1}
     # without an even part no (s-1)^(p-1) factor is built at all
-    monkeypatch.setattr(algebra, "NormExpansion", None)
     monkeypatch.setattr(generators, "shifted_monomial", None)
-    assert _probe_expansions(ctx, 1, 1) == [{(1,): 1}]
-    assert _probe_expansions(ctx, 1, 0) == []
     assert len(generators.probe_tensor(ctx, 1, 1)) == 1
-
-
-@pytest.mark.parametrize("p,r", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (11, 3)])
-def test_norm_expansion_matches_shifted_monomial(p, r):
-    ctx = GroupContext(p, r)
-    for i in range(1, r + 1):
-        top = NormExpansion(ctx, i)
-        k = tuple(p - 1 if j == i - 1 else 0 for j in range(r))
-        expected = as_difference_basis(shifted_monomial(ctx, k, MOD_P))
-        assert top == expected and dict(top.items()) == expected
-        assert top.size == len(top) == len(expected) == p - 1
-        for u in ctx.elements():
-            assert top.get(u) == expected.get(u)
-            assert (u in top) == (u in expected)
-        for u in [(1,) * (r + 1), (p,) + (0,) * (r - 1), [1] + [0] * (r - 1)]:
-            assert top.get(u, "absent") == "absent"
-            with pytest.raises(KeyError):
-                top[u]
-
-
-def test_norm_expansion_beyond_sys_maxsize():
-    p = 2**64 + 13
-    ctx = GroupContext(p, 2)
-    top = NormExpansion(ctx, 2)
-    assert top.size == p - 1 and top.get((0, p - 1)) == 1 and top.get((1, 1)) is None
-    with pytest.raises(OverflowError):
-        len(top)
-    with pytest.raises(ValueError):
-        NormExpansion(ctx, 3)
+    assert len(generators.probe_tensor(ctx, 1, 0)) == 0
 
 
 def test_shifted_monomial_rejects_bad_input():
