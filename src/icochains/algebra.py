@@ -42,7 +42,13 @@ from typing import Iterator, Sequence
 
 from .cochain import ICochain, _check_output_budget, cup_many
 from .generators import _power_factors, _power_support, probe_tuple, q_choices
-from .group_ring import MOD_P, GroupContext
+from .group_ring import (
+    DEFAULT_MAX_ENTRIES,
+    EXACT_SIZE_DIGITS,
+    MOD_P,
+    BudgetExceededError,
+    GroupContext,
+)
 
 MonomialSig = tuple  # r nonnegative ints; degree = their sum
 
@@ -250,7 +256,7 @@ def realize(e: AlgebraElem) -> ICochain:
         return ICochain.zero(ctx, 0)
     degree = next(iter(e.degrees()))
     for sig in e.terms:
-        _check_output_budget(math.prod(_power_support(ctx, m) for m in sig))
+        _check_signature_budget(ctx, sig)
     p = ctx.p
     if len(e.terms) == 1:
         [(sig, c)] = e.terms.items()
@@ -264,6 +270,24 @@ def realize(e: AlgebraElem) -> ICochain:
             values[key] = (values.get(key, 0) + c * v) % p
     # The keys come from cup_many; only the zero sums need dropping.
     return ICochain._trusted(ctx, degree, MOD_P, {k: v for k, v in values.items() if v})
+
+
+def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
+    """Refuse a signature whose cocycle has more entries than the default
+    budget, before any factor is built.
+
+    Its support is a^odd b^pairs, with a and b the supports of a degree-1
+    and a degree-2 generator (see ``_power_support``), odd the number of
+    odd exponents and pairs the sum of their halves.  The logarithm decides
+    first, so a huge signature is refused without the exact product, which
+    takes seconds at degree 10^7.
+    """
+    a, b = _power_support(ctx, 1), _power_support(ctx, 2)
+    odd, pairs = sum(m % 2 for m in sig), sum(m // 2 for m in sig)
+    log10 = odd * math.log10(a) + pairs * math.log10(b)
+    if log10 > EXACT_SIZE_DIGITS:
+        raise BudgetExceededError(None, DEFAULT_MAX_ENTRIES, log10)
+    _check_output_budget(a**odd * b**pairs)
 
 
 def _signature_cocycle(ctx: GroupContext, sig: MonomialSig) -> ICochain:

@@ -10,12 +10,18 @@ and serialization is byte-stable for identical inputs.
 
 ``dumps_document`` writes the two layouts directly.  Its text is
 byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
-which the tests keep as the reference.  It renders each distinct exponent
-vector once, and the text of each key up to its last slot once per run of
-keys that share it.  ``parse_cochain_document`` validates each distinct
-exponent vector once: a later vector of r exact ints equal to it reuses
-its tuple, and anything else goes through the full check, so every
-message and exit code is that of the per-entry check.
+which the tests keep as the reference.  Every piece of the text, from the
+opening brace to the closing newline, goes into one list that is joined
+once, so the megabyte-sized text is copied once.  It renders each distinct
+exponent vector once, and the text of each key up to its last slot once
+per run of keys that share it.
+
+``parse_cochain_document`` checks the entries as columns: each condition
+(entry fields, key lengths, exponent and value types, duplicate keys) is
+one pass of ``map``, ``set`` or ``zip`` that runs in C, and each distinct
+exponent vector is range-checked once.  When any column fails, the
+per-entry loop checks the entries again one by one and raises the first
+error, so every message and exit code is that of the per-entry check.
 
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (entry budget), with the
@@ -49,7 +55,11 @@ would delay the reader's end of input and the pipe's end.  ``atexit``
 handlers therefore do not run.  When a flush fails, or a tracer or
 profiler is installed (coverage, ``python -m cProfile``), it leaves
 through ``sys.exit`` and the usual shutdown instead.  Exceptions, and
-argparse's ``SystemExit``, propagate out of ``main`` either way.
+argparse's ``SystemExit``, propagate out of ``main`` either way.  Before
+``main``, ``entry_point`` also defers the cyclic garbage collector
+(``gc.freeze`` and a first-generation threshold of 50 000), because the
+bulk of a command's data is acyclic; ``main`` leaves the collector as it
+finds it.
 """
 
 from __future__ import annotations
@@ -105,21 +115,27 @@ def _check_vector(vec, ctx: GroupContext, where: str, allow_zero: bool) -> tuple
     return tuple(vec)
 
 
+def _load_json(text: str):
+    """The JSON value of a document's text.  Bad syntax, an int past the
+    digit limit and nesting past the recursion limit are DocumentErrors."""
+    import json
+
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from None
+
+
 def parse_cochain_document(text: str):
     """Parse and validate a cochain document.
 
     Returns (cochain, kind) where the cochain is a NormalizedCochain or an
     ICochain according to the document's kind tag.
     """
-    import json
-
     from .cochain import ICochain, NormalizedCochain
     from .group_ring import INTEGERS, MOD_P
 
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # also an int past the digit limit
-        raise DocumentError(f"invalid JSON: {exc}") from None
+    obj = _load_json(text)
     _expect(isinstance(obj, dict), "document must be a JSON object")
     _expect(obj.get("schema_version") == SCHEMA_VERSION,
             f"schema_version must be {SCHEMA_VERSION!r}")
@@ -140,6 +156,50 @@ def parse_cochain_document(text: str):
 
 def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
     """The validated {key: value} map of a cochain document's entries.
+
+    The entries are checked as columns, each in one pass that runs in C:
+    every entry is a dict of two items, 'key' and 'value'; every key a list
+    of n lists; every exponent an exact int (so no bool or float equal to
+    one passes); each distinct vector has r exponents in [0, p) and is not
+    the zero vector; every value is an exact nonzero int, in [1, p) over
+    Fp; and no key repeats.  Equal vectors share one tuple.  When any check
+    fails, ``_entry_values_per_entry`` checks the entries again one by one
+    and raises the first error, with the per-entry loop's message.
+    """
+    from itertools import chain, repeat, tee
+
+    from .group_ring import MOD_P
+
+    count = len(entries)
+    if not count:
+        return {}
+    if not (set(map(type, entries)) == {dict} and set(map(len, entries)) == {2}):
+        return _entry_values_per_entry(entries, ctx, n, ring)
+    keys = list(map(dict.get, entries, repeat("key")))
+    values = list(map(dict.get, entries, repeat("value")))
+    if not (set(map(type, keys)) == {list} and set(map(len, keys)) == {n}
+            and set(map(type, values)) == {int}
+            and (0 < min(values) and max(values) < ctx.p if ring == MOD_P
+                 else 0 not in values)):
+        return _entry_values_per_entry(entries, ctx, n, ring)
+    vectors = list(chain.from_iterable(keys))
+    if n and not (set(map(type, vectors)) == {list}
+                  and set(map(type, chain.from_iterable(vectors))) == {int}):
+        return _entry_values_per_entry(entries, ctx, n, ring)
+    distinct: dict = {}  # each distinct vector, mapped to its first tuple
+    shared = map(distinct.setdefault, *tee(map(tuple, vectors)))
+    # each n consecutive vectors form a key
+    result = dict(zip(zip(*[shared] * n) if n else [()] * count, values))
+    if len(result) != count or n and not (
+            set(map(len, distinct)) == {ctx.r} and all(map(any, distinct))
+            and min(map(min, distinct)) >= 0 and max(map(max, distinct)) < ctx.p):
+        return _entry_values_per_entry(entries, ctx, n, ring)
+    return result
+
+
+def _entry_values_per_entry(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
+    """The validated {key: value} map of a cochain document's entries, or
+    the error of the first entry that fails, checked one entry at a time.
 
     Each distinct exponent vector goes through ``_check_vector`` once; a
     later vector of r exact ints that equals it reuses its tuple.  The
@@ -193,14 +253,9 @@ def cochain_document(cochain, kind: str) -> dict:
 
 
 def parse_algebra_document(text: str) -> AlgebraElem:
-    import json
-
     from .algebra import AlgebraElem
 
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # also an int past the digit limit
-        raise DocumentError(f"invalid JSON: {exc}") from None
+    obj = _load_json(text)
     _expect(isinstance(obj, dict), "document must be a JSON object")
     _expect(obj.get("schema_version") == SCHEMA_VERSION,
             f"schema_version must be {SCHEMA_VERSION!r}")
@@ -242,61 +297,68 @@ def dumps_document(doc: dict) -> str:
 
     It is byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``
     plus a newline, which on Python 3.11 never uses the C encoder.  The
-    fields and entries of the two layouts are written directly; each
-    distinct exponent vector is rendered once per document, and each key
-    prefix (all slots but the last) once per run of entries sharing it.
+    fields and entries of the two layouts are written directly, as pieces
+    of one list joined once at the end; each distinct exponent vector is
+    rendered once per document, and each key prefix (all slots but the
+    last) once per run of entries sharing it.
     """
     import json
 
-    fields = []
+    out = []
+    sep = "{\n  "
     for name, value in sorted(doc.items()):
-        text = _entries_text(value) if name == "entries" else json.dumps(value)
-        fields.append(f"  {json.dumps(name)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+        out += (sep, json.dumps(name), ": ")
+        if name == "entries":
+            _write_entries(out, value)
+        else:
+            out.append(json.dumps(value))
+        sep = ",\n  "
+    out.append("\n}\n")
+    return "".join(out)
 
 
-def _array_text(items: list, level: int) -> str:
-    """An indent-2 JSON array of rendered items whose brackets sit at
-    nesting ``level``."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (level + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
-
-
-def _entries_text(entries: list) -> str:
-    """The ``entries`` array: {key, value} cochain entries, whose exponent
-    vectors repeat, or {coeff, signature} algebra entries.
+def _write_entries(out: list, entries: list) -> None:
+    """Append the pieces of the ``entries`` array to ``out``: {key, value}
+    cochain entries, whose exponent vectors repeat, or {coeff, signature}
+    algebra entries.
 
     A cochain entry's text up to its key's last slot is rendered once per
     run of entries whose keys agree on every slot but the last, which in
     sorted order is one run per prefix.
     """
-    vectors: dict = {}
+    if not entries:
+        out.append("[]")
+        return
+    slots: dict = {}  # exponent vector -> its text as a key slot
+    lasts: dict = {}  # exponent vector -> its text as a key's last slot, to the value
 
-    def vector_text(u) -> str:
-        u = tuple(u)
-        text = vectors.get(u)
+    def slot_text(u) -> str:
+        text = slots.get(u)
         if text is None:
-            text = vectors[u] = _array_text(list(map(int.__repr__, u)), 4)
+            text = slots[u] = "\n        [\n          " + ",\n          ".join(
+                map(int.__repr__, u)) + "\n        ]"
         return text
 
-    rendered = []
     prefix = head = None
+    sep = "[\n    "
     for entry in entries:
         if "key" in entry:
             key = entry["key"]
             if key[:-1] != prefix:
                 prefix = key[:-1]
-                head = '{\n      "key": [' + "".join(
-                    f"\n        {vector_text(u)}," for u in prefix)
-            tail = f"\n        {vector_text(key[-1])}\n      ]," if key else "],"
-            rendered.append(f'{head}{tail}\n      "value": {int.__repr__(entry["value"])}\n    }}')
+                head = '{\n      "key": [' + "".join(slot_text(tuple(u)) + "," for u in prefix)
+            last = tuple(key[-1]) if key else ()
+            tail = lasts.get(last)
+            if tail is None:
+                tail = slot_text(last) + "\n      ]," if key else "],"
+                tail = lasts[last] = tail + '\n      "value": '
+            out += (sep, head, tail, int.__repr__(entry["value"]), "\n    }")
         else:
-            sig = _array_text(list(map(int.__repr__, entry["signature"])), 3)
-            rendered.append(f'{{\n      "coeff": {int.__repr__(entry["coeff"])},\n'
-                            f'      "signature": {sig}\n    }}')
-    return _array_text(rendered, 1)
+            out += (sep, '{\n      "coeff": ', int.__repr__(entry["coeff"]),
+                    ',\n      "signature": [\n        ',
+                    ",\n        ".join(map(int.__repr__, entry["signature"])), "\n      ]\n    }")
+        sep = ",\n    "
+    out.append("\n  ]")
 
 
 def _read_input(path: str) -> str:
@@ -573,9 +635,19 @@ def main(argv=None) -> int:
 def entry_point() -> None:
     """Run ``main`` and exit with its code, without the interpreter's
     teardown unless a flush fails or a tracer or profiler is installed
-    (see the module docstring)."""
+    (see the module docstring).
+
+    The cyclic garbage collector is deferred first: what the interpreter
+    has allocated so far is frozen out of every collection, and the first
+    generation is collected after 50 000 net container allocations
+    instead of 700.  A command's bulk is acyclic (parsed documents, dicts
+    of key tuples), so those collections would free almost nothing, and
+    the process ends without a final one."""
+    import gc
     import os
 
+    gc.freeze()
+    gc.set_threshold(50_000, 20, 100)
     code = main()
     try:
         sys.stdout.flush()

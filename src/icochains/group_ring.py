@@ -15,6 +15,7 @@ oracle and the CLI reach them without loading any cochain code.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator
 
 # Coefficient-ring tags.  MOD_P values are always stored reduced into [0, p).
@@ -34,13 +35,29 @@ class NotACocycleError(ValueError):
     """Raised when an operation defined on cohomology classes gets a non-cocycle."""
 
 
+# Sizes of more decimal digits than this are printed as a bound; str()
+# refuses ints of more than 4 300 digits.
+EXACT_SIZE_DIGITS = 3900
+
+
 class BudgetExceededError(RuntimeError):
     """A matrix, the key set of a block computation, or the terms of a
-    coboundary or cup product would exceed the configured entry budget."""
+    coboundary or cup product would exceed the configured entry budget.
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"the computation needs {required} entries, over the budget of {budget}")
+    ``required`` is the size needed, printed in full up to
+    ``EXACT_SIZE_DIGITS`` digits and as a bound, "more than 10^k", past
+    them.  A caller that cannot afford the exact size passes None and its
+    base-10 logarithm ``log10``; ``required`` is then None.
+    """
+
+    def __init__(self, required: int | None, budget: int, log10: float | None = None):
+        if required is not None:
+            log10 = math.log10(max(required, 1))
+        if required is not None and log10 <= EXACT_SIZE_DIGITS:
+            needs = str(required)
+        else:  # the margin keeps a float log10 of exactly k from claiming 10^k
+            needs = f"more than 10^{math.floor(log10 * (1 - 1e-12))}"
+        super().__init__(f"the computation needs {needs} entries, over the budget of {budget}")
         self.required = required
         self.budget = budget
 

@@ -1,6 +1,7 @@
 """CLI commands, document validation, exit codes, and byte stability."""
 
 import decimal
+import gc
 import json
 import os
 import subprocess
@@ -347,6 +348,17 @@ def test_tau_refuses_before_building_a_factor():
     assert "Traceback" not in result.stderr and result.stdout == ""
 
 
+@pytest.mark.parametrize("sig,exponent", [("100000,0", 71568), ("10000000,0", 7156818)])
+def test_tau_refuses_a_huge_signature_by_its_logarithm(sig, exponent):
+    # 27^(m/2) entries: the exact product would have millions of digits
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "tau", "--p", "3", "--r", "2", "--sig", sig],
+        capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout) == (EXIT_BUDGET, "")
+    assert result.stderr == (f"error: the computation needs more than 10^{exponent} entries, "
+                             "over the budget of 16777216\n")
+
+
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):
     ctx = GroupContext(2, 1)
     doc = dumps_document(cochain_document(carry_cocycle(ctx, 1), "normalized"))
@@ -493,6 +505,15 @@ def test_malformed_input_exit(tmp_path, capsys):
     assert "invalid JSON" in err
     code, _, err = run_cli(capsys, "invert", "--in", str(tmp_path / "missing.json"))
     assert code == EXIT_INVALID
+
+
+def test_deeply_nested_json_is_invalid_json(tmp_path, capsys):
+    path = write_doc(tmp_path, "deep.json", "[" * 100_000)
+    code, out, err = run_cli(capsys, "invert", "--in", path)
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: invalid JSON: maximum recursion depth exceeded")
+    with pytest.raises(DocumentError, match="^invalid JSON: maximum recursion depth"):
+        parse_algebra_document('{"entries": ' + "{\"a\": " * 100_000)
 
 
 def test_undecodable_input_exit(tmp_path, capsys):
@@ -770,3 +791,18 @@ def test_tracer_makes_the_cli_exit_through_sys_exit(mode, stdout):
                              "count-terms", "--p", "2", "--r", "1", "--n", "1"],
                             capture_output=True, text=True, env=process_env(), timeout=10)
     assert (result.returncode, result.stdout, result.stderr) == (0, stdout, "")
+
+
+def test_main_leaves_the_garbage_collector_as_it_found_it(capsys):
+    before = gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()
+    assert main(TAU_222) == EXIT_OK
+    assert (gc.get_threshold(), gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_entry_point_defers_the_garbage_collector():
+    probe = ("import gc, icochains.cli as cli\n"
+             "cli.main = lambda: print(*gc.get_threshold(), gc.get_freeze_count() > 0) or 0\n"
+             "cli.entry_point()\n")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=process_env(), timeout=10)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "50000 20 100 True\n", "")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icochains import INTEGERS, MOD_P, AlgebraElem, GroupContext, ICochain, NormalizedCochain
+from icochains import INTEGERS, MOD_P, AlgebraElem, GroupContext, ICochain, NormalizedCochain, cli
 from icochains.cli import (
     EXIT_OK,
     SCHEMA_VERSION,
@@ -189,25 +189,52 @@ def outcome(parse, text):
 
 
 # Mutations of one exponent vector; True, False and 1.0 compare and hash
-# equal to the ints they replace.
+# equal to the ints they replace.  EXPONENT_FLOAT stands for the literal
+# 1e0, which json.dumps never writes, until the text is made.
+EXPONENT_FLOAT = "1e0 here"
 VECTOR_MUTATIONS = {
     "bool": lambda vec, p: [bool(vec[0]) if vec[0] < 2 else True] + vec[1:],
     "float": lambda vec, p: [float(vec[0])] + vec[1:],
+    "1e0": lambda vec, p: [EXPONENT_FLOAT] + vec[1:],
+    "nan": lambda vec, p: [float("nan")] + vec[1:],
+    "infinity": lambda vec, p: vec[:-1] + [float("inf")],
+    "str": lambda vec, p: [str(vec[0])] + vec[1:],
+    "null": lambda vec, p: vec[:-1] + [None],
+    "nested list": lambda vec, p: [vec[:1]] + vec[1:],
+    "negative": lambda vec, p: [-1] + vec[1:],
     "out of range": lambda vec, p: [p] + vec[1:],
     "zero vector": lambda vec, p: [0] * len(vec),
     "wrong length": lambda vec, p: vec + [1],
+    "not a list": lambda vec, p: vec[0],
+}
+
+# Mutations of one entry: each maps the entry and a vector of the
+# document's length r to the entry's replacement.
+ENTRY_MUTATIONS = {
+    "extra field": lambda entry, vec: {**entry, "extra": 1},
+    "missing key": lambda entry, vec: {"value": entry["value"]},
+    "missing value": lambda entry, vec: {"key": entry["key"]},
+    "key not a list": lambda entry, vec: {**entry, "key": "k" * len(entry["key"])},
+    "key null": lambda entry, vec: {**entry, "key": None},
+    "long key": lambda entry, vec: {**entry, "key": entry["key"] + [vec]},
+    "short key": lambda entry, vec: {**entry, "key": entry["key"][:-1]},
+    "list": lambda entry, vec: [entry["key"], entry["value"]],
+    "null": lambda entry, vec: None,
 }
 
 
 @given(cochains(), st.data())
-@settings(max_examples=300, deadline=None)
+@example((NormalizedCochain(GroupContext(3, 1), 0, MOD_P, {(): 2}), "normalized"), None)
+@example((ICochain(GroupContext(2, 2), 0, INTEGERS, {(): -7}), "icochain"), None)
+@settings(max_examples=400, deadline=None)
 def test_parser_agrees_with_reference_on_mutated_documents(case, data):
     f, kind = case
     obj = json.loads(dumps_document(cochain_document(f, kind)))
     entries = obj["entries"]
     sites = [(i, j) for i, e in enumerate(entries) for j in range(len(e["key"]))]
-    choices = ["none", "value", "duplicate"] + (["vector"] if sites else [])
-    mutation = data.draw(st.sampled_from(choices), label="mutation")
+    choices = ["none", "value", "duplicate", "string field"] + (["entry"] if entries else [])
+    choices += ["vector"] if sites else []
+    mutation = data.draw(st.sampled_from(choices), label="mutation") if data else "none"
     if mutation == "vector":
         # the first occurrence of a vector, or a repeated one when there is one
         seen, first, repeated = set(), [], []
@@ -219,17 +246,92 @@ def test_parser_agrees_with_reference_on_mutated_documents(case, data):
         i, j = data.draw(st.sampled_from(group), label="site")
         change = data.draw(st.sampled_from(sorted(VECTOR_MUTATIONS)), label="change")
         entries[i]["key"][j] = VECTOR_MUTATIONS[change](entries[i]["key"][j], f.ctx.p)
+    elif mutation == "entry":
+        i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+        change = data.draw(st.sampled_from(sorted(ENTRY_MUTATIONS)), label="change")
+        entries[i] = ENTRY_MUTATIONS[change](entries[i], [1] * f.ctx.r)
     elif mutation == "value" and entries:
         i = data.draw(st.integers(0, len(entries) - 1), label="entry")
         value = entries[i]["value"]
         entries[i]["value"] = data.draw(st.sampled_from(
-            [True, False, float(value), value + f.ctx.p, 0]), label="value")
+            [True, False, float(value), value + f.ctx.p, 0, -value, None, str(value)]),
+            label="value")
     elif mutation == "duplicate" and len(entries) > 1:
         a, b = data.draw(st.lists(st.integers(0, len(entries) - 1), min_size=2,
                                   max_size=2, unique=True), label="entries")
         entries[b]["key"] = entries[a]["key"]
-    text = json.dumps(obj)
+    elif mutation == "string field":
+        # a field the parser does not read, whose text holds JSON literals
+        obj["note"] = data.draw(st.sampled_from(["true", "false", "1e0", "null"]), label="note")
+    text = json.dumps(obj).replace(json.dumps(EXPONENT_FLOAT), "1e0")
     assert outcome(parse_cochain_document, text) == outcome(reference_parse, text)
+
+
+# Sorted, its entries are ((1,0),(1,0)), ((1,0),(2,1)) and ((2,1),(1,0)):
+# entries[0].key[0] is the first [1, 0] and entries[2].key[1] a repeat.
+FIXED_VALUES = {((1, 0), (2, 1)): 1, ((1, 0), (1, 0)): 2, ((2, 1), (1, 0)): 1}
+
+
+def fixed_document(ring=MOD_P) -> dict:
+    f = ICochain(GroupContext(3, 2), 2, ring, FIXED_VALUES)
+    return json.loads(dumps_document(cochain_document(f, "icochain")))
+
+
+def assert_parsers_agree(obj: dict):
+    text = json.dumps(obj).replace(json.dumps(EXPONENT_FLOAT), "1e0")
+    expected = outcome(reference_parse, text)
+    assert expected[0] == "error"
+    assert outcome(parse_cochain_document, text) == expected
+
+
+@pytest.mark.parametrize("change", sorted(VECTOR_MUTATIONS))
+@pytest.mark.parametrize("i,j", [(0, 0), (2, 1)])
+def test_each_vector_mutation_gets_the_reference_error(change, i, j):
+    obj = fixed_document()
+    obj["entries"][i]["key"][j] = VECTOR_MUTATIONS[change](obj["entries"][i]["key"][j], 3)
+    assert_parsers_agree(obj)
+
+
+@pytest.mark.parametrize("change", sorted(ENTRY_MUTATIONS))
+@pytest.mark.parametrize("i", [0, 2])
+def test_each_entry_mutation_gets_the_reference_error(change, i):
+    obj = fixed_document()
+    obj["entries"][i] = ENTRY_MUTATIONS[change](obj["entries"][i], [1, 1])
+    assert_parsers_agree(obj)
+
+
+def test_duplicate_key_gets_the_reference_error():
+    obj = fixed_document()
+    obj["entries"][2]["key"] = obj["entries"][0]["key"]
+    assert_parsers_agree(obj)
+
+
+@pytest.mark.parametrize("ring,value", [(MOD_P, 0), (MOD_P, 3), (MOD_P, -1), (MOD_P, True),
+                                        (MOD_P, 1.0), (INTEGERS, 0), (INTEGERS, False),
+                                        (INTEGERS, -2.0), (INTEGERS, "-2"), (INTEGERS, None)])
+def test_each_value_mutation_gets_the_reference_error(ring, value):
+    obj = fixed_document(ring)
+    obj["entries"][1]["value"] = value
+    assert_parsers_agree(obj)
+
+
+@given(cochains())
+@example((NormalizedCochain(GroupContext(3, 1), 0, MOD_P, {(): 2}), "normalized"))
+@example((ICochain(GroupContext(2, 2), 0, INTEGERS, {(): -7}), "icochain"))
+@example((ICochain(GroupContext(5, 1), 1, INTEGERS, {((1,),): -(2**70), ((2,),): -1}),
+          "icochain"))
+@settings(max_examples=200, deadline=None)
+def test_valid_documents_pass_the_column_checks(case):
+    # Z values of either sign and n = 0 keys among them: only an invalid
+    # document reaches the per-entry loop
+    def per_entry(*args):
+        raise AssertionError("a valid document left the column checks")
+
+    f, kind = case
+    text = dumps_document(cochain_document(f, kind))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_entry_values_per_entry", per_entry)
+        assert parse_cochain_document(text) == (f, kind)
 
 
 def test_repeated_vector_with_equal_bool_or_float_is_rejected():
