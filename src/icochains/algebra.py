@@ -10,10 +10,9 @@ signature entry m = 2k + l, l in {0, 1}, stands for (i-th degree-1
 variable)^l times (its Bockstein)^k.
 
 ``realize`` maps a signature to an explicit cocycle by cupping generator
-powers.  ``invert`` is the reverse map on cochain representatives of
-either kind, one function of the stored values: both kinds store the same
-keys, and the paper's formula reads nothing else.  For p = 2 the
-coefficient of a monomial sums the values on tuples of generators; for
+powers.  ``invert`` is the reverse map on cochain representatives, one
+function of the stored values, which is all the paper's formula reads.
+For p = 2 the coefficient of a monomial sums the values on tuples of generators; for
 p > 2 it is a signed sum, over shuffles of the blocks and splits of each
 block's (s_i - 1)^(p-1) factors, of values on explicit group-element
 tuples (the probes).  It kills coboundaries exactly, so it is well
@@ -361,7 +360,7 @@ def _invert_entry_sum(f) -> AlgebraElem:
 
 
 def invert(f) -> AlgebraElem:
-    """Map a degree-n cochain of either kind to algebra coordinates.
+    """Map a degree-n cochain to algebra coordinates.
 
     This is the raw linear map on cochains; it vanishes on coboundaries,
     so on cocycles it computes the inverse of ``realize`` on classes.  It
@@ -378,12 +377,12 @@ invert_normalized = invert
 
 
 def _invert_direct_p2(f) -> tuple[AlgebraElem, int]:
-    """The p = 2 inverse of either cochain kind, with the number of
-    cochain evaluations it performed.
+    """The p = 2 inverse, with the number of cochain evaluations it
+    performed.
 
     The coefficient of a monomial is the sum of the values on all tuples
     of generators (tensors of shifted generators) whose index word has
-    that content; both kinds store those values under the same keys.
+    that content.
     """
     ctx = f.ctx
     gens = [ctx.generator(i) for i in range(1, ctx.r + 1)]
@@ -402,11 +401,11 @@ def _invert_direct_p2(f) -> tuple[AlgebraElem, int]:
 
 
 def invert_normalized_counted(a) -> tuple[AlgebraElem, int]:
-    """The formula path of ``invert`` on a cochain of either kind, also
-    reporting the number of cochain evaluations performed (the advertised
-    term count of the formula); it never takes the entry sum.  At p > 2
-    it reads the values on the split probe tuples: mod p, the splits
-    s_i^q - 1 of each (s_i - 1)^(p-1) factor sum to that factor."""
+    """The formula path of ``invert``, also reporting the number of cochain
+    evaluations performed (the advertised term count of the formula); it
+    never takes the entry sum.  At p > 2 it reads the values on the split
+    probe tuples: mod p, the splits s_i^q - 1 of each (s_i - 1)^(p-1)
+    factor sum to that factor."""
     _require_mod_p(a)
     ctx = a.ctx
     if ctx.p == 2:
@@ -453,8 +452,11 @@ def count_terms(ctx: GroupContext, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     p, r = ctx.p, ctx.r
-    # the digits of r^n (p-1)^(n//2), which bounds the count, then the steps
-    _check_output_budget(int(n * math.log10(r) + n // 2 * math.log10(p - 1)) + 1)
+    # the digits of r^n (p-1)^(n//2), which bounds the count, reporting the
+    # count's lower bound max(r^n, (p-1)^(n//2)); then the steps
+    low, high = n * math.log10(r), n // 2 * math.log10(p - 1)
+    if int(low + high) + 1 > DEFAULT_MAX_ENTRIES:
+        raise BudgetExceededError(None, DEFAULT_MAX_ENTRIES, max(low, high))
     _check_output_budget((r - 1) * n * n)
     if r == 1 or n == 0:
         return (p - 1) ** (n // 2)

@@ -3,8 +3,9 @@
 Documents are UTF-8 JSON.  A cochain document carries (p, r, n), a kind
 tag (``normalized`` or ``icochain``), a coefficient-ring tag (``Z`` or
 ``Fp``), and a list of entries mapping keys (lists of n exponent vectors,
-each r integers in [0, p), never the zero vector) to nonzero values.  An
-algebra document carries (p, r) and entries mapping monomial signatures to
+each r integers in [0, p), never the zero vector) to nonzero values.  Both
+kinds store the same values, so every document parses to an ``ICochain``;
+the kind is a label, which ``d`` writes back.  An algebra document carries (p, r) and entries mapping monomial signatures to
 coefficients in [1, p).  All output is deterministic: entries are sorted
 and serialization is byte-stable for identical inputs.
 
@@ -25,7 +26,8 @@ error, so every message and exit code is that of the per-entry check.
 
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (entry budget), with the
-required size in the message; 64 usage errors such as unknown flags.
+required size in the message; 64 usage errors such as unknown flags; 141
+(128 + SIGPIPE) when the reader closes stdout early, with nothing on stderr.
 
 At module level this file imports only ``sys``; ``argparse`` loads in
 ``build_parser``, ``json`` in the document functions, and each library
@@ -34,13 +36,13 @@ command needs.  ``dims`` loads ``group_ring`` and ``graded`` and ranks the
 multigraded blocks in pure Python, with no cochain, algebra or inverse-map
 code.  ``tau``, ``invert``, ``cup``, ``d``, ``check-cocycle`` and
 ``count-terms`` load ``algebra`` or ``cochain`` (and through them
-``group_ring`` and ``generators``).  Only ``d`` on an icochain document,
-which runs the coboundary kernel, and ``selftest``, which runs the dense
+``group_ring`` and ``generators``).  Only ``d``, which runs the
+coboundary kernel on either kind, and ``selftest``, which runs the dense
 oracle, import numpy; ``invert`` and ``check-cocycle`` decide cocycles on
 the bar formula in pure Python.  The handlers reach ``realize``,
-``invert``, ``invert_normalized`` and the four document functions through
-this module's globals, so replacing one of these names here (as a tracer
-does) reaches every command that calls it.
+``invert`` and the four document functions through this module's globals,
+so replacing one of these names here (as a tracer does) reaches every
+command that calls it.
 
 Only the CLI's own boundary errors become exit codes: ``DocumentError``
 (including a bad ``--p``/``--r``), ``NotACocycleError`` and
@@ -55,7 +57,8 @@ would delay the reader's end of input and the pipe's end.  ``atexit``
 handlers therefore do not run.  When a flush fails, or a tracer or
 profiler is installed (coverage, ``python -m cProfile``), it leaves
 through ``sys.exit`` and the usual shutdown instead.  Exceptions, and
-argparse's ``SystemExit``, propagate out of ``main`` either way.  Before
+argparse's ``SystemExit``, propagate out of ``main`` either way, and out of
+``entry_point`` too, except a ``BrokenPipeError`` on stdout.  Before
 ``main``, ``entry_point`` also defers the cyclic garbage collector
 (``gc.freeze`` and a first-generation threshold of 50 000), because the
 bulk of a command's data is acyclic; ``main`` leaves the collector as it
@@ -73,6 +76,7 @@ EXIT_INVALID = 1
 EXIT_NOT_COCYCLE = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class DocumentError(ValueError):
@@ -129,10 +133,10 @@ def _load_json(text: str):
 def parse_cochain_document(text: str):
     """Parse and validate a cochain document.
 
-    Returns (cochain, kind) where the cochain is a NormalizedCochain or an
-    ICochain according to the document's kind tag.
+    Returns (cochain, kind): an ICochain holding the entries, whatever the
+    kind, and the document's kind tag.
     """
-    from .cochain import ICochain, NormalizedCochain
+    from .cochain import ICochain
     from .group_ring import INTEGERS, MOD_P
 
     obj = _load_json(text)
@@ -150,8 +154,7 @@ def parse_cochain_document(text: str):
     entries = obj.get("entries")
     _expect(isinstance(entries, list), "field 'entries' must be a list")
     # every key and value is checked here; the constructor would repeat it
-    cls = NormalizedCochain if kind == "normalized" else ICochain
-    return cls._trusted(ctx, n, ring, _entry_values(entries, ctx, n, ring)), kind
+    return ICochain._trusted(ctx, n, ring, _entry_values(entries, ctx, n, ring)), kind
 
 
 def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
@@ -386,7 +389,8 @@ def _read_input(path: str) -> str:
 #
 # The handlers call these names, and the four document functions above,
 # through this module's globals, so a tracer can replace any of them here.
-# Each loads ``algebra`` on its first call.
+# Each loads ``algebra`` on its first call.  ``invert_normalized``, the
+# older name of ``invert``, is kept for the benchmark's tracer.
 
 def realize(e):
     from . import algebra
@@ -398,9 +402,7 @@ def invert(f):
     return algebra.invert(f)
 
 
-def invert_normalized(a):
-    from . import algebra
-    return algebra.invert_normalized(a)
+invert_normalized = invert
 
 
 # -- command handlers ---------------------------------------------------
@@ -412,17 +414,12 @@ def _cmd_invert(args) -> int:
     from . import algebra  # noqa: F401  (for invert, ahead of the read)
     from .group_ring import MOD_P, NotACocycleError
 
-    cochain, kind = parse_cochain_document(_read_input(args.infile))
-    kind = args.kind_override or kind
+    cochain, _ = parse_cochain_document(_read_input(args.infile))
     if cochain.ring != MOD_P:
         raise DocumentError("invert requires mod-p coefficients (coeff_ring 'Fp')")
     if not args.unchecked and not cochain.is_cocycle():
         raise NotACocycleError("input cochain is not a cocycle")
-    if kind == "normalized":
-        result = invert_normalized(cochain)
-    else:
-        result = invert(cochain)
-    sys.stdout.write(dumps_document(algebra_document(result)))
+    sys.stdout.write(dumps_document(algebra_document(invert(cochain))))
     return EXIT_OK
 
 
@@ -448,10 +445,10 @@ def _cmd_cup(args) -> int:
         raise DocumentError("cup needs at least two --in documents")
     factors = []
     for path in args.infile:
-        cochain, kind = parse_cochain_document(_read_input(path))
+        cochain, _ = parse_cochain_document(_read_input(path))
         if cochain.ring != MOD_P:
             raise DocumentError("cup requires mod-p coefficients")
-        factors.append(cochain.to_icochain() if kind == "normalized" else cochain)
+        factors.append(cochain)
     result = factors[0]
     for g in factors[1:]:
         if g.ctx != result.ctx:
@@ -561,14 +558,15 @@ def build_parser():
                               "to algebra coordinates")
     p_invert.add_argument("--in", dest="infile", required=True,
                           help="cochain document path, or - for stdin")
+    # both kinds store the same values, so the kind flags change nothing
     kind = p_invert.add_mutually_exclusive_group()
-    kind.add_argument("--normalized", dest="kind_override", action="store_const",
-                      const="normalized", help="reinterpret entries as a normalized cochain")
-    kind.add_argument("--icochain", dest="kind_override", action="store_const",
-                      const="icochain", help="reinterpret entries as an ideal-tensor cochain")
+    kind.add_argument("--normalized", action="store_true",
+                      help="accepted for compatibility; no effect")
+    kind.add_argument("--icochain", action="store_true",
+                      help="accepted for compatibility; no effect")
     p_invert.add_argument("--unchecked", action="store_true",
                           help="skip the cocycle check (raw linear map)")
-    p_invert.set_defaults(func=_cmd_invert, kind_override=None)
+    p_invert.set_defaults(func=_cmd_invert)
 
     p_tau = sub.add_parser("tau", help="realize a monomial signature as a cocycle document")
     p_tau.add_argument("--p", type=int, required=True)
@@ -642,13 +640,20 @@ def entry_point() -> None:
     generation is collected after 50 000 net container allocations
     instead of 700.  A command's bulk is acyclic (parsed documents, dicts
     of key tuples), so those collections would free almost nothing, and
-    the process ends without a final one."""
+    the process ends without a final one.  A ``BrokenPipeError`` on stdout
+    (its reader has closed it) points stdout at ``os.devnull``, so that no
+    later flush raises, and exits 141 with nothing on stderr."""
     import gc
     import os
 
     gc.freeze()
     gc.set_threshold(50_000, 20, 100)
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     try:
         sys.stdout.flush()
         sys.stderr.flush()

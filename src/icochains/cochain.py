@@ -1,31 +1,29 @@
-"""Normalized cochains and ideal-tensor cochains, with coboundaries and cups.
+"""Cochains as linear functionals on tensor powers of the augmentation ideal.
 
-A normalized cochain of degree n is a function on G^n vanishing whenever an
-argument is the identity.  An ideal-tensor cochain (``ICochain``) is a linear
-functional on the n-fold tensor power of the augmentation ideal.  The two
-are in bijection: a normalized cochain a corresponds to the functional f
-with ``a(u_1, ..., u_n) = f((u_1 - 1) x ... x (u_n - 1))``, so both kinds
-store the same sparse map from tuples of nonidentity group elements to
-coefficients.  What differs is the semantics of everything built on top:
+The paper's cochains are C^n(G, M) = Hom(T^n(I), M), with T^n(I) the n-fold
+tensor power of the augmentation ideal I.  An ``ICochain`` f stores its
+values on the difference basis (u_1 - 1) x ... x (u_n - 1), a sparse map
+from tuples of nonidentity group elements to coefficients.  Read on those
+tuples, the same map is the normalized bar cochain
+a(u_1, ..., u_n) = f((u_1 - 1) x ... x (u_n - 1)), so one class serves
+both, and ``NormalizedCochain`` is another name for it.
 
-* the coboundary of a normalized cochain follows the classical bar formula;
-* the coboundary of an ICochain contracts adjacent tensor factors with the
-  group-ring product, with alternating signs (the coefficients are F_p or Z
-  with the trivial action, on which an ideal element acts as zero);
-* an ICochain evaluates on arbitrary ideal tensors by multilinearity;
+* the coboundary contracts adjacent tensor factors with the group-ring
+  product, with alternating signs (the coefficients are F_p or Z with the
+  trivial action, on which an ideal element acts as zero);
+* a cochain evaluates on arbitrary ideal tensors by multilinearity;
 * cup products concatenate tensor factors, with the sign convention that
   (f cup g) on an (m+n)-tensor is (-1)^(m n) f(first m) g(last n).
 
-Both coboundary routes are implemented independently and agree (a fact the
-test suite checks pointwise on full bases).  The bar form is a plain loop
-over stored keys and serves as the reference.  The ideal form, which the
-oracle's ``d_matrix`` also uses, is one vectorized kernel in
-``kernel.py``: keys are encoded as integers in base p^r - 1, every
-contraction term is generated as a numpy broadcast, and one sort followed
-by a segmented sum collapses equal keys.  ``is_cocycle`` (of both kinds)
-uses neither: it sums the bar coboundary in pure Python, one
-first-argument partition at a time, and only at the r generators of G.
-This module itself does not import numpy.
+The coboundary is one vectorized kernel in ``kernel.py``, which the
+oracle's ``d_matrix`` also uses: keys are encoded as integers in base
+p^r - 1, every contraction term is generated as a numpy broadcast, and one
+sort followed by a segmented sum collapses equal keys.  ``_bar_coboundary``
+writes the classical bar formula independently, as a plain loop over the
+stored keys; the acceptance suite and the tests compare the two pointwise
+on full bases.  ``is_cocycle`` uses neither: it sums the bar coboundary in
+pure Python, one first-argument partition at a time, and only at the r
+generators of G.  This module itself does not import numpy.
 """
 
 from __future__ import annotations
@@ -55,8 +53,13 @@ def _check_output_budget(required: int) -> None:
         raise BudgetExceededError(required, DEFAULT_MAX_ENTRIES)
 
 
-class _Cochain:
-    """Shared storage and linear structure for both cochain kinds."""
+class ICochain:
+    """Linear functional on the n-th tensor power of the augmentation ideal.
+
+    Stored values are the evaluations on the difference basis
+    (u_1 - 1) x ... x (u_n - 1); evaluation extends multilinearly.  Read on
+    the tuples (u_1, ..., u_n), they are a normalized bar cochain.
+    """
 
     __slots__ = ("ctx", "degree", "ring", "values")
 
@@ -91,14 +94,16 @@ class _Cochain:
         cochain.ctx, cochain.degree, cochain.ring, cochain.values = ctx, degree, ring, values
         return cochain
 
-    def _compatible(self, other: "_Cochain") -> None:
-        if type(self) is not type(other):
-            raise ValueError("cannot mix normalized cochains and ideal-tensor cochains")
-        if self.ctx != other.ctx or self.ring != other.ring or self.degree != other.degree:
-            raise ValueError("context, ring, or degree mismatch")
+    @classmethod
+    def zero(cls, ctx: GroupContext, degree: int, ring: str = MOD_P) -> "ICochain":
+        return cls(ctx, degree, ring, {})
+
+    @classmethod
+    def constant(cls, ctx: GroupContext, value: int, ring: str = MOD_P) -> "ICochain":
+        return cls(ctx, 0, ring, {(): value})
 
     def _like(self, values: dict):
-        """A cochain of this kind, context, ring and degree holding values
+        """A cochain of this context, ring and degree holding values
         whose keys are already valid: reduce mod p, drop zeros, no key check."""
         if self.ring == MOD_P:
             p = self.ctx.p
@@ -108,7 +113,8 @@ class _Cochain:
         return self._trusted(self.ctx, self.degree, self.ring, values)
 
     def __add__(self, other):
-        self._compatible(other)
+        if self.ctx != other.ctx or self.ring != other.ring or self.degree != other.degree:
+            raise ValueError("context, ring, or degree mismatch")
         values = dict(self.values)
         for key, c in other.values.items():
             values[key] = values.get(key, 0) + c
@@ -124,7 +130,7 @@ class _Cochain:
         return self._like({k: c * v for k, v in self.values.items()})
 
     def __eq__(self, other) -> bool:
-        if type(self) is not type(other):
+        if not isinstance(other, ICochain):
             return NotImplemented
         return (self.ctx == other.ctx and self.degree == other.degree
                 and self.ring == other.ring and self.values == other.values)
@@ -137,9 +143,8 @@ class _Cochain:
 
     def is_cocycle(self) -> bool:
         """Whether the coboundary vanishes, decided in pure Python on the
-        bar formula.  For an ICochain this is the same test: its
-        ideal-form coboundary equals the bar coboundary of the
-        corresponding normalized cochain value for value.
+        bar formula: the ideal-form coboundary equals the bar coboundary
+        of the same values, value for value.
 
         A nonzero cochain of degree n >= 1 with E entries and
         3nE <= N = p^r - 1 is never a cocycle, so such input is answered
@@ -180,8 +185,85 @@ class _Cochain:
                              {k: m for k, c in self.values.items() if (m := c % p)})
 
     def __repr__(self):
-        return (f"{type(self).__name__}(p={self.ctx.p}, r={self.ctx.r}, "
+        return (f"ICochain(p={self.ctx.p}, r={self.ctx.r}, "
                 f"degree={self.degree}, {self.ring}, {len(self.values)} entries)")
+
+    def evaluate(self, tensor: Tensor) -> int:
+        """Evaluate on an ideal tensor by expanding each factor.
+
+        Mod-p cochains accept factors over either coefficient ring (the
+        value only depends on the factors mod p); integer cochains demand
+        integer factors.
+        """
+        if tensor.ctx != self.ctx:
+            raise ValueError("tensor from a different context")
+        if len(tensor) != self.degree:
+            raise ValueError(f"expected {self.degree} factors, got {len(tensor)}")
+        if self.ring == INTEGERS and any(a.ring != INTEGERS for a in tensor.factors):
+            raise ValueError("integer cochains require integer tensor factors")
+        return self.evaluate_on_expansions([as_difference_basis(a) for a in tensor.factors])
+
+    def evaluate_on_expansions(self, factors: Sequence[dict]) -> int:
+        """Evaluate on factors already written on the difference basis.
+
+        The value is the sum over basis tensors of the stored value times
+        the product of the factors' coefficients.  It runs over whichever
+        side is smaller: the stored entries, looking each slot up in its
+        factor, or the product of the factors' supports.
+        """
+        if len(factors) != self.degree:
+            raise ValueError(f"expected {self.degree} factors, got {len(factors)}")
+        values = self.values
+        total = 0
+        if len(values) <= math.prod(len(d) for d in factors):
+            for key, v in values.items():
+                for u, d in zip(key, factors):
+                    c = d.get(u)
+                    if not c:
+                        break
+                    v *= c
+                else:
+                    total += v
+        else:
+            for combo in itertools.product(*(d.items() for d in factors)):
+                v = values.get(tuple(u for u, _ in combo))
+                if v:
+                    for _, c in combo:
+                        v *= c
+                    total += v
+        return total % self.ctx.p if self.ring == MOD_P else total
+
+    def coboundary(self) -> "ICochain":
+        """The coboundary in ideal-tensor form.
+
+        On an (n+1)-tensor this is the alternating sum over adjacent
+        factor contractions a_i a_(i+1) (a product in the group ring); an
+        ideal element acts as zero on the trivial coefficient module, so
+        there is no action term.  The contractions run in one vectorized
+        pass (``kernel._coboundary_sums``).
+        """
+        from . import kernel  # numpy loads only when a coboundary is computed
+
+        ctx, n, values = self.ctx, self.degree, self.values
+        # the kernel's three (E, N) families per slot
+        _check_output_budget(len(values) * 3 * n * (ctx.order - 1))
+        codes, sums = kernel._coboundary_sums(ctx, n, kernel._encode_keys(ctx, n, list(values)),
+                                              list(values.values()), self.ring)
+        out = dict(zip(kernel._decode_keys(ctx, n + 1, codes), sums.tolist()))
+        # The kernel's keys and sums are valid as they stand.
+        return ICochain._trusted(ctx, n + 1, self.ring, out)
+
+    def cup(self, other: "ICochain") -> "ICochain":
+        """Cup product with the (-1)^(m n) front sign.
+
+        Requires mod-p coefficients (the trivial-action hypothesis under
+        which the block formula holds is automatic for our modules).
+        """
+        return cup_many([self, other])
+
+
+# A normalized bar cochain stores the same values (see the module docstring).
+NormalizedCochain = ICochain
 
 
 def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str) -> bool:
@@ -266,51 +348,38 @@ def _pair_codes(p: int, r: int, k: int) -> list:
     return [(x - 1) * big_n + q - 1 for x, q in enumerate(quotients) if x and q]
 
 
-class NormalizedCochain(_Cochain):
-    """Degree-n function on G^n over Z or F_p, zero on identity arguments."""
+def _bar_coboundary(f: ICochain) -> ICochain:
+    """The coboundary by the classical bar formula, a plain loop over the
+    stored keys: the independent reference the tests and acceptance
+    criterion 3 compare ``ICochain.coboundary`` with.
 
-    @classmethod
-    def zero(cls, ctx: GroupContext, degree: int, ring: str = MOD_P) -> "NormalizedCochain":
-        return cls(ctx, degree, ring, {})
-
-    @classmethod
-    def constant(cls, ctx: GroupContext, value: int, ring: str = MOD_P) -> "NormalizedCochain":
-        return cls(ctx, 0, ring, {(): value})
-
-    def to_icochain(self) -> "ICochain":
-        """The corresponding ideal-tensor functional (value-for-value)."""
-        return ICochain._trusted(self.ctx, self.degree, self.ring, dict(self.values))
-
-    def coboundary(self) -> "NormalizedCochain":
-        """The bar coboundary; normalized because this cochain is.
-
-        The action on the coefficients is trivial, so the leading term
-        u_1 . a(u_2, ...) is a plain copy of a(u_2, ...).
-        """
-        n = self.degree
-        # per entry: N leading, at most N per inner slot and N trailing terms
-        _check_output_budget(len(self.values) * (n + 2) * (self.ctx.order - 1))
-        out: dict = {}
-        nonid = list(self.ctx.nonidentity_elements())
-        inv = self.ctx.inverse
-        trail_sign = -1 if (n + 1) % 2 else 1
-        for key, c in self.values.items():
-            for v in nonid:
-                t = (v,) + key
-                out[t] = out.get(t, 0) + c
-            for j in range(1, n + 1):
-                kj = key[j - 1]
-                sign_c = -c if j % 2 else c
-                head, tail = key[: j - 1], key[j:]
-                for x in nonid:
-                    if x == kj:
-                        continue  # would force the second factor to be 1
-                    t = head + (x, self.ctx.mul(inv(x), kj)) + tail
-                    out[t] = out.get(t, 0) + sign_c
-            for v in nonid:
-                t = key + (v,)
-                out[t] = out.get(t, 0) + trail_sign * c
-        return NormalizedCochain(self.ctx, n + 1, self.ring, out)
+    The action on the coefficients is trivial, so the leading term
+    u_1 . a(u_2, ...) is a plain copy of a(u_2, ...).
+    """
+    ctx, n = f.ctx, f.degree
+    # per entry: N leading, at most N per inner slot and N trailing terms
+    _check_output_budget(len(f.values) * (n + 2) * (ctx.order - 1))
+    out: dict = {}
+    nonid = list(ctx.nonidentity_elements())
+    inv = ctx.inverse
+    trail_sign = -1 if (n + 1) % 2 else 1
+    for key, c in f.values.items():
+        for v in nonid:
+            t = (v,) + key
+            out[t] = out.get(t, 0) + c
+        for j in range(1, n + 1):
+            kj = key[j - 1]
+            sign_c = -c if j % 2 else c
+            head, tail = key[: j - 1], key[j:]
+            for x in nonid:
+                if x == kj:
+                    continue  # would force the second factor to be 1
+                t = head + (x, ctx.mul(inv(x), kj)) + tail
+                out[t] = out.get(t, 0) + sign_c
+        for v in nonid:
+            t = key + (v,)
+            out[t] = out.get(t, 0) + trail_sign * c
+    return ICochain(ctx, n + 1, f.ring, out)
 
 
 class Tensor:
@@ -329,99 +398,6 @@ class Tensor:
 
     def __len__(self) -> int:
         return len(self.factors)
-
-
-class ICochain(_Cochain):
-    """Linear functional on the n-th tensor power of the augmentation ideal.
-
-    Stored values are the evaluations on the difference basis
-    (u_1 - 1) x ... x (u_n - 1); evaluation extends multilinearly.
-    """
-
-    @classmethod
-    def zero(cls, ctx: GroupContext, degree: int, ring: str = MOD_P) -> "ICochain":
-        return cls(ctx, degree, ring, {})
-
-    @classmethod
-    def constant(cls, ctx: GroupContext, value: int, ring: str = MOD_P) -> "ICochain":
-        return cls(ctx, 0, ring, {(): value})
-
-    def to_normalized(self) -> NormalizedCochain:
-        """The corresponding normalized cochain (value-for-value)."""
-        return NormalizedCochain._trusted(self.ctx, self.degree, self.ring, dict(self.values))
-
-    def evaluate(self, tensor: Tensor) -> int:
-        """Evaluate on an ideal tensor by expanding each factor.
-
-        Mod-p cochains accept factors over either coefficient ring (the
-        value only depends on the factors mod p); integer cochains demand
-        integer factors.
-        """
-        if tensor.ctx != self.ctx:
-            raise ValueError("tensor from a different context")
-        if len(tensor) != self.degree:
-            raise ValueError(f"expected {self.degree} factors, got {len(tensor)}")
-        if self.ring == INTEGERS and any(a.ring != INTEGERS for a in tensor.factors):
-            raise ValueError("integer cochains require integer tensor factors")
-        return self.evaluate_on_expansions([as_difference_basis(a) for a in tensor.factors])
-
-    def evaluate_on_expansions(self, factors: Sequence[dict]) -> int:
-        """Evaluate on factors already written on the difference basis.
-
-        The value is the sum over basis tensors of the stored value times
-        the product of the factors' coefficients.  It runs over whichever
-        side is smaller: the stored entries, looking each slot up in its
-        factor, or the product of the factors' supports.
-        """
-        if len(factors) != self.degree:
-            raise ValueError(f"expected {self.degree} factors, got {len(factors)}")
-        values = self.values
-        total = 0
-        if len(values) <= math.prod(len(d) for d in factors):
-            for key, v in values.items():
-                for u, d in zip(key, factors):
-                    c = d.get(u)
-                    if not c:
-                        break
-                    v *= c
-                else:
-                    total += v
-        else:
-            for combo in itertools.product(*(d.items() for d in factors)):
-                v = values.get(tuple(u for u, _ in combo))
-                if v:
-                    for _, c in combo:
-                        v *= c
-                    total += v
-        return total % self.ctx.p if self.ring == MOD_P else total
-
-    def coboundary(self) -> "ICochain":
-        """The coboundary in ideal-tensor form.
-
-        On an (n+1)-tensor this is the alternating sum over adjacent
-        factor contractions a_i a_(i+1) (a product in the group ring); an
-        ideal element acts as zero on the trivial coefficient module, so
-        there is no action term.  The contractions run in one vectorized
-        pass (``kernel._coboundary_sums``).
-        """
-        from . import kernel  # numpy loads only when a coboundary is computed
-
-        ctx, n, values = self.ctx, self.degree, self.values
-        # the kernel's three (E, N) families per slot
-        _check_output_budget(len(values) * 3 * n * (ctx.order - 1))
-        codes, sums = kernel._coboundary_sums(ctx, n, kernel._encode_keys(ctx, n, list(values)),
-                                              list(values.values()), self.ring)
-        out = dict(zip(kernel._decode_keys(ctx, n + 1, codes), sums.tolist()))
-        # The kernel's keys and sums are valid as they stand.
-        return ICochain._trusted(ctx, n + 1, self.ring, out)
-
-    def cup(self, other: "ICochain") -> "ICochain":
-        """Cup product with the (-1)^(m n) front sign.
-
-        Requires mod-p coefficients (the trivial-action hypothesis under
-        which the block formula holds is automatic for our modules).
-        """
-        return cup_many([self, other])
 
 
 def cup_many(factors: Sequence[ICochain]) -> ICochain:

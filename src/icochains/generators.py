@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .cochain import ICochain, NormalizedCochain, Tensor, cup_many
+from .cochain import ICochain, Tensor, cup_many
 from .group_ring import (
     INTEGERS,
     MOD_P,
@@ -39,7 +39,7 @@ def exponent_cocycle(ctx: GroupContext, i: int) -> ICochain:
     return ICochain(ctx, 1, MOD_P, values)
 
 
-def carry_cocycle_over_z(ctx: GroupContext, i: int) -> NormalizedCochain:
+def carry_cocycle_over_z(ctx: GroupContext, i: int) -> ICochain:
     """The integral carry cocycle: (u, v) -> 1 when the i-th exponents carry.
 
     With u, v having i-th exponents k, l in [0, p), the value is the carry
@@ -52,10 +52,10 @@ def carry_cocycle_over_z(ctx: GroupContext, i: int) -> NormalizedCochain:
             if u[i - 1] + v[i - 1] >= ctx.p:
                 values[(u, v)] = 1
     # keys of nonidentity elements, coefficient 1: valid as built
-    return NormalizedCochain._trusted(ctx, 2, INTEGERS, values)
+    return ICochain._trusted(ctx, 2, INTEGERS, values)
 
 
-def carry_cocycle(ctx: GroupContext, i: int) -> NormalizedCochain:
+def carry_cocycle(ctx: GroupContext, i: int) -> ICochain:
     """Mod-p reduction of the integral carry cocycle; represents the
     Bockstein of the i-th degree-1 class."""
     return carry_cocycle_over_z(ctx, i).mod_p()
@@ -64,12 +64,12 @@ def carry_cocycle(ctx: GroupContext, i: int) -> NormalizedCochain:
 def bockstein_cocycle(ctx: GroupContext, i: int) -> ICochain:
     """The degree-2 generator as an ideal-tensor cochain.
 
-    Defined as the ideal-tensor form of the carry cocycle.  On pairs of
+    Defined as the carry cocycle.  On pairs of
     shifted monomials it is 1 exactly on (s_i-1)^k x (s_i-1)^l with
     k + l = p, and 0 elsewhere (a fact the tests verify against
     ``bockstein_pair_value``).
     """
-    return carry_cocycle(ctx, i).to_icochain()
+    return carry_cocycle(ctx, i)
 
 
 def bockstein_pair_value(ctx: GroupContext, i: int, k: int, l: int) -> int:

@@ -1,11 +1,11 @@
 """The vectorized ideal-form coboundary: one numpy sort-and-reduce kernel.
 
-``ICochain.coboundary``, and with it ``d``, and the oracle's
-``d_matrix`` run through ``_coboundary_sums``.  Besides the rank oracle it
-is the only code that needs numpy, so it lives apart from ``cochain``:
-commands that never compute an ideal-form coboundary (every command but
-``d`` on an icochain document and ``selftest``; ``is_cocycle`` sums the
-bar formula in pure Python) never import numpy.
+``ICochain.coboundary``, and with it ``d`` on either document kind, and
+the oracle's ``d_matrix`` run through ``_coboundary_sums``.  Besides the
+rank oracle it is the only code that needs numpy, so it lives apart from
+``cochain``: commands that never compute a coboundary (every command but
+``d`` and ``selftest``; ``is_cocycle`` sums the bar formula in pure
+Python) never import numpy.
 
 A degree-n key is encoded as an integer in base N = p^r - 1: slot 1 is
 the most significant digit and each nonidentity element is its index in

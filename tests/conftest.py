@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 
-from icochains import ICochain, INTEGERS, MOD_P, NormalizedCochain, RingElem, cochain_basis
+from icochains import ICochain, INTEGERS, MOD_P, RingElem, cochain_basis
 
 # (p, r) pairs every broad property test runs over.
 DESK = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
@@ -30,7 +30,3 @@ def random_icochain(ctx, n, rng, ring=MOD_P, max_support=None):
         values = {k: rng.randint(-9, 9) for k in basis}
     return ICochain(ctx, n, ring, values)
 
-
-def random_normalized(ctx, n, rng, ring=MOD_P, max_support=None):
-    f = random_icochain(ctx, n, rng, ring, max_support)
-    return NormalizedCochain(ctx, n, ring, f.values)

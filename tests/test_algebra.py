@@ -25,7 +25,6 @@ from icochains import (
     generator_power_cocycle,
     graded_dimension,
     invert,
-    invert_normalized,
     invert_normalized_counted,
     monomial_mul,
     perm_sign,
@@ -225,7 +224,7 @@ AGREE_MAX_DEGREE = {(2, 2): 3, (3, 1): 3, (3, 2): 4, (5, 1): 3, (5, 2): 3, (3, 3
 def test_invert_normalized_agrees(p, r):
     # a realized class, alone and plus the coboundary of a random cochain,
     # has E >= count_terms, so invert runs the formula; the shuffle form and
-    # invert of either kind recover the class
+    # invert recover the class
     ctx = GroupContext(p, r)
     rng = random.Random(100 * p + r)
     for n in range(AGREE_MAX_DEGREE[p, r] + 1):
@@ -240,7 +239,7 @@ def test_invert_normalized_agrees(p, r):
             for f in cocycles:
                 assert len(f.values) >= count_terms(ctx, n)
                 assert invert_via_shuffles(f) == e
-                assert invert(f) == e and invert(f.to_normalized()) == e
+                assert invert(f) == e
 
 
 @pytest.mark.parametrize("p,r", DESK)
@@ -248,8 +247,7 @@ def test_evaluation_counter_matches_count_terms(p, r):
     ctx = GroupContext(p, r)
     rng = random.Random(1000 * p + r)
     for n in range(5):
-        a = random_icochain(ctx, n, rng).to_normalized()
-        _, evaluations = invert_normalized_counted(a)
+        _, evaluations = invert_normalized_counted(random_icochain(ctx, n, rng))
         assert evaluations == count_terms(ctx, n)
 
 
@@ -274,14 +272,12 @@ def sparse_cochains(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_cochains())
 def test_entry_sum_matches_the_formula_paths(f):
-    a = f.to_normalized()
     expected = _invert_entry_sum(f)
-    assert _invert_entry_sum(a) == expected
     assert invert_via_shuffles(f) == expected
-    assert invert_normalized_counted(a)[0] == expected
+    assert invert_normalized_counted(f)[0] == expected
     if f.ctx.p == 2:
         assert _invert_direct_p2(f)[0] == expected
-    assert invert(f) == expected and invert_normalized(a) == expected
+    assert invert(f) == expected
 
 
 @pytest.mark.parametrize("p", [503, 1009])
@@ -299,8 +295,8 @@ def test_entry_sum_on_large_p_documents(p, n):
     a = NormalizedCochain(ctx, n, MOD_P, {k: rng.randrange(1, p) for k in keys})
     expected = invert_normalized_counted(a)[0]
     assert not expected.is_zero()
-    assert invert_via_shuffles(a.to_icochain()) == expected
-    assert invert_normalized(a) == expected == invert(a.to_icochain())
+    assert invert_via_shuffles(a) == expected
+    assert invert(a) == expected
 
 
 def test_invert_sparse_cochain_at_large_p():

@@ -22,6 +22,7 @@ from icochains import (
 )
 from icochains import cli as cli_module
 from icochains.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
     EXIT_INVALID,
     EXIT_NOT_COCYCLE,
@@ -304,6 +305,21 @@ def test_d_at_huge_p_refuses_before_allocating(kind, n, code, tmp_path):
         assert str(3 * (10**18 + 2)) in result.stderr and result.stdout == ""
 
 
+def test_d_refuses_both_kinds_by_one_rule(tmp_path, capsys):
+    # E 3n N = 280 * 6 * 10006 = 16 810 080 kernel terms, just over 2^24; the
+    # bar form's E (n+2) N = 11 206 720 would have passed
+    p, n = 10007, 2
+    entries = [{"key": [[u], [1]], "value": 1} for u in range(1, 281)]
+    outcomes = set()
+    for kind in ("icochain", "normalized"):
+        doc = {"schema_version": "1", "p": p, "r": 1, "n": n, "kind": kind,
+               "coeff_ring": "Fp", "entries": entries}
+        path = write_doc(tmp_path, f"{kind}.json", json.dumps(doc))
+        outcomes.add(run_cli(capsys, "d", "--in", path))
+    assert outcomes == {(EXIT_BUDGET, "", "error: the computation needs 16810080 entries, "
+                                          "over the budget of 16777216\n")}
+
+
 def test_check_cocycle_refuses_an_over_budget_check(tmp_path):
     # 1 400 degree-1 entries at p = 4099 pass the sparse lemma (3 * 1400 > 4098);
     # the summed partition has at most 1400 * (2 + 4098) terms: decided
@@ -473,15 +489,25 @@ def test_count_terms_of_any_length():
             decimal.Decimal(2) ** 50000)
 
 
-@pytest.mark.parametrize("argv,required", [
-    (["--p", "3", "--r", "5000", "--n", "60"], 4999 * 60 * 60),  # DP steps
-    (["--p", "3", "--r", "1", "--n", "1000000000"], 150514998),  # digits of 2^(5 10^8)
+@pytest.mark.parametrize("argv,needs", [
+    (["--p", "3", "--r", "5000", "--n", "60"], str(4999 * 60 * 60)),  # DP steps
+    # the count is 2^(5 10^8), of 150 514 998 digits
+    (["--p", "3", "--r", "1", "--n", "1000000000"], "more than 10^150514997"),
 ])
-def test_count_terms_refuses_before_computing(argv, required):
+def test_count_terms_refuses_before_computing(argv, needs):
     result = subprocess.run([sys.executable, "-m", "icochains.cli", "count-terms", *argv],
                             capture_output=True, text=True, timeout=10)
     assert result.returncode == EXIT_BUDGET, result.stderr
-    assert str(required) in result.stderr and result.stdout == ""
+    assert f"needs {needs} entries" in result.stderr and result.stdout == ""
+
+
+def test_count_terms_refusal_reports_entries_not_digits(capsys):
+    # the count is at least r^n = 2^(10^8) > 10^30102999; its bound
+    # r^n (p-1)^(n//2) has 45 154 500 digits, which is not a number of entries
+    code, out, err = run_cli(capsys, "count-terms", "--p", "3", "--r", "2", "--n", "100000000")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == ("error: the computation needs more than 10^30102999 entries, "
+                   "over the budget of 16777216\n")
 
 
 @pytest.mark.parametrize("p,r,kind", [(3, 8, "icochain"), (3, 8, "normalized"),
@@ -597,6 +623,8 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
     p2 = doc("p2.json", realize(AlgebraElem.monomial(ctx2, (1, 1))))
     p3 = doc("p3.json", realize(AlgebraElem.monomial(ctx3, (1, 1))))
     p3b = doc("b3.json", exponent_cocycle(ctx3, 1))
+    p3b_normalized = write_doc(tmp_path, "b3n.json", dumps_document(
+        cochain_document(exponent_cocycle(ctx3, 1), "normalized")))
     block_only = "icochains.algebra,icochains.cochain,icochains.generators,json"
     without = [  # argv, other modules that must not load
         (["tau", "--p", "3", "--r", "2", "--sig", "2,1"], ""),
@@ -611,8 +639,9 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
         (["dims", "--p", "2", "--r", "1", "--max-n", "1"], block_only),
         (["dims", "--p", "3", "--r", "2", "--max-n", "3"], block_only),
     ]
-    with_numpy = [
+    with_numpy = [  # d runs the coboundary kernel on either kind
         (["d", "--in", p3b], ""),
+        (["d", "--in", p3b_normalized], ""),
     ]
     for expect, runs in (("no-numpy", without), ("numpy", with_numpy)):
         for argv, absent in runs:
@@ -623,7 +652,7 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
 
 
 # The cli names a tracer replaces to time each layer of a command.
-TRACED_NAMES = ("realize", "invert", "invert_normalized", "parse_cochain_document",
+TRACED_NAMES = ("realize", "invert", "parse_cochain_document",
                 "cochain_document", "algebra_document", "dumps_document")
 
 
@@ -659,8 +688,9 @@ def test_cli_import_path_skips_dataclasses():
 # leaving without the flush would drop the tail of the output.
 
 CLI = [sys.executable, "-m", "icochains.cli"]
-# the exit path without the fast exit
-SYS_EXIT = [sys.executable, "-c", "import sys; from icochains.cli import main; sys.exit(main())"]
+# entry_point under a trace function, which leaves through sys.exit
+SYS_EXIT = [sys.executable, "-c", "import sys; sys.settrace(lambda *args: None); "
+            "from icochains.cli import entry_point; entry_point()"]
 TAU_222 = ["tau", "--p", "2", "--r", "3", "--sig", "2,2,2"]
 
 
@@ -725,10 +755,9 @@ def test_tau_pipes_into_invert_through_an_os_pipe():
 
 
 def _exit_outcome(argv: list, env: dict, close_after=None) -> tuple:
-    """(exit code, last line of stderr) of a process whose stdout is a pipe
+    """(exit code, lines of stderr) of a process whose stdout is a pipe
     that the reader closes before reading (``close_after`` None) or after
-    ``close_after`` bytes.  The traceback frames above the last line
-    differ between entry points."""
+    ``close_after`` bytes."""
     if close_after is None:
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -748,7 +777,7 @@ def _exit_outcome(argv: list, env: dict, close_after=None) -> tuple:
             proc.kill()
             proc.wait()
         code = proc.returncode
-    return code, err.decode().splitlines()[-1:]
+    return code, err.decode().splitlines()
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -757,9 +786,14 @@ def _exit_outcome(argv: list, env: dict, close_after=None) -> tuple:
     (["count-terms", "--p", "3", "--r", "1", "--n", "2"], None),
 ])
 def test_closed_reader_gives_the_sys_exit_outcome(argv, close_after, unbuffered):
+    """A reader that closes stdout early gets exit 141 and an empty stderr,
+    through the fast exit and through sys.exit alike.  Unbuffered, tau's
+    document goes out in one raw write, which the closing reader cuts
+    short without an error, so that run exits 0."""
     env = process_env(unbuffered)
-    assert (_exit_outcome(CLI + argv, env, close_after)
-            == _exit_outcome(SYS_EXIT + argv, env, close_after))
+    expected = (EXIT_OK if unbuffered and close_after else EXIT_BROKEN_PIPE, [])
+    assert _exit_outcome(CLI + argv, env, close_after) == expected
+    assert _exit_outcome(SYS_EXIT + argv, env, close_after) == expected
 
 
 def test_profiler_still_prints_its_report():

@@ -1,9 +1,11 @@
 """Cochain correspondence, linear structure, coboundaries and cups.
 
-The coboundary implementations accumulate sparsely from stored keys; the
-tests check them against direct evaluations of the defining formulas
-(bar formula for normalized cochains, adjacent-factor contraction for
-ideal-tensor cochains) on explicitly enumerated tuples.
+The coboundary (the vectorized kernel) and its independent bar-formula
+reference ``_bar_coboundary`` accumulate sparsely from stored keys; the
+tests check them against each other and against direct evaluations of
+the defining formulas (the bar formula on group-element tuples, the
+adjacent-factor contraction on ideal tensors) on explicitly enumerated
+tuples.
 """
 
 import itertools
@@ -30,7 +32,8 @@ from icochains import (
     random_cocycle,
     realize,
 )
-from conftest import DESK, random_icochain, random_ideal_elem, random_normalized
+from icochains.cochain import _bar_coboundary
+from conftest import DESK, random_icochain, random_ideal_elem
 
 
 def bar_value(a, tup):
@@ -59,25 +62,31 @@ def ideal_value(f, tup):
 
 
 def test_correspondence_is_value_identical():
+    # the isomorphism is the identity on stored values, so one class serves
     ctx = GroupContext(2, 1)
     a = NormalizedCochain(ctx, 1, MOD_P, {((1,),): 1})
-    f = a.to_icochain()
-    assert f.values == a.values
-    assert f.to_normalized() == a
+    assert type(a) is ICochain
+    assert a == ICochain(ctx, 1, MOD_P, {((1,),): 1})
 
 
 @pytest.mark.parametrize("p,r", DESK)
 def test_correspondence_round_trip(p, r):
+    # the normalized cochain a(u_1, ..., u_n) = f((u_1 - 1) x ... x (u_n - 1)),
+    # read off f by multilinear evaluation, stores f's values again
     ctx = GroupContext(p, r)
     rng = random.Random(300 * p + r)
+    unit = RingElem.unit(ctx)
+    nonid = list(ctx.nonidentity_elements())
     for n in range(4):
-        for _ in range(25):
-            a = random_normalized(ctx, n, rng, max_support=16)
-            assert a.to_icochain().to_normalized() == a
+        tuples = list(itertools.product(nonid, repeat=n))
+        for _ in range(5):
             f = random_icochain(ctx, n, rng, max_support=16)
-            assert f.to_normalized().to_icochain() == f
-    zero = NormalizedCochain.zero(ctx, 2)
-    assert zero.to_icochain() == ICochain.zero(ctx, 2)
+            keys = set(f.values) | set(rng.sample(tuples, min(len(tuples), 30)))
+            a = {key: f.evaluate(Tensor(ctx, [RingElem.from_group_elem(ctx, u) - unit
+                                              for u in key]))
+                 for key in keys}
+            assert NormalizedCochain(ctx, n, MOD_P, a) == f
+    assert NormalizedCochain.zero(ctx, 2) == ICochain.zero(ctx, 2)
 
 
 def test_keys_reject_identity_and_shape():
@@ -94,43 +103,43 @@ def test_linear_operations_match_the_constructor(p, r):
     # equal what the validating constructor builds from the same dict
     ctx = GroupContext(p, r)
     rng = random.Random(100 * p + r)
-    for cls in (ICochain, NormalizedCochain):
-        for ring in (MOD_P, INTEGERS):
-            for n in range(3):
-                f = cls(ctx, n, ring, random_icochain(ctx, n, rng, ring, 12).values)
-                g_values = dict(random_icochain(ctx, n, rng, ring, 12).values)
-                # some entries of f + g cancel
-                g_values.update((k, -c) for k, c in list(f.values.items())[:3])
-                g = cls(ctx, n, ring, g_values)
-                added = dict(f.values)
-                for k, c in g.values.items():
-                    added[k] = added.get(k, 0) + c
-                assert f + g == cls(ctx, n, ring, added)
-                assert -f == cls(ctx, n, ring, {k: -c for k, c in f.values.items()})
-                assert f - g == cls(ctx, n, ring, {
-                    k: f.values.get(k, 0) - g.values.get(k, 0)
-                    for k in set(f.values) | set(g.values)})
-                assert (f - f).is_zero()
-                for c in (0, p, -1, 2**70):
-                    assert f.scale(c) == cls(ctx, n, ring,
-                                             {k: c * v for k, v in f.values.items()})
+    for ring in (MOD_P, INTEGERS):
+        for n in range(3):
+            f = ICochain(ctx, n, ring, random_icochain(ctx, n, rng, ring, 12).values)
+            g_values = dict(random_icochain(ctx, n, rng, ring, 12).values)
+            # some entries of f + g cancel
+            g_values.update((k, -c) for k, c in list(f.values.items())[:3])
+            g = ICochain(ctx, n, ring, g_values)
+            added = dict(f.values)
+            for k, c in g.values.items():
+                added[k] = added.get(k, 0) + c
+            assert f + g == ICochain(ctx, n, ring, added)
+            assert -f == ICochain(ctx, n, ring, {k: -c for k, c in f.values.items()})
+            assert f - g == ICochain(ctx, n, ring, {
+                k: f.values.get(k, 0) - g.values.get(k, 0)
+                for k in set(f.values) | set(g.values)})
+            assert (f - f).is_zero()
+            for c in (0, p, -1, 2**70):
+                assert f.scale(c) == ICochain(ctx, n, ring,
+                                              {k: c * v for k, v in f.values.items()})
+    # cochains built under either name add; a degree or ring mismatch does not
     f = ICochain.zero(ctx, 1)
-    a = NormalizedCochain.zero(ctx, 1)
-    for op in (lambda: f + a, lambda: a + f, lambda: f - a, lambda: a - f):
-        with pytest.raises(ValueError):
-            op()
+    assert f + NormalizedCochain.zero(ctx, 1) == f
+    for g in (ICochain.zero(ctx, 2), ICochain.zero(ctx, 1, INTEGERS)):
+        for op in (lambda: f + g, lambda: g + f, lambda: f - g, lambda: g - f):
+            with pytest.raises(ValueError):
+                op()
 
 
 def test_eval_matches_stored_values():
     ctx = GroupContext(3, 2)
     rng = random.Random(5)
     f = random_icochain(ctx, 2, rng)
-    a = f.to_normalized()
     unit = RingElem.unit(ctx)
     for u, v in itertools.islice(itertools.product(ctx.nonidentity_elements(), repeat=2), 20):
         t = Tensor(ctx, [RingElem.from_group_elem(ctx, u) - unit,
                          RingElem.from_group_elem(ctx, v) - unit])
-        assert f.evaluate(t) == a.value_at((u, v))
+        assert f.evaluate(t) == f.value_at((u, v))
 
 
 def test_eval_zero_factor_and_arity():
@@ -216,9 +225,8 @@ def test_eval_kills_high_powers_mod_p():
 
 def test_degree_zero_coboundary_vanishes():
     ctx = GroupContext(3, 2)
-    a = NormalizedCochain.constant(ctx, 2)
-    assert a.coboundary().is_zero()
     f = ICochain.constant(ctx, 2)
+    assert _bar_coboundary(f).is_zero()
     assert f.coboundary().is_zero()
 
 
@@ -227,9 +235,10 @@ def test_p2_degree_one_coboundary_example():
     # gives 1 - 0 + 1 = 2, which vanishes mod 2
     ctx = GroupContext(2, 1)
     a = NormalizedCochain(ctx, 1, INTEGERS, {((1,),): 1})
-    da = a.coboundary()
+    da = _bar_coboundary(a)
     assert da.value_at(((1,), (1,))) == 2
-    assert a.mod_p().coboundary().is_zero()
+    assert _bar_coboundary(a.mod_p()).is_zero()
+    assert a.coboundary() == da and a.mod_p().coboundary().is_zero()
 
 
 @pytest.mark.parametrize("p,r", DESK)
@@ -240,22 +249,19 @@ def test_coboundary_squares_to_zero(p, r):
     for n in range(4):
         for trial in range(25):
             ring = MOD_P if trial % 2 else INTEGERS
-            a = random_normalized(ctx, n, rng, ring=ring, max_support=8)
-            assert a.coboundary().coboundary().is_zero()
-            f = a.to_icochain()
+            f = random_icochain(ctx, n, rng, ring=ring, max_support=8)
+            assert _bar_coboundary(_bar_coboundary(f)).is_zero()
             assert f.coboundary().coboundary().is_zero()
             checked += 1
     assert checked == 100
 
 
 def assert_forms_agree(f):
-    """The vectorized ideal-form coboundary equals the bar form through the
-    correspondence, and is_cocycle of both kinds reads the same answer off it."""
-    a = f.to_normalized()
-    via_bar = a.coboundary().to_icochain()
+    """The vectorized ideal-form coboundary equals the bar form value for
+    value, and is_cocycle reads the same answer off it."""
+    via_bar = _bar_coboundary(f)
     assert f.coboundary() == via_bar
     assert f.is_cocycle() == via_bar.is_zero()
-    assert a.is_cocycle() == via_bar.is_zero()
 
 
 @pytest.mark.parametrize("p,r", DESK)
@@ -264,15 +270,14 @@ def test_coboundaries_match_direct_formulas(p, r):
     rng = random.Random(700 * p + r)
     nonid = list(ctx.nonidentity_elements())
     for n in range(3):
-        a = random_normalized(ctx, n, rng, max_support=12)
-        da = a.coboundary()
-        f = a.to_icochain()
+        f = random_icochain(ctx, n, rng, max_support=12)
+        da = _bar_coboundary(f)
         df = f.coboundary()
         for _ in range(40):
             tup = tuple(rng.choice(nonid) for _ in range(n + 1))
-            assert da.value_at(tup) == bar_value(a, tup)
+            assert da.value_at(tup) == bar_value(f, tup)
             assert df.value_at(tup) == ideal_value(f, tup)
-        assert da.to_icochain() == df  # the correspondence intertwines them
+        assert da == df  # the correspondence intertwines them
     for n in range(5):
         for ring in (MOD_P, INTEGERS):
             assert_forms_agree(random_icochain(ctx, n, rng, ring=ring, max_support=40))
@@ -336,23 +341,20 @@ def test_sparse_cochains_are_not_cocycles(data):
     ring = data.draw(st.sampled_from([MOD_P, INTEGERS]))
     value = st.integers(1, p - 1) if ring == MOD_P else st.integers(-9, 9).filter(bool)
     values = {basis[c]: data.draw(value) for c in sorted(codes)}
-    cls = data.draw(st.sampled_from([ICochain, NormalizedCochain]))
-    f = cls(ctx, n, ring, values)
-    by_kernel = ICochain(ctx, n, ring, values).coboundary().is_zero()
+    f = ICochain(ctx, n, ring, values)
+    by_kernel = f.coboundary().is_zero()
     assert f.is_cocycle() == by_kernel
     if 3 * n * entries <= big_n:
         assert not by_kernel
 
 
 def check_agrees(f) -> bool:
-    """is_cocycle of both kinds on f's values equals what the kernel and
-    the bar loop say; returns that answer."""
-    ctx, n, ring, values = f.ctx, f.degree, f.ring, f.values
-    by_kernel = ICochain(ctx, n, ring, values).coboundary().is_zero()
-    by_bar = NormalizedCochain(ctx, n, ring, values).coboundary().is_zero()
-    assert by_kernel == by_bar
-    assert ICochain(ctx, n, ring, values).is_cocycle() == by_kernel
-    assert NormalizedCochain(ctx, n, ring, values).is_cocycle() == by_kernel
+    """is_cocycle on f's values equals what the kernel and the bar loop
+    say; returns that answer."""
+    f = ICochain(f.ctx, f.degree, f.ring, f.values)
+    by_kernel = f.coboundary().is_zero()
+    assert by_kernel == _bar_coboundary(f).is_zero()
+    assert f.is_cocycle() == by_kernel
     return by_kernel
 
 
@@ -360,14 +362,14 @@ def check_agrees(f) -> bool:
                                        (3, 2, 3), (5, 1, 3), (5, 2, 2), (7, 1, 2)])
 def test_is_cocycle_agrees_with_both_coboundaries(p, r, max_n):
     """Coboundaries, realize outputs and random cocycles, and each of them
-    with one entry changed, over both rings and read as both kinds."""
+    with one entry changed, over both rings."""
     ctx = GroupContext(p, r)
     rng = random.Random(1000 * p + r)
     nonid = list(ctx.nonidentity_elements())
     seen = set()
     for n in range(1, max_n + 1):
         for ring in (MOD_P, INTEGERS):
-            cocycles = [random_normalized(ctx, n - 1, rng, ring=ring, max_support=6).coboundary()]
+            cocycles = [random_icochain(ctx, n - 1, rng, ring=ring, max_support=6).coboundary()]
             if ring == MOD_P:
                 cocycles.append(realize(AlgebraElem.monomial(ctx, (n,) + (0,) * (r - 1))))
                 if (p**r - 1) ** n <= 300:
@@ -416,7 +418,7 @@ def test_is_cocycle_agrees_on_perturbed_coboundaries(data):
                                           max_size=max_size))
         return {basis[i]: c for i, c in picks.items()}
 
-    f = NormalizedCochain(ctx, n - 1, ring, draw_values(n - 1, 5)).coboundary()
+    f = ICochain(ctx, n - 1, ring, draw_values(n - 1, 5)).coboundary()
     values = dict(f.values)
     for key, c in draw_values(n, 2).items():
         values[key] = values.get(key, 0) + c
@@ -429,13 +431,10 @@ def test_is_cocycle_refuses_an_over_budget_check():
     ctx = GroupContext(4099, 1)
     f = ICochain(ctx, 1, MOD_P, {((u,),): 1 for u in range(1, 1401)})
     assert not f.is_cocycle()
-    assert not f.to_normalized().is_cocycle()
     g = ICochain(ctx, 2, MOD_P, {((1,), (u,)): 1 for u in range(1, 2101)})
     with pytest.raises(BudgetExceededError) as info:
         g.is_cocycle()
     assert info.value.required == 2100 * (2 + 4097 + 4098) == 17213700
-    with pytest.raises(BudgetExceededError):
-        g.to_normalized().is_cocycle()
 
 
 @pytest.mark.parametrize("p,r", DESK)
@@ -444,14 +443,13 @@ def test_normalized_is_cocycle_matches_bar_coboundary(p, r):
     rng = random.Random(900 * p + r)
     seen = set()
     for n in range(4):
-        cocycles = [random_cocycle(ctx, min(n, 2), seed=n).to_normalized()]
+        cocycles = [random_cocycle(ctx, min(n, 2), seed=n)]
         if n:
-            cocycles.append(realize(AlgebraElem.monomial(
-                ctx, (n,) + (0,) * (r - 1))).to_normalized())
-        for a in cocycles + [random_normalized(ctx, n, rng, max_support=30)]:
+            cocycles.append(realize(AlgebraElem.monomial(ctx, (n,) + (0,) * (r - 1))))
+        for a in cocycles + [random_icochain(ctx, n, rng, max_support=30)]:
             for b in (a, NormalizedCochain(ctx, a.degree, MOD_P,
                                            dict(list(a.values.items())[1:]))):
-                assert b.is_cocycle() == b.coboundary().is_zero()
+                assert b.is_cocycle() == _bar_coboundary(b).is_zero()
                 seen.add(b.is_cocycle())
     # at p = 2, r = 1 every cochain space is a line and every d is zero
     assert seen == ({True} if (p, r) == (2, 1) else {True, False})

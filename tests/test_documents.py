@@ -81,8 +81,7 @@ def cochains(draw):
     keys = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * n), max_size=12, unique=True))
     value = st.integers(1, p - 1) if ring == MOD_P else Z_VALUES
     values = {key: draw(value) for key in keys}
-    cls = NormalizedCochain if kind == "normalized" else ICochain
-    return cls(GroupContext(p, r), n, ring, values), kind
+    return ICochain(GroupContext(p, r), n, ring, values), kind
 
 
 @given(cochains())
@@ -177,8 +176,7 @@ def reference_parse(text: str):
             _expect(0 < value < ctx.p,
                     f"{where}.value: mod-p values must lie in [1, {ctx.p})")
         values[key] = value
-    cls = NormalizedCochain if kind == "normalized" else ICochain
-    return cls(ctx, n, ring, values), kind
+    return ICochain(ctx, n, ring, values), kind
 
 
 def outcome(parse, text):

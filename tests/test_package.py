@@ -76,3 +76,12 @@ def test_removed_names_are_gone(name):
     with pytest.raises(AttributeError):
         getattr(icochains, name)
     assert not hasattr(REMOVED[name], name)
+
+
+def test_one_cochain_class():
+    # a normalized cochain stores the same values as the ideal-tensor
+    # functional, so it is the same class and nothing converts between them
+    assert cochain.NormalizedCochain is cochain.ICochain
+    for name in ("to_icochain", "to_normalized"):
+        assert not hasattr(cochain.ICochain, name)
+    assert not hasattr(cochain, "_Cochain")
