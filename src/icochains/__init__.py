@@ -21,7 +21,7 @@ _EXPORTS = {
     "algebra": (
         "AlgebraElem", "compositions", "count_terms", "count_terms_closed_form",
         "invert", "invert_normalized", "invert_normalized_counted", "monomial_mul",
-        "perm_sign", "realize", "shuffle_count", "shuffles",
+        "realize",
     ),
     "cochain": ("ICochain", "NormalizedCochain", "Tensor", "cup_many"),
     "generators": (

@@ -1,4 +1,4 @@
-"""The target algebra, shuffle combinatorics, and the inverse isomorphism.
+"""The target algebra and the inverse isomorphism.
 
 For p = 2 the cohomology ring of G = F_p^r is a polynomial algebra on r
 degree-1 variables; for p > 2 it is the exterior algebra on r degree-1
@@ -12,35 +12,42 @@ variable)^l times (its Bockstein)^k.
 ``realize`` maps a signature to an explicit cocycle by cupping generator
 powers.  ``invert`` is the reverse map on cochain representatives, one
 function of the stored values, which is all the paper's formula reads.
-For p = 2 the coefficient of a monomial sums the values on tuples of generators; for
-p > 2 it is a signed sum, over shuffles of the blocks and splits of each
-block's (s_i - 1)^(p-1) factors, of values on explicit group-element
-tuples (the probes).  It kills coboundaries exactly, so it is well
-defined on cohomology.  ``invert_normalized`` is the same function under
-its older name.
+It kills coboundaries exactly, so it is well defined on cohomology.
+``invert_normalized`` is the same function under its older name.
 
-Each stored key meets at most one (signature, shuffle, split) term of that
-formula.  Its slots must be powers of single generators; its word of
-generator indices fixes the signature and, blocks being increasing, the
-shuffle, whose sign is the parity of the word's out-of-order pairs; and
-each block must hold s_i itself on an odd block's leading slot and on the
-second slot of every pair (from the block's end: the last slot and every
-second one before it), any power on the split slots.  So the inverse is
-also a sum over the E entries, in O(E n r).  ``invert`` picks one of the
-two paths by size alone: the entry sum when E is below ``count_terms``,
-which is at least r^n and (p-1)^(n//2), so bit lengths settle most
-inputs, and the formula otherwise.  ``invert_normalized_counted`` always
-runs the formula; the tests compare the entry sum with it.
+The formula is one sum over generator words w in [r]^n, for every p:
+
+- slot j holds generator w_j;
+- a slot is a split slot, taking every power s_i^q with q in [1, p), when
+  an odd number of later slots hold the same generator;
+- every other slot holds s_i itself;
+- the term's sign is the parity of w's out-of-order pairs times
+  ``_block_sign`` of w's content, the signature it adds to.
+
+These are the paper's block shuffles of the probe tuples: blocks being
+increasing, a word fixes its shuffle, whose inversions are the word's
+out-of-order pairs, and mod p the splits s_i^q - 1 of each
+(s_i - 1)^(p-1) factor sum to that factor.  At p = 2 a split slot has
+the one choice s_i and every sign is 1, so the coefficient of a monomial
+is the sum of the values on the generator tuples of that content.
+
+So each stored key meets at most one term: its slots must be powers of
+single generators, s_i itself on every slot the rule does not split, and
+its word then names the term.  The inverse is therefore also a sum over
+the E entries, in O(E n r).  ``invert`` picks one of the two paths by
+size alone: the entry sum when E is below ``count_terms``, which is at
+least r^n and (p-1)^(n//2), so bit lengths settle most inputs, and the
+formula otherwise.  ``invert_normalized_counted`` always runs the
+formula; the tests compare the entry sum with it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, Sequence
 
 from .cochain import ICochain, _check_output_budget, cup_many
-from .generators import _power_factors, _power_support, probe_tuple, q_choices
+from .generators import _power_factors, _power_support
 from .group_ring import (
     DEFAULT_MAX_ENTRIES,
     EXACT_SIZE_DIGITS,
@@ -186,52 +193,6 @@ class AlgebraElem:
         return f"AlgebraElem(p={self.ctx.p}, r={self.ctx.r}, {self.terms!r})"
 
 
-# -- shuffles -----------------------------------------------------------
-
-def shuffles(block_sizes: Sequence[int]) -> Iterator[tuple]:
-    """All permutations increasing on each consecutive block.
-
-    Permutations are 0-based tuples with perm[j] the image of position j.
-    Generated by choosing image sets block by block (never by filtering
-    the full symmetric group), so the cost is the multinomial coefficient.
-
-    >>> sorted(shuffles((1, 1)))
-    [(0, 1), (1, 0)]
-    """
-    n = sum(block_sizes)
-
-    def rec(avail: tuple, sizes: tuple) -> Iterator[tuple]:
-        if not sizes:
-            yield ()
-            return
-        for chosen in itertools.combinations(avail, sizes[0]):
-            chosen_set = set(chosen)
-            remaining = tuple(x for x in avail if x not in chosen_set)
-            for tail in rec(remaining, sizes[1:]):
-                yield chosen + tail
-
-    return rec(tuple(range(n)), tuple(block_sizes))
-
-
-def perm_sign(perm: Sequence[int]) -> int:
-    """The sign of a 0-based permutation, by counting inversions."""
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def shuffle_count(block_sizes: Sequence[int]) -> int:
-    total = sum(block_sizes)
-    count = 1
-    for b in block_sizes:
-        count *= math.comb(total, b)
-        total -= b
-    return count
-
-
 # -- the forward map ----------------------------------------------------
 
 def realize(e: AlgebraElem) -> ICochain:
@@ -312,6 +273,12 @@ def _block_sign(comp: Sequence[int]) -> int:
     return -1 if (l * (l - 1) // 2) % 2 else 1
 
 
+def _signed(ctx: GroupContext, totals: dict) -> AlgebraElem:
+    """The algebra element of the word sums by content, each signed by
+    ``_block_sign``."""
+    return AlgebraElem(ctx, {comp: _block_sign(comp) * t for comp, t in totals.items()})
+
+
 def _fewer_entries_than_terms(f) -> bool:
     """Whether f has fewer entries than ``count_terms`` evaluations.
 
@@ -356,7 +323,7 @@ def _invert_entry_sum(f) -> AlgebraElem:
         else:
             comp = tuple(sizes)
             totals[comp] = totals.get(comp, 0) + (-v if inversions % 2 else v)
-    return AlgebraElem(ctx, {comp: _block_sign(comp) * t for comp, t in totals.items()})
+    return _signed(ctx, totals)
 
 
 def invert(f) -> AlgebraElem:
@@ -376,62 +343,56 @@ def invert(f) -> AlgebraElem:
 invert_normalized = invert
 
 
-def _invert_direct_p2(f) -> tuple[AlgebraElem, int]:
-    """The p = 2 inverse, with the number of cochain evaluations it
-    performed.
-
-    The coefficient of a monomial is the sum of the values on all tuples
-    of generators (tensors of shifted generators) whose index word has
-    that content.
-    """
-    ctx = f.ctx
-    gens = [ctx.generator(i) for i in range(1, ctx.r + 1)]
-    evaluations = 0
-    terms: dict = {}
-    for word in itertools.product(range(ctx.r), repeat=f.degree):
-        evaluations += 1
-        v = f.values.get(tuple(gens[i] for i in word))
-        if v:
-            sig = [0] * ctx.r
-            for i in word:
-                sig[i] += 1
-            sig = tuple(sig)
-            terms[sig] = terms.get(sig, 0) + v
-    return AlgebraElem(ctx, terms), evaluations
-
-
 def invert_normalized_counted(a) -> tuple[AlgebraElem, int]:
     """The formula path of ``invert``, also reporting the number of cochain
     evaluations performed (the advertised term count of the formula); it
-    never takes the entry sum.  At p > 2 it reads the values on the split
-    probe tuples: mod p, the splits s_i^q - 1 of each (s_i - 1)^(p-1)
-    factor sum to that factor."""
+    never takes the entry sum.
+
+    The words are built depth first from their last slot back, on one
+    explicit stack.  A node fills one slot and carries what the slots
+    from it to the end hold: their content, coded as sum_i n_i (n+1)^i;
+    the generators they hold an odd number of times, as bits; and the
+    parity of their out-of-order pairs.  So no word is rescanned.  The
+    slots fill one shared list, whose tuple at slot 0 is the key
+    evaluated.  The p - 1 powers of a generator are built only at degree
+    2 and up, where ``count_terms`` is at least p - 1.
+    """
     _require_mod_p(a)
-    ctx = a.ctx
-    if ctx.p == 2:
-        return _invert_direct_p2(a)
-    n = a.degree
+    ctx, n, values = a.ctx, a.degree, a.values
+    r = ctx.r
+    if not n:
+        return _signed(ctx, {(0,) * r: values.get((), 0)}), 1
+    steady = [(ctx.generator(g),) for g in range(1, r + 1)]
+    split = [tuple(ctx.generator_power(g, q) for q in range(1, ctx.p))
+             for g in range(1, r + 1)] if n > 1 else steady
+    weights = [(n + 1) ** g for g in range(r)]
+    word: list = [None] * n
+    totals: dict = {}  # content code -> signed sum
     evaluations = 0
-    terms: dict = {}
-    for comp in compositions(n, ctx.r):
-        block_tuples = [
-            [probe_tuple(ctx, i, ni, q) for q in q_choices(ctx, ni)]
-            for i, ni in enumerate(comp, start=1)
-        ]
-        total = 0
-        for sigma in shuffles(comp):
-            sgn = perm_sign(sigma)
-            for blocks in itertools.product(*block_tuples):
-                arg: list = [None] * n
-                for j, u in enumerate(itertools.chain.from_iterable(blocks)):
-                    arg[sigma[j]] = u
-                evaluations += 1
-                v = a.values.get(tuple(arg))
-                if v:
-                    total += sgn * v
-        if total % ctx.p:
-            terms[comp] = _block_sign(comp) * total
-    return AlgebraElem(ctx, terms), evaluations
+    stack = [(n, None, 0, 0, 0)]  # (slot, its element, code, odd bits, parity)
+    while stack:
+        j, u, code, odd_bits, odd = stack.pop()
+        if j < n:
+            word[j] = u
+        j -= 1
+        for g in range(r):
+            bit = 1 << g
+            # later slots holding a smaller generator are out of order
+            parity = (odd + (odd_bits & (bit - 1)).bit_count()) & 1
+            choices = (split if odd_bits & bit else steady)[g]
+            grown = code + weights[g]
+            if j:
+                for u in choices:
+                    stack.append((j, u, grown, odd_bits ^ bit, parity))
+            else:
+                evaluations += len(choices)
+                for u in choices:
+                    word[0] = u
+                    v = values.get(tuple(word))
+                    if v:
+                        totals[grown] = totals.get(grown, 0) + (-v if parity else v)
+    return _signed(ctx, {tuple(code // w % (n + 1) for w in weights): t
+                         for code, t in totals.items()}), evaluations
 
 
 # -- term counting ------------------------------------------------------

@@ -405,6 +405,27 @@ def invert(f):
 invert_normalized = invert
 
 
+def _write(text: str) -> None:
+    """Write a command's output to stdout, every byte of it.
+
+    Unbuffered (``python -u`` or ``PYTHONUNBUFFERED``), ``sys.stdout.buffer``
+    is the raw file, whose ``write`` may take only part of the data, as when
+    the reader of a pipe closes it mid-document, and ``sys.stdout.write``
+    drops the rest without an error.  So the encoded text goes through the
+    binary layer in a loop until all of it is out; a closed reader then
+    fails the next write with ``BrokenPipeError``.  A stdout without a
+    binary layer, such as an ``io.StringIO``, takes the text as it is.
+    """
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()  # text already written goes first
+    data = memoryview(text.encode())
+    while data:
+        data = data[out.write(data):]
+
+
 # -- command handlers ---------------------------------------------------
 #
 # Each handler imports the library modules it runs, so a process compiles
@@ -419,7 +440,7 @@ def _cmd_invert(args) -> int:
         raise DocumentError("invert requires mod-p coefficients (coeff_ring 'Fp')")
     if not args.unchecked and not cochain.is_cocycle():
         raise NotACocycleError("input cochain is not a cocycle")
-    sys.stdout.write(dumps_document(algebra_document(invert(cochain))))
+    _write(dumps_document(algebra_document(invert(cochain))))
     return EXIT_OK
 
 
@@ -434,7 +455,7 @@ def _cmd_tau(args) -> int:
     if len(sig) != ctx.r or any(m < 0 for m in sig):
         raise DocumentError(f"--sig must be {ctx.r} nonnegative integers")
     cocycle = realize(AlgebraElem.monomial(ctx, sig))
-    sys.stdout.write(dumps_document(cochain_document(cocycle, "icochain")))
+    _write(dumps_document(cochain_document(cocycle, "icochain")))
     return EXIT_OK
 
 
@@ -454,22 +475,22 @@ def _cmd_cup(args) -> int:
         if g.ctx != result.ctx:
             raise DocumentError("cup factors must share p and r")
         result = result.cup(g)
-    sys.stdout.write(dumps_document(cochain_document(result, "icochain")))
+    _write(dumps_document(cochain_document(result, "icochain")))
     return EXIT_OK
 
 
 def _cmd_d(args) -> int:
     cochain, kind = parse_cochain_document(_read_input(args.infile))
-    sys.stdout.write(dumps_document(cochain_document(cochain.coboundary(), kind)))
+    _write(dumps_document(cochain_document(cochain.coboundary(), kind)))
     return EXIT_OK
 
 
 def _cmd_check_cocycle(args) -> int:
     cochain, _ = parse_cochain_document(_read_input(args.infile))
     if cochain.is_cocycle():
-        print("true")
+        _write("true\n")
         return EXIT_OK
-    print("false")
+    _write("false\n")
     return EXIT_NOT_COCYCLE
 
 
@@ -483,14 +504,14 @@ def _cmd_dims(args) -> int:
         rep = cohomology_report(ctx, n, max_entries=args.budget)
         lines.append(f"{n} {rep.dim_cochains} {rep.dim_ker_dn} {rep.rank_d_prev} "
                      f"{rep.dim_h} {graded_dimension(ctx, n)}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_count_terms(args) -> int:
     from .algebra import count_terms
 
-    print(_decimal_text(count_terms(_group_context(args.p, args.r), args.n)))
+    _write(_decimal_text(count_terms(_group_context(args.p, args.r), args.n)) + "\n")
     return EXIT_OK
 
 

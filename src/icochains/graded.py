@@ -26,8 +26,8 @@ with them is independent evidence.  ``graded_dimension`` gives the
 expected dim H^n as a count of monomial signatures, without any block.
 The module imports only ``group_ring``, so ``dims`` loads no cochain,
 algebra or inverse-map code, and no numpy.  ``check_table_budget``
-refuses a whole dimension table, counted in key slots, before its first
-degree.
+refuses a whole dimension table, counted in the key slots its degrees
+build, before its first degree.
 """
 
 from __future__ import annotations
@@ -155,16 +155,19 @@ def cohomology_report(ctx: GroupContext, n: int,
 def check_table_budget(ctx: GroupContext, max_n: int, max_entries: int) -> None:
     """Refuse the reports of degrees 0..max_n before the first is computed.
 
-    Degree n enumerates the N^n n-keys and the N^(n+1) (n+1)-keys, and
-    building a key costs one step per slot, so the table needs
-    sum_n n N^n + (n+1) N^(n+1) slots (N = p^r - 1).  At N = 1 a count of
-    keys would stay at 2 per degree while the work grows with n.  The
-    terms grow with n, so the sum stops at the first degree whose running
-    total exceeds ``max_entries``, and that total is the one reported.
+    Degree n builds its n-keys one slot at a time, the N^i keys of every
+    length i <= n, and then its N^(n+1) (n+1)-keys; building a key costs
+    one step per slot, so degree n needs sum_(i <= n+1) i N^i slots
+    (N = p^r - 1).  At N = 1 that is (n+1)(n+2)/2, so the table's cost
+    grows as the cube of max_n, where a count of n-keys alone would stay
+    at 2 per degree.  The terms grow with n, so the sum stops at the first
+    degree whose running total exceeds ``max_entries``, and that total is
+    the one reported.
     """
-    big_n, required = ctx.order - 1, 0
+    big_n, built, required = ctx.order - 1, 0, 0
     for n in range(max_n + 1):
-        required += n * big_n**n + (n + 1) * big_n ** (n + 1)
+        built += (n + 1) * big_n ** (n + 1)  # the slots of degree n
+        required += built
         if required > max_entries:
             raise BudgetExceededError(required, max_entries)
 

@@ -1,5 +1,6 @@
-"""The target algebra, shuffles, and both directions of the isomorphism."""
+"""The target algebra and both directions of the isomorphism."""
 
+import itertools
 import math
 import random
 import time
@@ -27,16 +28,43 @@ from icochains import (
     invert,
     invert_normalized_counted,
     monomial_mul,
-    perm_sign,
     probe_tensor,
     random_cocycle,
     realize,
-    shuffle_count,
-    shuffles,
 )
-from icochains.algebra import _invert_direct_p2, _invert_entry_sum
+from icochains.algebra import _invert_entry_sum
 from icochains.generators import _power_support
 from conftest import DESK, random_icochain
+
+
+def shuffles(block_sizes):
+    """All permutations increasing on each consecutive block.
+
+    Permutations are 0-based tuples with perm[j] the image of position j,
+    generated by choosing image sets block by block.
+    """
+    def rec(avail, sizes):
+        if not sizes:
+            yield ()
+            return
+        for chosen in itertools.combinations(avail, sizes[0]):
+            remaining = tuple(x for x in avail if x not in chosen)
+            for tail in rec(remaining, sizes[1:]):
+                yield chosen + tail
+
+    return rec(tuple(range(sum(block_sizes))), tuple(block_sizes))
+
+
+def perm_sign(perm) -> int:
+    """The sign of a 0-based permutation, by counting inversions."""
+    inversions = sum(1 for i, j in itertools.combinations(range(len(perm)), 2)
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+def multinomial(block_sizes) -> int:
+    """The number of shuffles of blocks of these sizes."""
+    return math.factorial(sum(block_sizes)) // math.prod(map(math.factorial, block_sizes))
 
 
 def invert_via_shuffles(f) -> AlgebraElem:
@@ -122,10 +150,7 @@ def test_shuffles_are_block_increasing_and_counted(sizes):
             assert list(block) == sorted(block)
             start += b
         seen.add(perm)
-    assert len(seen) == shuffle_count(sizes)
-    total = sum(sizes)
-    denominator = math.prod(math.factorial(b) for b in sizes)
-    assert shuffle_count(sizes) == math.factorial(total) // denominator
+    assert len(seen) == multinomial(sizes)
 
 
 def test_compositions_count():
@@ -251,6 +276,55 @@ def test_evaluation_counter_matches_count_terms(p, r):
         assert evaluations == count_terms(ctx, n)
 
 
+def word_cochain(ctx, n, rng, size=100):
+    """A mod-p cochain of up to ``size`` entries whose slots are mostly
+    generator powers, often s_i itself, and a key on a term of the formula:
+    a random generator word with s_i on every slot that an even number of
+    later slots share, and a random power on the others."""
+    def slot():
+        if rng.random() < 0.1:
+            return tuple(rng.randrange(ctx.p) for _ in range(ctx.r - 1)) + (1,)
+        e = 1 if rng.random() < 0.6 else rng.randrange(1, ctx.p)
+        return ctx.generator_power(rng.randrange(1, ctx.r + 1), e)
+
+    keys = {tuple(slot() for _ in range(n)) for _ in range(size)}
+    later = [0] * ctx.r
+    probe = []
+    for g in reversed([rng.randrange(ctx.r) for _ in range(n)]):
+        probe.append(ctx.generator_power(g + 1, rng.randrange(1, ctx.p) if later[g] % 2 else 1))
+        later[g] += 1
+    probe = tuple(reversed(probe))
+    return ICochain(ctx, n, MOD_P, {key: rng.randrange(1, ctx.p) for key in keys}), probe
+
+
+# Every (p, r, n) with p in {2, 3, 5, 7}, r <= 3 and at most 2 000 formula
+# terms, up to degree 10 (at p = 2, r = 1 every degree has one term).
+FORMULA_CASES = [(p, r, n) for p in (2, 3, 5, 7) for r in (1, 2, 3) for n in range(11)
+                 if count_terms(GroupContext(p, r), n) <= 2000]
+
+
+@pytest.mark.parametrize("p,r,n", FORMULA_CASES)
+def test_formula_matches_the_shuffle_form_and_the_entry_sum(p, r, n):
+    ctx = GroupContext(p, r)
+    f, probe = word_cochain(ctx, n, random.Random(f"{p}-{r}-{n}"))
+    # the one key on a term gives one signature, with coefficient +-1
+    for g in (f, ICochain(ctx, n, MOD_P, {probe: 1})):
+        formula, evaluations = invert_normalized_counted(g)
+        assert evaluations == count_terms(ctx, n)
+        assert formula == invert_via_shuffles(g)
+        assert formula == _invert_entry_sum(g)
+    assert len(formula.terms) == 1 and set(formula.terms.values()) <= {1, p - 1}
+
+
+def test_formula_at_degree_20000():
+    # at p = 2, r = 1 the formula has one term at every degree, and it runs
+    # without recursion
+    ctx = GroupContext(2, 1)
+    f = ICochain(ctx, 20000, MOD_P, {((1,),) * 20000: 1})
+    assert invert_normalized_counted(f) == (AlgebraElem.monomial(ctx, (20000,)), 1)
+    assert invert(f).terms == {(20000,): 1}
+
+
 ENTRY_SUM_CONTEXTS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
 
 
@@ -275,8 +349,6 @@ def test_entry_sum_matches_the_formula_paths(f):
     expected = _invert_entry_sum(f)
     assert invert_via_shuffles(f) == expected
     assert invert_normalized_counted(f)[0] == expected
-    if f.ctx.p == 2:
-        assert _invert_direct_p2(f)[0] == expected
     assert invert(f) == expected
 
 
@@ -393,7 +465,7 @@ def test_count_terms_matches_the_enumeration():
         for r in range(1, 5):
             ctx = GroupContext(p, r)
             for n in range(8):
-                enumerated = sum(shuffle_count(comp) * (p - 1) ** sum(m // 2 for m in comp)
+                enumerated = sum(multinomial(comp) * (p - 1) ** sum(m // 2 for m in comp)
                                  for comp in compositions(n, r))
                 assert count_terms(ctx, n) == enumerated, (p, r, n)
 

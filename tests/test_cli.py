@@ -2,6 +2,7 @@
 
 import decimal
 import gc
+import itertools
 import json
 import os
 import subprocess
@@ -420,11 +421,17 @@ def test_dims_past_the_dense_budget(capsys):
 
 
 def _table_slots(big_n, max_n):
-    return sum(n * big_n**n + (n + 1) * big_n ** (n + 1) for n in range(max_n + 1))
+    # degree n builds the keys of every length up to n + 1, a slot at a time
+    return sum(i * big_n**i for n in range(max_n + 1) for i in range(1, n + 2))
+
+
+def _line_table_slots(max_n):
+    # _table_slots(1, max_n), the sum of (n + 1)(n + 2) / 2 over n <= max_n
+    return (max_n + 1) * (max_n + 2) * (max_n + 3) // 6
 
 
 def test_dims_refuses_before_enumerating():
-    # N = 342: the key slots of degrees 0..2 pass the 2^24 default
+    # N = 342: the key slots of degrees 0..1 pass the 2^24 default
     result = subprocess.run(
         [sys.executable, "-m", "icochains.cli", "dims", "--p", "7", "--r", "3", "--max-n", "3"],
         capture_output=True, text=True, timeout=10)
@@ -434,15 +441,35 @@ def test_dims_refuses_before_enumerating():
 
 
 def test_dims_refuses_a_long_table_before_its_first_degree():
-    # N = 1: one key per degree, but building degree n's costs n slots, so
-    # the table's cost grows with max-n (1 600 degrees take about 3 s)
+    # N = 1: one key per degree, but building degree n's keys a slot at a
+    # time costs (n + 1)(n + 2) / 2 slots, so the table's cost grows as the
+    # cube of max-n (1 600 degrees take seconds, 4 095 over a minute)
+    assert all(_line_table_slots(m) == _table_slots(1, m) for m in range(20))
+    first = next(m for m in itertools.count() if _line_table_slots(m) > 2**24)
+    assert first == 464
+    for max_n in (first, 4095, 10000):
+        result = subprocess.run(
+            [sys.executable, "-m", "icochains.cli", "dims", "--p", "2", "--r", "1",
+             "--max-n", str(max_n)],
+            capture_output=True, text=True, timeout=10)
+        assert result.returncode == EXIT_BUDGET, result.stderr
+        assert f"needs {_line_table_slots(first)} entries" in result.stderr
+        assert result.stdout == ""
+
+
+def test_dims_on_a_line_up_to_the_budget():
+    # N = 1: the longest table the default budget accepts, every H^n a line
+    last = 463
+    assert _line_table_slots(last) <= 2**24 < _line_table_slots(last + 1)
     result = subprocess.run(
         [sys.executable, "-m", "icochains.cli", "dims", "--p", "2", "--r", "1",
-         "--max-n", "10000"],
-        capture_output=True, text=True, timeout=10)
-    assert result.returncode == EXIT_BUDGET, result.stderr
-    assert f"needs {(4096 + 1) ** 2} entries" in result.stderr
-    assert result.stdout == ""
+         "--max-n", str(last)],
+        capture_output=True, text=True, timeout=30)
+    assert result.returncode == EXIT_OK, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[1:]]
+    assert len(rows) == last + 1
+    assert [row[0] for row in rows] == [str(n) for n in range(last + 1)]
+    assert all(row[1:] == ["1", "1", "0", "1", "1"] for row in rows)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -787,11 +814,11 @@ def _exit_outcome(argv: list, env: dict, close_after=None) -> tuple:
 ])
 def test_closed_reader_gives_the_sys_exit_outcome(argv, close_after, unbuffered):
     """A reader that closes stdout early gets exit 141 and an empty stderr,
-    through the fast exit and through sys.exit alike.  Unbuffered, tau's
-    document goes out in one raw write, which the closing reader cuts
-    short without an error, so that run exits 0."""
+    through the fast exit and through sys.exit alike, buffered or not.
+    Unbuffered, the raw write that the closing reader cuts short is
+    followed by one more, which fails."""
     env = process_env(unbuffered)
-    expected = (EXIT_OK if unbuffered and close_after else EXIT_BROKEN_PIPE, [])
+    expected = (EXIT_BROKEN_PIPE, [])
     assert _exit_outcome(CLI + argv, env, close_after) == expected
     assert _exit_outcome(SYS_EXIT + argv, env, close_after) == expected
 

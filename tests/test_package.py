@@ -12,8 +12,7 @@ from icochains import algebra, cochain, generators, graded, group_ring, oracle
 PUBLIC_NAMES = {
     "algebra": {
         "AlgebraElem", "compositions", "count_terms", "count_terms_closed_form", "invert",
-        "invert_normalized", "invert_normalized_counted", "monomial_mul", "perm_sign",
-        "realize", "shuffle_count", "shuffles",
+        "invert_normalized", "invert_normalized_counted", "monomial_mul", "realize",
     },
     "cochain": {"ICochain", "NormalizedCochain", "Tensor", "cup_many"},
     "generators": {
@@ -43,6 +42,7 @@ REMOVED = {
     "to_shifted_basis": group_ring, "from_shifted_basis": group_ring,
     "MultiIndex": group_ring, "NormExpansion": group_ring,
     "invert_via_shuffles": algebra, "invert_class": algebra,
+    "perm_sign": algebra, "shuffle_count": algebra, "shuffles": algebra,
 }
 
 
