@@ -23,7 +23,7 @@ _EXPORTS = {
         "invert", "invert_normalized", "invert_normalized_counted", "monomial_mul",
         "realize",
     ),
-    "cochain": ("ICochain", "NormalizedCochain", "Tensor", "cup_many"),
+    "cochain": ("ICochain", "NormalizedCochain", "cup_many"),
     "generators": (
         "bockstein_cocycle", "bockstein_pair_value", "carry_cocycle",
         "carry_cocycle_over_z", "exponent_cocycle", "generator_power_cocycle",
@@ -32,8 +32,7 @@ _EXPORTS = {
     "graded": ("CohomologyReport", "cohomology_report", "graded_dimension"),
     "group_ring": (
         "DEFAULT_MAX_ENTRIES", "INTEGERS", "MOD_P", "BudgetExceededError",
-        "GroupContext", "NotACocycleError", "RingElem", "as_difference_basis",
-        "augmentation", "is_prime", "shifted_generator", "shifted_monomial",
+        "GroupContext", "NotACocycleError", "is_prime", "shifted_monomial",
     ),
     "oracle": (
         "FpMatrix", "classes_equal", "cochain_basis", "d_matrix", "is_coboundary",

@@ -22,7 +22,7 @@ from .algebra import (
     invert_normalized_counted,
     realize,
 )
-from .cochain import ICochain, Tensor, _bar_coboundary
+from .cochain import ICochain, _bar_coboundary
 from .generators import (
     bockstein_cocycle,
     bockstein_pair_value,
@@ -121,7 +121,7 @@ def check_bockstein_identities() -> None:
                     tk = shifted_monomial(ctx, tuple(k if j == i - 1 else 0 for j in range(r)))
                     tl = shifted_monomial(ctx, tuple(l if j == i - 1 else 0 for j in range(r)))
                     want = bockstein_pair_value(ctx, i, k, l) % p
-                    got = h.evaluate(Tensor(ctx, [tk, tl]))
+                    got = h.evaluate([tk, tl])
                     assert got == want == (1 if k + l == p else 0), \
                         f"(p={p}, i={i}, k={k}, l={l}): {got} vs {want}"
     for p, r in [(2, 1), (2, 2), (2, 3)]:

@@ -11,7 +11,9 @@ both, and ``NormalizedCochain`` is another name for it.
 * the coboundary contracts adjacent tensor factors with the group-ring
   product, with alternating signs (the coefficients are F_p or Z with the
   trivial action, on which an ideal element acts as zero);
-* a cochain evaluates on arbitrary ideal tensors by multilinearity;
+* a cochain evaluates by multilinearity on tensors of ideal elements,
+  each given on the difference basis as a dict {u: c} (see
+  ``group_ring``);
 * cup products concatenate tensor factors, with the sign convention that
   (f cup g) on an (m+n)-tensor is (-1)^(m n) f(first m) g(last n).
 
@@ -34,15 +36,11 @@ from typing import Sequence
 
 from .group_ring import (  # the budget and cocycle errors are re-exported
     DEFAULT_MAX_ENTRIES,
-    INTEGERS,
     MOD_P,
     BudgetExceededError,
     GroupContext,
     NotACocycleError,
-    RingElem,
     _check_ring,
-    as_difference_basis,
-    augmentation,
 )
 
 
@@ -188,31 +186,28 @@ class ICochain:
         return (f"ICochain(p={self.ctx.p}, r={self.ctx.r}, "
                 f"degree={self.degree}, {self.ring}, {len(self.values)} entries)")
 
-    def evaluate(self, tensor: Tensor) -> int:
-        """Evaluate on an ideal tensor by expanding each factor.
-
-        Mod-p cochains accept factors over either coefficient ring (the
-        value only depends on the factors mod p); integer cochains demand
-        integer factors.
-        """
-        if tensor.ctx != self.ctx:
-            raise ValueError("tensor from a different context")
-        if len(tensor) != self.degree:
-            raise ValueError(f"expected {self.degree} factors, got {len(tensor)}")
-        if self.ring == INTEGERS and any(a.ring != INTEGERS for a in tensor.factors):
-            raise ValueError("integer cochains require integer tensor factors")
-        return self.evaluate_on_expansions([as_difference_basis(a) for a in tensor.factors])
-
-    def evaluate_on_expansions(self, factors: Sequence[dict]) -> int:
-        """Evaluate on factors already written on the difference basis.
+    def evaluate(self, factors: Sequence[dict]) -> int:
+        """Evaluate on a tensor of n augmentation-ideal elements, each on
+        the difference basis: {u: c} is the sum of c (u - 1).
 
         The value is the sum over basis tensors of the stored value times
-        the product of the factors' coefficients.  It runs over whichever
-        side is smaller: the stored entries, looking each slot up in its
-        factor, or the product of the factors' supports.
+        the product of the factors' coefficients, exact over Z; a mod-p
+        cochain reduces it at the end.  It runs over whichever side is
+        smaller: the stored entries, looking each slot up in its factor,
+        or the product of the factors' supports.  Every key must be a
+        nonidentity element of the context and every coefficient an int.
         """
+        ctx = self.ctx
         if len(factors) != self.degree:
             raise ValueError(f"expected {self.degree} factors, got {len(factors)}")
+        identity = ctx.identity
+        for d in factors:
+            for u, c in d.items():
+                ctx.check_elem(u)
+                if u == identity:
+                    raise ValueError("the identity is not a difference-basis element")
+                if not isinstance(c, int):
+                    raise ValueError(f"coefficients must be integers: {c!r}")
         values = self.values
         total = 0
         if len(values) <= math.prod(len(d) for d in factors):
@@ -231,7 +226,7 @@ class ICochain:
                     for _, c in combo:
                         v *= c
                     total += v
-        return total % self.ctx.p if self.ring == MOD_P else total
+        return total % ctx.p if self.ring == MOD_P else total
 
     def coboundary(self) -> "ICochain":
         """The coboundary in ideal-tensor form.
@@ -382,24 +377,6 @@ def _bar_coboundary(f: ICochain) -> ICochain:
     return ICochain(ctx, n + 1, f.ring, out)
 
 
-class Tensor:
-    """A tensor of augmentation-ideal elements, the argument type of ICochains."""
-
-    __slots__ = ("ctx", "factors")
-
-    def __init__(self, ctx: GroupContext, factors: Sequence[RingElem]):
-        self.ctx = ctx
-        self.factors = tuple(factors)
-        for a in self.factors:
-            if a.ctx != ctx:
-                raise ValueError("tensor factor from a different context")
-            if augmentation(a) != 0:
-                raise ValueError("tensor factor outside the augmentation ideal")
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-
 def cup_many(factors: Sequence[ICochain]) -> ICochain:
     """Cup product of several cochains.
 
@@ -409,12 +386,18 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
     Refuses, before enumerating, a product of supports over the default
     entry budget.
 
-    The product is one fold, a factor at a time, from {(): sign}: each
-    key so far is extended by each key of the next factor, taken in
-    sorted order.  Keys are concatenations of valid keys, so they are not
-    re-checked; the keys of a factor share one length, so the result's
-    keys come out in sorted order and never repeat; and products of
-    nonzero residues mod p are nonzero, so no value is dropped.
+    The factors' sorted entry lists are merged pairwise, neighbour with
+    neighbour, until one is left, and only the last merge is built as a
+    dict.  A merge pairs each entry of the first list with each entry of
+    the second, concatenating keys and multiplying values mod p.  The keys
+    of a list share one length, so a merge of sorted lists comes out
+    sorted and never repeats a key, and neither does the result.  Keys are
+    concatenations of valid keys, so they are not re-checked; products of
+    nonzero residues mod p are nonzero, so no value is dropped.  Merging
+    in a balanced tree copies each key slot about log2(m) times for m
+    factors, where a fold of one factor at a time copies the whole key so
+    far at every step, quadratic in the degree on a chain of one-entry
+    factors.
     """
     factors = list(factors)
     if not factors:
@@ -427,12 +410,20 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
             raise ValueError("cup products are defined for mod-p cochains")
     _check_output_budget(math.prod(len(f.values) for f in factors))
     l = sum(1 for f in factors if f.degree % 2)
-    sign = -1 if (l * (l - 1) // 2) % 2 else 1
     p = ctx.p
-    values = {(): sign % p}
-    for f in factors:
-        items = sorted(f.values.items())
-        values = {k + fk: c * fc % p for k, c in values.items() for fk, fc in items}
+    lists = [sorted(f.values.items()) for f in factors]
+    if (l * (l - 1) // 2) % 2:
+        lists[0] = [(k, -c % p) for k, c in lists[0]]
+    while len(lists) > 2:
+        merged = [[(ka + kb, ca * cb % p) for ka, ca in a for kb, cb in b]
+                  for a, b in zip(lists[::2], lists[1::2])]
+        if len(lists) % 2:
+            merged.append(lists[-1])
+        lists = merged
+    if len(lists) == 2:
+        a, b = lists
+        values = {ka + kb: ca * cb % p for ka, ca in a for kb, cb in b}
+    else:
+        values = dict(lists[0])
     degree = sum(f.degree for f in factors)
     return ICochain._trusted(ctx, degree, MOD_P, values)
-

@@ -4,8 +4,9 @@ Degree one is generated by the exponent-reading cocycles (the dual basis of
 the group); degree two by their Bockstein images, represented by the base-p
 carry cocycles.  Cup powers of these two families realize every monomial
 basis class.  The probe tensors built here are the distinguished arguments
-on which a cup power evaluates to 1, and their split variants resolve each
-(s_i - 1)^(p-1) factor into single differences s_i^q - 1.
+on which a cup power evaluates to 1, tuples of ideal elements on the
+difference basis, and their split variants resolve each (s_i - 1)^(p-1)
+factor into single differences s_i^q - 1.
 """
 
 from __future__ import annotations
@@ -14,15 +15,8 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .cochain import ICochain, Tensor, cup_many
-from .group_ring import (
-    INTEGERS,
-    MOD_P,
-    GroupContext,
-    RingElem,
-    shifted_generator,
-    shifted_monomial,
-)
+from .cochain import ICochain, cup_many
+from .group_ring import INTEGERS, MOD_P, GroupContext, shifted_monomial
 
 
 def exponent_cocycle(ctx: GroupContext, i: int) -> ICochain:
@@ -127,25 +121,26 @@ def _power_support(ctx: GroupContext, m: int) -> int:
     return ((p - 1) * p ** (r - 1)) ** odd * (p * (p - 1) // 2 * p ** (2 * r - 2)) ** k
 
 
-def probe_tensor(ctx: GroupContext, i: int, m: int) -> Tensor:
-    """The degree-m probe tensor for variable i.
+def probe_tensor(ctx: GroupContext, i: int, m: int) -> tuple:
+    """The degree-m probe tensor for variable i, as a tuple of m ideal
+    elements on the difference basis.
 
     Even m = 2k: k blocks (s_i-1)^(p-1) x (s_i-1); odd m: a leading
     s_i - 1 followed by the k blocks.  The degree-m cup power of
-    variable i evaluates to 1 on it.
+    variable i evaluates to 1 on it.  The (s_i-1)^(p-1) factor is built
+    once, and only when there is a block.
     """
     ctx.check_index(i)
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    t = shifted_generator(ctx, i)
+    t = {ctx.generator(i): 1}
     k, odd = divmod(m, 2)
-    factors: list[RingElem] = [t] if odd else []
+    factors = [t] if odd else []
     if k:
         t_top = shifted_monomial(ctx, tuple((ctx.p - 1) if j == i - 1 else 0
                                             for j in range(ctx.r)))
-        for _ in range(k):
-            factors.extend((t_top, t))
-    return Tensor(ctx, factors)
+        factors += [t_top, t] * k
+    return tuple(factors)
 
 
 def _check_q(ctx: GroupContext, m: int, q: Sequence[int]) -> tuple:
@@ -173,16 +168,15 @@ def probe_tuple(ctx: GroupContext, i: int, m: int, q: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def probe_tensor_split(ctx: GroupContext, i: int, m: int, q: Sequence[int]) -> Tensor:
-    """The probe with each (s_i-1)^(p-1) factor replaced by s_i^q - 1.
+def probe_tensor_split(ctx: GroupContext, i: int, m: int, q: Sequence[int]) -> tuple:
+    """The probe with each (s_i-1)^(p-1) factor replaced by s_i^q - 1:
+    the differences u - 1, as {u: 1}, of the ``probe_tuple``.
 
     Summing over all q in [1, p-1]^(m//2) recovers the probe tensor mod p,
     so mod-p cochains take equal values on the probe and on the sum of its
     splits.
     """
-    us = probe_tuple(ctx, i, m, q)
-    unit = RingElem.unit(ctx)
-    return Tensor(ctx, [RingElem.from_group_elem(ctx, u) - unit for u in us])
+    return tuple({u: 1} for u in probe_tuple(ctx, i, m, q))
 
 
 def q_choices(ctx: GroupContext, m: int) -> Iterator[tuple]:

@@ -1,13 +1,14 @@
-"""Exact arithmetic in Z[G] and F_p[G] for an elementary abelian p-group G.
+"""The group G = F_p^r, and elements of its augmentation ideal.
 
 G is F_p^r written multiplicatively: an element is an exponent vector
 ``(k_1, ..., k_r)`` with ``0 <= k_i < p``, and multiplication adds exponents
-mod p.  Ring elements are stored sparsely on the group basis, the only
-basis they are kept on.  ``shifted_monomial`` expands the products of the
+mod p.  The augmentation ideal I of Z[G] (the kernel of the coefficient-sum
+map) has the nonidentity differences ``u - 1`` as a basis, and an element
+of I is kept on that basis only: a dict {u: c} with u a nonidentity
+element and c an exact int, the form in which cochains store their values
+and evaluate.  ``shifted_monomial`` expands the products of the
 differences ``s_i - 1`` of the distinguished generators onto it.  The
-augmentation ideal (kernel of the coefficient-sum map) has the nonidentity
-differences ``u - 1`` as a basis; ``as_difference_basis`` rewrites an
-element on it.  The entry budget and the two errors every layer raises
+entry budget and the two errors every layer raises
 (``BudgetExceededError``, ``NotACocycleError``) live here too, so the block
 oracle and the CLI reach them without loading any cochain code.
 """
@@ -22,8 +23,8 @@ from typing import Iterator
 INTEGERS = "Z"
 MOD_P = "Fp"
 
-# A group element is a plain tuple of ints; validation happens at the
-# GroupContext / RingElem boundary.
+# A group element is a plain tuple of ints, checked by GroupContext.check_elem
+# where it enters from outside.
 GroupElem = tuple
 
 # Default entry budget of the oracles' dense matrices and enumerated keys, and
@@ -189,195 +190,47 @@ def _check_ring(ring: str) -> str:
     return ring
 
 
-class RingElem:
-    """Sparse element of Z[G] or F_p[G], keyed by exponent vectors.
-
-    Zero coefficients are never stored; mod-p coefficients are kept in
-    [0, p).  Instances are immutable by convention: every operation
-    returns a fresh element.
-    """
-
-    __slots__ = ("ctx", "ring", "terms")
-
-    def __init__(self, ctx: GroupContext, ring: str, terms: dict):
-        self.ctx = ctx
-        self.ring = _check_ring(ring)
-        p = ctx.p
-        clean = {}
-        for u, c in terms.items():
-            ctx.check_elem(u)
-            if ring == MOD_P:
-                c %= p
-            if c:
-                clean[u] = c
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, ctx: GroupContext, ring: str, terms: dict) -> "RingElem":
-        """Wrap terms that are already valid: group-element keys, nonzero
-        coefficients, reduced into [0, p) over MOD_P.  No check, no copy."""
-        elem = cls.__new__(cls)
-        elem.ctx, elem.ring, elem.terms = ctx, ring, terms
-        return elem
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: GroupContext, ring: str = INTEGERS) -> "RingElem":
-        return cls(ctx, ring, {})
-
-    @classmethod
-    def unit(cls, ctx: GroupContext, ring: str = INTEGERS) -> "RingElem":
-        return cls(ctx, ring, {ctx.identity: 1})
-
-    @classmethod
-    def from_group_elem(cls, ctx: GroupContext, u: GroupElem, ring: str = INTEGERS) -> "RingElem":
-        return cls(ctx, ring, {u: 1})
-
-    # -- ring structure -----------------------------------------------
-
-    def _compatible(self, other: "RingElem") -> None:
-        if self.ctx != other.ctx or self.ring != other.ring:
-            raise ValueError("context or coefficient-ring mismatch")
-
-    def __add__(self, other: "RingElem") -> "RingElem":
-        self._compatible(other)
-        terms = dict(self.terms)
-        for u, c in other.terms.items():
-            terms[u] = terms.get(u, 0) + c
-        return RingElem(self.ctx, self.ring, terms)
-
-    def __neg__(self) -> "RingElem":
-        return RingElem(self.ctx, self.ring, {u: -c for u, c in self.terms.items()})
-
-    def __sub__(self, other: "RingElem") -> "RingElem":
-        return self + (-other)
-
-    def __mul__(self, other: "RingElem") -> "RingElem":
-        # Convolution product induced by s^k * s^l = s^(k+l mod p).
-        self._compatible(other)
-        ctx = self.ctx
-        terms: dict = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = ctx.mul(u, v)
-                terms[w] = terms.get(w, 0) + cu * cv
-        return RingElem(ctx, self.ring, terms)
-
-    def scale(self, c: int) -> "RingElem":
-        return RingElem(self.ctx, self.ring, {u: c * v for u, v in self.terms.items()})
-
-    def power(self, k: int) -> "RingElem":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        result = RingElem.unit(self.ctx, self.ring)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RingElem):
-            return NotImplemented
-        return self.ctx == other.ctx and self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx, self.ring, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, u: GroupElem) -> int:
-        return self.terms.get(u, 0)
-
-    def mod_p(self) -> "RingElem":
-        """The image in F_p[G] (identity if already mod p)."""
-        return RingElem(self.ctx, MOD_P, self.terms)
-
-    def __repr__(self):
-        items = ", ".join(f"{u}: {c}" for u, c in sorted(self.terms.items()))
-        return f"RingElem(p={self.ctx.p}, r={self.ctx.r}, {self.ring}, {{{items}}})"
-
-
-def augmentation(a: RingElem) -> int:
-    """Sum of the coefficients; a ring map onto the coefficient ring."""
-    total = sum(a.terms.values())
-    return total % a.ctx.p if a.ring == MOD_P else total
-
-
-def shifted_generator(ctx: GroupContext, i: int, ring: str = INTEGERS) -> RingElem:
-    """The difference s_i - 1 of the i-th generator."""
-    ctx.check_index(i)
-    return RingElem(ctx, ring, {ctx.generator(i): 1, ctx.identity: -1})
-
-
-def _difference_power(e: int, p: int, ring: str) -> dict:
+def _difference_power(e: int, p: int) -> dict:
     """(s - 1)^e for one generator s of order p, as {j: coefficient of s^j}.
 
-    Expands sum over j of C(e, j) (-1)^(e-j) s^(j mod p), updating the
-    signed term by t_(j+1) = -t_j (e - j) / (j + 1).  Over F_p with e < p
-    every j + 1 is a unit, so the update runs mod p on word-size numbers
-    (with the inverses of 1..e tabulated in one pass); otherwise it runs
-    exactly over Z and reduces at the end.
+    Expands sum over j of C(e, j) (-1)^(e-j) s^(j mod p) exactly over Z,
+    updating the signed term by t_(j+1) = -t_j (e - j) / (j + 1).
     """
     coeffs: dict = {}
-    if ring == MOD_P and e < p:
-        inv = [0, 1]
-        for i in range(2, e + 1):
-            inv.append(-(p // i) * inv[p % i] % p)
-        t = (-1) ** e % p
-        for j in range(e):
-            coeffs[j] = t
-            t = -t * (e - j) * inv[j + 1] % p
-        coeffs[e] = t
-        return coeffs
     t = (-1) ** e
     for j in range(e + 1):
         coeffs[j % p] = coeffs.get(j % p, 0) + t
         t = -t * (e - j) // (j + 1)
-    if ring == MOD_P:
-        return {j: c % p for j, c in coeffs.items() if c % p}
     return {j: c for j, c in coeffs.items() if c}
 
 
-def shifted_monomial(ctx: GroupContext, k, ring: str = INTEGERS) -> RingElem:
-    """The product of (s_i - 1)^(k_i), expanded on the group basis.
+def shifted_monomial(ctx: GroupContext, k) -> dict:
+    """The product of (s_i - 1)^(k_i), an element of the augmentation
+    ideal, on the difference basis: {u: c} stands for the sum of
+    c (u - 1) over nonidentity u, with exact int coefficients.
 
     Each factor is expanded in closed form by the binomial theorem, and
-    since the factors involve distinct generators their product is the
-    outer product of the expansions: no ring multiplication is needed, so
-    a factor with exponent e costs O(e) coefficient updates (word-size
-    ones over F_p when e < p).  Exponents >= p are legal: the power is
-    taken honestly in the group ring (where s_i^p = 1), which is what
-    transient computations with (s_i - 1)^p need.  Only basis enumeration
-    restricts to k_i <= p - 1.  ``shifted_generator(...).power`` is the
-    slow reference the tests compare against.
+    since the factors involve distinct generators their product on the
+    group basis is the outer product of the expansions.  Its coefficient
+    at u != 1 is its coefficient on u - 1; the identity's is forced by
+    augmentation zero and dropped.  The zero vector is refused, since 1
+    is not in the ideal.  Exponents >= p are legal: the power is taken
+    honestly in Z[G] (where s_i^p = 1).  Callers that need residues
+    reduce the result mod p.
 
-    >>> ctx = GroupContext(2, 1)
-    >>> shifted_monomial(ctx, (2,)).terms == {(0,): 2, (1,): -2}
+    >>> ctx = GroupContext(3, 1)
+    >>> shifted_monomial(ctx, (2,)) == {(1,): -2, (2,): 1}
     True
     """
-    _check_ring(ring)
     if len(k) != ctx.r or any(not isinstance(a, int) or a < 0 for a in k):
         raise ValueError(f"exponent vector must be {ctx.r} nonnegative integers: {k!r}")
+    if not any(k):
+        raise ValueError("the zero exponent vector gives 1, which is not in the ideal")
     p = ctx.p
     terms: dict = {(): 1}
     for e in k:
-        factor = _difference_power(e, p, ring).items()
+        factor = _difference_power(e, p).items()
         terms = {u + (j,): c * v for u, c in terms.items() for j, v in factor}
-    if ring == MOD_P:
-        terms = {u: c % p for u, c in terms.items()}
-    # Products of nonzero coefficients stay nonzero, over Z and over F_p.
-    return RingElem._trusted(ctx, ring, terms)
-
-
-def as_difference_basis(a: RingElem) -> dict:
-    """Write an augmentation-ideal element as sum of c_u * (u - 1), u != 1.
-
-    The coefficient of u - 1 is simply the group-basis coefficient of u;
-    the identity coefficient is then forced by augmentation zero.  Raises
-    if a is not in the ideal.
-    """
-    if augmentation(a) != 0:
-        raise ValueError("element has nonzero augmentation, not in the augmentation ideal")
-    identity = a.ctx.identity
-    return {u: c for u, c in a.terms.items() if u != identity}
+    # Products of nonzero integers stay nonzero, so only the identity goes.
+    terms.pop(ctx.identity, None)
+    return terms

@@ -1,22 +1,40 @@
 """Shared helpers for the test suite."""
 
-from icochains import ICochain, INTEGERS, MOD_P, RingElem, cochain_basis
+from icochains import ICochain, MOD_P, cochain_basis
 
 # (p, r) pairs every broad property test runs over.
 DESK = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
 
 
-def random_ring_elem(ctx, rng, ring=INTEGERS, lo=-9, hi=9):
-    terms = {u: rng.randint(lo, hi) for u in ctx.elements() if rng.random() < 0.7}
-    return RingElem(ctx, ring, terms)
+def random_ideal_elem(ctx, rng, lo=-9, hi=9):
+    """A random element of the augmentation ideal on the difference basis."""
+    return {u: rng.randint(lo, hi) for u in ctx.nonidentity_elements() if rng.random() < 0.7}
 
 
-def random_ideal_elem(ctx, rng, ring=INTEGERS):
-    """A random element of the augmentation ideal."""
-    from icochains import augmentation
+def ideal_product(ctx, *factors):
+    """The product in Z[G] of ideal elements given on the difference basis,
+    on the difference basis again.
 
-    a = random_ring_elem(ctx, rng, ring)
-    return a - RingElem.unit(ctx, ring).scale(augmentation(a))
+    Each factor is written on the group basis, where u - 1 has coefficient 1
+    at u and -1 at the identity, and the factors are multiplied by
+    convolution through the group law: a reference that uses neither the
+    identity (x - 1)(y - 1) = (xy - 1) - (x - 1) - (y - 1) nor the binomial
+    theorem.  The product lies in the ideal, so dropping its identity
+    coefficient keeps all of it.
+    """
+    identity = ctx.identity
+    product = {identity: 1}
+    for a in factors:
+        on_group = dict(a)
+        on_group[identity] = on_group.get(identity, 0) - sum(a.values())
+        out = {}
+        for u, cu in product.items():
+            for v, cv in on_group.items():
+                w = ctx.mul(u, v)
+                out[w] = out.get(w, 0) + cu * cv
+        product = out
+    assert sum(product.values()) == 0, "a product of ideal elements has augmentation 0"
+    return {u: c for u, c in product.items() if c and u != identity}
 
 
 def random_icochain(ctx, n, rng, ring=MOD_P, max_support=None):
@@ -29,4 +47,3 @@ def random_icochain(ctx, n, rng, ring=MOD_P, max_support=None):
     else:
         values = {k: rng.randint(-9, 9) for k in basis}
     return ICochain(ctx, n, ring, values)
-

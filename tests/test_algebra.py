@@ -16,7 +16,6 @@ from icochains import (
     INTEGERS,
     MOD_P,
     NormalizedCochain,
-    Tensor,
     bockstein_cocycle,
     compositions,
     count_terms,
@@ -78,13 +77,13 @@ def invert_via_shuffles(f) -> AlgebraElem:
     terms = {}
     for comp in compositions(n, ctx.r):
         factors = [a for i, m in enumerate(comp, start=1)
-                   for a in probe_tensor(ctx, i, m).factors]
+                   for a in probe_tensor(ctx, i, m)]
         total = 0
         for sigma in shuffles(comp):
             permuted = [None] * n
             for j, a in enumerate(factors):
                 permuted[sigma[j]] = a
-            total += perm_sign(sigma) * f.evaluate(Tensor(ctx, permuted))
+            total += perm_sign(sigma) * f.evaluate(permuted)
         odd = sum(m % 2 for m in comp)
         terms[comp] = (-1) ** (odd * (odd - 1) // 2) * total
     return AlgebraElem(ctx, terms)

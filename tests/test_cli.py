@@ -395,6 +395,19 @@ def test_dims_output(capsys):
     assert [line.split()[5] for line in lines[1:]] == ["1", "2", "3", "4"]
 
 
+def test_dims_eliminates_each_degree_once(capsys):
+    # cohomology_report(n) reads the block ranks of d_n and d_(n-1); the
+    # cache hands degree n's ranks on to degree n + 1, so a table of
+    # degrees 0..max_n eliminates max_n + 1 coboundaries and reuses max_n
+    from icochains import graded
+
+    graded._block_ranks.cache_clear()
+    code, out, _ = run_cli(capsys, "dims", "--p", "2", "--r", "2", "--max-n", "6")
+    assert code == EXIT_OK and len(out.splitlines()) == 8
+    info = graded._block_ranks.cache_info()
+    assert (info.misses, info.hits) == (7, 6)
+
+
 def test_dims_budget_exit(capsys):
     code, out, err = run_cli(capsys, "dims", "--p", "3", "--r", "2",
                              "--max-n", "3", "--budget", "1000")

@@ -25,15 +25,13 @@ from icochains import (
     INTEGERS,
     MOD_P,
     NormalizedCochain,
-    RingElem,
-    Tensor,
     cochain_basis,
     cup_many,
     random_cocycle,
     realize,
 )
 from icochains.cochain import _bar_coboundary
-from conftest import DESK, random_icochain, random_ideal_elem
+from conftest import DESK, ideal_product, random_icochain, random_ideal_elem
 
 
 def bar_value(a, tup):
@@ -51,12 +49,11 @@ def bar_value(a, tup):
 def ideal_value(f, tup):
     """Direct contraction-formula value of the coboundary of f at a tuple."""
     ctx, n = f.ctx, f.degree
-    unit = RingElem.unit(ctx, f.ring)
-    diffs = [RingElem.from_group_elem(ctx, u, f.ring) - unit for u in tup]
+    diffs = [{u: 1} for u in tup]
     total = 0
     for i in range(1, n + 1):
-        factors = diffs[: i - 1] + [diffs[i - 1] * diffs[i]] + diffs[i + 1:]
-        v = f.evaluate(Tensor(ctx, factors))
+        factors = diffs[: i - 1] + [ideal_product(ctx, diffs[i - 1], diffs[i])] + diffs[i + 1:]
+        v = f.evaluate(factors)
         total += -v if i % 2 else v
     return total % ctx.p if f.ring == MOD_P else total
 
@@ -75,16 +72,13 @@ def test_correspondence_round_trip(p, r):
     # read off f by multilinear evaluation, stores f's values again
     ctx = GroupContext(p, r)
     rng = random.Random(300 * p + r)
-    unit = RingElem.unit(ctx)
     nonid = list(ctx.nonidentity_elements())
     for n in range(4):
         tuples = list(itertools.product(nonid, repeat=n))
         for _ in range(5):
             f = random_icochain(ctx, n, rng, max_support=16)
             keys = set(f.values) | set(rng.sample(tuples, min(len(tuples), 30)))
-            a = {key: f.evaluate(Tensor(ctx, [RingElem.from_group_elem(ctx, u) - unit
-                                              for u in key]))
-                 for key in keys}
+            a = {key: f.evaluate([{u: 1} for u in key]) for key in keys}
             assert NormalizedCochain(ctx, n, MOD_P, a) == f
     assert NormalizedCochain.zero(ctx, 2) == ICochain.zero(ctx, 2)
 
@@ -135,24 +129,47 @@ def test_eval_matches_stored_values():
     ctx = GroupContext(3, 2)
     rng = random.Random(5)
     f = random_icochain(ctx, 2, rng)
-    unit = RingElem.unit(ctx)
     for u, v in itertools.islice(itertools.product(ctx.nonidentity_elements(), repeat=2), 20):
-        t = Tensor(ctx, [RingElem.from_group_elem(ctx, u) - unit,
-                         RingElem.from_group_elem(ctx, v) - unit])
-        assert f.evaluate(t) == f.value_at((u, v))
+        assert f.evaluate([{u: 1}, {v: 1}]) == f.value_at((u, v))
 
 
-def test_eval_zero_factor_and_arity():
+def test_eval_zero_factor():
     ctx = GroupContext(3, 1)
     rng = random.Random(6)
     f = random_icochain(ctx, 2, rng)
-    zero = RingElem.zero(ctx)
-    t = Tensor(ctx, [zero, random_ideal_elem(ctx, rng)])
-    assert f.evaluate(t) == 0
+    assert f.evaluate([{}, random_ideal_elem(ctx, rng)]) == 0
+    assert f.evaluate([{(1,): 0, (2,): 0}, random_ideal_elem(ctx, rng)]) == 0
+
+
+def test_eval_checks_its_factors():
+    ctx = GroupContext(3, 2)
+    f = ICochain(ctx, 2, MOD_P, {((1, 0), (0, 1)): 1})
+    s = {(1, 0): 1}
+    assert f.evaluate([s, {(0, 1): 2}]) == 2
+    bad_factors = [
+        [s],  # too few factors
+        [s, s, s],  # too many
+        [s, {(0, 0): 1}],  # the identity is not in the difference basis
+        [s, {(1,): 1}],  # a key of the wrong length
+        [s, {(1, 3): 1}],  # an exponent out of range
+        [s, {(1, 0): 1.0}],  # a non-int coefficient
+        [s, {(1, 0): "1"}],
+    ]
+    for factors in bad_factors:
+        with pytest.raises(ValueError):
+            f.evaluate(factors)
+    # the factors are checked even where no entry would read them
     with pytest.raises(ValueError):
-        f.evaluate(Tensor(ctx, [random_ideal_elem(ctx, rng)]))
-    with pytest.raises(ValueError):
-        Tensor(ctx, [RingElem.unit(ctx)])  # not in the ideal
+        ICochain.zero(ctx, 1).evaluate([{(0, 0): 1}])
+
+
+def add(*terms):
+    """A linear combination of difference-basis dicts, from (coefficient, dict) pairs."""
+    out = {}
+    for c, a in terms:
+        for u, v in a.items():
+            out[u] = out.get(u, 0) + c * v
+    return out
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 1), (5, 1)])
@@ -163,9 +180,8 @@ def test_eval_multilinear(p, r):
         f = random_icochain(ctx, 2, rng)
         alpha, beta, other = (random_ideal_elem(ctx, rng) for _ in range(3))
         c = rng.randrange(1, p)
-        lhs = f.evaluate(Tensor(ctx, [other, alpha.scale(c) + beta]))
-        rhs = (c * f.evaluate(Tensor(ctx, [other, alpha]))
-               + f.evaluate(Tensor(ctx, [other, beta]))) % p
+        lhs = f.evaluate([other, add((c, alpha), (1, beta))])
+        rhs = (c * f.evaluate([other, alpha]) + f.evaluate([other, beta])) % p
         assert lhs == rhs
 
 
@@ -177,9 +193,8 @@ def test_eval_mod_p_invariance(p, r):
     for _ in range(20):
         f = random_icochain(ctx, 2, rng)
         alpha, beta = random_ideal_elem(ctx, rng), random_ideal_elem(ctx, rng)
-        shifted = alpha + random_ideal_elem(ctx, rng).scale(p)
-        assert (f.evaluate(Tensor(ctx, [alpha, beta]))
-                == f.evaluate(Tensor(ctx, [shifted, beta])))
+        shifted = add((1, alpha), (p, random_ideal_elem(ctx, rng)))
+        assert f.evaluate([alpha, beta]) == f.evaluate([shifted, beta])
 
 
 def evaluate_by_product(f, factors):
@@ -195,8 +210,8 @@ def evaluate_by_product(f, factors):
 
 @pytest.mark.parametrize("ring", [MOD_P, INTEGERS])
 def test_eval_enumerations_agree(ring):
-    # evaluate_on_expansions runs over the stored entries when they are
-    # fewer than the product of the supports, and over the product otherwise
+    # evaluate runs over the stored entries when they are fewer than the
+    # product of the supports, and over the product otherwise
     ctx = GroupContext(3, 2)
     rng = random.Random(23)
     nonid = list(ctx.nonidentity_elements())
@@ -207,7 +222,7 @@ def test_eval_enumerations_agree(ring):
             factors = [{u: rng.randint(-4, 4) for u in rng.sample(nonid, rng.randint(0, 8))}
                        for _ in range(n)]
             sides.add(len(f.values) <= math.prod(len(d) for d in factors))
-            assert f.evaluate_on_expansions(factors) == evaluate_by_product(f, factors)
+            assert f.evaluate(factors) == evaluate_by_product(f, factors)
     assert sides == {True, False}
 
 
@@ -219,8 +234,7 @@ def test_eval_kills_high_powers_mod_p():
         rng = random.Random(p)
         f = random_icochain(ctx, 2, rng)
         high = shifted_monomial(ctx, (p,))
-        t = Tensor(ctx, [high, random_ideal_elem(ctx, rng)])
-        assert f.evaluate(t) == 0
+        assert f.evaluate([high, random_ideal_elem(ctx, rng)]) == 0
 
 
 def test_degree_zero_coboundary_vanishes():
@@ -554,6 +568,38 @@ def test_cup_many_fold_matches_product_definition(factors):
     result = cup_many(factors)
     assert result == reference_cup_many(factors)
     assert list(result.values) == sorted(result.values)
+
+
+def test_cup_many_matches_product_definition_on_long_chains():
+    # chains of up to 257 factors, at most three of them with several entries
+    rng = random.Random(29)
+    for p, r in [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]:
+        ctx = GroupContext(p, r)
+        elements = list(ctx.nonidentity_elements())
+        for length in (1, 2, 3, 5, 8, 17, 64, 257):
+            wide = set(rng.sample(range(length), min(length, 3)))
+            factors = []
+            for j in range(length):
+                degree = rng.randint(0, 3)
+                size = rng.randint(2, 3) if j in wide and degree else 1
+                keys = {tuple(rng.choice(elements) for _ in range(degree)) for _ in range(size)}
+                factors.append(ICochain(ctx, degree, MOD_P,
+                                        {k: rng.randrange(1, p) for k in keys}))
+            result = cup_many(factors)
+            assert result == reference_cup_many(factors)
+            assert list(result.values) == sorted(result.values)
+
+
+def test_cup_many_of_a_long_one_entry_chain():
+    # the degree-200 001 class at p = 2, r = 1 is one key; the pairwise
+    # merges copy each slot about log2(m) times, not once per factor after it
+    ctx = GroupContext(2, 1)
+    s = ((1,),)
+    f, h = ICochain(ctx, 1, MOD_P, {s: 1}), ICochain(ctx, 2, MOD_P, {s * 2: 1})
+    m = 100000
+    result = cup_many([f] + [h] * m)
+    assert result.degree == 2 * m + 1
+    assert result.values == {s * (2 * m + 1): 1}
 
 
 def test_cup_degree_zero_factor_scales():

@@ -10,8 +10,6 @@ from icochains import (
     GroupContext,
     ICochain,
     NormalizedCochain,
-    RingElem,
-    Tensor,
     bockstein_cocycle,
     bockstein_pair_value,
     carry_cocycle,
@@ -38,7 +36,7 @@ def test_exponent_cocycle_dual_to_shifted_generators():
         for i in range(1, r + 1):
             f = exponent_cocycle(ctx, i)
             for j in range(1, r + 1):
-                t = Tensor(ctx, [_shifted_power(ctx, j, 1)])
+                t = [_shifted_power(ctx, j, 1)]
                 assert f.evaluate(t) == (1 if i == j else 0)
 
 
@@ -46,14 +44,13 @@ def test_exponent_cocycle_kills_higher_shifted_powers():
     ctx = GroupContext(5, 1)
     f = exponent_cocycle(ctx, 1)
     for k in range(2, 5):
-        assert f.evaluate(Tensor(ctx, [_shifted_power(ctx, 1, k)])) == 0
+        assert f.evaluate([_shifted_power(ctx, 1, k)]) == 0
 
 
 def test_exponent_cocycle_reads_exponents():
     ctx = GroupContext(5, 1)
     f = exponent_cocycle(ctx, 1)
-    square_diff = RingElem.from_group_elem(ctx, (2,)) - RingElem.unit(ctx)
-    assert f.evaluate(Tensor(ctx, [square_diff])) == 2
+    assert f.evaluate([{(2,): 1}]) == 2  # s^2 - 1
 
 
 def test_exponent_cocycle_is_cocycle():
@@ -133,7 +130,7 @@ def test_integral_pair_values_evaluate_exactly(p, r):
         hz = carry_cocycle_over_z(ctx, i)
         for k in range(1, p):
             for l in range(1, p):
-                t = Tensor(ctx, [_shifted_power(ctx, i, k), _shifted_power(ctx, i, l)])
+                t = [_shifted_power(ctx, i, k), _shifted_power(ctx, i, l)]
                 assert hz.evaluate(t) == bockstein_pair_value(ctx, i, k, l)
 
 
@@ -144,14 +141,14 @@ def test_bockstein_on_shifted_pairs_mod_p():
             h = bockstein_cocycle(ctx, i)
             for k in range(1, p):
                 for l in range(1, p):
-                    t = Tensor(ctx, [_shifted_power(ctx, i, k), _shifted_power(ctx, i, l)])
+                    t = [_shifted_power(ctx, i, k), _shifted_power(ctx, i, l)]
                     assert h.evaluate(t) == (1 if k + l == p else 0)
 
 
 def test_bockstein_vanishes_on_mixed_variables():
     ctx = GroupContext(3, 2)
     h = bockstein_cocycle(ctx, 1)
-    t = Tensor(ctx, [_shifted_power(ctx, 2, 1), _shifted_power(ctx, 1, 2)])
+    t = [_shifted_power(ctx, 2, 1), _shifted_power(ctx, 1, 2)]
     assert h.evaluate(t) == 0
 
 
@@ -174,7 +171,7 @@ def test_generator_powers_hit_probes(p, r):
 def test_generator_power_misses_wrong_pair_sum():
     ctx = GroupContext(3, 1)
     f = generator_power_cocycle(ctx, 1, 2)
-    t = Tensor(ctx, [_shifted_power(ctx, 1, 1), _shifted_power(ctx, 1, 1)])
+    t = [_shifted_power(ctx, 1, 1), _shifted_power(ctx, 1, 1)]
     assert f.evaluate(t) == 0  # 1 + 1 != 3
 
 
@@ -188,15 +185,12 @@ def test_generator_powers_are_cocycles(p, r):
 
 def test_probe_tensor_shapes():
     ctx = GroupContext(3, 1)
-    t2 = probe_tensor(ctx, 1, 2)
-    assert len(t2) == 2
-    assert t2.factors[0] == _shifted_power(ctx, 1, 2)  # (s-1)^(p-1) first
-    assert t2.factors[1] == _shifted_power(ctx, 1, 1)
-    t1 = probe_tensor(ctx, 1, 1)
-    assert len(t1) == 1 and t1.factors[0] == _shifted_power(ctx, 1, 1)
-    t5 = probe_tensor(ctx, 1, 5)
-    assert [f == _shifted_power(ctx, 1, 2) for f in t5.factors] == \
-        [False, True, False, True, False]
+    top, t = _shifted_power(ctx, 1, 2), {(1,): 1}
+    assert top == {(1,): -2, (2,): 1}
+    assert probe_tensor(ctx, 1, 2) == (top, t)  # (s-1)^(p-1) first
+    assert probe_tensor(ctx, 1, 1) == (t,)
+    assert probe_tensor(ctx, 1, 5) == (t, top, t, top, t)
+    assert probe_tensor(ctx, 1, 0) == ()
 
 
 def test_probe_tuple_shapes():
@@ -213,9 +207,8 @@ def test_probe_tuple_shapes():
 def test_probe_split_consistency():
     # with every q = 1 the split of an odd probe is all s_i - 1 factors
     ctx = GroupContext(3, 1)
-    t = probe_tensor_split(ctx, 1, 3, (1,))
-    diff = _shifted_power(ctx, 1, 1)
-    assert all(f == diff for f in t.factors)
+    assert probe_tensor_split(ctx, 1, 3, (1,)) == ({(1,): 1},) * 3
+    assert probe_tensor_split(ctx, 1, 3, (2,)) == ({(1,): 1}, {(2,): 1}, {(1,): 1})
 
 
 @pytest.mark.parametrize("p,r", DESK)

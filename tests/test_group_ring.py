@@ -1,4 +1,4 @@
-"""Group-ring arithmetic, shifted monomials, and the augmentation map."""
+"""The group, and shifted monomials on the difference basis of the augmentation ideal."""
 
 import itertools
 import math
@@ -10,18 +10,17 @@ from icochains import (
     BudgetExceededError,
     FpMatrix,
     GroupContext,
-    INTEGERS,
-    MOD_P,
-    RingElem,
-    as_difference_basis,
-    augmentation,
     is_prime,
     rank,
-    shifted_generator,
     shifted_monomial,
 )
 from icochains import generators
-from conftest import DESK, random_ring_elem
+from conftest import DESK, ideal_product
+
+
+def mod_p(a, p):
+    """An ideal element with its coefficients reduced mod p, zeros dropped."""
+    return {u: c % p for u, c in a.items() if c % p}
 
 
 def test_is_prime():
@@ -77,54 +76,51 @@ def test_context_validation():
 
 
 def test_group_mul_wraps():
+    ctx = GroupContext(3, 2)
+    assert ctx.mul((1, 2), (2, 2)) == (0, 1)
+    for u in ctx.elements():
+        assert ctx.mul(u, ctx.inverse(u)) == ctx.identity
+
+
+def test_ideal_product_reference():
+    # the test-side group-ring product: (s - 1)^2 = s^2 - 2s + 1 at p = 3,
+    # and s (s^2) = 1, so (s - 1)(s^2 - 1) = 2 - s - s^2
     ctx = GroupContext(3, 1)
-    s1 = RingElem.from_group_elem(ctx, (1,))
-    s2 = RingElem.from_group_elem(ctx, (2,))
-    assert s1 * s2 == RingElem.unit(ctx)
+    s, s2 = {(1,): 1}, {(2,): 1}
+    assert ideal_product(ctx, s, s) == {(2,): 1, (1,): -2}
+    assert ideal_product(ctx, s, s2) == {(1,): -1, (2,): -1}
+    assert ideal_product(ctx, s) == s
+    assert ideal_product(ctx, {}, s) == {}
 
 
-def test_mul_unit_and_mismatch():
-    ctx = GroupContext(5, 1)
-    rng = random.Random(7)
-    a = random_ring_elem(ctx, rng)
-    assert a * RingElem.unit(ctx) == a
-    with pytest.raises(ValueError):
-        a * RingElem.unit(ctx, MOD_P)
-    with pytest.raises(ValueError):
-        a * RingElem.unit(GroupContext(5, 2))
-
-
-def test_shifted_generator_squared_p2():
-    # (s - 1)^2 = s^2 - 2s + 1 = 2 - 2s when s^2 = 1
+def test_shifted_monomial_p2():
+    # (s - 1)^2 = s^2 - 2s + 1 = 2 - 2s = -2 (s - 1) when s^2 = 1
     ctx = GroupContext(2, 1)
-    t = shifted_generator(ctx, 1)
-    assert (t * t).terms == {(0,): 2, (1,): -2}
-    assert (t * t).mod_p().is_zero()
+    assert shifted_monomial(ctx, (2,)) == {(1,): -2}
+    assert mod_p(shifted_monomial(ctx, (2,)), 2) == {}
 
 
 def test_shifted_monomial_p3():
-    # (s-1)^2 = s^2 - 2s + 1, and mod 3 it equals (s-1) + (s^2-1)
+    # (s-1)^2 = s^2 - 2s + 1 = (s^2 - 1) - 2 (s - 1), and mod 3 it equals
+    # (s - 1) + (s^2 - 1); (s-1)^3 = 3s - 3s^2 has no identity term at all
     ctx = GroupContext(3, 1)
+    assert shifted_monomial(ctx, (1,)) == {(1,): 1}
     sq = shifted_monomial(ctx, (2,))
-    assert sq.terms == {(2,): 1, (1,): -2, (0,): 1}
-    split = (RingElem.from_group_elem(ctx, (1,)) - RingElem.unit(ctx)) + \
-            (RingElem.from_group_elem(ctx, (2,)) - RingElem.unit(ctx))
-    assert sq.mod_p() == split.mod_p()
+    assert sq == {(2,): 1, (1,): -2}
+    assert mod_p(sq, 3) == {(1,): 1, (2,): 1}
+    assert shifted_monomial(ctx, (3,)) == {(1,): 3, (2,): -3}
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (3, 3)])
-@pytest.mark.parametrize("ring", [INTEGERS, MOD_P])
-def test_shifted_monomial_matches_repeated_multiplication(p, r, ring):
+def test_shifted_monomial_matches_repeated_multiplication(p, r):
     # the closed form against the convolution reference, exponents past p included
     ctx = GroupContext(p, r)
-    powers = [[shifted_generator(ctx, i, ring).power(e) for e in range(2 * p + 1)]
-              for i in range(1, r + 1)]
+    gens = [{ctx.generator(i): 1} for i in range(1, r + 1)]
     for k in itertools.product(range(2 * p + 1), repeat=r):
-        expected = RingElem.unit(ctx, ring)
-        for i, e in enumerate(k):
-            expected = expected * powers[i][e]
-        got = shifted_monomial(ctx, k, ring)
-        assert got == expected, k
+        if not any(k):
+            continue
+        expected = ideal_product(ctx, *(g for g, e in zip(gens, k) for _ in range(e)))
+        assert shifted_monomial(ctx, k) == expected, k
 
 
 def test_probe_top_factor_is_the_norm_element_mod_p(monkeypatch):
@@ -133,97 +129,47 @@ def test_probe_top_factor_is_the_norm_element_mod_p(monkeypatch):
     # the probe tuples in place of the probe tensor
     p = 10007
     ctx = GroupContext(p, 1)
-    top, t = generators.probe_tensor(ctx, 1, 2).factors
-    assert {u: c % p for u, c in as_difference_basis(top).items()} == {
-        (j,): 1 for j in range(1, p)}
-    assert as_difference_basis(t) == {(1,): 1}
+    top, t = generators.probe_tensor(ctx, 1, 2)
+    assert mod_p(top, p) == {(j,): 1 for j in range(1, p)}
+    assert t == {(1,): 1}
     # without an even part no (s-1)^(p-1) factor is built at all
     monkeypatch.setattr(generators, "shifted_monomial", None)
-    assert len(generators.probe_tensor(ctx, 1, 1)) == 1
-    assert len(generators.probe_tensor(ctx, 1, 0)) == 0
+    assert generators.probe_tensor(ctx, 1, 1) == ({(1,): 1},)
+    assert generators.probe_tensor(ctx, 1, 0) == ()
 
 
 def test_shifted_monomial_rejects_bad_input():
     ctx = GroupContext(3, 2)
-    for k in [(1,), (1, -1), (1, 1.0)]:
+    for k in [(1,), (1, 1, 1), (1, -1), (1, 1.0), (0, 0)]:
         with pytest.raises(ValueError):
             shifted_monomial(ctx, k)
-    with pytest.raises(ValueError):
-        shifted_monomial(ctx, (1, 1), "Q")
+    with pytest.raises(ValueError, match="not in the ideal"):
+        shifted_monomial(ctx, (0, 0))
+    with pytest.raises(TypeError):
+        shifted_monomial(ctx, (1, 1), "Fp")  # no coefficient-ring argument
 
 
 @pytest.mark.parametrize("p,r", DESK)
 def test_high_powers_vanish_mod_p(p, r):
+    # (s_i - 1)^p = s_i^p - 1 = 0 mod p, and so does every multiple of it
     ctx = GroupContext(p, r)
     for i in range(r):
         for extra in (0, 1):
             k = tuple(p + extra if j == i else 0 for j in range(r))
-            assert shifted_monomial(ctx, k).mod_p().is_zero()
-
-
-def test_augmentation_examples():
-    ctx = GroupContext(3, 2)
-    assert augmentation(RingElem.unit(ctx)) == 1
-    assert augmentation(shifted_generator(ctx, 1)) == 0
-    for k in [(1, 0), (2, 1), (0, 2)]:
-        assert augmentation(shifted_monomial(ctx, k)) == 0
-    assert augmentation(shifted_generator(ctx, 2)) == 0
-    assert augmentation(RingElem.unit(ctx)) != 0
-
-
-@pytest.mark.parametrize("p,r", DESK)
-def test_augmentation_is_ring_map(p, r):
-    ctx = GroupContext(p, r)
-    rng = random.Random(100 * p + r)
-    for _ in range(25):
-        a = random_ring_elem(ctx, rng)
-        b = random_ring_elem(ctx, rng)
-        assert augmentation(a * b) == augmentation(a) * augmentation(b)
-        am, bm = a.mod_p(), b.mod_p()
-        assert augmentation(am * bm) == augmentation(am) * augmentation(bm) % p
-
-
-def test_difference_basis():
-    ctx = GroupContext(3, 1)
-    t = shifted_generator(ctx, 1)
-    assert as_difference_basis(t) == {(1,): 1}
-    assert as_difference_basis(t * t) == {(2,): 1, (1,): -2}
-    with pytest.raises(ValueError):
-        as_difference_basis(RingElem.unit(ctx))
+            assert shifted_monomial(ctx, k)  # nonzero over Z
+            assert mod_p(shifted_monomial(ctx, k), p) == {}
 
 
 @pytest.mark.parametrize("p,r", DESK)
 def test_shifted_monomials_linearly_independent_mod_p(p, r):
-    # the nonconstant shifted monomials are a basis of the augmentation ideal
+    # the nonconstant shifted monomials of exponents below p are a basis of
+    # the augmentation ideal mod p, as is the difference basis they are on
     ctx = GroupContext(p, r)
-    elems = list(ctx.elements())
-    index = {u: i for i, u in enumerate(elems)}
-    columns = []
-    for k in ctx.elements():
-        if not any(k):
-            continue
-        mono = shifted_monomial(ctx, k).mod_p()
-        columns.append({index[u]: c for u, c in mono.terms.items()})
-    mat = FpMatrix(p, len(elems), len(columns), columns)
+    index = {u: i for i, u in enumerate(ctx.nonidentity_elements())}
+    columns = [{index[u]: c for u, c in mod_p(shifted_monomial(ctx, k), p).items()}
+               for k in ctx.nonidentity_elements()]
+    mat = FpMatrix(p, len(index), len(columns), columns)
     assert rank(mat) == ctx.order - 1
-
-
-def test_scale_and_linearity():
-    ctx = GroupContext(5, 1)
-    rng = random.Random(11)
-    a = random_ring_elem(ctx, rng)
-    assert a.scale(0).is_zero()
-    assert a + a == a.scale(2)
-    assert (a - a).is_zero()
-
-
-def test_power():
-    ctx = GroupContext(3, 1)
-    t = shifted_generator(ctx, 1)
-    assert t.power(0) == RingElem.unit(ctx)
-    assert t.power(3) == t * t * t
-    with pytest.raises(ValueError):
-        t.power(-1)
 
 
 def test_budget_error_prints_huge_sizes_as_a_bound():
