@@ -11,30 +11,40 @@ def random_ideal_elem(ctx, rng, lo=-9, hi=9):
     return {u: rng.randint(lo, hi) for u in ctx.nonidentity_elements() if rng.random() < 0.7}
 
 
+def on_group_basis(ctx, a):
+    """An ideal element given on the difference basis, written on the group
+    basis: u - 1 has coefficient 1 at u and -1 at the identity."""
+    out = dict(a)
+    out[ctx.identity] = out.get(ctx.identity, 0) - sum(a.values())
+    return out
+
+
+def group_product(ctx, a, b):
+    """The product in Z[G] of two elements on the group basis, by convolution
+    through the group law."""
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            w = ctx.mul(u, v)
+            out[w] = out.get(w, 0) + cu * cv
+    return out
+
+
 def ideal_product(ctx, *factors):
     """The product in Z[G] of ideal elements given on the difference basis,
     on the difference basis again.
 
-    Each factor is written on the group basis, where u - 1 has coefficient 1
-    at u and -1 at the identity, and the factors are multiplied by
-    convolution through the group law: a reference that uses neither the
-    identity (x - 1)(y - 1) = (xy - 1) - (x - 1) - (y - 1) nor the binomial
-    theorem.  The product lies in the ideal, so dropping its identity
-    coefficient keeps all of it.
+    The factors are written on the group basis and multiplied by convolution
+    through the group law: a reference that uses neither the identity
+    (x - 1)(y - 1) = (xy - 1) - (x - 1) - (y - 1) nor the binomial theorem.
+    The product lies in the ideal, so dropping its identity coefficient keeps
+    all of it.
     """
-    identity = ctx.identity
-    product = {identity: 1}
+    product = {ctx.identity: 1}
     for a in factors:
-        on_group = dict(a)
-        on_group[identity] = on_group.get(identity, 0) - sum(a.values())
-        out = {}
-        for u, cu in product.items():
-            for v, cv in on_group.items():
-                w = ctx.mul(u, v)
-                out[w] = out.get(w, 0) + cu * cv
-        product = out
+        product = group_product(ctx, product, on_group_basis(ctx, a))
     assert sum(product.values()) == 0, "a product of ideal elements has augmentation 0"
-    return {u: c for u, c in product.items() if c and u != identity}
+    return {u: c for u, c in product.items() if c and u != ctx.identity}
 
 
 def random_icochain(ctx, n, rng, ring=MOD_P, max_support=None):

@@ -133,12 +133,16 @@ def test_eval_matches_stored_values():
         assert f.evaluate([{u: 1}, {v: 1}]) == f.value_at((u, v))
 
 
-def test_eval_zero_factor():
+def test_eval_zero_factor_and_arity():
     ctx = GroupContext(3, 1)
     rng = random.Random(6)
     f = random_icochain(ctx, 2, rng)
     assert f.evaluate([{}, random_ideal_elem(ctx, rng)]) == 0
     assert f.evaluate([{(1,): 0, (2,): 0}, random_ideal_elem(ctx, rng)]) == 0
+    with pytest.raises(ValueError):
+        f.evaluate([random_ideal_elem(ctx, rng)])
+    with pytest.raises(ValueError):
+        f.evaluate([{(0,): 1}, {(1,): 1}])  # 1 is not in the ideal
 
 
 def test_eval_checks_its_factors():

@@ -10,12 +10,14 @@ from icochains import (
     BudgetExceededError,
     FpMatrix,
     GroupContext,
+    INTEGERS,
+    MOD_P,
     is_prime,
     rank,
     shifted_monomial,
 )
 from icochains import generators
-from conftest import DESK, ideal_product
+from conftest import DESK, group_product, ideal_product, on_group_basis
 
 
 def mod_p(a, p):
@@ -93,7 +95,7 @@ def test_ideal_product_reference():
     assert ideal_product(ctx, {}, s) == {}
 
 
-def test_shifted_monomial_p2():
+def test_shifted_generator_squared_p2():
     # (s - 1)^2 = s^2 - 2s + 1 = 2 - 2s = -2 (s - 1) when s^2 = 1
     ctx = GroupContext(2, 1)
     assert shifted_monomial(ctx, (2,)) == {(1,): -2}
@@ -112,15 +114,20 @@ def test_shifted_monomial_p3():
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (3, 3)])
-def test_shifted_monomial_matches_repeated_multiplication(p, r):
-    # the closed form against the convolution reference, exponents past p included
+@pytest.mark.parametrize("ring", [INTEGERS, MOD_P])
+def test_shifted_monomial_matches_repeated_multiplication(p, r, ring):
+    # the closed form against the convolution reference, exponents past p
+    # included; over F_p both sides are reduced at the end
     ctx = GroupContext(p, r)
     gens = [{ctx.generator(i): 1} for i in range(1, r + 1)]
     for k in itertools.product(range(2 * p + 1), repeat=r):
         if not any(k):
             continue
         expected = ideal_product(ctx, *(g for g, e in zip(gens, k) for _ in range(e)))
-        assert shifted_monomial(ctx, k) == expected, k
+        got = shifted_monomial(ctx, k)
+        if ring == MOD_P:
+            expected, got = mod_p(expected, p), mod_p(got, p)
+        assert got == expected, k
 
 
 def test_probe_top_factor_is_the_norm_element_mod_p(monkeypatch):
@@ -158,6 +165,67 @@ def test_high_powers_vanish_mod_p(p, r):
             k = tuple(p + extra if j == i else 0 for j in range(r))
             assert shifted_monomial(ctx, k)  # nonzero over Z
             assert mod_p(shifted_monomial(ctx, k), p) == {}
+
+
+def augmentation(a):
+    """The augmentation of an element on the group basis: its coefficient sum."""
+    return sum(a.values())
+
+
+def test_augmentation_examples():
+    # an ideal element on the group basis has augmentation 0, so the identity
+    # coefficient shifted_monomial drops is minus the sum of the rest; with
+    # exponents below p no power wraps to 1, so it is the constant term
+    # (-1)^|k| of the binomial expansion of the product
+    ctx = GroupContext(3, 2)
+    assert augmentation({ctx.identity: 1}) == 1
+    for k in [(1, 0), (0, 1), (2, 1), (0, 2), (2, 2)]:
+        mono = shifted_monomial(ctx, k)
+        assert ctx.identity not in mono
+        assert augmentation(on_group_basis(ctx, mono)) == 0
+        assert -sum(mono.values()) == (-1) ** sum(k)
+    with pytest.raises(ValueError, match="not in the ideal"):
+        shifted_monomial(ctx, (0, 0))  # augmentation(1) = 1
+
+
+@pytest.mark.parametrize("p,r", DESK)
+def test_augmentation_is_ring_map(p, r):
+    # the group-basis product the test references multiply with is a ring
+    # product: the augmentation respects it, over Z and mod p
+    ctx = GroupContext(p, r)
+    rng = random.Random(100 * p + r)
+    for _ in range(25):
+        a, b = ({u: rng.randint(-9, 9) for u in ctx.elements() if rng.random() < 0.7}
+                for _ in range(2))
+        assert augmentation(group_product(ctx, a, b)) == augmentation(a) * augmentation(b)
+        am, bm = mod_p(a, p), mod_p(b, p)
+        assert augmentation(group_product(ctx, am, bm)) % p == (
+            augmentation(am) * augmentation(bm) % p)
+
+
+def test_difference_basis():
+    # s - 1 and (s - 1)^2 = (s^2 - 1) - 2 (s - 1) on the difference basis,
+    # from the closed form and from the group-basis product alike; 1 has no
+    # difference-basis form
+    ctx = GroupContext(3, 1)
+    s = {(1,): 1}
+    assert shifted_monomial(ctx, (1,)) == s
+    assert shifted_monomial(ctx, (2,)) == ideal_product(ctx, s, s) == {(2,): 1, (1,): -2}
+    assert on_group_basis(ctx, shifted_monomial(ctx, (2,))) == group_product(
+        ctx, on_group_basis(ctx, s), on_group_basis(ctx, s))
+    with pytest.raises(ValueError):
+        shifted_monomial(ctx, (0,))
+
+
+def test_power():
+    # shifted_monomial(k e_1) is the k-th power of s - 1; the zeroth power
+    # is 1, outside the ideal, and negative powers are refused
+    ctx = GroupContext(3, 1)
+    s = {(1,): 1}
+    assert shifted_monomial(ctx, (3,)) == ideal_product(ctx, s, s, s)
+    for bad in [(0,), (-1,)]:
+        with pytest.raises(ValueError):
+            shifted_monomial(ctx, bad)
 
 
 @pytest.mark.parametrize("p,r", DESK)
