@@ -25,9 +25,8 @@ _EXPORTS = {
     ),
     "cochain": ("ICochain", "NormalizedCochain", "cup_many"),
     "generators": (
-        "bockstein_cocycle", "bockstein_pair_value", "carry_cocycle",
-        "carry_cocycle_over_z", "exponent_cocycle", "generator_power_cocycle",
-        "probe_tensor", "probe_tensor_split", "probe_tuple", "q_choices",
+        "bockstein_cocycle", "bockstein_pair_value", "exponent_cocycle", "probe_tensor",
+        "probe_tensor_split", "q_choices",
     ),
     "graded": ("CohomologyReport", "cohomology_report", "graded_dimension"),
     "group_ring": (

@@ -194,7 +194,6 @@ def check_cli_round_trips() -> None:
     """The pinned invert examples produce the expected documents, byte-stable
     across repeated runs, and every emitted document re-parses."""
     from . import cli
-    from .generators import carry_cocycle
 
     def run_invert(doc_text: str, expected_terms: dict) -> None:
         parsed, _ = cli.parse_cochain_document(doc_text)
@@ -218,7 +217,7 @@ def check_cli_round_trips() -> None:
 
     ctx21 = GroupContext(2, 1)
     z_doc = cli.dumps_document(
-        cli.cochain_document(carry_cocycle(ctx21, 1), "normalized"))
+        cli.cochain_document(bockstein_cocycle(ctx21, 1), "normalized"))
     run_invert(z_doc, {(2,): 1})
 
     # tau then invert, end to end through the command handlers

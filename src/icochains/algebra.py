@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from .cochain import ICochain, _check_output_budget, cup_many
+from .cochain import ICochain, cup_many
 from .generators import _power_factors, _power_support
 from .group_ring import (
     DEFAULT_MAX_ENTRIES,
@@ -54,6 +54,7 @@ from .group_ring import (
     MOD_P,
     BudgetExceededError,
     GroupContext,
+    check_budget,
 )
 
 MonomialSig = tuple  # r nonnegative ints; degree = their sum
@@ -241,13 +242,18 @@ def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
     odd exponents and pairs the sum of their halves.  The logarithm decides
     first, so a huge signature is refused without the exact product, which
     takes seconds at degree 10^7.
+
+    A signature whose degree is over the budget is refused too: each key
+    holds one slot per degree.  This is the only refusal at p = 2, r = 1,
+    where every generator, and so every power, has one entry.
     """
     a, b = _power_support(ctx, 1), _power_support(ctx, 2)
     odd, pairs = sum(m % 2 for m in sig), sum(m // 2 for m in sig)
     log10 = odd * math.log10(a) + pairs * math.log10(b)
     if log10 > EXACT_SIZE_DIGITS:
         raise BudgetExceededError(None, DEFAULT_MAX_ENTRIES, log10)
-    _check_output_budget(a**odd * b**pairs)
+    check_budget(a**odd * b**pairs)
+    check_budget(sum(sig))
 
 
 def _signature_cocycle(ctx: GroupContext, sig: MonomialSig) -> ICochain:
@@ -418,7 +424,7 @@ def count_terms(ctx: GroupContext, n: int) -> int:
     low, high = n * math.log10(r), n // 2 * math.log10(p - 1)
     if int(low + high) + 1 > DEFAULT_MAX_ENTRIES:
         raise BudgetExceededError(None, DEFAULT_MAX_ENTRIES, max(low, high))
-    _check_output_budget((r - 1) * n * n)
+    check_budget((r - 1) * n * n)
     if r == 1 or n == 0:
         return (p - 1) ** (n // 2)
     first = [(p - 1) ** (m // 2) for m in range(n + 1)]  # T_1

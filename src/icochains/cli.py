@@ -460,6 +460,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_cup(args) -> int:
+    from .cochain import cup_many
     from .group_ring import MOD_P
 
     if len(args.infile) < 2:
@@ -470,12 +471,9 @@ def _cmd_cup(args) -> int:
         if cochain.ring != MOD_P:
             raise DocumentError("cup requires mod-p coefficients")
         factors.append(cochain)
-    result = factors[0]
-    for g in factors[1:]:
-        if g.ctx != result.ctx:
-            raise DocumentError("cup factors must share p and r")
-        result = result.cup(g)
-    _write(dumps_document(cochain_document(result, "icochain")))
+    if any(f.ctx != factors[0].ctx for f in factors):
+        raise DocumentError("cup factors must share p and r")
+    _write(dumps_document(cochain_document(cup_many(factors), "icochain")))
     return EXIT_OK
 
 

@@ -6,7 +6,10 @@ values on the difference basis (u_1 - 1) x ... x (u_n - 1), a sparse map
 from tuples of nonidentity group elements to coefficients.  Read on those
 tuples, the same map is the normalized bar cochain
 a(u_1, ..., u_n) = f((u_1 - 1) x ... x (u_n - 1)), so one class serves
-both, and ``NormalizedCochain`` is another name for it.
+both, and ``NormalizedCochain`` is another name for it.  Coefficients lie
+in F_p (``MOD_P``, stored reduced) or in Z (``INTEGERS``); the cochain
+operations keep the ring, and an integral cochain is reduced mod p by
+building its values again over ``MOD_P``.
 
 * the coboundary contracts adjacent tensor factors with the group-ring
   product, with alternating signs (the coefficients are F_p or Z with the
@@ -25,7 +28,9 @@ writes the classical bar formula independently, as a plain loop over the
 stored keys; the acceptance suite and the tests compare the two pointwise
 on full bases.  ``is_cocycle`` uses neither: it sums the bar coboundary in
 pure Python, one first-argument partition at a time, and only at the r
-generators of G.  This module itself does not import numpy.
+generators of G.  Each of these computations refuses, through
+``group_ring.check_budget``, a count of terms over the default entry
+budget before it starts.  This module itself does not import numpy.
 """
 
 from __future__ import annotations
@@ -41,14 +46,8 @@ from .group_ring import (  # the budget and cocycle errors are re-exported
     GroupContext,
     NotACocycleError,
     _check_ring,
+    check_budget,
 )
-
-
-def _check_output_budget(required: int) -> None:
-    """Refuse, before allocating, an output of more terms than the default
-    entry budget."""
-    if required > DEFAULT_MAX_ENTRIES:
-        raise BudgetExceededError(required, DEFAULT_MAX_ENTRIES)
 
 
 class ICochain:
@@ -166,7 +165,7 @@ class ICochain:
         # per entry: a leading and a slot-1 term in each of the r partitions,
         # and in the one partition of its first slot N - 1 terms per inner
         # slot and N trailing terms
-        _check_output_budget(entries * (2 * r + (n - 1) * (big_n - 1) + big_n))
+        check_budget(entries * (2 * r + (n - 1) * (big_n - 1) + big_n))
         return _bar_coboundary_vanishes(self.ctx, n, self.values, self.ring)
 
     def value_at(self, key: tuple) -> int:
@@ -176,11 +175,6 @@ class ICochain:
         if any(u == self.ctx.identity for u in key):
             return 0
         return self.values.get(key, 0)
-
-    def mod_p(self):
-        p = self.ctx.p
-        return self._trusted(self.ctx, self.degree, MOD_P,
-                             {k: m for k, c in self.values.items() if (m := c % p)})
 
     def __repr__(self):
         return (f"ICochain(p={self.ctx.p}, r={self.ctx.r}, "
@@ -241,7 +235,7 @@ class ICochain:
 
         ctx, n, values = self.ctx, self.degree, self.values
         # the kernel's three (E, N) families per slot
-        _check_output_budget(len(values) * 3 * n * (ctx.order - 1))
+        check_budget(len(values) * 3 * n * (ctx.order - 1))
         codes, sums = kernel._coboundary_sums(ctx, n, kernel._encode_keys(ctx, n, list(values)),
                                               list(values.values()), self.ring)
         out = dict(zip(kernel._decode_keys(ctx, n + 1, codes), sums.tolist()))
@@ -353,7 +347,7 @@ def _bar_coboundary(f: ICochain) -> ICochain:
     """
     ctx, n = f.ctx, f.degree
     # per entry: N leading, at most N per inner slot and N trailing terms
-    _check_output_budget(len(f.values) * (n + 2) * (ctx.order - 1))
+    check_budget(len(f.values) * (n + 2) * (ctx.order - 1))
     out: dict = {}
     nonid = list(ctx.nonidentity_elements())
     inv = ctx.inverse
@@ -408,7 +402,7 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
             raise ValueError("context mismatch")
         if f.ring != MOD_P:
             raise ValueError("cup products are defined for mod-p cochains")
-    _check_output_budget(math.prod(len(f.values) for f in factors))
+    check_budget(math.prod(len(f.values) for f in factors))
     l = sum(1 for f in factors if f.degree % 2)
     p = ctx.p
     lists = [sorted(f.values.items()) for f in factors]

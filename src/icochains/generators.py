@@ -1,12 +1,13 @@
 """Explicit generator cocycles for the cohomology ring, and their probes.
 
-Degree one is generated by the exponent-reading cocycles (the dual basis of
-the group); degree two by their Bockstein images, represented by the base-p
-carry cocycles.  Cup powers of these two families realize every monomial
-basis class.  The probe tensors built here are the distinguished arguments
-on which a cup power evaluates to 1, tuples of ideal elements on the
-difference basis, and their split variants resolve each (s_i - 1)^(p-1)
-factor into single differences s_i^q - 1.
+Degree one is generated by the exponent-reading cocycles
+(``exponent_cocycle``, the dual basis of the group); degree two by their
+Bockstein images (``bockstein_cocycle``), the base-p carry cocycles.
+``realize`` cups these two families into every monomial basis class.
+The probe tensors built here are the distinguished arguments on which a
+cup power evaluates to 1, tuples of ideal elements on the difference
+basis, and their split variants resolve each (s_i - 1)^(p-1) factor into
+single differences s_i^q - 1.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from .cochain import ICochain, cup_many
-from .group_ring import INTEGERS, MOD_P, GroupContext, shifted_monomial
+from .cochain import ICochain
+from .group_ring import MOD_P, GroupContext, shifted_monomial
 
 
 def exponent_cocycle(ctx: GroupContext, i: int) -> ICochain:
@@ -33,11 +34,18 @@ def exponent_cocycle(ctx: GroupContext, i: int) -> ICochain:
     return ICochain(ctx, 1, MOD_P, values)
 
 
-def carry_cocycle_over_z(ctx: GroupContext, i: int) -> ICochain:
-    """The integral carry cocycle: (u, v) -> 1 when the i-th exponents carry.
+def bockstein_cocycle(ctx: GroupContext, i: int) -> ICochain:
+    """The degree-2 generator y_i, the Bockstein of the i-th degree-1
+    class, as the mod-p carry cocycle: (u, v) -> 1 when the i-th
+    exponents carry.
 
     With u, v having i-th exponents k, l in [0, p), the value is the carry
     digit of the base-p addition k + l, i.e. 1 exactly when k + l >= p.
+    Read over Z, the same values are the integral carry cocycle, whose
+    reduction mod p represents the Bockstein.  On pairs of shifted
+    monomials it is 1 exactly on (s_i-1)^k x (s_i-1)^l with k + l = p,
+    and 0 elsewhere (a fact the tests verify against
+    ``bockstein_pair_value``).
     """
     ctx.check_index(i)
     values = {}
@@ -46,29 +54,13 @@ def carry_cocycle_over_z(ctx: GroupContext, i: int) -> ICochain:
             if u[i - 1] + v[i - 1] >= ctx.p:
                 values[(u, v)] = 1
     # keys of nonidentity elements, coefficient 1: valid as built
-    return ICochain._trusted(ctx, 2, INTEGERS, values)
-
-
-def carry_cocycle(ctx: GroupContext, i: int) -> ICochain:
-    """Mod-p reduction of the integral carry cocycle; represents the
-    Bockstein of the i-th degree-1 class."""
-    return carry_cocycle_over_z(ctx, i).mod_p()
-
-
-def bockstein_cocycle(ctx: GroupContext, i: int) -> ICochain:
-    """The degree-2 generator as an ideal-tensor cochain.
-
-    Defined as the carry cocycle.  On pairs of
-    shifted monomials it is 1 exactly on (s_i-1)^k x (s_i-1)^l with
-    k + l = p, and 0 elsewhere (a fact the tests verify against
-    ``bockstein_pair_value``).
-    """
-    return carry_cocycle(ctx, i)
+    return ICochain._trusted(ctx, 2, MOD_P, values)
 
 
 def bockstein_pair_value(ctx: GroupContext, i: int, k: int, l: int) -> int:
-    """Exact integer value of the integral carry functional on
-    (s_i - 1)^k x (s_i - 1)^l, 1 <= k, l <= p - 1.
+    """Exact integer value of the integral carry functional (the values of
+    ``bockstein_cocycle`` read over Z) on (s_i - 1)^k x (s_i - 1)^l,
+    1 <= k, l <= p - 1.
 
     Equals the alternating binomial sum over h from p to k + l of
     (-1)^(k+l-h) C(k+l, h), which is empty (0) when k + l < p and reduces
@@ -98,17 +90,9 @@ def _power_factors(ctx: GroupContext, i: int, m: int) -> list:
     return factors
 
 
-def generator_power_cocycle(ctx: GroupContext, i: int, m: int) -> ICochain:
-    """The degree-m cup power realizing the m-th power of variable i: the
-    cup of its ``_power_factors``, or for m = 0 the constant-1 degree-0
-    cochain."""
-    factors = _power_factors(ctx, i, m)
-    return cup_many(factors) if factors else ICochain.constant(ctx, 1)
-
-
 def _power_support(ctx: GroupContext, m: int) -> int:
-    """The number of entries of ``generator_power_cocycle(ctx, i, m)``, for
-    any i, without building it.
+    """The number of entries of the m-th power of any variable i, the cup
+    of ``_power_factors(ctx, i, m)``, without building it.
 
     The degree-1 generator is nonzero on the (p-1) p^(r-1) elements with
     a nonzero i-th exponent, the degree-2 one on the p(p-1)/2 p^(2r-2)
@@ -143,40 +127,30 @@ def probe_tensor(ctx: GroupContext, i: int, m: int) -> tuple:
     return tuple(factors)
 
 
-def _check_q(ctx: GroupContext, m: int, q: Sequence[int]) -> tuple:
+def probe_tensor_split(ctx: GroupContext, i: int, m: int, q: Sequence[int]) -> tuple:
+    """The probe with each (s_i-1)^(p-1) factor replaced by s_i^q - 1:
+    the differences u - 1, as {u: 1}, of the group elements
+    (s_i^q1, s_i, ..., s_i^qk, s_i) for even m, with one s_i prepended
+    for odd m.
+
+    Summing over all q in [1, p-1]^(m//2) recovers the probe tensor mod p,
+    so mod-p cochains take equal values on the probe and on the sum of its
+    splits.
+
+    >>> probe_tensor_split(GroupContext(3, 1), 1, 3, (2,))
+    ({(1,): 1}, {(2,): 1}, {(1,): 1})
+    """
+    ctx.check_index(i)
     q = tuple(q)
     if len(q) != m // 2:
         raise ValueError(f"q must have length {m // 2} for degree {m}, got {len(q)}")
     if any(not 1 <= qe <= ctx.p - 1 for qe in q):
         raise ValueError(f"q entries must lie in [1, {ctx.p - 1}]: {q!r}")
-    return q
-
-
-def probe_tuple(ctx: GroupContext, i: int, m: int, q: Sequence[int]) -> tuple:
-    """The group-element tuple of a split probe: even m gives
-    (s_i^q1, s_i, ..., s_i^qk, s_i), odd m prepends one s_i.
-
-    >>> probe_tuple(GroupContext(3, 1), 1, 3, (2,))
-    ((1,), (2,), (1,))
-    """
-    ctx.check_index(i)
-    q = _check_q(ctx, m, q)
     s = ctx.generator(i)
-    out = [s] if m % 2 else []
+    out = [{s: 1}] if m % 2 else []
     for qe in q:
-        out.extend((ctx.generator_power(i, qe), s))
+        out.extend(({ctx.generator_power(i, qe): 1}, {s: 1}))
     return tuple(out)
-
-
-def probe_tensor_split(ctx: GroupContext, i: int, m: int, q: Sequence[int]) -> tuple:
-    """The probe with each (s_i-1)^(p-1) factor replaced by s_i^q - 1:
-    the differences u - 1, as {u: 1}, of the ``probe_tuple``.
-
-    Summing over all q in [1, p-1]^(m//2) recovers the probe tensor mod p,
-    so mod-p cochains take equal values on the probe and on the sum of its
-    splits.
-    """
-    return tuple({u: 1} for u in probe_tuple(ctx, i, m, q))
 
 
 def q_choices(ctx: GroupContext, m: int) -> Iterator[tuple]:

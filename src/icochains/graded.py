@@ -36,7 +36,8 @@ import functools
 import math
 from typing import NamedTuple
 
-from .group_ring import DEFAULT_MAX_ENTRIES, BudgetExceededError, GroupContext
+# BudgetExceededError, which check_budget raises, is re-exported
+from .group_ring import DEFAULT_MAX_ENTRIES, BudgetExceededError, GroupContext, check_budget
 
 
 def _rank_mod_p(rows, p: int) -> int:
@@ -77,9 +78,7 @@ def _block_ranks(ctx: GroupContext, n: int, max_entries: int) -> tuple:
     block at a time are generated as they are eliminated.
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
-    required = big_n**n + big_n ** (n + 1)
-    if required > max_entries:
-        raise BudgetExceededError(required, max_entries)
+    check_budget(big_n**n + big_n ** (n + 1), max_entries)
     # An exponent vector is coded in a base that no coordinate of an
     # (n+1)-key's multidegree reaches, so a key's multidegree is the sum
     # of its codes and a + b is an element iff its code is one.
@@ -103,8 +102,7 @@ def _block_ranks(ctx: GroupContext, n: int, max_entries: int) -> tuple:
                 parts.setdefault(weight + a, []).append((cols[weight], a))
     largest = max((len(cols[m]) * sum(len(heads) for heads, _ in ps)
                    for m, ps in parts.items()), default=0)
-    if largest > max_entries:
-        raise BudgetExceededError(largest, max_entries)
+    check_budget(largest, max_entries)
     signs = [1 if i % 2 else p - 1 for i in range(1, n + 1)]  # (-1)^i mod p
     out = []
     for m in sorted(parts):
@@ -168,8 +166,7 @@ def check_table_budget(ctx: GroupContext, max_n: int, max_entries: int) -> None:
     for n in range(max_n + 1):
         built += (n + 1) * big_n ** (n + 1)  # the slots of degree n
         required += built
-        if required > max_entries:
-            raise BudgetExceededError(required, max_entries)
+        check_budget(required, max_entries)
 
 
 def graded_dimension(ctx: GroupContext, n: int) -> int:

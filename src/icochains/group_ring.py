@@ -8,9 +8,10 @@ of I is kept on that basis only: a dict {u: c} with u a nonidentity
 element and c an exact int, the form in which cochains store their values
 and evaluate.  ``shifted_monomial`` expands the products of the
 differences ``s_i - 1`` of the distinguished generators onto it.  The
-entry budget and the two errors every layer raises
-(``BudgetExceededError``, ``NotACocycleError``) live here too, so the block
-oracle and the CLI reach them without loading any cochain code.
+entry budget, ``check_budget`` (which refuses a size over it) and the two
+errors every layer raises (``BudgetExceededError``, ``NotACocycleError``)
+live here too, so the block oracle and the CLI reach them without
+loading any cochain code.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ class BudgetExceededError(RuntimeError):
         super().__init__(f"the computation needs {needs} entries, over the budget of {budget}")
         self.required = required
         self.budget = budget
+
+
+def check_budget(required: int, budget: int = DEFAULT_MAX_ENTRIES) -> None:
+    """Refuse, before any work, a computation that needs more entries than
+    the budget.  Callers that can only afford the logarithm of the size
+    raise ``BudgetExceededError`` with it themselves."""
+    if required > budget:
+        raise BudgetExceededError(required, budget)
 
 
 # Strong-probable-prime bases 2..41 (the first 13 primes) decide primality

@@ -31,13 +31,9 @@ from .group_ring import (  # the budget and cocycle errors are re-exported
     BudgetExceededError,
     GroupContext,
     NotACocycleError,
+    check_budget,
 )
 from .kernel import _code_dtype, _coboundary_sums, _encode_keys
-
-
-def _check_budget(rows: int, cols: int, max_entries: int) -> None:
-    if rows * cols > max_entries:
-        raise BudgetExceededError(rows * cols, max_entries)
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,7 +50,7 @@ class FpMatrix:
 
     def __init__(self, p: int, rows: int, cols: int, columns,
                  max_entries: int = DEFAULT_MAX_ENTRIES):
-        _check_budget(rows, cols, max_entries)
+        check_budget(rows * cols, max_entries)
         if len(columns) != cols:
             raise ValueError("column count mismatch")
         self.p = p
@@ -158,7 +154,7 @@ def d_matrix(ctx: GroupContext, n: int,
     """
     dim_src = (ctx.order - 1) ** n
     dim_dst = (ctx.order - 1) ** (n + 1)
-    _check_budget(dim_dst, dim_src, max_entries)
+    check_budget(dim_dst * dim_src, max_entries)
     # every basis key with coefficient 1, images kept apart per source row
     codes, sums = _coboundary_sums(ctx, n, np.arange(dim_src), [1] * dim_src,
                                    MOD_P, by_entry=True)

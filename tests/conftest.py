@@ -1,6 +1,6 @@
 """Shared helpers for the test suite."""
 
-from icochains import ICochain, MOD_P, cochain_basis
+from icochains import MOD_P, AlgebraElem, ICochain, cochain_basis, realize
 
 # (p, r) pairs every broad property test runs over.
 DESK = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
@@ -57,3 +57,9 @@ def random_icochain(ctx, n, rng, ring=MOD_P, max_support=None):
     else:
         values = {k: rng.randint(-9, 9) for k in basis}
     return ICochain(ctx, n, ring, values)
+
+
+def power_cocycle(ctx, i, m):
+    """The degree-m power of variable i, as the library builds it: ``realize``
+    on the one-variable signature m e_i (the constant 1 for m = 0)."""
+    return realize(AlgebraElem.monomial(ctx, tuple(m if j == i - 1 else 0 for j in range(ctx.r))))

@@ -22,7 +22,6 @@ from icochains import (
     count_terms_closed_form,
     cup_many,
     exponent_cocycle,
-    generator_power_cocycle,
     graded_dimension,
     invert,
     invert_normalized_counted,
@@ -33,7 +32,7 @@ from icochains import (
 )
 from icochains.algebra import _invert_entry_sum
 from icochains.generators import _power_support
-from conftest import DESK, random_icochain
+from conftest import DESK, power_cocycle, random_icochain
 
 
 def shuffles(block_sizes):
@@ -235,7 +234,7 @@ def test_p2_cup_powers_of_degree_one_generator():
         for i in range(1, r + 1):
             fi = exponent_cocycle(ctx, i)
             for m in range(1, 5):
-                assert generator_power_cocycle(ctx, i, m) == cup_many([fi] * m)
+                assert power_cocycle(ctx, i, m) == cup_many([fi] * m)
 
 
 # The contexts, with their top degrees, where invert is checked against the
@@ -408,7 +407,7 @@ def test_realize_is_the_nested_cup_of_generator_powers(p, r):
     ctx = GroupContext(p, r)
     for n in range(5):
         for sig in compositions(n, r):
-            nested = cup_many([generator_power_cocycle(ctx, i, m)
+            nested = cup_many([power_cocycle(ctx, i, m)
                                for i, m in enumerate(sig, start=1)])
             for c in {1, p - 1}:
                 f = realize(AlgebraElem.monomial(ctx, sig, c))

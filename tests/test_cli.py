@@ -16,7 +16,6 @@ from icochains import (
     AlgebraElem,
     GroupContext,
     bockstein_cocycle,
-    carry_cocycle,
     count_terms_closed_form,
     exponent_cocycle,
     realize,
@@ -210,6 +209,30 @@ def test_cup_command(tmp_path, capsys):
     assert code == EXIT_INVALID
 
 
+def test_cup_of_three_documents_is_the_nested_cup(tmp_path, capsys):
+    ctx = GroupContext(3, 2)
+    factors = [exponent_cocycle(ctx, 1), bockstein_cocycle(ctx, 2), exponent_cocycle(ctx, 2)]
+    paths = [write_doc(tmp_path, f"f{j}.json", dumps_document(cochain_document(f, "icochain")))
+             for j, f in enumerate(factors)]
+    code, out, _ = run_cli(capsys, "cup", *(arg for path in paths for arg in ("--in", path)))
+    assert code == EXIT_OK
+    parsed, _ = parse_cochain_document(out)
+    nested = factors[0].cup(factors[1]).cup(factors[2])
+    assert parsed == nested and not nested.is_zero()
+    assert out == dumps_document(cochain_document(nested, "icochain"))
+
+
+def test_cup_refuses_the_whole_product_of_supports(tmp_path, capsys):
+    # each factor has p - 1 = 4098 entries; two of them already exceed the
+    # budget, and the refusal reports the product of all three supports
+    ctx = GroupContext(4099, 1)
+    path = write_doc(tmp_path, "f.json",
+                     dumps_document(cochain_document(exponent_cocycle(ctx, 1), "icochain")))
+    code, out, err = run_cli(capsys, "cup", "--in", path, "--in", path, "--in", path)
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == f"error: the computation needs {4098**3} entries, over the budget of 16777216\n"
+
+
 def test_d_command_and_check_cocycle(tmp_path, capsys):
     doc = {
         "schema_version": "1", "p": 3, "r": 1, "n": 1,
@@ -376,9 +399,21 @@ def test_tau_refuses_a_huge_signature_by_its_logarithm(sig, exponent):
                              "over the budget of 16777216\n")
 
 
+@pytest.mark.parametrize("sig", ["99999999999999999999999", "10000000000"])
+def test_tau_refuses_a_signature_of_degree_over_the_budget(sig):
+    # at p = 2, r = 1 every power has one entry, so only the degree, the
+    # slots of its one key, can be over the budget
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "tau", "--p", "2", "--r", "1", "--sig", sig],
+        capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout) == (EXIT_BUDGET, "")
+    assert result.stderr == (f"error: the computation needs {sig} entries, "
+                             "over the budget of 16777216\n")
+
+
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):
     ctx = GroupContext(2, 1)
-    doc = dumps_document(cochain_document(carry_cocycle(ctx, 1), "normalized"))
+    doc = dumps_document(cochain_document(bockstein_cocycle(ctx, 1), "normalized"))
     doc = doc.replace('"Fp"', '"Z"')
     path = write_doc(tmp_path, "z.json", doc)
     code, _, err = run_cli(capsys, "invert", "--in", path)

@@ -12,22 +12,24 @@ from icochains import (
     NormalizedCochain,
     bockstein_cocycle,
     bockstein_pair_value,
-    carry_cocycle,
-    carry_cocycle_over_z,
     exponent_cocycle,
-    generator_power_cocycle,
     probe_tensor,
     probe_tensor_split,
-    probe_tuple,
     q_choices,
     shifted_monomial,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
-from conftest import DESK, random_icochain
+from conftest import DESK, power_cocycle, random_icochain
 
 
 def _shifted_power(ctx, i, k):
     return shifted_monomial(ctx, tuple(k if j == i - 1 else 0 for j in range(ctx.r)))
+
+
+def carry_over_z(ctx, i):
+    """The integral carry functional: the Bockstein cocycle's values, all 1,
+    read over Z."""
+    return ICochain(ctx, 2, INTEGERS, bockstein_cocycle(ctx, i).values)
 
 
 def test_exponent_cocycle_dual_to_shifted_generators():
@@ -71,12 +73,12 @@ def test_index_validation():
 
 def test_carry_cocycle_values():
     ctx = GroupContext(3, 1)
-    z = carry_cocycle_over_z(ctx, 1)
+    z = carry_over_z(ctx, 1)
     assert z.value_at(((2,), (2,))) == 1  # 2 + 2 >= 3
     assert z.value_at(((1,), (1,))) == 0
     assert z.value_at(((1,), (2,))) == 1
     ctx2 = GroupContext(3, 2)
-    z2 = carry_cocycle_over_z(ctx2, 2)
+    z2 = carry_over_z(ctx2, 2)
     assert z2.value_at(((0, 2), (1, 2))) == 1
     assert z2.value_at(((2, 1), (2, 1))) == 0  # carries in slot 1, not slot 2
 
@@ -85,27 +87,31 @@ def test_carry_cocycle_is_cocycle():
     for p, r in [(2, 2), (3, 2), (5, 1)]:
         ctx = GroupContext(p, r)
         for i in range(1, r + 1):
-            assert carry_cocycle_over_z(ctx, i).is_cocycle()
-            assert carry_cocycle(ctx, i).is_cocycle()
+            assert carry_over_z(ctx, i).is_cocycle()
+            assert bockstein_cocycle(ctx, i).is_cocycle()
 
 
 def test_bockstein_cocycle_matches_carry():
+    # the Bockstein is the mod-p reduction of the integral carry cocycle,
+    # whose values are all 1
     ctx = GroupContext(3, 2)
-    assert bockstein_cocycle(ctx, 1) == carry_cocycle(ctx, 1)
+    b = bockstein_cocycle(ctx, 1)
+    assert b.ring == MOD_P and set(b.values.values()) == {1}
+    assert b == ICochain(ctx, 2, MOD_P, carry_over_z(ctx, 1).values)
 
 
 @pytest.mark.parametrize("p,r", [(p, r) for p, r, _ in EXHAUSTIVE_TRIPLES] + [(7, 3)])
 def test_bockstein_cocycle_equals_the_constructor_path(p, r):
-    # carry_cocycle_over_z and mod_p wrap keys they know are valid; the
-    # checking constructors must build the same cochains
+    # bockstein_cocycle wraps keys it knows are valid; the checking
+    # constructors must build the same cochains, over Z and mod p
     ctx = GroupContext(p, r)
     nonid = list(ctx.nonidentity_elements())
     for i in range(1, r + 1):
         values = {(u, v): 1 for u in nonid for v in nonid if u[i - 1] + v[i - 1] >= p}
         over_z = NormalizedCochain(ctx, 2, INTEGERS, values)
-        assert carry_cocycle_over_z(ctx, i) == over_z
-        assert carry_cocycle(ctx, i) == NormalizedCochain(ctx, 2, MOD_P, over_z.values)
+        assert carry_over_z(ctx, i) == over_z
         b = bockstein_cocycle(ctx, i)
+        assert b == NormalizedCochain(ctx, 2, MOD_P, over_z.values)
         assert b == ICochain(ctx, 2, MOD_P, over_z.values)
 
 
@@ -127,7 +133,7 @@ def test_integral_pair_values_evaluate_exactly(p, r):
     # alternating binomial sum, on the nose over Z
     ctx = GroupContext(p, r)
     for i in range(1, r + 1):
-        hz = carry_cocycle_over_z(ctx, i)
+        hz = carry_over_z(ctx, i)
         for k in range(1, p):
             for l in range(1, p):
                 t = [_shifted_power(ctx, i, k), _shifted_power(ctx, i, l)]
@@ -154,9 +160,9 @@ def test_bockstein_vanishes_on_mixed_variables():
 
 def test_generator_power_cocycle_degree_zero_and_one():
     ctx = GroupContext(3, 2)
-    assert generator_power_cocycle(ctx, 1, 0) == ICochain.constant(ctx, 1)
-    assert generator_power_cocycle(ctx, 2, 1) == exponent_cocycle(ctx, 2)
-    assert generator_power_cocycle(ctx, 1, 2) == bockstein_cocycle(ctx, 1)
+    assert power_cocycle(ctx, 1, 0) == ICochain.constant(ctx, 1)
+    assert power_cocycle(ctx, 2, 1) == exponent_cocycle(ctx, 2)
+    assert power_cocycle(ctx, 1, 2) == bockstein_cocycle(ctx, 1)
 
 
 @pytest.mark.parametrize("p,r", DESK)
@@ -164,13 +170,13 @@ def test_generator_powers_hit_probes(p, r):
     ctx = GroupContext(p, r)
     for i in range(1, r + 1):
         for m in range(6):
-            f = generator_power_cocycle(ctx, i, m)
+            f = power_cocycle(ctx, i, m)
             assert f.evaluate(probe_tensor(ctx, i, m)) == 1
 
 
 def test_generator_power_misses_wrong_pair_sum():
     ctx = GroupContext(3, 1)
-    f = generator_power_cocycle(ctx, 1, 2)
+    f = power_cocycle(ctx, 1, 2)
     t = [_shifted_power(ctx, 1, 1), _shifted_power(ctx, 1, 1)]
     assert f.evaluate(t) == 0  # 1 + 1 != 3
 
@@ -180,7 +186,7 @@ def test_generator_powers_are_cocycles(p, r):
     ctx = GroupContext(p, r)
     for i in range(1, r + 1):
         for m in range(6):
-            assert generator_power_cocycle(ctx, i, m).is_cocycle()
+            assert power_cocycle(ctx, i, m).is_cocycle()
 
 
 def test_probe_tensor_shapes():
@@ -194,14 +200,22 @@ def test_probe_tensor_shapes():
 
 
 def test_probe_tuple_shapes():
+    # the split probe's group elements: (s^q1, s, s^q2, s), one more s first
+    # for odd m
     ctx = GroupContext(5, 1)
-    assert probe_tuple(ctx, 1, 4, (2, 3)) == ((2,), (1,), (3,), (1,))
-    assert probe_tuple(ctx, 1, 5, (2, 3)) == ((1,), (2,), (1,), (3,), (1,))
-    assert probe_tuple(ctx, 1, 0, ()) == ()
+
+    def elements(m, q):
+        factors = probe_tensor_split(ctx, 1, m, q)
+        assert all(list(d.values()) == [1] for d in factors)
+        return tuple(u for d in factors for u in d)
+
+    assert elements(4, (2, 3)) == ((2,), (1,), (3,), (1,))
+    assert elements(5, (2, 3)) == ((1,), (2,), (1,), (3,), (1,))
+    assert elements(0, ()) == ()
     with pytest.raises(ValueError):
-        probe_tuple(ctx, 1, 4, (2,))
+        probe_tensor_split(ctx, 1, 4, (2,))
     with pytest.raises(ValueError):
-        probe_tuple(ctx, 1, 2, (5,))
+        probe_tensor_split(ctx, 1, 2, (5,))
 
 
 def test_probe_split_consistency():

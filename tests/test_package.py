@@ -1,7 +1,9 @@
 """The public surface of the package: what it exports, and what it no longer does."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +18,8 @@ PUBLIC_NAMES = {
     },
     "cochain": {"ICochain", "NormalizedCochain", "cup_many"},
     "generators": {
-        "bockstein_cocycle", "bockstein_pair_value", "carry_cocycle",
-        "carry_cocycle_over_z", "exponent_cocycle", "generator_power_cocycle",
-        "probe_tensor", "probe_tensor_split", "probe_tuple", "q_choices",
+        "bockstein_cocycle", "bockstein_pair_value", "exponent_cocycle", "probe_tensor",
+        "probe_tensor_split", "q_choices",
     },
     "graded": {"CohomologyReport", "cohomology_report", "graded_dimension"},
     "group_ring": {
@@ -35,7 +36,10 @@ MODULE_OF = {name: module for module, names in PUBLIC_NAMES.items() for name in 
 # Helpers that no command, no acceptance criterion and no part of the
 # paper's trivial-module construction used, with the module each lived in.
 # Ideal elements have one form, a dict on the difference basis, so the
-# group-ring class and its conversions are gone.
+# group-ring class and its conversions are gone.  The degree-2 generator has
+# one builder, ``bockstein_cocycle``, so the carry cocycles and the mod-p
+# reduction they ran through are gone, and so are the second builders of
+# generator powers and split probes.
 REMOVED = {
     "signed_permute": cochain, "perm_compose": cochain, "perm_inverse": cochain,
     "Action": cochain, "binomial_mod_p": generators,
@@ -46,6 +50,9 @@ REMOVED = {
     "perm_sign": algebra, "shuffle_count": algebra, "shuffles": algebra,
     "RingElem": group_ring, "Tensor": cochain, "augmentation": group_ring,
     "as_difference_basis": group_ring, "shifted_generator": group_ring,
+    "carry_cocycle": generators, "carry_cocycle_over_z": generators,
+    "generator_power_cocycle": generators, "probe_tuple": generators,
+    "mod_p": cochain.ICochain,
 }
 
 
@@ -72,6 +79,17 @@ def test_lazy_names_resolve():
     assert graded.BudgetExceededError is group_ring.BudgetExceededError
     # one inverse map serves both cochain kinds, under both names
     assert algebra.invert_normalized is algebra.invert
+
+
+def test_readme_lists_every_public_name():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    # the bulleted paragraph after the line that introduces it
+    bullets = readme[readme.index("The package exports"):].split("\n\n")[1]
+    listed = {}
+    for line in re.split(r"^\* ", bullets, flags=re.M)[1:]:
+        module, names = line.split(":", 1)
+        listed[module.strip("`")] = set(re.findall(r"`(\w+)`", names))
+    assert listed == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
