@@ -203,7 +203,7 @@ def realize(e: AlgebraElem) -> ICochain:
     degree-n_i generator powers of the r variables, taken in variable
     order; the map extends linearly.  Each signature's support is known
     before any factor is built (a product of nonzero residues mod p is
-    nonzero), and one over the default entry budget is refused first.
+    nonzero), and one over the entry budget is refused first.
 
     Each signature is one flat ``cup_many`` of all its generator factors,
     so a one-term element comes back, scaled, with its keys in sorted
@@ -234,7 +234,7 @@ def realize(e: AlgebraElem) -> ICochain:
 
 
 def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
-    """Refuse a signature whose cocycle has more entries than the default
+    """Refuse a signature whose cocycle has more entries than the entry
     budget, before any factor is built.
 
     Its support is a^odd b^pairs, with a and b the supports of a degree-1
@@ -251,7 +251,7 @@ def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
     odd, pairs = sum(m % 2 for m in sig), sum(m // 2 for m in sig)
     log10 = odd * math.log10(a) + pairs * math.log10(b)
     if log10 > EXACT_SIZE_DIGITS:
-        raise BudgetExceededError(None, DEFAULT_MAX_ENTRIES, log10)
+        raise BudgetExceededError(None, log10)
     check_budget(a**odd * b**pairs)
     check_budget(sum(sig))
 
@@ -411,7 +411,7 @@ def count_terms(ctx: GroupContext, n: int) -> int:
     time, T_k(n) = sum_m C(n, m) (p-1)^(m//2) T_(k-1)(n-m) with
     T_1(m) = (p-1)^(m//2), in at most (r-1) n^2 steps.  Before any
     arithmetic it refuses a count whose bound r^n (p-1)^(n//2) has more
-    decimal digits than the default entry budget, or more steps than it.
+    decimal digits than the entry budget, or more steps than it.
 
     >>> count_terms(GroupContext(3, 2), 2)
     6
@@ -423,7 +423,7 @@ def count_terms(ctx: GroupContext, n: int) -> int:
     # count's lower bound max(r^n, (p-1)^(n//2)); then the steps
     low, high = n * math.log10(r), n // 2 * math.log10(p - 1)
     if int(low + high) + 1 > DEFAULT_MAX_ENTRIES:
-        raise BudgetExceededError(None, DEFAULT_MAX_ENTRIES, max(low, high))
+        raise BudgetExceededError(None, max(low, high))
     check_budget((r - 1) * n * n)
     if r == 1 or n == 0:
         return (p - 1) ** (n // 2)

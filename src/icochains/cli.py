@@ -25,9 +25,10 @@ per-entry loop checks the entries again one by one and raises the first
 error, so every message and exit code is that of the per-entry check.
 
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
-(input is not a cocycle); 3 resource refusal (entry budget), with the
-required size in the message; 64 usage errors such as unknown flags; 141
-(128 + SIGPIPE) when the reader closes stdout early, with nothing on stderr.
+(input is not a cocycle); 3 resource refusal (over the entry budget of
+2^24, which no flag raises), with the required size in the message; 64
+usage errors such as unknown flags; 141 (128 + SIGPIPE) when the reader
+closes stdout early, with nothing on stderr.
 
 At module level this file imports only ``sys``; ``argparse`` loads in
 ``build_parser``, ``json`` in the document functions, and each library
@@ -496,10 +497,10 @@ def _cmd_dims(args) -> int:
     from .graded import check_table_budget, cohomology_report, graded_dimension
 
     ctx = _group_context(args.p, args.r)
-    check_table_budget(ctx, args.max_n, args.budget)
+    check_table_budget(ctx, args.max_n)
     lines = ["n dim_C dim_Z dim_B dim_H expected_H"]
     for n in range(args.max_n + 1):
-        rep = cohomology_report(ctx, n, max_entries=args.budget)
+        rep = cohomology_report(ctx, n)
         lines.append(f"{n} {rep.dim_cochains} {rep.dim_ker_dn} {rep.rank_d_prev} "
                      f"{rep.dim_h} {graded_dimension(ctx, n)}")
     _write("\n".join(lines) + "\n")
@@ -548,25 +549,18 @@ def _cmd_selftest(_args) -> int:
 def build_parser():
     import argparse
 
-    from .group_ring import DEFAULT_MAX_ENTRIES
-
     class Parser(argparse.ArgumentParser):
         def error(self, message):
             self.print_usage(sys.stderr)
             print(f"error: {message}", file=sys.stderr)
             raise SystemExit(EXIT_USAGE)
 
-    def nonnegative(name: str):
-        """The type of a flag taking a nonnegative integer; ``name``
-        appears in its messages."""
-        def parse(text: str) -> int:
-            value = int(text)
-            if value < 0:
-                raise argparse.ArgumentTypeError(f"must be a nonnegative {name}, got {value}")
-            return value
-
-        parse.__name__ = name
-        return parse
+    def degree(text: str) -> int:
+        """The type of a flag taking a degree, a nonnegative integer."""
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be a nonnegative degree, got {value}")
+        return value
 
     parser = Parser(prog="icochains",
                      description="Mod-p cohomology of elementary abelian groups "
@@ -609,17 +603,16 @@ def build_parser():
     p_dims = sub.add_parser("dims", help="cohomology dimension table from the rank oracle")
     p_dims.add_argument("--p", type=int, required=True)
     p_dims.add_argument("--r", type=int, required=True)
-    p_dims.add_argument("--max-n", type=nonnegative("degree"), required=True)
-    p_dims.add_argument("--budget", type=nonnegative("budget"), default=DEFAULT_MAX_ENTRIES,
-                        help="budget (default 2^24) on the key slots the whole table "
-                             "enumerates and on rows x columns of the largest "
-                             "multidegree block")
+    p_dims.add_argument("--max-n", type=degree, required=True,
+                        help="last degree of the table; refused when the key slots the "
+                             "whole table enumerates, or rows x columns of its largest "
+                             "multidegree block, exceed the entry budget of 2^24")
     p_dims.set_defaults(func=_cmd_dims)
 
     p_count = sub.add_parser("count-terms", help="number of evaluations in the inverse formula")
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--n", type=nonnegative("degree"), required=True)
+    p_count.add_argument("--n", type=degree, required=True)
     p_count.set_defaults(func=_cmd_count_terms)
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")

@@ -154,7 +154,7 @@ class ICochain:
 
         Otherwise ``_bar_coboundary_vanishes`` decides the rest, unless
         the terms it sums, at most E (2r + (n-1)(N-1) + N), are over the
-        default entry budget; then it is refused before any work.
+        entry budget; then it is refused before any work.
         """
         n, entries = self.degree, len(self.values)
         if not n or not entries:

@@ -37,7 +37,7 @@ import math
 from typing import NamedTuple
 
 # BudgetExceededError, which check_budget raises, is re-exported
-from .group_ring import DEFAULT_MAX_ENTRIES, BudgetExceededError, GroupContext, check_budget
+from .group_ring import BudgetExceededError, GroupContext, check_budget
 
 
 def _rank_mod_p(rows, p: int) -> int:
@@ -68,17 +68,17 @@ def _rank_mod_p(rows, p: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _block_ranks(ctx: GroupContext, n: int, max_entries: int) -> tuple:
+def _block_ranks(ctx: GroupContext, n: int) -> tuple:
     """((multidegree, rank), ...) for the blocks of d_n, by increasing
     multidegree.
 
-    Refuses, before enumerating, when the N^n + N^(n+1) keys exceed
-    ``max_entries``, and before eliminating, when the rows x columns of
-    the largest block do.  Only the n-keys are held; the rows of one
+    Refuses, before enumerating, when the N^n + N^(n+1) keys exceed the
+    entry budget, and before eliminating, when the rows x columns of the
+    largest block do.  Only the n-keys are held; the rows of one
     block at a time are generated as they are eliminated.
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
-    check_budget(big_n**n + big_n ** (n + 1), max_entries)
+    check_budget(big_n**n + big_n ** (n + 1))
     # An exponent vector is coded in a base that no coordinate of an
     # (n+1)-key's multidegree reaches, so a key's multidegree is the sum
     # of its codes and a + b is an element iff its code is one.
@@ -102,7 +102,7 @@ def _block_ranks(ctx: GroupContext, n: int, max_entries: int) -> tuple:
                 parts.setdefault(weight + a, []).append((cols[weight], a))
     largest = max((len(cols[m]) * sum(len(heads) for heads, _ in ps)
                    for m, ps in parts.items()), default=0)
-    check_budget(largest, max_entries)
+    check_budget(largest)
     signs = [1 if i % 2 else p - 1 for i in range(1, n + 1)]  # (-1)^i mod p
     out = []
     for m in sorted(parts):
@@ -134,23 +134,22 @@ class CohomologyReport(NamedTuple):
     dim_h: int
 
 
-def _rank(ctx: GroupContext, n: int, max_entries: int) -> int:
-    return sum(rank for _, rank in _block_ranks(ctx, n, max_entries))
+def _rank(ctx: GroupContext, n: int) -> int:
+    return sum(rank for _, rank in _block_ranks(ctx, n))
 
 
-def cohomology_report(ctx: GroupContext, n: int,
-                      max_entries: int = DEFAULT_MAX_ENTRIES) -> CohomologyReport:
+def cohomology_report(ctx: GroupContext, n: int) -> CohomologyReport:
     """Compute dim H^n as nullity(d_n) minus rank(d_(n-1)), summing the
     block ranks."""
     dim_c = (ctx.order - 1) ** n
-    rank_dn = _rank(ctx, n, max_entries)
+    rank_dn = _rank(ctx, n)
     dim_ker = dim_c - rank_dn
-    rank_prev = _rank(ctx, n - 1, max_entries) if n > 0 else 0
+    rank_prev = _rank(ctx, n - 1) if n > 0 else 0
     return CohomologyReport(ctx.p, ctx.r, n, dim_c, rank_dn, dim_ker,
                             rank_prev, dim_ker - rank_prev)
 
 
-def check_table_budget(ctx: GroupContext, max_n: int, max_entries: int) -> None:
+def check_table_budget(ctx: GroupContext, max_n: int) -> None:
     """Refuse the reports of degrees 0..max_n before the first is computed.
 
     Degree n builds its n-keys one slot at a time, the N^i keys of every
@@ -159,14 +158,14 @@ def check_table_budget(ctx: GroupContext, max_n: int, max_entries: int) -> None:
     (N = p^r - 1).  At N = 1 that is (n+1)(n+2)/2, so the table's cost
     grows as the cube of max_n, where a count of n-keys alone would stay
     at 2 per degree.  The terms grow with n, so the sum stops at the first
-    degree whose running total exceeds ``max_entries``, and that total is
+    degree whose running total exceeds the entry budget, and that total is
     the one reported.
     """
     big_n, built, required = ctx.order - 1, 0, 0
     for n in range(max_n + 1):
         built += (n + 1) * big_n ** (n + 1)  # the slots of degree n
         required += built
-        check_budget(required, max_entries)
+        check_budget(required)
 
 
 def graded_dimension(ctx: GroupContext, n: int) -> int:

@@ -28,8 +28,8 @@ MOD_P = "Fp"
 # where it enters from outside.
 GroupElem = tuple
 
-# Default entry budget of the oracles' dense matrices and enumerated keys, and
-# of the terms of coboundaries and cup products.
+# The entry budget of the oracles' dense matrices and enumerated keys, and of
+# the terms of coboundaries and cup products.  No flag or parameter raises it.
 DEFAULT_MAX_ENTRIES = 1 << 24
 
 
@@ -44,7 +44,7 @@ EXACT_SIZE_DIGITS = 3900
 
 class BudgetExceededError(RuntimeError):
     """A matrix, the key set of a block computation, or the terms of a
-    coboundary or cup product would exceed the configured entry budget.
+    coboundary or cup product would exceed the entry budget.
 
     ``required`` is the size needed, printed in full up to
     ``EXACT_SIZE_DIGITS`` digits and as a bound, "more than 10^k", past
@@ -52,24 +52,24 @@ class BudgetExceededError(RuntimeError):
     base-10 logarithm ``log10``; ``required`` is then None.
     """
 
-    def __init__(self, required: int | None, budget: int, log10: float | None = None):
+    def __init__(self, required: int | None, log10: float | None = None):
         if required is not None:
             log10 = math.log10(max(required, 1))
         if required is not None and log10 <= EXACT_SIZE_DIGITS:
             needs = str(required)
         else:  # the margin keeps a float log10 of exactly k from claiming 10^k
             needs = f"more than 10^{math.floor(log10 * (1 - 1e-12))}"
-        super().__init__(f"the computation needs {needs} entries, over the budget of {budget}")
+        super().__init__(f"the computation needs {needs} entries, "
+                         f"over the budget of {DEFAULT_MAX_ENTRIES}")
         self.required = required
-        self.budget = budget
 
 
-def check_budget(required: int, budget: int = DEFAULT_MAX_ENTRIES) -> None:
+def check_budget(required: int) -> None:
     """Refuse, before any work, a computation that needs more entries than
-    the budget.  Callers that can only afford the logarithm of the size
-    raise ``BudgetExceededError`` with it themselves."""
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+    the entry budget.  Callers that can only afford the logarithm of the
+    size raise ``BudgetExceededError`` with it themselves."""
+    if required > DEFAULT_MAX_ENTRIES:
+        raise BudgetExceededError(required)
 
 
 # Strong-probable-prime bases 2..41 (the first 13 primes) decide primality

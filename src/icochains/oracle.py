@@ -8,8 +8,8 @@ depends on the inverse-map code, so agreement with it is meaningful
 evidence.
 
 The degree-n matrix has (p^r - 1)^(2n+1) dense entries; anything whose
-dense form exceeds a configurable entry budget is refused with an explicit
-error rather than attempted.  Cohomology dimensions (``cohomology_report``,
+dense form exceeds the entry budget is refused with an explicit error
+rather than attempted.  Cohomology dimensions (``cohomology_report``,
 re-exported here) come from the multigraded blocks of ``graded`` instead;
 ``d_matrix`` and ``rank`` stay as the dense reference they are checked
 against.
@@ -48,9 +48,8 @@ class FpMatrix:
 
     __slots__ = ("p", "rows", "cols", "columns")
 
-    def __init__(self, p: int, rows: int, cols: int, columns,
-                 max_entries: int = DEFAULT_MAX_ENTRIES):
-        check_budget(rows * cols, max_entries)
+    def __init__(self, p: int, rows: int, cols: int, columns):
+        check_budget(rows * cols)
         if len(columns) != cols:
             raise ValueError("column count mismatch")
         self.p = p
@@ -59,14 +58,14 @@ class FpMatrix:
         self.columns = [{i: v % p for i, v in col.items() if v % p} for col in columns]
 
     @classmethod
-    def from_dense(cls, p: int, array, max_entries: int = DEFAULT_MAX_ENTRIES) -> "FpMatrix":
+    def from_dense(cls, p: int, array) -> "FpMatrix":
         array = np.asarray(array, dtype=np.int64) % p
         rows, cols = array.shape
         columns = []
         for j in range(cols):
             nz = np.nonzero(array[:, j])[0]
             columns.append({int(i): int(array[i, j]) for i in nz})
-        return cls(p, rows, cols, columns, max_entries)
+        return cls(p, rows, cols, columns)
 
     def to_dense(self):
         dense = np.zeros((self.rows, self.cols), dtype=_code_dtype(self.p))
@@ -144,8 +143,7 @@ def kernel_basis(m: FpMatrix) -> list:
     return basis
 
 
-def d_matrix(ctx: GroupContext, n: int,
-             max_entries: int = DEFAULT_MAX_ENTRIES) -> FpMatrix:
+def d_matrix(ctx: GroupContext, n: int) -> FpMatrix:
     """Matrix of the degree-n coboundary on the difference-tensor bases.
 
     Column j is the coboundary of the j-th basis cochain of degree n,
@@ -154,14 +152,14 @@ def d_matrix(ctx: GroupContext, n: int,
     """
     dim_src = (ctx.order - 1) ** n
     dim_dst = (ctx.order - 1) ** (n + 1)
-    check_budget(dim_dst * dim_src, max_entries)
+    check_budget(dim_dst * dim_src)
     # every basis key with coefficient 1, images kept apart per source row
     codes, sums = _coboundary_sums(ctx, n, np.arange(dim_src), [1] * dim_src,
                                    MOD_P, by_entry=True)
     bounds = np.searchsorted(codes // dim_dst, np.arange(dim_src + 1)).tolist()
     rows, values = (codes % dim_dst).tolist(), sums.tolist()
     columns = [dict(zip(rows[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
-    return FpMatrix(ctx.p, dim_dst, dim_src, columns, max_entries)
+    return FpMatrix(ctx.p, dim_dst, dim_src, columns)
 
 
 def vectorize(f: ICochain):
@@ -177,23 +175,23 @@ def cochain_from_vector(ctx: GroupContext, n: int, vec) -> ICochain:
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel_basis_cached(ctx: GroupContext, n: int, max_entries: int) -> tuple:
-    return tuple(kernel_basis(d_matrix(ctx, n, max_entries)))
+def _kernel_basis_cached(ctx: GroupContext, n: int) -> tuple:
+    return tuple(kernel_basis(d_matrix(ctx, n)))
 
 
 @functools.lru_cache(maxsize=None)
-def _image_reducer(ctx: GroupContext, n: int, max_entries: int):
+def _image_reducer(ctx: GroupContext, n: int):
     """Echelonized column space of d_(n-1), for membership queries.
 
     Returns (rows, pivots): the reduced row echelon form of the transpose,
     whose row space is the space of degree-n coboundaries.
     """
-    mat = d_matrix(ctx, n - 1, max_entries)
+    mat = d_matrix(ctx, n - 1)
     red, pivots = _rref(mat.to_dense().T, ctx.p)
     return red[: len(pivots)], pivots
 
 
-def is_coboundary(f: ICochain, max_entries: int = DEFAULT_MAX_ENTRIES) -> bool:
+def is_coboundary(f: ICochain) -> bool:
     """Decide whether a cocycle is a coboundary, by solving d x = f.
 
     Raises NotACocycleError on non-cocycle input; the question only makes
@@ -205,7 +203,7 @@ def is_coboundary(f: ICochain, max_entries: int = DEFAULT_MAX_ENTRIES) -> bool:
         raise NotACocycleError("input cochain is not a cocycle")
     if f.degree == 0:
         return f.is_zero()  # nothing maps into degree 0
-    red, pivots = _image_reducer(f.ctx, f.degree, max_entries)
+    red, pivots = _image_reducer(f.ctx, f.degree)
     v = vectorize(f)
     for row_idx, pc in enumerate(pivots):
         if v[pc]:
@@ -213,18 +211,16 @@ def is_coboundary(f: ICochain, max_entries: int = DEFAULT_MAX_ENTRIES) -> bool:
     return not v.any()
 
 
-def classes_equal(f: ICochain, g: ICochain,
-                  max_entries: int = DEFAULT_MAX_ENTRIES) -> bool:
+def classes_equal(f: ICochain, g: ICochain) -> bool:
     """Whether two cocycles represent the same cohomology class."""
     if f.ctx != g.ctx or f.degree != g.degree:
         raise ValueError("cocycles must share context and degree")
-    return is_coboundary(f - g, max_entries)
+    return is_coboundary(f - g)
 
 
-def random_cocycle(ctx: GroupContext, n: int, seed: int,
-                   max_entries: int = DEFAULT_MAX_ENTRIES) -> ICochain:
+def random_cocycle(ctx: GroupContext, n: int, seed: int) -> ICochain:
     """A uniformly random element of ker d_n, deterministic per seed."""
-    basis = _kernel_basis_cached(ctx, n, max_entries)
+    basis = _kernel_basis_cached(ctx, n)
     rng = random.Random(seed)
     v = np.zeros((ctx.order - 1) ** n, dtype=np.int64)
     for b in basis:

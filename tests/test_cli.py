@@ -444,19 +444,25 @@ def test_dims_eliminates_each_degree_once(capsys):
 
 
 def test_dims_budget_exit(capsys):
-    code, out, err = run_cli(capsys, "dims", "--p", "3", "--r", "2",
-                             "--max-n", "3", "--budget", "1000")
+    # N = 8: degrees 0..5 build 1 956 528 key slots, degree 6 takes the
+    # table past the 2^24 budget before its first degree is ranked
+    code, out, err = run_cli(capsys, "dims", "--p", "3", "--r", "2", "--max-n", "6")
     assert code == EXIT_BUDGET
-    assert "entries" in err and out == ""
+    assert _table_slots(8, 5) <= 2**24 < _table_slots(8, 6) == 18391352
+    assert err == "error: the computation needs 18391352 entries, over the budget of 16777216\n"
+    assert out == ""
 
 
-def test_negative_dims_budget_is_a_usage_error():
+def test_dims_budget_is_not_an_option():
+    # the entry budget is a constant: no flag raises or lowers it
     result = subprocess.run(
         [sys.executable, "-m", "icochains.cli", "dims", "--p", "3", "--r", "1",
-         "--max-n", "2", "--budget", "-1"],
+         "--max-n", "2", "--budget", "1000"],
         capture_output=True, text=True, timeout=10)
     assert result.returncode == EXIT_USAGE
-    assert "nonnegative budget" in result.stderr and result.stdout == ""
+    assert result.stderr.startswith("usage: ")
+    assert "unrecognized arguments: --budget 1000" in result.stderr
+    assert "Traceback" not in result.stderr and result.stdout == ""
 
 
 def test_dims_past_the_dense_budget(capsys):
@@ -788,7 +794,7 @@ NOT_A_COCYCLE = json.dumps({
     (["count-terms", "--p", "3", "--r", "1", "--n", "2"], EXIT_OK),
     (["invert", "--in", "missing.json"], EXIT_INVALID),
     (["invert", "--in", "f.json"], EXIT_NOT_COCYCLE),
-    (["dims", "--p", "3", "--r", "2", "--max-n", "3", "--budget", "1000"], EXIT_BUDGET),
+    (["dims", "--p", "3", "--r", "2", "--max-n", "6"], EXIT_BUDGET),
     (["dims", "--bad-flag"], EXIT_USAGE),
 ])
 def test_process_exits_as_main_returns(argv, code, tmp_path, capsys, monkeypatch):

@@ -242,11 +242,12 @@ def test_shifted_monomials_linearly_independent_mod_p(p, r):
 
 def test_budget_error_prints_huge_sizes_as_a_bound():
     # str() refuses ints past 4 300 digits; sizes past 3 900 print as a bound
-    assert str(BudgetExceededError(12345, 10)) == (
-        "the computation needs 12345 entries, over the budget of 10")
-    assert f"needs {10**3899} entries" in str(BudgetExceededError(10**3899, 10))
-    assert "needs more than 10^4999 entries" in str(BudgetExceededError(10**5000, 10))
-    assert "needs more than 10^5000 entries" in str(BudgetExceededError(7 * 10**5000, 10))
-    error = BudgetExceededError(None, 10, 71568.19)
+    assert str(BudgetExceededError(12345)) == (
+        "the computation needs 12345 entries, over the budget of 16777216")
+    assert f"needs {10**3899} entries" in str(BudgetExceededError(10**3899))
+    assert "needs more than 10^4999 entries" in str(BudgetExceededError(10**5000))
+    assert "needs more than 10^5000 entries" in str(BudgetExceededError(7 * 10**5000))
+    error = BudgetExceededError(None, 71568.19)
     assert error.required is None
-    assert str(error) == "the computation needs more than 10^71568 entries, over the budget of 10"
+    assert str(error) == ("the computation needs more than 10^71568 entries, "
+                          "over the budget of 16777216")

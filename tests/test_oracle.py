@@ -31,7 +31,7 @@ from icochains import (
     vectorize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
-from icochains.cochain import DEFAULT_MAX_ENTRIES, _bar_coboundary
+from icochains.cochain import _bar_coboundary
 from icochains.graded import _block_ranks
 from icochains.oracle import _rref
 from conftest import DESK, random_icochain
@@ -214,11 +214,17 @@ def test_d_matrix_columns_are_bar_coboundaries(p, r, max_n):
 
 
 def test_budget_refusal():
+    # the dense d_4 at (3, 2) has 8^5 x 8^4 cells, refused before any is built
     ctx = GroupContext(3, 2)
     with pytest.raises(BudgetExceededError) as info:
-        d_matrix(ctx, 3, max_entries=1000)
-    assert info.value.required == 4096 * 512
-    assert str(info.value.required) in str(info.value)
+        d_matrix(ctx, 4)
+    assert info.value.required == 8**5 * 8**4 == 134217728
+    assert str(info.value) == ("the computation needs 134217728 entries, "
+                               "over the budget of 16777216")
+    # a declared shape alone is refused, before its columns are read
+    with pytest.raises(BudgetExceededError) as info:
+        FpMatrix(3, 5000, 5000, [])
+    assert info.value.required == 25000000
 
 
 def test_cohomology_dimension_tables():
@@ -240,7 +246,7 @@ def test_cohomology_dimension_tables():
 
 def block_ranks(ctx, n):
     """Rank of each multidegree block of d_n; absent blocks have rank 0."""
-    return dict(_block_ranks(ctx, n, DEFAULT_MAX_ENTRIES)) if n >= 0 else {}
+    return dict(_block_ranks(ctx, n)) if n >= 0 else {}
 
 
 @pytest.mark.parametrize("p,r,max_n", EXHAUSTIVE_TRIPLES + [(2, 4, 2), (5, 2, 2)])

@@ -1,5 +1,6 @@
 """The public surface of the package: what it exports, and what it no longer does."""
 
+import inspect
 import re
 import subprocess
 import sys
@@ -90,6 +91,27 @@ def test_readme_lists_every_public_name():
         module, names = line.split(":", 1)
         listed[module.strip("`")] = set(re.findall(r"`(\w+)`", names))
     assert listed == PUBLIC_NAMES
+
+
+def test_no_export_takes_a_budget():
+    # the entry budget is the constant DEFAULT_MAX_ENTRIES; no public
+    # function, class or method takes a parameter that changes it
+    callables = []
+    for names in icochains._EXPORTS.values():
+        for name in names:
+            obj = getattr(icochains, name)
+            if callable(obj):
+                callables.append((name, obj))
+            if inspect.isclass(obj):
+                callables += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
+                              if callable(getattr(obj, attr))]
+    assert any(name == "FpMatrix.from_dense" for name, _ in callables)
+    for name, obj in callables:
+        try:
+            parameters = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # builtins without a signature
+            continue
+        assert not {"max_entries", "budget"} & set(parameters), name
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
