@@ -33,12 +33,11 @@ is the sum of the values on the generator tuples of that content.
 
 So each stored key meets at most one term: its slots must be powers of
 single generators, s_i itself on every slot the rule does not split, and
-its word then names the term.  The inverse is therefore also a sum over
-the E entries, in O(E n r).  ``invert`` picks one of the two paths by
-size alone: the entry sum when E is below ``count_terms``, which is at
-least r^n and (p-1)^(n//2), so bit lengths settle most inputs, and the
-formula otherwise.  ``invert_normalized_counted`` always runs the
-formula; the tests compare the entry sum with it.
+its word then names the term.  ``invert`` is therefore a sum over the E
+stored entries, in O(E n r), which reads each key once.
+``invert_normalized_counted`` evaluates the formula itself, term by
+term, and counts its evaluations; it is the reference the tests compare
+``invert`` with.
 """
 
 from __future__ import annotations
@@ -285,32 +284,24 @@ def _signed(ctx: GroupContext, totals: dict) -> AlgebraElem:
     return AlgebraElem(ctx, {comp: _block_sign(comp) * t for comp, t in totals.items()})
 
 
-def _fewer_entries_than_terms(f) -> bool:
-    """Whether f has fewer entries than ``count_terms`` evaluations.
+def invert(f) -> AlgebraElem:
+    """Map a degree-n cochain of either kind to algebra coordinates.
 
-    The count is at least r^n (one term per word at p = 2) and at least
-    (p-1)^(n//2) (the splits of one signature), so bit lengths decide
-    most inputs; the rest have degree below the entry count's bit length.
+    This is the raw linear map on cochains; it vanishes on coboundaries,
+    so on cocycles it computes the inverse of ``realize`` on classes.  It
+    sums over the stored keys, in O(E n r): each key meets at most one
+    term of the formula (see the module docstring).  A key is read from
+    its last slot, which ends a block and so is a generator on every
+    probe; most keys off the probes fail that first test.  A slot's
+    exponents lie in [0, p), so they sum to 1 only at a generator, and
+    nothing is built per generator.
     """
-    ctx, n, entries = f.ctx, f.degree, len(f.values)
-    bits = entries.bit_length()
-    if bits <= n * (ctx.r.bit_length() - 1) or bits <= n // 2 * ((ctx.p - 1).bit_length() - 1):
-        return True
-    return entries < count_terms(ctx, n)
-
-
-def _invert_entry_sum(f) -> AlgebraElem:
-    """The inverse map of either cochain kind as a sum over its stored
-    keys, in O(E n r): each key meets at most one term of the formula
-    (see the module docstring).  A key is read from its last slot, which
-    ends a block and so is a generator on every probe; most keys off the
-    probes fail that first test."""
+    _require_mod_p(f)
     ctx = f.ctx
-    generators = {ctx.generator(i) for i in range(1, ctx.r + 1)}
     slots: dict = {}  # element -> (generator index, exponent), or None
     totals: dict = {}
     for key, v in f.values.items():
-        if key and key[-1] not in generators:
+        if key and sum(key[-1]) != 1:
             continue
         sizes = [0] * ctx.r  # slots of each generator read so far
         inversions = 0  # pairs of the generator word out of order
@@ -332,27 +323,15 @@ def _invert_entry_sum(f) -> AlgebraElem:
     return _signed(ctx, totals)
 
 
-def invert(f) -> AlgebraElem:
-    """Map a degree-n cochain to algebra coordinates.
-
-    This is the raw linear map on cochains; it vanishes on coboundaries,
-    so on cocycles it computes the inverse of ``realize`` on classes.  It
-    sums over the stored entries when they are fewer than the formula's
-    evaluations, and runs the formula otherwise.
-    """
-    _require_mod_p(f)
-    if _fewer_entries_than_terms(f):
-        return _invert_entry_sum(f)
-    return invert_normalized_counted(f)[0]
-
-
 invert_normalized = invert
 
 
 def invert_normalized_counted(a) -> tuple[AlgebraElem, int]:
-    """The formula path of ``invert``, also reporting the number of cochain
-    evaluations performed (the advertised term count of the formula); it
-    never takes the entry sum.
+    """The paper's formula, evaluated term by term over generator words,
+    with the number of cochain evaluations performed (the advertised term
+    count of the formula).  It is the same map as ``invert``, which sums
+    the stored entries instead; the tests compare the two, and criterion 7
+    checks the count against ``count_terms``.
 
     The words are built depth first from their last slot back, on one
     explicit stack.  A node fills one slot and carries what the slots

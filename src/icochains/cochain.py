@@ -39,15 +39,7 @@ import itertools
 import math
 from typing import Sequence
 
-from .group_ring import (  # the budget and cocycle errors are re-exported
-    DEFAULT_MAX_ENTRIES,
-    MOD_P,
-    BudgetExceededError,
-    GroupContext,
-    NotACocycleError,
-    _check_ring,
-    check_budget,
-)
+from .group_ring import MOD_P, GroupContext, _check_ring, check_budget
 
 
 class ICochain:

@@ -36,8 +36,7 @@ import functools
 import math
 from typing import NamedTuple
 
-# BudgetExceededError, which check_budget raises, is re-exported
-from .group_ring import BudgetExceededError, GroupContext, check_budget
+from .group_ring import GroupContext, check_budget
 
 
 def _rank_mod_p(rows, p: int) -> int:

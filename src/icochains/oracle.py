@@ -9,10 +9,9 @@ evidence.
 
 The degree-n matrix has (p^r - 1)^(2n+1) dense entries; anything whose
 dense form exceeds the entry budget is refused with an explicit error
-rather than attempted.  Cohomology dimensions (``cohomology_report``,
-re-exported here) come from the multigraded blocks of ``graded`` instead;
-``d_matrix`` and ``rank`` stay as the dense reference they are checked
-against.
+rather than attempted.  Cohomology dimensions (``graded.cohomology_report``)
+come from the multigraded blocks of ``graded`` instead; ``d_matrix`` and
+``rank`` stay as the dense reference they are checked against.
 """
 
 from __future__ import annotations
@@ -24,15 +23,7 @@ import random
 import numpy as np
 
 from .cochain import ICochain
-from .graded import CohomologyReport, cohomology_report  # re-exported
-from .group_ring import (  # the budget and cocycle errors are re-exported
-    DEFAULT_MAX_ENTRIES,
-    MOD_P,
-    BudgetExceededError,
-    GroupContext,
-    NotACocycleError,
-    check_budget,
-)
+from .group_ring import MOD_P, GroupContext, NotACocycleError, check_budget
 from .kernel import _code_dtype, _coboundary_sums, _encode_keys
 
 

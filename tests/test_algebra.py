@@ -30,7 +30,7 @@ from icochains import (
     random_cocycle,
     realize,
 )
-from icochains.algebra import _invert_entry_sum
+from icochains import algebra
 from icochains.generators import _power_support
 from conftest import DESK, power_cocycle, random_icochain
 
@@ -246,8 +246,8 @@ AGREE_MAX_DEGREE = {(2, 2): 3, (3, 1): 3, (3, 2): 4, (5, 1): 3, (5, 2): 3, (3, 3
 @pytest.mark.parametrize("p,r", list(AGREE_MAX_DEGREE))
 def test_invert_normalized_agrees(p, r):
     # a realized class, alone and plus the coboundary of a random cochain,
-    # has E >= count_terms, so invert runs the formula; the shuffle form and
-    # invert recover the class
+    # has at least as many entries as the formula has terms; the shuffle
+    # form and invert, which sums the entries, recover the class
     ctx = GroupContext(p, r)
     rng = random.Random(100 * p + r)
     for n in range(AGREE_MAX_DEGREE[p, r] + 1):
@@ -310,7 +310,7 @@ def test_formula_matches_the_shuffle_form_and_the_entry_sum(p, r, n):
         formula, evaluations = invert_normalized_counted(g)
         assert evaluations == count_terms(ctx, n)
         assert formula == invert_via_shuffles(g)
-        assert formula == _invert_entry_sum(g)
+        assert formula == invert(g)
     assert len(formula.terms) == 1 and set(formula.terms.values()) <= {1, p - 1}
 
 
@@ -344,10 +344,10 @@ def sparse_cochains(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_cochains())
 def test_entry_sum_matches_the_formula_paths(f):
-    expected = _invert_entry_sum(f)
+    # invert is the entry sum; the formula and the shuffle form agree with it
+    expected = invert(f)
     assert invert_via_shuffles(f) == expected
     assert invert_normalized_counted(f)[0] == expected
-    assert invert(f) == expected
 
 
 @pytest.mark.parametrize("p", [503, 1009])
@@ -378,15 +378,57 @@ def test_invert_sparse_cochain_at_large_p():
     assert time.perf_counter() - start < 2.0
 
 
+def largep_probe_cochain(p=10007):
+    """The degree-2 cochain at (p, 1) whose p - 1 entries are the formula's
+    terms: one probe tuple ((q), (1)) per split q, each of value 1."""
+    return ICochain(GroupContext(p, 1), 2, MOD_P, {((q,), (1,)): 1 for q in range(1, p)})
+
+
 def test_formula_path_at_large_p():
-    # E = p - 1 = count_terms: invert runs the formula, one probe tuple
-    # ((q), (1)) per split q, each a stored key of value 1
+    # E = p - 1 = count_terms: invert sums the p - 1 probe tuples, and the
+    # formula evaluates the same keys
     p = 10007
-    ctx = GroupContext(p, 1)
-    f = ICochain(ctx, 2, MOD_P, {((q,), (1,)): 1 for q in range(1, p)})
-    assert len(f.values) == count_terms(ctx, 2)
+    f = largep_probe_cochain(p)
+    assert len(f.values) == count_terms(f.ctx, 2)
     start = time.perf_counter()
     assert invert(f).terms == {(2,): p - 1}
+    assert time.perf_counter() - start < 2.0
+
+
+# The (p, r, degree) classes of the benchmark's roundtrip workload, whose
+# realized cocycles have 4 096-5 000 entries against 32-729 formula terms.
+ROUNDTRIP_CLASSES = ((5, 2, 3), (3, 2, 5), (3, 3, 3), (2, 3, 6))
+
+
+def test_invert_never_runs_the_formula(monkeypatch):
+    # inputs with at least as many entries as the formula has terms, and
+    # the word cochains: invert sums the entries and neither evaluates the
+    # formula nor counts its terms
+    cochains = [realize(AlgebraElem.monomial(GroupContext(p, r), sig))
+                for p, r, n in ROUNDTRIP_CLASSES for sig in compositions(n, r)]
+    cochains += [word_cochain(GroupContext(p, r), n, random.Random(f"{p}-{r}-{n}"))[0]
+                 for p, r, n in FORMULA_CASES]
+    cochains.append(largep_probe_cochain())
+    expected = [invert_normalized_counted(f)[0] for f in cochains]
+
+    def refuse(*args):
+        raise AssertionError("invert reached the formula or its term count")
+
+    monkeypatch.setattr(algebra, "invert_normalized_counted", refuse)
+    monkeypatch.setattr(algebra, "count_terms", refuse)
+    assert [invert(f) for f in cochains] == expected
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_invert_at_large_r(n):
+    # a generator slot is told by its own exponents, so a key costs O(n r)
+    # and nothing is built per generator: r = 20 000, empty and one entry
+    ctx = GroupContext(2, 20000)
+    one_entry = ICochain(ctx, n, MOD_P, {(ctx.generator(7),) * n: 1})
+    monomial = AlgebraElem.monomial(ctx, tuple(n if j == 6 else 0 for j in range(ctx.r)))
+    start = time.perf_counter()
+    assert invert(ICochain.zero(ctx, n)).is_zero()
+    assert invert(one_entry) == monomial
     assert time.perf_counter() - start < 2.0
 
 

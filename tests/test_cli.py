@@ -135,9 +135,9 @@ def test_invert_override_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["icochain", "normalized"])
 def test_invert_kind_flags_keep_the_output(tmp_path, capsys, kind):
-    # invert reads only the stored values, so neither the document's kind nor
-    # a flag changes its output, on the formula path (a realized cocycle) or
-    # on the entry sum (a 2-entry document, --unchecked)
+    # invert sums only the stored values, so neither the document's kind nor
+    # a flag changes its output, on a realized cocycle or on a 2-entry
+    # document (--unchecked)
     code, tau_out, _ = run_cli(capsys, "tau", "--p", "3", "--r", "2", "--sig", "2,1")
     assert code == EXIT_OK
     sparse = json.dumps({"schema_version": "1", "p": 3, "r": 2, "n": 3, "kind": "icochain",
