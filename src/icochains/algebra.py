@@ -61,6 +61,10 @@ MonomialSig = tuple  # r nonnegative ints; degree = their sum
 
 def compositions(n: int, parts: int) -> Iterator[tuple]:
     """All tuples of `parts` nonnegative integers summing to n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
     if parts == 1:
         yield (n,)
         return
@@ -205,31 +209,23 @@ def realize(e: AlgebraElem) -> ICochain:
     nonzero), and one over the entry budget is refused first.
 
     Each signature is one flat ``cup_many`` of all its generator factors,
-    so a one-term element comes back, scaled, with its keys in sorted
-    order; only a sum of several terms is accumulated and its zero sums
-    dropped.
+    scaled when c != 1, and the terms are added as cochains; a one-term
+    element comes back with its keys in sorted order.
     """
     if not e.is_homogeneous():
         raise ValueError("can only realize homogeneous elements")
     ctx = e.ctx
     if e.is_zero():
         return ICochain.zero(ctx, 0)
-    degree = next(iter(e.degrees()))
     for sig in e.terms:
         _check_signature_budget(ctx, sig)
-    p = ctx.p
-    if len(e.terms) == 1:
-        [(sig, c)] = e.terms.items()
-        values = _signature_cocycle(ctx, sig).values
-        if c != 1:  # c lies in [1, p), so no product vanishes
-            values = {key: c * v % p for key, v in values.items()}
-        return ICochain._trusted(ctx, degree, MOD_P, values)
-    values = {}
+    total = None
     for sig, c in e.terms.items():
-        for key, v in _signature_cocycle(ctx, sig).values.items():
-            values[key] = (values.get(key, 0) + c * v) % p
-    # The keys come from cup_many; only the zero sums need dropping.
-    return ICochain._trusted(ctx, degree, MOD_P, {k: v for k, v in values.items() if v})
+        f = _signature_cocycle(ctx, sig)
+        if c != 1:
+            f = f.scale(c)
+        total = f if total is None else total + f
+    return total
 
 
 def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:

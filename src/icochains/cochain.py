@@ -20,17 +20,18 @@ building its values again over ``MOD_P``.
 * cup products concatenate tensor factors, with the sign convention that
   (f cup g) on an (m+n)-tensor is (-1)^(m n) f(first m) g(last n).
 
-The coboundary is one vectorized kernel in ``kernel.py``, which the
-oracle's ``d_matrix`` also uses: keys are encoded as integers in base
-p^r - 1, every contraction term is generated as a numpy broadcast, and one
-sort followed by a segmented sum collapses equal keys.  ``_bar_coboundary``
-writes the classical bar formula independently, as a plain loop over the
-stored keys; the acceptance suite and the tests compare the two pointwise
-on full bases.  ``is_cocycle`` uses neither: it sums the bar coboundary in
-pure Python, one first-argument partition at a time, and only at the r
-generators of G.  Each of these computations refuses, through
-``group_ring.check_budget``, a count of terms over the default entry
-budget before it starts.  This module itself does not import numpy.
+The coboundary is one vectorized kernel in ``kernel.py``: keys are
+encoded as integers in base p^r - 1, every contraction term is generated
+as a numpy broadcast, and one sort followed by a segmented sum collapses
+equal keys.  ``_bar_coboundary`` writes the classical bar formula
+independently, as a plain loop over the stored keys, and the oracle's
+``d_matrix`` is built from it; the acceptance suite and the tests compare
+the two pointwise on full bases.  ``is_cocycle`` uses neither: it sums
+the bar coboundary in pure Python, one first-argument partition at a
+time, and only at the r generators of G.  Each of these computations
+refuses, through ``group_ring.check_budget``, a count of terms over the
+default entry budget before it starts.  This module itself does not
+import numpy.
 """
 
 from __future__ import annotations
@@ -221,18 +222,16 @@ class ICochain:
         factor contractions a_i a_(i+1) (a product in the group ring); an
         ideal element acts as zero on the trivial coefficient module, so
         there is no action term.  The contractions run in one vectorized
-        pass (``kernel._coboundary_sums``).
+        pass (``kernel.coboundary_values``).
         """
-        from . import kernel  # numpy loads only when a coboundary is computed
+        from .kernel import coboundary_values  # numpy loads only when a coboundary is computed
 
         ctx, n, values = self.ctx, self.degree, self.values
         # the kernel's three (E, N) families per slot
         check_budget(len(values) * 3 * n * (ctx.order - 1))
-        codes, sums = kernel._coboundary_sums(ctx, n, kernel._encode_keys(ctx, n, list(values)),
-                                              list(values.values()), self.ring)
-        out = dict(zip(kernel._decode_keys(ctx, n + 1, codes), sums.tolist()))
         # The kernel's keys and sums are valid as they stand.
-        return ICochain._trusted(ctx, n + 1, self.ring, out)
+        return ICochain._trusted(ctx, n + 1, self.ring,
+                                 coboundary_values(ctx, n, values, self.ring))
 
     def cup(self, other: "ICochain") -> "ICochain":
         """Cup product with the (-1)^(m n) front sign.

@@ -140,6 +140,8 @@ def _rank(ctx: GroupContext, n: int) -> int:
 def cohomology_report(ctx: GroupContext, n: int) -> CohomologyReport:
     """Compute dim H^n as nullity(d_n) minus rank(d_(n-1)), summing the
     block ranks."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     dim_c = (ctx.order - 1) ** n
     rank_dn = _rank(ctx, n)
     dim_ker = dim_c - rank_dn

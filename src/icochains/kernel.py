@@ -1,16 +1,16 @@
 """The vectorized ideal-form coboundary: one numpy sort-and-reduce kernel.
 
-``ICochain.coboundary``, and with it ``d`` on either document kind, and
-the oracle's ``d_matrix`` run through ``_coboundary_sums``.  Besides the
-rank oracle it is the only code that needs numpy, so it lives apart from
+``ICochain.coboundary``, and with it ``d`` on either document kind, is
+its one caller, through ``coboundary_values``.  Besides the rank oracle
+it is the only code that needs numpy, so it lives apart from
 ``cochain``: commands that never compute a coboundary (every command but
 ``d`` and ``selftest``; ``is_cocycle`` sums the bar formula in pure
-Python) never import numpy.
+Python) never import numpy.  The oracle builds its matrices from the
+bar formula instead, so it checks this kernel rather than sharing it.
 
 A degree-n key is encoded as an integer in base N = p^r - 1: slot 1 is
 the most significant digit and each nonidentity element is its index in
-lexicographic order, so a code equals the key's row in
-``oracle.cochain_basis``.
+lexicographic order, so codes sort as the keys do.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def _decode_keys(ctx: GroupContext, n: int, codes: np.ndarray) -> list:
     return list(zip(*reversed(slots)))
 
 
-def _coboundary_sums(ctx: GroupContext, n: int, codes: np.ndarray, coeffs: list,
-                     ring: str, by_entry: bool = False) -> tuple:
-    """Ideal-form coboundary of sparse degree-n data as one sort-and-reduce.
+def coboundary_values(ctx: GroupContext, n: int, values: dict, ring: str) -> dict:
+    """Ideal-form coboundary of degree-n values {key: coefficient} as one
+    sort-and-reduce.
 
-    Entry e is the key with code ``codes[e]`` and coefficient
+    Entry e is the e-th key, encoded as ``codes[e]``, with coefficient
     ``coeffs[e]``.  Its image under the coboundary is, for each slot i
     with sign (-1)^i, the contraction (x-1)(y-1) = (xy-1) - (x-1) - (y-1)
     read backwards: the key k_i at slot i is hit by the (n+1)-keys with
@@ -70,31 +70,27 @@ def _coboundary_sums(ctx: GroupContext, n: int, codes: np.ndarray, coeffs: list,
     Terms are packed as code * width + coefficient digit (c mod p, or
     c + m for integers bounded by m in absolute value), sorted once, and
     equal codes are summed.  Packed values and sums are int64 when their
-    bounds fit, otherwise exact Python ints.  With ``by_entry`` every
-    code is offset by e * N^(n+1), which keeps the images of the entries
-    apart.
+    bounds fit, otherwise exact Python ints.
 
-    Returns (codes, sums): the distinct (n+1)-key codes in increasing
-    order and their nonzero sums, reduced into [1, p) over MOD_P.
+    Returns the nonzero sums {(n+1)-key: value} in increasing key order,
+    reduced into [1, p) over MOD_P.
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
-    entries = len(coeffs)
+    entries = len(values)
     if n == 0 or entries == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return {}
+    coeffs = list(values.values())
     if ring == MOD_P:
         shift, width = 0, p
     else:
         shift = max(abs(c) for c in coeffs)
         width = 2 * shift + 1
-    span = big_n ** (n + 1)
     # Besides zero terms a code is hit at most once per slot and family,
     # so a run sums at most 3n digits.
-    dtype = _code_dtype(max((entries if by_entry else 1) * span * width,
-                            3 * n * max(p - 1, shift) + 1))
+    dtype = _code_dtype(max(big_n ** (n + 1) * width, 3 * n * max(p - 1, shift) + 1))
     c = np.array(coeffs, dtype=dtype)
     pos, neg = (c % p, -c % p) if ring == MOD_P else (c + shift, shift - c)
-    codes = np.asarray(codes).astype(dtype)
-    offset = np.arange(entries, dtype=dtype) * (span * width) if by_entry else 0
+    codes = _encode_keys(ctx, n, list(values)).astype(dtype)
     elems = np.arange(big_n, dtype=dtype)
     # exponent digits of the elements, most significant first
     digits = (np.arange(1, big_n + 1)[:, None]
@@ -107,25 +103,25 @@ def _coboundary_sums(ctx: GroupContext, n: int, codes: np.ndarray, coeffs: list,
         k_index = k.astype(np.int64)
         kd = digits[k_index]
         # the (n+1)-code with slots i, i+1 empty; they weigh low*N and low
-        base = ((codes // (low * big_n)) * (low * big_n * big_n) + codes % low) * width + offset
+        base = ((codes // (low * big_n)) * (low * big_n * big_n) + codes % low) * width
         wa, wb = low * big_n * width, low * width
         plus, minus = (neg, pos) if i % 2 else (pos, neg)
         lex = sum(((kd[:, j, None] - digits[None, :, j]) % p) * p ** (r - 1 - j)
                   for j in range(r))
         family = terms[i - 1]
         family[0] = (base + plus)[:, None] + elems * wa + (lex - 1).astype(dtype) * wb
-        family[0][rows, k_index] = offset + shift  # x = k_i: a zero term
+        family[0][rows, k_index] = shift  # x = k_i: a zero term
         family[1] = (base + minus + k * wa)[:, None] + elems * wb
         family[2] = (base + minus + k * wb)[:, None] + elems * wa
     flat = terms.reshape(-1)
     flat.sort()
-    values = flat % width
+    term_values = flat % width
     flat //= width
     if shift:
-        values -= shift
+        term_values -= shift
     starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
-    sums = np.add.reduceat(values, starts)
+    sums = np.add.reduceat(term_values, starts)
     if ring == MOD_P:
         sums %= p
     keep = np.flatnonzero(sums)
-    return flat[starts[keep]], sums[keep]
+    return dict(zip(_decode_keys(ctx, n + 1, flat[starts[keep]]), sums[keep].tolist()))

@@ -3,9 +3,11 @@
 Builds coboundary matrices on the full difference-tensor basis, computes
 ranks and kernels by Gauss-Jordan elimination mod p, and answers the
 questions the rest of the library is checked against: coboundary
-membership, class equality, and seeded random cocycles.  Nothing here
-depends on the inverse-map code, so agreement with it is meaningful
-evidence.
+membership, class equality, and seeded random cocycles.  Each column is
+the bar-formula reference ``cochain._bar_coboundary`` of one basis
+cochain, so nothing here depends on the coboundary kernel that ``d``
+runs, nor on the inverse-map code, and agreement with either is
+meaningful evidence.
 
 The degree-n matrix has (p^r - 1)^(2n+1) dense entries; anything whose
 dense form exceeds the entry budget is refused with an explicit error
@@ -22,9 +24,8 @@ import random
 
 import numpy as np
 
-from .cochain import ICochain
+from .cochain import ICochain, _bar_coboundary
 from .group_ring import MOD_P, GroupContext, NotACocycleError, check_budget
-from .kernel import _code_dtype, _coboundary_sums, _encode_keys
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,7 +60,7 @@ class FpMatrix:
         return cls(p, rows, cols, columns)
 
     def to_dense(self):
-        dense = np.zeros((self.rows, self.cols), dtype=_code_dtype(self.p))
+        dense = np.zeros((self.rows, self.cols), dtype=_elimination_dtype(self.p))
         for j, col in enumerate(self.columns):
             for i, v in col.items():
                 dense[i, j] = v
@@ -126,7 +127,7 @@ def kernel_basis(m: FpMatrix) -> list:
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        v = np.zeros(m.cols, dtype=_code_dtype(m.p))
+        v = np.zeros(m.cols, dtype=_elimination_dtype(m.p))
         v[free] = 1
         for row_idx, pc in enumerate(pivots):
             v[pc] = (-red[row_idx, free]) % m.p
@@ -137,27 +138,28 @@ def kernel_basis(m: FpMatrix) -> list:
 def d_matrix(ctx: GroupContext, n: int) -> FpMatrix:
     """Matrix of the degree-n coboundary on the difference-tensor bases.
 
-    Column j is the coboundary of the j-th basis cochain of degree n,
-    written in coordinates on the degree-(n+1) basis.  Rows and columns
-    follow the lexicographic basis order of ``cochain_basis``.
+    Column j is the bar coboundary (``cochain._bar_coboundary``) of the
+    j-th basis cochain of degree n, written in coordinates on the
+    degree-(n+1) basis.  Rows and columns follow the lexicographic basis
+    order of ``cochain_basis``.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     dim_src = (ctx.order - 1) ** n
     dim_dst = (ctx.order - 1) ** (n + 1)
     check_budget(dim_dst * dim_src)
-    # every basis key with coefficient 1, images kept apart per source row
-    codes, sums = _coboundary_sums(ctx, n, np.arange(dim_src), [1] * dim_src,
-                                   MOD_P, by_entry=True)
-    bounds = np.searchsorted(codes // dim_dst, np.arange(dim_src + 1)).tolist()
-    rows, values = (codes % dim_dst).tolist(), sums.tolist()
-    columns = [dict(zip(rows[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])]
+    rows = {key: i for i, key in enumerate(cochain_basis(ctx, n + 1))}
+    columns = []
+    for key in cochain_basis(ctx, n):
+        image = _bar_coboundary(ICochain(ctx, n, MOD_P, {key: 1}))
+        columns.append({rows[k]: v for k, v in image.values.items()})
     return FpMatrix(ctx.p, dim_dst, dim_src, columns)
 
 
 def vectorize(f: ICochain):
     """Coordinates of a cochain on the lexicographic basis."""
-    v = np.zeros((f.ctx.order - 1) ** f.degree, dtype=np.int64)
-    v[_encode_keys(f.ctx, f.degree, list(f.values))] = list(f.values.values())
-    return v
+    values = f.values
+    return np.array([values.get(k, 0) for k in cochain_basis(f.ctx, f.degree)], dtype=np.int64)
 
 
 def cochain_from_vector(ctx: GroupContext, n: int, vec) -> ICochain:

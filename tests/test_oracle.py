@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +33,6 @@ from icochains import (
     vectorize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
-from icochains.cochain import _bar_coboundary
 from icochains.graded import _block_ranks
 from icochains.oracle import _rref
 from conftest import DESK, random_icochain
@@ -204,13 +205,35 @@ def test_d_matrix_is_linear_in_cochains():
 
 
 @pytest.mark.parametrize("p,r,max_n", EXHAUSTIVE_TRIPLES)
-def test_d_matrix_columns_are_bar_coboundaries(p, r, max_n):
+def test_d_matrix_columns_are_kernel_coboundaries(p, r, max_n):
+    # the columns come from the bar formula; the kernel is derived apart
     ctx = GroupContext(p, r)
     for n in range(max_n + 1):
         dense = d_matrix(ctx, n).to_dense()
         for j, key in enumerate(cochain_basis(ctx, n)):
-            bar = _bar_coboundary(ICochain(ctx, n, MOD_P, {key: 1}))
-            assert (dense[:, j] == vectorize(bar)).all(), (n, key)
+            image = ICochain(ctx, n, MOD_P, {key: 1}).coboundary()
+            assert (dense[:, j] == vectorize(image)).all(), (n, key)
+
+
+@pytest.mark.parametrize("call,args", [
+    (cohomology_report, (GroupContext(3, 2), -1)),
+    (lambda n, parts: list(compositions(n, parts)), (-1, 1)),
+    (lambda n, parts: list(compositions(n, parts)), (2, 0)),
+    (d_matrix, (GroupContext(3, 2), -1)),
+    (random_cocycle, (GroupContext(3, 2), -1, 0)),
+], ids=["cohomology_report", "compositions-n", "compositions-parts", "d_matrix",
+        "random_cocycle"])
+def test_negative_degrees_are_refused(call, args):
+    with pytest.raises(ValueError, match=r"must be >= [01]"):
+        call(*args)
+
+
+def test_oracle_import_loads_no_kernel():
+    probe = ("import sys, icochains.oracle; "
+             "sys.exit('icochains.kernel' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_budget_refusal():
