@@ -10,7 +10,7 @@ everything against an independent rank/kernel oracle over F_p.
 Every public name is resolved on first access (PEP 562) from the
 submodule that defines it, so importing the package loads no submodule:
 a CLI process compiles only the modules its command runs, and only
-``d`` and the dense oracle load numpy.
+``d`` (the coboundary kernel) loads numpy.
 """
 
 import importlib

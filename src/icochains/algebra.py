@@ -42,6 +42,7 @@ term, and counts its evaluations; it is the reference the tests compare
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -65,12 +66,9 @@ def compositions(n: int, parts: int) -> Iterator[tuple]:
         raise ValueError("n must be >= 0")
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, parts - 1):
-            yield (first,) + rest
+    # the parts are the gaps between parts - 1 bars among n + parts - 1 slots
+    for bars in itertools.combinations(range(n + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n + parts - 1,)))
 
 
 def monomial_mul(a: MonomialSig, b: MonomialSig, p: int) -> tuple[int, MonomialSig]:
@@ -109,6 +107,8 @@ class AlgebraElem:
                 raise ValueError(f"signature must be a tuple of length {ctx.r}: {sig!r}")
             if any(not isinstance(m, int) or m < 0 for m in sig):
                 raise ValueError(f"signature entries must be nonnegative integers: {sig!r}")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficients must be integers: {c!r}")
             c %= ctx.p
             if c:
                 clean[sig] = c

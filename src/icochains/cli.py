@@ -39,9 +39,9 @@ code.  ``tau``, ``invert``, ``cup``, ``d``, ``check-cocycle`` and
 ``count-terms`` load ``algebra`` or ``cochain`` (and through them
 ``group_ring`` and ``generators``).  Only ``d``, which runs the
 coboundary kernel on either kind, and ``selftest``, which checks that
-kernel against the bar formula and runs the dense oracle, import numpy;
-``invert`` and ``check-cocycle`` decide cocycles on the bar formula in
-pure Python.  The handlers reach ``realize``, ``invert`` and the four
+kernel against the bar formula, import numpy; the dense oracle that
+``selftest`` also runs is pure Python, and ``invert`` and
+``check-cocycle`` decide cocycles on the bar formula in pure Python.  The handlers reach ``realize``, ``invert`` and the four
 document functions through this module's globals, so replacing one of
 these names here (as a tracer does) reaches every command that calls it.
 

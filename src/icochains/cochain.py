@@ -69,6 +69,8 @@ class ICochain:
                 ctx.check_elem(u)
                 if u == identity:
                     raise ValueError("keys may not contain the identity element")
+            if not isinstance(c, int):
+                raise ValueError(f"coefficients must be integers: {c!r}")
             if ring == MOD_P:
                 c %= p
             if c:

@@ -18,11 +18,15 @@ merges slots i and i+1 into a_i + a_(i+1), for each i whose sum stays
 below p in every coordinate: at most n entries, all of them +-1.  Merging
 keeps the multidegree a_1 + ... + a_(n+1) in Z^r, so d_n is block
 diagonal, one block per multidegree, and its rank is the sum of the
-block ranks.  Each block is row-reduced mod p in pure Python.
+block ranks.  Each block is row-reduced mod p in pure Python by
+``_echelon``, which pivots each sparse row on its largest column; the
+dense oracle (``oracle.rank``, ``kernel_basis``, ``is_coboundary``) runs
+on the same ``_reduce`` and ``_echelon``.
 
 This derivation of d shares no code with the coboundary kernel, the
 difference-basis ``oracle.d_matrix`` or the inverse map, so agreement
-with them is independent evidence.  ``graded_dimension`` gives the
+with them is independent evidence; the elimination they share is checked
+against its own reference in the tests.  ``graded_dimension`` gives the
 expected dim H^n as a count of monomial signatures, without any block.
 The module imports only ``group_ring``, so ``dims`` loads no cochain,
 algebra or inverse-map code, and no numpy.  ``check_table_budget``
@@ -39,31 +43,43 @@ from typing import NamedTuple
 from .group_ring import GroupContext, check_budget
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    """Rank mod p of an iterable of sparse rows ({column: value} dicts,
-    consumed).
+def _reduce(row: dict, pivots: dict, p: int) -> None:
+    """Reduce a sparse row ({column: value} dict) in place against pivot
+    rows ({leading column: row}) until it is zero or its largest column
+    has no pivot.
 
-    Each pivot row is scaled to lead with 1 at its smallest column, so
-    subtracting it from a row clears that column and adds only larger
-    ones; a reduced row that is left nonzero becomes a new pivot.
+    Each pivot row leads with 1 at its largest column, so subtracting it
+    from a row clears that column and changes only smaller ones.
+    """
+    while row:
+        col = max(row)
+        prow = pivots.get(col)
+        if prow is None:
+            return
+        c = row[col]
+        for j, v in prow.items():
+            x = (row.get(j, 0) - c * v) % p
+            if x:
+                row[j] = x
+            else:
+                row.pop(j, None)
+
+
+def _echelon(rows, p: int) -> dict:
+    """Row echelon form mod p of an iterable of sparse rows (consumed):
+    {leading column: pivot row}, one pivot per unit of rank.
+
+    Each row is reduced against the pivots so far; one left nonzero is
+    scaled to lead with 1 and becomes a new pivot.
     """
     pivots: dict = {}
     for row in rows:
-        while row:
-            col = min(row)
-            prow = pivots.get(col)
-            if prow is None:
-                inv = pow(row[col], -1, p)
-                pivots[col] = {j: v * inv % p for j, v in row.items()}
-                break
-            c = row[col]
-            for j, v in prow.items():
-                x = (row.get(j, 0) - c * v) % p
-                if x:
-                    row[j] = x
-                else:
-                    row.pop(j, None)
-    return len(pivots)
+        _reduce(row, pivots, p)
+        if row:
+            col = max(row)
+            inv = pow(row[col], -1, p)
+            pivots[col] = {j: v * inv % p for j, v in row.items()}
+    return pivots
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,7 +132,7 @@ def _block_ranks(ctx: GroupContext, n: int) -> tuple:
             return entries
 
         rows = (row(head + (a,)) for heads, a in parts[m] for head in heads)
-        out.append((tuple(m // w % base for w in place), _rank_mod_p(rows, p)))
+        out.append((tuple(m // w % base for w in place), len(_echelon(rows, p))))
     return tuple(out)
 
 

@@ -1,8 +1,8 @@
 """The vectorized ideal-form coboundary: one numpy sort-and-reduce kernel.
 
 ``ICochain.coboundary``, and with it ``d`` on either document kind, is
-its one caller, through ``coboundary_values``.  Besides the rank oracle
-it is the only code that needs numpy, so it lives apart from
+its one caller, through ``coboundary_values``.  It is the only code
+in the library that needs numpy, so it lives apart from
 ``cochain``: commands that never compute a coboundary (every command but
 ``d`` and ``selftest``; ``is_cocycle`` sums the bar formula in pure
 Python) never import numpy.  The oracle builds its matrices from the

@@ -160,6 +160,35 @@ def test_compositions_count():
             assert len(set(comps)) == len(comps)
 
 
+def recursive_compositions(n, parts):
+    """The first part, then every composition of the rest: the order the
+    iterative compositions must keep."""
+    if parts == 1:
+        return [(n,)]
+    return [(first,) + rest for first in range(n + 1)
+            for rest in recursive_compositions(n - first, parts - 1)]
+
+
+def test_compositions_order_and_many_parts():
+    for n in range(8):
+        for parts in range(1, 6):
+            assert list(compositions(n, parts)) == recursive_compositions(n, parts)
+    # one frame per part would pass the recursion limit
+    comps = list(compositions(1, 1200))
+    assert len(comps) == 1200
+    assert comps[0] == (0,) * 1199 + (1,) and comps[-1] == (1,) + (0,) * 1199
+
+
+@pytest.mark.parametrize("build", [
+    lambda ctx: ICochain(ctx, 1, MOD_P, {((1,),): 1.5}),
+    lambda ctx: ICochain(ctx, 1, INTEGERS, {((1,),): 2.0}),
+    lambda ctx: AlgebraElem(ctx, {(1,): 1.5}),
+], ids=["icochain-fp", "icochain-z", "algebra-elem"])
+def test_constructors_refuse_non_integer_coefficients(build):
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        build(GroupContext(3, 1))
+
+
 def test_realize_unit_and_examples():
     ctx = GroupContext(3, 1)
     assert realize(AlgebraElem.unit(ctx)) == ICochain.constant(ctx, 1)

@@ -33,16 +33,17 @@ from icochains import (
     vectorize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
-from icochains.graded import _block_ranks
-from icochains.oracle import _rref
+from icochains.graded import _block_ranks, _echelon, _reduce
 from conftest import DESK, random_icochain
 
 
 def reference_rref(rows, cols, p):
     """Gauss-Jordan mod p in Python ints, each row a {column: value} dict.
 
-    The slow reference for ``_rref``; sparse rows keep the 4096 x 512
-    coboundary matrix at (3, 2, n=3) to a few seconds.
+    The slow reference for the oracle's elimination (``graded._echelon``):
+    it pivots in column order, on the first row, and clears each pivot
+    column above and below.  Sparse rows keep the 4096 x 512 coboundary
+    matrix at (3, 2, n=3) to a few seconds.
     """
     red = [{j: a % p for j, a in enumerate(row) if a % p} for row in rows]
     pivots = []
@@ -67,11 +68,44 @@ def reference_rref(rows, cols, p):
     return [[row.get(j, 0) for j in range(cols)] for row in red], pivots
 
 
-# one prime on each side of every elimination-dtype boundary, and one
-# whose products overflow int64
-DTYPE_LADDER = [(2, np.int8), (3, np.int8), (11, np.int8), (13, np.int16),
-                (181, np.int16), (191, np.int32), (46337, np.int32),
-                (46349, np.int64), (4294967311, object)]
+# one prime on each side of every boundary where a row update mod p, below
+# (p-1)^2 + p, outgrows a fixed-width integer, named by the narrowest one
+# that holds it, and one whose products overflow int64
+DTYPE_LADDER = [(2, "int8"), (3, "int8"), (11, "int8"), (13, "int16"),
+                (181, "int16"), (191, "int32"), (46337, "int32"),
+                (46349, "int64"), (4294967311, "object")]
+
+
+def dense(m):
+    """The numpy array of an FpMatrix."""
+    arr = np.zeros((m.rows, m.cols), dtype=np.int64)
+    for j, col in enumerate(m.columns):
+        for i, v in col.items():
+            arr[i, j] = v
+    return arr
+
+
+def assert_elimination_matches_reference(m, mat):
+    """The oracle's elimination of m, whose rows are mat, against
+    reference_rref: the same rank, every reference row in the row space
+    of the echelon of m's rows, and cols - rank independent null vectors."""
+    p, cols = m.p, m.cols
+    ref, ref_pivots = reference_rref(mat, cols, p)
+    echelon = _echelon(({j: a % p for j, a in enumerate(row) if a % p} for row in mat), p)
+    assert rank(m) == len(echelon) == len(ref_pivots)
+    for row in ref:
+        reduced = {j: a for j, a in enumerate(row) if a}
+        _reduce(reduced, echelon, p)
+        assert not reduced, row
+    kb = kernel_basis(m)
+    assert len(kb) == cols - len(ref_pivots)
+    for v in kb:
+        image = {}
+        for j, c in enumerate(v):
+            for i, a in m.columns[j].items():
+                image[i] = (image.get(i, 0) + c * a) % p
+        assert not any(image.values()), v
+    assert len(reference_rref(kb, cols, p)[1]) == len(kb)
 
 
 def random_matrix(rng, p, rows, cols):
@@ -117,17 +151,17 @@ def test_rank_plus_nullity():
                 assert not ((arr @ v) % p).any()
 
 
-@pytest.mark.parametrize("p,dtype", DTYPE_LADDER)
-def test_rref_matches_reference(p, dtype):
+@pytest.mark.parametrize("p", [p for p, _ in DTYPE_LADDER],
+                         ids=[f"{p}-{name}" for p, name in DTYPE_LADDER])
+def test_rref_matches_reference(p):
     rng = random.Random(p)
     shapes = [(4, 9), (9, 4), (1, 7), (7, 1), (1, 1), (6, 6), (0, 3), (3, 0)]
     for rows, cols in shapes * 4:
-        # entries off their residues by a multiple of p: _rref reduces them
+        # entries off their residues by a multiple of p: FpMatrix reduces them
         mat = [[a + p * rng.randint(-3, 3) for a in row]
                for row in random_matrix(rng, p, rows, cols)]
-        red, pivots = _rref(np.array(mat, dtype=np.int64).reshape(rows, cols), p)
-        assert red.dtype == dtype
-        assert (red.tolist(), pivots) == reference_rref(mat, cols, p), (rows, cols, mat)
+        columns = [{i: row[j] for i, row in enumerate(mat)} for j in range(cols)]
+        assert_elimination_matches_reference(FpMatrix(p, rows, cols, columns), mat)
 
 
 def test_rref_is_exact_beyond_int64():
@@ -135,15 +169,8 @@ def test_rref_is_exact_beyond_int64():
     rng = random.Random(64)
     for rows, cols in [(3, 5), (5, 3), (4, 4), (2, 6)] * 3:
         mat = random_matrix(rng, p, rows, cols)
-        red, pivots = _rref(np.array(mat, dtype=object), p)
-        assert (red.tolist(), pivots) == reference_rref(mat, cols, p)
         columns = [{i: row[j] for i, row in enumerate(mat)} for j in range(cols)]
-        m = FpMatrix(p, rows, cols, columns)
-        assert rank(m) == len(pivots)
-        kb = kernel_basis(m)
-        assert len(kb) == cols - len(pivots)
-        for v in kb:
-            assert all(sum(a * int(b) for a, b in zip(row, v)) % p == 0 for row in mat)
+        assert_elimination_matches_reference(FpMatrix(p, rows, cols, columns), mat)
 
 
 def test_rank_one_matrices_at_large_p():
@@ -162,17 +189,14 @@ def test_d_matrix_rref_matches_reference(p, r, max_n):
     ctx = GroupContext(p, r)
     for n in range(max_n + 1):
         m = d_matrix(ctx, n)
-        dense = m.to_dense()
-        ref, ref_pivots = reference_rref(dense.tolist(), m.cols, p)
-        red, pivots = _rref(dense, p)
-        assert pivots == ref_pivots and red.tolist() == ref, n
-        assert rank(m) == len(ref_pivots)
+        assert_elimination_matches_reference(m, dense(m).tolist())
 
 
 def test_dense_round_trip():
     arr = np.array([[1, 0, 2], [0, 0, 1]], dtype=np.int64)
     m = FpMatrix.from_dense(3, arr)
-    assert (m.to_dense() == arr).all()
+    assert (dense(m) == arr).all()
+    assert dense(FpMatrix.from_dense(3, arr.tolist())).tolist() == arr.tolist()
 
 
 def test_d_matrix_shapes_and_chain_property():
@@ -185,7 +209,7 @@ def test_d_matrix_shapes_and_chain_property():
             assert dn.rows == size ** (n + 1)
             assert rank(dn) + len(kernel_basis(dn)) == dn.cols
             dn1 = d_matrix(ctx, n + 1)
-            product = (dn1.to_dense() @ dn.to_dense()) % p
+            product = (dense(dn1) @ dense(dn)) % p
             assert not product.any()
 
 
@@ -198,7 +222,7 @@ def test_d_matrix_degree_zero_and_one_p2r1():
 def test_d_matrix_is_linear_in_cochains():
     ctx = GroupContext(3, 2)
     rng = random.Random(19)
-    dn = d_matrix(ctx, 2).to_dense()
+    dn = dense(d_matrix(ctx, 2))
     for _ in range(5):
         f = random_icochain(ctx, 2, rng)
         assert ((dn @ vectorize(f)) % 3 == vectorize(f.coboundary())).all()
@@ -209,10 +233,10 @@ def test_d_matrix_columns_are_kernel_coboundaries(p, r, max_n):
     # the columns come from the bar formula; the kernel is derived apart
     ctx = GroupContext(p, r)
     for n in range(max_n + 1):
-        dense = d_matrix(ctx, n).to_dense()
+        arr = dense(d_matrix(ctx, n))
         for j, key in enumerate(cochain_basis(ctx, n)):
             image = ICochain(ctx, n, MOD_P, {key: 1}).coboundary()
-            assert (dense[:, j] == vectorize(image)).all(), (n, key)
+            assert (arr[:, j] == vectorize(image)).all(), (n, key)
 
 
 @pytest.mark.parametrize("call,args", [
@@ -228,9 +252,9 @@ def test_negative_degrees_are_refused(call, args):
         call(*args)
 
 
-def test_oracle_import_loads_no_kernel():
-    probe = ("import sys, icochains.oracle; "
-             "sys.exit('icochains.kernel' in sys.modules)")
+@pytest.mark.parametrize("module", ["icochains.kernel", "numpy"])
+def test_oracle_import_loads_no_kernel(module):
+    probe = f"import sys, icochains.oracle; sys.exit({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             timeout=60)
     assert result.returncode == 0, result.stderr
