@@ -44,8 +44,8 @@ EXHAUSTIVE_TRIPLES = [(2, 2, 3), (3, 1, 4), (3, 2, 3)]
 
 
 def _random_cochain(ctx: GroupContext, n: int, rng: random.Random) -> ICochain:
-    return ICochain(ctx, n, MOD_P,
-                    {k: rng.randrange(ctx.p) for k in cochain_basis(ctx, n)})
+    values = {k: c for k in cochain_basis(ctx, n) if (c := rng.randrange(ctx.p))}
+    return ICochain._trusted(ctx, n, MOD_P, values)
 
 
 def check_round_trip() -> None:
@@ -66,7 +66,7 @@ def check_kills_coboundaries() -> None:
         ctx = GroupContext(p, r)
         for n in range(1, max_n + 1):
             for key in cochain_basis(ctx, n - 1):
-                g = ICochain(ctx, n - 1, MOD_P, {key: 1})
+                g = ICochain._trusted(ctx, n - 1, MOD_P, {key: 1})
                 image = invert(g.coboundary())
                 assert image.is_zero(), f"(p={p}, r={r}, n={n}): invert(d delta_{key}) != 0"
     rng = random.Random(20240901)
@@ -88,7 +88,7 @@ def check_coboundary_agreement() -> None:
         ctx = GroupContext(p, r)
         for n in range(0, max_n + 1):
             for key in cochain_basis(ctx, n):
-                f = ICochain(ctx, n, MOD_P, {key: 1})
+                f = ICochain._trusted(ctx, n, MOD_P, {key: 1})
                 assert _bar_coboundary(f) == f.coboundary(), f"(p={p}, r={r}, n={n}) at {key}"
 
 

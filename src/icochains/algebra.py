@@ -329,51 +329,36 @@ def invert_normalized_counted(a) -> tuple[AlgebraElem, int]:
     the stored entries instead; the tests compare the two, and criterion 7
     checks the count against ``count_terms``.
 
-    The words are built depth first from their last slot back, on one
-    explicit stack.  A node fills one slot and carries what the slots
-    from it to the end hold: their content, coded as sum_i n_i (n+1)^i;
-    the generators they hold an odd number of times, as bits; and the
-    parity of their out-of-order pairs.  So no word is rescanned.  The
-    slots fill one shared list, whose tuple at slot 0 is the key
-    evaluated.  The p - 1 powers of a generator are built only at degree
-    2 and up, where ``count_terms`` is at least p - 1.
+    One backward pass over a word w in [r]^n finds its split slots, the
+    parity of its out-of-order pairs and its content; its term then
+    evaluates every key of the slots' choices (see the module
+    docstring).  A generator's p - 1 powers are built at its first split
+    slot.
     """
     _require_mod_p(a)
     ctx, n, values = a.ctx, a.degree, a.values
     r = ctx.r
-    if not n:
-        return _signed(ctx, {(0,) * r: values.get((), 0)}), 1
     steady = [(ctx.generator(g),) for g in range(1, r + 1)]
-    split = [tuple(ctx.generator_power(g, q) for q in range(1, ctx.p))
-             for g in range(1, r + 1)] if n > 1 else steady
-    weights = [(n + 1) ** g for g in range(r)]
-    word: list = [None] * n
-    totals: dict = {}  # content code -> signed sum
+    split: list = [None] * r
+    totals: dict = {}
     evaluations = 0
-    stack = [(n, None, 0, 0, 0)]  # (slot, its element, code, odd bits, parity)
-    while stack:
-        j, u, code, odd_bits, odd = stack.pop()
-        if j < n:
-            word[j] = u
-        j -= 1
-        for g in range(r):
-            bit = 1 << g
-            # later slots holding a smaller generator are out of order
-            parity = (odd + (odd_bits & (bit - 1)).bit_count()) & 1
-            choices = (split if odd_bits & bit else steady)[g]
-            grown = code + weights[g]
-            if j:
-                for u in choices:
-                    stack.append((j, u, grown, odd_bits ^ bit, parity))
-            else:
-                evaluations += len(choices)
-                for u in choices:
-                    word[0] = u
-                    v = values.get(tuple(word))
-                    if v:
-                        totals[grown] = totals.get(grown, 0) + (-v if parity else v)
-    return _signed(ctx, {tuple(code // w % (n + 1) for w in weights): t
-                         for code, t in totals.items()}), evaluations
+    for word in itertools.product(range(r), repeat=n):
+        sizes = [0] * r  # slots of each generator read so far
+        inversions = 0
+        slots = []  # each slot's choices, last slot first
+        for g in reversed(word):
+            inversions += sum(sizes[:g])
+            if sizes[g] % 2 and split[g] is None:
+                split[g] = tuple(ctx.generator_power(g + 1, q) for q in range(1, ctx.p))
+            slots.append(split[g] if sizes[g] % 2 else steady[g])
+            sizes[g] += 1
+        total = 0
+        for key in itertools.product(*reversed(slots)):
+            evaluations += 1
+            total += values.get(key, 0)
+        comp = tuple(sizes)
+        totals[comp] = totals.get(comp, 0) + (-total if inversions % 2 else total)
+    return _signed(ctx, totals), evaluations
 
 
 # -- term counting ------------------------------------------------------

@@ -94,15 +94,16 @@ class ICochain:
     def constant(cls, ctx: GroupContext, value: int, ring: str = MOD_P) -> "ICochain":
         return cls(ctx, 0, ring, {(): value})
 
-    def _like(self, values: dict):
-        """A cochain of this context, ring and degree holding values
-        whose keys are already valid: reduce mod p, drop zeros, no key check."""
+    def _like(self, values: dict, degree: int | None = None):
+        """A cochain of this context and ring, of this degree unless ``degree``
+        is given, on valid keys: reduce mod p, drop zeros, no key check."""
         if self.ring == MOD_P:
             p = self.ctx.p
             values = {k: m for k, c in values.items() if (m := c % p)}
         else:
             values = {k: c for k, c in values.items() if c}
-        return self._trusted(self.ctx, self.degree, self.ring, values)
+        return self._trusted(self.ctx, self.degree if degree is None else degree,
+                             self.ring, values)
 
     def __add__(self, other):
         if self.ctx != other.ctx or self.ring != other.ring or self.degree != other.degree:
@@ -361,7 +362,8 @@ def _bar_coboundary(f: ICochain) -> ICochain:
         for v in nonid:
             t = key + (v,)
             out[t] = out.get(t, 0) + trail_sign * c
-    return ICochain(ctx, n + 1, f.ring, out)
+    # keys of nonidentity elements, built from valid keys
+    return f._like(out, n + 1)
 
 
 def cup_many(factors: Sequence[ICochain]) -> ICochain:

@@ -31,7 +31,8 @@ def exponent_cocycle(ctx: GroupContext, i: int) -> ICochain:
     for u in ctx.nonidentity_elements():
         if u[i - 1]:
             values[(u,)] = u[i - 1]
-    return ICochain(ctx, 1, MOD_P, values)
+    # keys of nonidentity elements, values in [1, p): valid as built
+    return ICochain._trusted(ctx, 1, MOD_P, values)
 
 
 def bockstein_cocycle(ctx: GroupContext, i: int) -> ICochain:
@@ -79,10 +80,8 @@ def _power_factors(ctx: GroupContext, i: int, m: int) -> list:
     Even m = 2k: k copies of the degree-2 generator; odd m = 2k + 1: the
     degree-1 generator followed by k copies of the degree-2 one.  m = 0
     gives no factors.  The degree-2 generator is built once and repeated.
+    Its caller, ``realize``, has already checked i and m.
     """
-    ctx.check_index(i)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
     k, odd = divmod(m, 2)
     factors = [exponent_cocycle(ctx, i)] if odd else []
     if k:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 
 from .cochain import ICochain, _bar_coboundary
@@ -41,7 +42,14 @@ def cochain_basis(ctx: GroupContext, n: int) -> tuple:
 
 
 class FpMatrix:
-    """Matrix over F_p stored as sparse columns ({row: value} dicts)."""
+    """Matrix over F_p stored as sparse columns ({row: value} dicts).
+
+    The constructor refuses a shape over the entry budget, then checks
+    every entry: a row index or value that is not an integer, or a row
+    outside [0, rows), raises ValueError.  Integers are read with
+    ``operator.index``, so numpy integers pass, and stored as Python
+    ints, reduced mod p with zeros dropped.
+    """
 
     __slots__ = ("p", "rows", "cols", "columns")
 
@@ -49,17 +57,42 @@ class FpMatrix:
         check_budget(rows * cols)
         if len(columns) != cols:
             raise ValueError("column count mismatch")
+        clean = []
+        for col in columns:
+            entries = {}
+            for i, v in col.items():
+                try:
+                    i, v = operator.index(i), operator.index(v)
+                except TypeError:
+                    raise ValueError(f"row indices and values must be integers: "
+                                     f"{i!r}: {v!r}") from None
+                if not 0 <= i < rows:
+                    raise ValueError(f"row {i} outside [0, {rows})")
+                if v := v % p:
+                    entries[i] = v
+            clean.append(entries)
         self.p = p
         self.rows = rows
         self.cols = cols
-        self.columns = [{i: v % p for i, v in col.items() if v % p} for col in columns]
+        self.columns = clean
+
+    @classmethod
+    def _trusted(cls, p: int, rows: int, cols: int, columns: list) -> "FpMatrix":
+        """Wrap valid columns, rows in [0, rows) and values in [1, p), of a
+        shape already checked against the budget.  No check, no copy."""
+        m = cls.__new__(cls)
+        m.p, m.rows, m.cols, m.columns = p, rows, cols, columns
+        return m
 
     @classmethod
     def from_dense(cls, p: int, array) -> "FpMatrix":
-        """From a sequence of equal-length rows (lists or a 2-D array)."""
+        """From a sequence of equal-length rows of integers (lists or a
+        2-D array); ragged rows raise ValueError."""
         rows = len(array)
         cols = len(array[0]) if rows else 0
-        columns = [{i: int(row[j]) for i, row in enumerate(array)} for j in range(cols)]
+        if any(len(row) != cols for row in array):
+            raise ValueError("rows must all have the same length")
+        columns = [{i: row[j] for i, row in enumerate(array)} for j in range(cols)]
         return cls(p, rows, cols, columns)
 
 
@@ -92,7 +125,9 @@ def d_matrix(ctx: GroupContext, n: int) -> FpMatrix:
     Column j is the bar coboundary (``cochain._bar_coboundary``) of the
     j-th basis cochain of degree n, written in coordinates on the
     degree-(n+1) basis.  Rows and columns follow the lexicographic basis
-    order of ``cochain_basis``.
+    order of ``cochain_basis``.  The shape is checked against the budget
+    before anything is built, and the basis cochains and the matrix,
+    built from valid keys and reduced values, are wrapped without checks.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -102,9 +137,9 @@ def d_matrix(ctx: GroupContext, n: int) -> FpMatrix:
     rows = {key: i for i, key in enumerate(cochain_basis(ctx, n + 1))}
     columns = []
     for key in cochain_basis(ctx, n):
-        image = _bar_coboundary(ICochain(ctx, n, MOD_P, {key: 1}))
+        image = _bar_coboundary(ICochain._trusted(ctx, n, MOD_P, {key: 1}))
         columns.append({rows[k]: v for k, v in image.values.items()})
-    return FpMatrix(ctx.p, dim_dst, dim_src, columns)
+    return FpMatrix._trusted(ctx.p, dim_dst, dim_src, columns)
 
 
 def vectorize(f: ICochain) -> list:
@@ -115,7 +150,8 @@ def vectorize(f: ICochain) -> list:
 
 def cochain_from_vector(ctx: GroupContext, n: int, vec) -> ICochain:
     basis = cochain_basis(ctx, n)
-    return ICochain(ctx, n, MOD_P, {basis[i]: c for i, c in enumerate(vec) if c % ctx.p})
+    return ICochain._trusted(ctx, n, MOD_P,
+                             {basis[i]: m for i, c in enumerate(vec) if (m := c % ctx.p)})
 
 
 @functools.lru_cache(maxsize=None)

@@ -197,6 +197,26 @@ def test_dense_round_trip():
     m = FpMatrix.from_dense(3, arr)
     assert (dense(m) == arr).all()
     assert dense(FpMatrix.from_dense(3, arr.tolist())).tolist() == arr.tolist()
+    # numpy integers are stored as Python ints
+    assert all(type(i) is int and type(v) is int for col in m.columns for i, v in col.items())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FpMatrix(3, 2, 2, [{-1: 1}, {0: 1}]),
+    lambda: FpMatrix(3, 2, 1, [{5: 1}]),
+    lambda: FpMatrix(3, 2, 1, [{2: 1}]),
+    lambda: FpMatrix(3, 1, 1, [{0: 1.5}]),
+    lambda: FpMatrix(3, 1, 1, [{0.0: 1}]),
+    lambda: FpMatrix(3, 1, 1, [{0: "1"}]),
+    lambda: FpMatrix.from_dense(3, [[1.5, 0], [0, 2.9]]),
+    lambda: FpMatrix.from_dense(3, np.eye(2)),
+    lambda: FpMatrix.from_dense(3, [[1, 2], [3]]),
+    lambda: FpMatrix.from_dense(3, [[1], [2, 3]]),
+], ids=["negative-row", "row-past-the-end", "row-at-the-end", "float-value", "float-row",
+        "str-value", "dense-floats", "dense-float-array", "ragged-short", "ragged-long"])
+def test_fpmatrix_refuses_malformed_entries(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_d_matrix_shapes_and_chain_property():
