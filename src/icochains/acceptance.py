@@ -191,34 +191,37 @@ def check_ring_map() -> None:
 
 
 def check_cli_round_trips() -> None:
-    """The pinned invert examples produce the expected documents, byte-stable
-    across repeated runs, and every emitted document re-parses."""
+    """The pinned invert examples write exactly the expected documents,
+    byte-stable across repeated runs, and a realized cocycle's document
+    re-parses and inverts."""
+    import json
+
     from . import cli
 
-    def run_invert(doc_text: str, expected_terms: dict) -> None:
+    def run_invert(doc_text: str, p: int, r: int, expected_entries: list) -> None:
         parsed, _ = cli.parse_cochain_document(doc_text)
         outputs = []
         for _ in range(2):
             result = invert(parsed)
             outputs.append(cli.dumps_document(cli.algebra_document(result)))
         assert outputs[0] == outputs[1], "invert output is not byte-stable"
-        reparsed = cli.parse_algebra_document(outputs[0])
-        assert reparsed.terms == expected_terms, \
-            f"expected {expected_terms}, got {reparsed.terms}"
+        expected = {"schema_version": "1", "p": p, "r": r, "entries": expected_entries}
+        got = json.loads(outputs[0])
+        assert got == expected, f"expected {expected}, got {got}"
 
     ctx31 = GroupContext(3, 1)
     h_doc = cli.dumps_document(
         cli.cochain_document(bockstein_cocycle(ctx31, 1), "icochain"))
-    run_invert(h_doc, {(2,): 1})
+    run_invert(h_doc, 3, 1, [{"signature": [2], "coeff": 1}])
 
     zero_doc = cli.dumps_document(
         cli.cochain_document(ICochain.zero(GroupContext(2, 1), 2), "icochain"))
-    run_invert(zero_doc, {})
+    run_invert(zero_doc, 2, 1, [])
 
     ctx21 = GroupContext(2, 1)
     z_doc = cli.dumps_document(
         cli.cochain_document(bockstein_cocycle(ctx21, 1), "normalized"))
-    run_invert(z_doc, {(2,): 1})
+    run_invert(z_doc, 2, 1, [{"signature": [2], "coeff": 1}])
 
     # tau then invert, end to end through the command handlers
     cup_pow = realize(AlgebraElem.monomial(ctx31, (2,)))

@@ -119,10 +119,6 @@ class AlgebraElem:
         return cls(ctx, {})
 
     @classmethod
-    def unit(cls, ctx: GroupContext) -> "AlgebraElem":
-        return cls(ctx, {(0,) * ctx.r: 1})
-
-    @classmethod
     def monomial(cls, ctx: GroupContext, sig: Sequence[int], coeff: int = 1) -> "AlgebraElem":
         return cls(ctx, {tuple(sig): coeff})
 

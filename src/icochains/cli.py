@@ -5,9 +5,11 @@ tag (``normalized`` or ``icochain``), a coefficient-ring tag (``Z`` or
 ``Fp``), and a list of entries mapping keys (lists of n exponent vectors,
 each r integers in [0, p), never the zero vector) to nonzero values.  Both
 kinds store the same values, so every document parses to an ``ICochain``;
-the kind is a label, which ``d`` writes back.  An algebra document carries (p, r) and entries mapping monomial signatures to
-coefficients in [1, p).  All output is deterministic: entries are sorted
-and serialization is byte-stable for identical inputs.
+the kind is a label, which ``d`` writes back.  An algebra document,
+which ``invert`` writes and no command reads, carries (p, r) and entries
+mapping monomial signatures to coefficients in [1, p).  All output is
+deterministic: entries are sorted and serialization is byte-stable for
+identical inputs.
 
 ``dumps_document`` writes the two layouts directly.  Its text is
 byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
@@ -110,12 +112,12 @@ def _group_context(p: int, r: int, where: str = "") -> GroupContext:
         raise DocumentError(f"{where}{exc}") from None
 
 
-def _check_vector(vec, ctx: GroupContext, where: str, allow_zero: bool) -> tuple:
+def _check_vector(vec, ctx: GroupContext, where: str) -> tuple:
     _expect(isinstance(vec, list) and len(vec) == ctx.r,
             f"{where}: expected a list of {ctx.r} integers")
     _expect(all(_is_int(a) and 0 <= a < ctx.p for a in vec),
             f"{where}: exponents must be integers in [0, {ctx.p})")
-    _expect(allow_zero or any(vec),
+    _expect(any(vec),
             f"{where}: the all-zero exponent vector (identity) is not allowed")
     return tuple(vec)
 
@@ -227,7 +229,7 @@ def _entry_values_per_entry(entries: list, ctx: GroupContext, n: int, ring: str)
             u = (vectors.get(tuple(vec))
                  if type(vec) is list and list(map(type, vec)) == int_row else None)
             if u is None:
-                u = _check_vector(vec, ctx, f"entries[{idx}].key[{j}]", allow_zero=False)
+                u = _check_vector(vec, ctx, f"entries[{idx}].key[{j}]")
                 vectors[u] = u
             key.append(u)
         key = tuple(key)
@@ -254,34 +256,6 @@ def cochain_document(cochain, kind: str) -> dict:
         "coeff_ring": cochain.ring,
         "entries": entries,
     }
-
-
-def parse_algebra_document(text: str) -> AlgebraElem:
-    from .algebra import AlgebraElem
-
-    obj = _load_json(text)
-    _expect(isinstance(obj, dict), "document must be a JSON object")
-    _expect(obj.get("schema_version") == SCHEMA_VERSION,
-            f"schema_version must be {SCHEMA_VERSION!r}")
-    ctx = _context_from(obj, "document")
-    entries = obj.get("entries")
-    _expect(isinstance(entries, list), "field 'entries' must be a list")
-    terms: dict = {}
-    for idx, entry in enumerate(entries):
-        where = f"entries[{idx}]"
-        _expect(isinstance(entry, dict) and set(entry) == {"signature", "coeff"},
-                f"{where}: must be an object with exactly 'signature' and 'coeff'")
-        raw = entry["signature"]
-        _expect(isinstance(raw, list) and len(raw) == ctx.r
-                and all(_is_int(a) and a >= 0 for a in raw),
-                f"{where}.signature: expected {ctx.r} nonnegative integers")
-        sig = tuple(raw)
-        _expect(sig not in terms, f"{where}: duplicate signature")
-        coeff = entry["coeff"]
-        _expect(_is_int(coeff) and 0 < coeff < ctx.p,
-                f"{where}.coeff: must be an integer in [1, {ctx.p})")
-        terms[sig] = coeff
-    return AlgebraElem(ctx, terms)
 
 
 def algebra_document(e: AlgebraElem) -> dict:

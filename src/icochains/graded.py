@@ -27,7 +27,8 @@ This derivation of d shares no code with the coboundary kernel, the
 difference-basis ``oracle.d_matrix`` or the inverse map, so agreement
 with them is independent evidence; the elimination they share is checked
 against its own reference in the tests.  ``graded_dimension`` gives the
-expected dim H^n as a count of monomial signatures, without any block.
+expected dim H^n, the count C(n+r-1, r-1) of monomial signatures,
+without any block.
 The module imports only ``group_ring``, so ``dims`` loads no cochain,
 algebra or inverse-map code, and no numpy.  ``check_table_budget``
 refuses a whole dimension table, counted in the key slots its degrees
@@ -186,21 +187,15 @@ def check_table_budget(ctx: GroupContext, max_n: int) -> None:
 
 
 def graded_dimension(ctx: GroupContext, n: int) -> int:
-    """Number of monomial signatures of degree n (the expected dim H^n).
+    """Number of monomial signatures of degree n (the expected dim H^n):
+    C(n+r-1, r-1) for every p.
 
     It counts monomials and calls no block code, so the block ranks are
-    checked against it.  For p = 2 this is the count of degree-n
-    monomials in r variables; for p > 2 it splits over the exterior part
-    of size l and the polynomial part of total degree k with 2k + l = n.
-    Both equal C(n+r-1, r-1).
+    checked against it.  For p = 2 these are the degree-n monomials in r
+    variables.  For p > 2 an exterior part of size l and a polynomial
+    part of total degree k with 2k + l = n give the same count, because
+    the Poincare series (1+t)^r / (1-t^2)^r is (1-t)^(-r).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if ctx.p == 2:
-        return math.comb(n + ctx.r - 1, ctx.r - 1)
-    total = 0
-    for l in range(min(ctx.r, n) + 1):
-        if (n - l) % 2 == 0:
-            k = (n - l) // 2
-            total += math.comb(ctx.r, l) * math.comb(k + ctx.r - 1, ctx.r - 1)
-    return total
+    return math.comb(n + ctx.r - 1, ctx.r - 1)

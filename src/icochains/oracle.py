@@ -31,7 +31,7 @@ import random
 
 from .cochain import ICochain, _bar_coboundary
 from .graded import _echelon, _reduce
-from .group_ring import MOD_P, GroupContext, NotACocycleError, check_budget
+from .group_ring import MOD_P, GroupContext, NotACocycleError, check_budget, is_prime
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,16 +44,28 @@ def cochain_basis(ctx: GroupContext, n: int) -> tuple:
 class FpMatrix:
     """Matrix over F_p stored as sparse columns ({row: value} dicts).
 
-    The constructor refuses a shape over the entry budget, then checks
-    every entry: a row index or value that is not an integer, or a row
-    outside [0, rows), raises ValueError.  Integers are read with
-    ``operator.index``, so numpy integers pass, and stored as Python
-    ints, reduced mod p with zeros dropped.
+    The constructor is the one way to build a matrix from outside the
+    library.  A p or shape that is not an integer, a p that is not prime
+    and a negative shape raise ValueError, and a shape over the entry
+    budget is refused; then every entry is checked: a row index or value
+    that is not an integer, or a row outside [0, rows), raises
+    ValueError.  Integers are read with ``operator.index``, so numpy
+    integers pass, and stored as Python ints, reduced mod p with zeros
+    dropped.
     """
 
     __slots__ = ("p", "rows", "cols", "columns")
 
     def __init__(self, p: int, rows: int, cols: int, columns):
+        try:
+            p, rows, cols = operator.index(p), operator.index(rows), operator.index(cols)
+        except TypeError:
+            raise ValueError(f"p and the shape must be integers: "
+                             f"{p!r}, {rows!r} x {cols!r}") from None
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        if rows < 0 or cols < 0:
+            raise ValueError(f"shape must be nonnegative, got {rows} x {cols}")
         check_budget(rows * cols)
         if len(columns) != cols:
             raise ValueError("column count mismatch")
@@ -83,17 +95,6 @@ class FpMatrix:
         m = cls.__new__(cls)
         m.p, m.rows, m.cols, m.columns = p, rows, cols, columns
         return m
-
-    @classmethod
-    def from_dense(cls, p: int, array) -> "FpMatrix":
-        """From a sequence of equal-length rows of integers (lists or a
-        2-D array); ragged rows raise ValueError."""
-        rows = len(array)
-        cols = len(array[0]) if rows else 0
-        if any(len(row) != cols for row in array):
-            raise ValueError("rows must all have the same length")
-        columns = [{i: row[j] for i, row in enumerate(array)} for j in range(cols)]
-        return cls(p, rows, cols, columns)
 
 
 def rank(m: FpMatrix) -> int:

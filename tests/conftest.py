@@ -1,9 +1,16 @@
 """Shared helpers for the test suite."""
 
+import json
+
 from icochains import MOD_P, AlgebraElem, ICochain, cochain_basis, realize
 
 # (p, r) pairs every broad property test runs over.
 DESK = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
+
+
+def algebra_terms(text):
+    """The {signature: coeff} map of an algebra document's text, as ``invert`` writes it."""
+    return {tuple(e["signature"]): e["coeff"] for e in json.loads(text)["entries"]}
 
 
 def random_ideal_elem(ctx, rng, lo=-9, hi=9):

@@ -191,7 +191,7 @@ def test_constructors_refuse_non_integer_coefficients(build):
 
 def test_realize_unit_and_examples():
     ctx = GroupContext(3, 1)
-    assert realize(AlgebraElem.unit(ctx)) == ICochain.constant(ctx, 1)
+    assert realize(AlgebraElem.monomial(ctx, (0,))) == ICochain.constant(ctx, 1)
     # the degree-2 power of the single variable is the Bockstein generator
     assert realize(AlgebraElem.monomial(ctx, (2,))) == bockstein_cocycle(ctx, 1)
 
@@ -553,9 +553,12 @@ def test_graded_dimension_tables():
     assert [graded_dimension(GroupContext(2, 3), n) for n in range(4)] == [1, 3, 6, 10]
     assert [graded_dimension(GroupContext(3, 2), n) for n in range(4)] == [1, 2, 3, 4]
     assert [graded_dimension(GroupContext(5, 1), n) for n in range(5)] == [1, 1, 1, 1, 1]
-    # the parity-split count agrees with the plain composition count
+    # for p > 2 the binomial is the count split over an exterior part of
+    # size l and a polynomial part of degree k, with 2k + l = n
     for p in (3, 5):
-        for r in (1, 2, 3):
+        for r in (1, 2, 3, 6):
             ctx = GroupContext(p, r)
-            for n in range(7):
-                assert graded_dimension(ctx, n) == math.comb(n + r - 1, r - 1)
+            for n in range(40):
+                split = sum(math.comb(r, l) * math.comb((n - l) // 2 + r - 1, r - 1)
+                            for l in range(min(r, n) + 1) if (n - l) % 2 == 0)
+                assert graded_dimension(ctx, n) == split

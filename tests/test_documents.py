@@ -26,9 +26,9 @@ from icochains.cli import (
     cochain_document,
     dumps_document,
     main,
-    parse_algebra_document,
     parse_cochain_document,
 )
+from conftest import algebra_terms
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -133,7 +133,7 @@ def test_algebra_writer_is_json_dumps_and_round_trips(p, r, data):
     doc = algebra_document(e)
     text = dumps_document(doc)
     assert text == reference_dumps(doc)
-    assert parse_algebra_document(text).terms == e.terms
+    assert algebra_terms(text) == e.terms
 
 
 # -- the parser ---------------------------------------------------------
@@ -166,7 +166,7 @@ def reference_parse(text: str):
         key_raw = entry["key"]
         _expect(isinstance(key_raw, list) and len(key_raw) == n,
                 f"{where}.key: expected a list of {n} exponent vectors")
-        key = tuple(_check_vector(v, ctx, f"{where}.key[{j}]", allow_zero=False)
+        key = tuple(_check_vector(v, ctx, f"{where}.key[{j}]")
                     for j, v in enumerate(key_raw))
         _expect(key not in values, f"{where}: duplicate key")
         value = entry["value"]

@@ -85,6 +85,13 @@ def dense(m):
     return arr
 
 
+def from_rows(p, mat, cols):
+    """The FpMatrix whose rows are mat, lists of cols ints, through the
+    public constructor: its sparse columns, zeros and all."""
+    columns = [{i: row[j] for i, row in enumerate(mat)} for j in range(cols)]
+    return FpMatrix(p, len(mat), cols, columns)
+
+
 def assert_elimination_matches_reference(m, mat):
     """The oracle's elimination of m, whose rows are mat, against
     reference_rref: the same rank, every reference row in the row space
@@ -131,8 +138,8 @@ def random_matrix(rng, p, rows, cols):
 
 def test_rank_identity_and_zero():
     for k in (1, 3, 5):
-        assert rank(FpMatrix.from_dense(3, np.eye(k, dtype=np.int64))) == k
-    zero = FpMatrix.from_dense(3, np.zeros((4, 5), dtype=np.int64))
+        assert rank(from_rows(3, np.eye(k, dtype=np.int64).tolist(), k)) == k
+    zero = from_rows(3, [[0] * 5] * 4, 5)
     assert rank(zero) == 0
     assert len(kernel_basis(zero)) == 5
 
@@ -144,7 +151,7 @@ def test_rank_plus_nullity():
             rows, cols = rng.randrange(1, 8), rng.randrange(1, 8)
             arr = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
                            dtype=np.int64)
-            m = FpMatrix.from_dense(p, arr)
+            m = from_rows(p, arr.tolist(), cols)
             kb = kernel_basis(m)
             assert rank(m) + len(kb) == cols
             for v in kb:
@@ -160,8 +167,7 @@ def test_rref_matches_reference(p):
         # entries off their residues by a multiple of p: FpMatrix reduces them
         mat = [[a + p * rng.randint(-3, 3) for a in row]
                for row in random_matrix(rng, p, rows, cols)]
-        columns = [{i: row[j] for i, row in enumerate(mat)} for j in range(cols)]
-        assert_elimination_matches_reference(FpMatrix(p, rows, cols, columns), mat)
+        assert_elimination_matches_reference(from_rows(p, mat, cols), mat)
 
 
 def test_rref_is_exact_beyond_int64():
@@ -169,8 +175,7 @@ def test_rref_is_exact_beyond_int64():
     rng = random.Random(64)
     for rows, cols in [(3, 5), (5, 3), (4, 4), (2, 6)] * 3:
         mat = random_matrix(rng, p, rows, cols)
-        columns = [{i: row[j] for i, row in enumerate(mat)} for j in range(cols)]
-        assert_elimination_matches_reference(FpMatrix(p, rows, cols, columns), mat)
+        assert_elimination_matches_reference(from_rows(p, mat, cols), mat)
 
 
 def test_rank_one_matrices_at_large_p():
@@ -194,9 +199,8 @@ def test_d_matrix_rref_matches_reference(p, r, max_n):
 
 def test_dense_round_trip():
     arr = np.array([[1, 0, 2], [0, 0, 1]], dtype=np.int64)
-    m = FpMatrix.from_dense(3, arr)
+    m = FpMatrix(3, 2, 3, [{i: arr[i, j] for i in range(2)} for j in range(3)])
     assert (dense(m) == arr).all()
-    assert dense(FpMatrix.from_dense(3, arr.tolist())).tolist() == arr.tolist()
     # numpy integers are stored as Python ints
     assert all(type(i) is int and type(v) is int for col in m.columns for i, v in col.items())
 
@@ -208,12 +212,16 @@ def test_dense_round_trip():
     lambda: FpMatrix(3, 1, 1, [{0: 1.5}]),
     lambda: FpMatrix(3, 1, 1, [{0.0: 1}]),
     lambda: FpMatrix(3, 1, 1, [{0: "1"}]),
-    lambda: FpMatrix.from_dense(3, [[1.5, 0], [0, 2.9]]),
-    lambda: FpMatrix.from_dense(3, np.eye(2)),
-    lambda: FpMatrix.from_dense(3, [[1, 2], [3]]),
-    lambda: FpMatrix.from_dense(3, [[1], [2, 3]]),
+    lambda: FpMatrix(3, 1, 1, [{0: np.float64(1)}]),
+    lambda: FpMatrix(3, -2, 1, [{}]),
+    lambda: FpMatrix(3, 1, -1, []),
+    lambda: FpMatrix(4, 1, 1, [{0: 1}]),
+    lambda: FpMatrix(1, 1, 1, [{0: 1}]),
+    lambda: FpMatrix(3.0, 1, 1, [{0: 1}]),
+    lambda: FpMatrix(3, 2.5, 1, [{2: 1}]),
 ], ids=["negative-row", "row-past-the-end", "row-at-the-end", "float-value", "float-row",
-        "str-value", "dense-floats", "dense-float-array", "ragged-short", "ragged-long"])
+        "str-value", "numpy-float-value", "negative-rows", "negative-cols", "composite-p",
+        "p-one", "float-p", "float-rows"])
 def test_fpmatrix_refuses_malformed_entries(build):
     with pytest.raises(ValueError):
         build()
@@ -439,14 +447,9 @@ def test_invert_injective_on_kernel(p, r, max_n):
         kb = kernel_basis(d_matrix(ctx, n))
         sigs = sorted(compositions(n, r))
         sig_index = {s: i for i, s in enumerate(sigs)}
-        rows = []
+        columns = []
         for v in kb:
-            f = ICochain(ctx, n, MOD_P,
-                         {k: int(c) for k, c in zip(cochain_basis(ctx, n), v) if c})
-            row = [0] * len(sigs)
-            for sig, c in invert(f).terms.items():
-                row[sig_index[sig]] = c
-            rows.append(row)
-        arr = (np.array(rows, dtype=np.int64).T if rows
-               else np.zeros((len(sigs), 0), dtype=np.int64))
-        assert rank(FpMatrix.from_dense(p, arr)) == cohomology_report(ctx, n).dim_h
+            f = ICochain(ctx, n, MOD_P, {k: c for k, c in zip(cochain_basis(ctx, n), v) if c})
+            columns.append({sig_index[sig]: c for sig, c in invert(f).terms.items()})
+        m = FpMatrix(p, len(sigs), len(columns), columns)
+        assert rank(m) == cohomology_report(ctx, n).dim_h

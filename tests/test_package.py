@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import icochains
-from icochains import algebra, cochain, generators, graded, group_ring, oracle
+from icochains import algebra, cli, cochain, generators, graded, group_ring, oracle
 
 # Every public name, by the submodule it is read from on first access.
 PUBLIC_NAMES = {
@@ -40,7 +40,8 @@ MODULE_OF = {name: module for module, names in PUBLIC_NAMES.items() for name in 
 # group-ring class and its conversions are gone.  The degree-2 generator has
 # one builder, ``bockstein_cocycle``, so the carry cocycles and the mod-p
 # reduction they ran through are gone, and so are the second builders of
-# generator powers and split probes.
+# generator powers and split probes.  No command reads an algebra document,
+# and a test builds a matrix through the one validated constructor.
 REMOVED = {
     "signed_permute": cochain, "perm_compose": cochain, "perm_inverse": cochain,
     "Action": cochain, "binomial_mod_p": generators,
@@ -54,6 +55,7 @@ REMOVED = {
     "carry_cocycle": generators, "carry_cocycle_over_z": generators,
     "generator_power_cocycle": generators, "probe_tuple": generators,
     "mod_p": cochain.ICochain,
+    "parse_algebra_document": cli, "from_dense": oracle.FpMatrix, "unit": algebra.AlgebraElem,
 }
 
 
@@ -110,7 +112,7 @@ def test_no_export_takes_a_budget():
             if inspect.isclass(obj):
                 callables += [(f"{name}.{attr}", getattr(obj, attr)) for attr in vars(obj)
                               if callable(getattr(obj, attr))]
-    assert any(name == "FpMatrix.from_dense" for name, _ in callables)
+    assert any(name == "AlgebraElem.monomial" for name, _ in callables)
     for name, obj in callables:
         try:
             parameters = inspect.signature(obj).parameters
@@ -124,6 +126,11 @@ def test_removed_names_are_gone(name):
     with pytest.raises(AttributeError):
         getattr(icochains, name)
     assert not hasattr(REMOVED[name], name)
+
+
+def test_removed_parameters_are_gone():
+    # every document vector is a key slot, so none may be the identity
+    assert "allow_zero" not in inspect.signature(cli._check_vector).parameters
 
 
 def test_one_cochain_class():
