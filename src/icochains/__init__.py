@@ -34,8 +34,7 @@ _EXPORTS = {
         "GroupContext", "NotACocycleError", "is_prime", "shifted_monomial",
     ),
     "oracle": (
-        "FpMatrix", "classes_equal", "cochain_basis", "d_matrix", "is_coboundary",
-        "kernel_basis", "random_cocycle", "rank", "vectorize",
+        "classes_equal", "cochain_basis", "is_coboundary", "random_cocycle",
     ),
 }
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Sequence
 
 from .group_ring import MOD_P, GroupContext, _check_ring, check_budget
@@ -54,6 +55,10 @@ class ICochain:
     __slots__ = ("ctx", "degree", "ring", "values")
 
     def __init__(self, ctx: GroupContext, degree: int, ring: str, values: dict):
+        try:
+            degree = operator.index(degree)
+        except TypeError:
+            raise ValueError(f"degree must be an integer: {degree!r}") from None
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
         self.ctx = ctx

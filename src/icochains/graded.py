@@ -20,8 +20,8 @@ keeps the multidegree a_1 + ... + a_(n+1) in Z^r, so d_n is block
 diagonal, one block per multidegree, and its rank is the sum of the
 block ranks.  Each block is row-reduced mod p in pure Python by
 ``_echelon``, which pivots each sparse row on its largest column; the
-dense oracle (``oracle.rank``, ``kernel_basis``, ``is_coboundary``) runs
-on the same ``_reduce`` and ``_echelon``.
+dense oracle (``oracle.rank``, ``kernel_basis``, ``is_coboundary``)
+runs on the same ``_reduce`` and ``_echelon`` over its sparse columns.
 
 This derivation of d shares no code with the coboundary kernel, the
 difference-basis ``oracle.d_matrix`` or the inverse map, so agreement
@@ -45,12 +45,14 @@ from .group_ring import GroupContext, check_budget
 
 
 def _reduce(row: dict, pivots: dict, p: int) -> None:
-    """Reduce a sparse row ({column: value} dict) in place against pivot
-    rows ({leading column: row}) until it is zero or its largest column
-    has no pivot.
+    """Reduce a sparse row ({column: value} dict, values in [1, p)) in
+    place against pivot rows ({leading column: row}) until it is zero or
+    its largest column has no pivot.
 
     Each pivot row leads with 1 at its largest column, so subtracting it
-    from a row clears that column and changes only smaller ones.
+    from a row clears that column and changes only smaller ones.  An
+    unreduced value p is never dropped: leading a row, it makes
+    ``_echelon``'s ``pow(p, -1, p)`` raise.
     """
     while row:
         col = max(row)
@@ -67,8 +69,9 @@ def _reduce(row: dict, pivots: dict, p: int) -> None:
 
 
 def _echelon(rows, p: int) -> dict:
-    """Row echelon form mod p of an iterable of sparse rows (consumed):
-    {leading column: pivot row}, one pivot per unit of rank.
+    """Row echelon form mod p of an iterable of sparse rows (consumed),
+    their values in [1, p) as ``_reduce`` requires: {leading column:
+    pivot row}, one pivot per unit of rank.
 
     Each row is reduced against the pivots so far; one left nonzero is
     scaled to lead with 1 and becomes a new pivot.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator
 
 # Coefficient-ring tags.  MOD_P values are always stored reduced into [0, p).
@@ -126,6 +127,10 @@ class GroupContext:
     __slots__ = ("p", "r")
 
     def __init__(self, p: int, r: int):
+        try:
+            p, r = operator.index(p), operator.index(r)
+        except TypeError:
+            raise ValueError(f"p and r must be integers: {p!r}, {r!r}") from None
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if r < 1:

@@ -8,15 +8,15 @@ import pytest
 
 from icochains import (
     BudgetExceededError,
-    FpMatrix,
     GroupContext,
+    ICochain,
     INTEGERS,
     MOD_P,
     is_prime,
-    rank,
     shifted_monomial,
 )
 from icochains import generators
+from icochains.oracle import rank
 from conftest import DESK, group_product, ideal_product, on_group_basis
 
 
@@ -61,6 +61,20 @@ def test_is_prime_refuses_undecided_input():
             is_prime(n)
         with pytest.raises(ValueError):
             GroupContext(n, 1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GroupContext(3.0, 1),
+    lambda: GroupContext(3, 1.5),
+    lambda: GroupContext("3", 1),
+    lambda: ICochain(GroupContext(3, 1), 1.5, MOD_P, {}),
+    lambda: ICochain(GroupContext(3, 1), "2", MOD_P, {}),
+], ids=["float-p", "float-r", "str-p", "float-degree", "str-degree"])
+def test_non_integer_parameters_are_refused(build):
+    # p, r and the degree are read with operator.index: a float that
+    # happens to equal an integer is refused like any other non-integer
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 def test_context_validation():
@@ -236,8 +250,7 @@ def test_shifted_monomials_linearly_independent_mod_p(p, r):
     index = {u: i for i, u in enumerate(ctx.nonidentity_elements())}
     columns = [{index[u]: c for u, c in mod_p(shifted_monomial(ctx, k), p).items()}
                for k in ctx.nonidentity_elements()]
-    mat = FpMatrix(p, len(index), len(columns), columns)
-    assert rank(mat) == ctx.order - 1
+    assert rank(columns, p) == ctx.order - 1
 
 
 def test_budget_error_prints_huge_sizes_as_a_bound():

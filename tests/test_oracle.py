@@ -11,7 +11,6 @@ import pytest
 from icochains import (
     AlgebraElem,
     BudgetExceededError,
-    FpMatrix,
     GroupContext,
     ICochain,
     MOD_P,
@@ -21,19 +20,16 @@ from icochains import (
     cochain_basis,
     cohomology_report,
     compositions,
-    d_matrix,
     exponent_cocycle,
     graded_dimension,
     invert,
     is_coboundary,
-    kernel_basis,
     random_cocycle,
-    rank,
     realize,
-    vectorize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
 from icochains.graded import _block_ranks, _echelon, _reduce
+from icochains.oracle import d_matrix, kernel_basis, rank
 from conftest import DESK, random_icochain
 
 
@@ -76,43 +72,50 @@ DTYPE_LADDER = [(2, "int8"), (3, "int8"), (11, "int8"), (13, "int16"),
                 (46349, "int64"), (4294967311, "object")]
 
 
-def dense(m):
-    """The numpy array of an FpMatrix."""
-    arr = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for j, col in enumerate(m.columns):
+def dense(columns, rows):
+    """The numpy array of a list of sparse {row: value} columns."""
+    arr = np.zeros((rows, len(columns)), dtype=np.int64)
+    for j, col in enumerate(columns):
         for i, v in col.items():
             arr[i, j] = v
     return arr
 
 
+def vector(f):
+    """Coordinates of a cochain on the lexicographic basis, as a list of ints."""
+    return [f.values.get(k, 0) for k in cochain_basis(f.ctx, f.degree)]
+
+
 def from_rows(p, mat, cols):
-    """The FpMatrix whose rows are mat, lists of cols ints, through the
-    public constructor: its sparse columns, zeros and all."""
-    columns = [{i: row[j] for i, row in enumerate(mat)} for j in range(cols)]
-    return FpMatrix(p, len(mat), cols, columns)
+    """The sparse columns of the matrix whose rows are mat, lists of cols
+    ints, with every entry reduced into [1, p) and zeros dropped: the
+    form ``_echelon`` takes, whose pivot inverse fails on a value p."""
+    return [{i: row[j] % p for i, row in enumerate(mat) if row[j] % p} for j in range(cols)]
 
 
-def assert_elimination_matches_reference(m, mat):
-    """The oracle's elimination of m, whose rows are mat, against
-    reference_rref: the same rank, every reference row in the row space
-    of the echelon of m's rows, and cols - rank independent null vectors."""
-    p, cols = m.p, m.cols
+def assert_elimination_matches_reference(columns, mat, p):
+    """The oracle's elimination of columns, the matrix whose rows are mat,
+    against reference_rref: the same rank, every reference row in the
+    row space of the echelon of the rows, and cols - rank independent
+    null vectors."""
+    cols = len(columns)
     ref, ref_pivots = reference_rref(mat, cols, p)
     echelon = _echelon(({j: a % p for j, a in enumerate(row) if a % p} for row in mat), p)
-    assert rank(m) == len(echelon) == len(ref_pivots)
+    assert rank(columns, p) == len(echelon) == len(ref_pivots)
     for row in ref:
         reduced = {j: a for j, a in enumerate(row) if a}
         _reduce(reduced, echelon, p)
         assert not reduced, row
-    kb = kernel_basis(m)
+    kb = kernel_basis(columns, p)
     assert len(kb) == cols - len(ref_pivots)
     for v in kb:
         image = {}
-        for j, c in enumerate(v):
-            for i, a in m.columns[j].items():
+        for j, c in v.items():
+            for i, a in columns[j].items():
                 image[i] = (image.get(i, 0) + c * a) % p
         assert not any(image.values()), v
-    assert len(reference_rref(kb, cols, p)[1]) == len(kb)
+    kb_rows = [[v.get(j, 0) for j in range(cols)] for v in kb]
+    assert len(reference_rref(kb_rows, cols, p)[1]) == len(kb)
 
 
 def random_matrix(rng, p, rows, cols):
@@ -138,10 +141,10 @@ def random_matrix(rng, p, rows, cols):
 
 def test_rank_identity_and_zero():
     for k in (1, 3, 5):
-        assert rank(from_rows(3, np.eye(k, dtype=np.int64).tolist(), k)) == k
+        assert rank(from_rows(3, np.eye(k, dtype=np.int64).tolist(), k), 3) == k
     zero = from_rows(3, [[0] * 5] * 4, 5)
-    assert rank(zero) == 0
-    assert len(kernel_basis(zero)) == 5
+    assert rank(zero, 3) == 0
+    assert len(kernel_basis(zero, 3)) == 5
 
 
 def test_rank_plus_nullity():
@@ -152,10 +155,10 @@ def test_rank_plus_nullity():
             arr = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)],
                            dtype=np.int64)
             m = from_rows(p, arr.tolist(), cols)
-            kb = kernel_basis(m)
-            assert rank(m) + len(kb) == cols
+            kb = kernel_basis(m, p)
+            assert rank(m, p) + len(kb) == cols
             for v in kb:
-                assert not ((arr @ v) % p).any()
+                assert not ((arr @ [v.get(j, 0) for j in range(cols)]) % p).any()
 
 
 @pytest.mark.parametrize("p", [p for p, _ in DTYPE_LADDER],
@@ -164,10 +167,10 @@ def test_rref_matches_reference(p):
     rng = random.Random(p)
     shapes = [(4, 9), (9, 4), (1, 7), (7, 1), (1, 1), (6, 6), (0, 3), (3, 0)]
     for rows, cols in shapes * 4:
-        # entries off their residues by a multiple of p: FpMatrix reduces them
+        # entries off their residues by a multiple of p: from_rows reduces them
         mat = [[a + p * rng.randint(-3, 3) for a in row]
                for row in random_matrix(rng, p, rows, cols)]
-        assert_elimination_matches_reference(from_rows(p, mat, cols), mat)
+        assert_elimination_matches_reference(from_rows(p, mat, cols), mat, p)
 
 
 def test_rref_is_exact_beyond_int64():
@@ -175,7 +178,7 @@ def test_rref_is_exact_beyond_int64():
     rng = random.Random(64)
     for rows, cols in [(3, 5), (5, 3), (4, 4), (2, 6)] * 3:
         mat = random_matrix(rng, p, rows, cols)
-        assert_elimination_matches_reference(from_rows(p, mat, cols), mat)
+        assert_elimination_matches_reference(from_rows(p, mat, cols), mat, p)
 
 
 def test_rank_one_matrices_at_large_p():
@@ -186,7 +189,7 @@ def test_rank_one_matrices_at_large_p():
         u = [rng.randrange(1, p) for _ in range(3)]
         v = [rng.randrange(1, p) for _ in range(3)]
         columns = [{i: a * b % p for i, a in enumerate(u)} for b in v]
-        assert rank(FpMatrix(p, 3, 3, columns)) == 1
+        assert rank(columns, p) == 1
 
 
 @pytest.mark.parametrize("p,r,max_n", EXHAUSTIVE_TRIPLES)
@@ -194,37 +197,7 @@ def test_d_matrix_rref_matches_reference(p, r, max_n):
     ctx = GroupContext(p, r)
     for n in range(max_n + 1):
         m = d_matrix(ctx, n)
-        assert_elimination_matches_reference(m, dense(m).tolist())
-
-
-def test_dense_round_trip():
-    arr = np.array([[1, 0, 2], [0, 0, 1]], dtype=np.int64)
-    m = FpMatrix(3, 2, 3, [{i: arr[i, j] for i in range(2)} for j in range(3)])
-    assert (dense(m) == arr).all()
-    # numpy integers are stored as Python ints
-    assert all(type(i) is int and type(v) is int for col in m.columns for i, v in col.items())
-
-
-@pytest.mark.parametrize("build", [
-    lambda: FpMatrix(3, 2, 2, [{-1: 1}, {0: 1}]),
-    lambda: FpMatrix(3, 2, 1, [{5: 1}]),
-    lambda: FpMatrix(3, 2, 1, [{2: 1}]),
-    lambda: FpMatrix(3, 1, 1, [{0: 1.5}]),
-    lambda: FpMatrix(3, 1, 1, [{0.0: 1}]),
-    lambda: FpMatrix(3, 1, 1, [{0: "1"}]),
-    lambda: FpMatrix(3, 1, 1, [{0: np.float64(1)}]),
-    lambda: FpMatrix(3, -2, 1, [{}]),
-    lambda: FpMatrix(3, 1, -1, []),
-    lambda: FpMatrix(4, 1, 1, [{0: 1}]),
-    lambda: FpMatrix(1, 1, 1, [{0: 1}]),
-    lambda: FpMatrix(3.0, 1, 1, [{0: 1}]),
-    lambda: FpMatrix(3, 2.5, 1, [{2: 1}]),
-], ids=["negative-row", "row-past-the-end", "row-at-the-end", "float-value", "float-row",
-        "str-value", "numpy-float-value", "negative-rows", "negative-cols", "composite-p",
-        "p-one", "float-p", "float-rows"])
-def test_fpmatrix_refuses_malformed_entries(build):
-    with pytest.raises(ValueError):
-        build()
+        assert_elimination_matches_reference(m, dense(m, (ctx.order - 1) ** (n + 1)).tolist(), p)
 
 
 def test_d_matrix_shapes_and_chain_property():
@@ -233,27 +206,27 @@ def test_d_matrix_shapes_and_chain_property():
         size = ctx.order - 1
         for n in range(3):
             dn = d_matrix(ctx, n)
-            assert dn.cols == size**n
-            assert dn.rows == size ** (n + 1)
-            assert rank(dn) + len(kernel_basis(dn)) == dn.cols
+            assert len(dn) == size**n
+            assert all(0 <= i < size ** (n + 1) for col in dn for i in col)
+            assert rank(dn, p) + len(kernel_basis(dn, p)) == len(dn)
             dn1 = d_matrix(ctx, n + 1)
-            product = (dense(dn1) @ dense(dn)) % p
+            product = (dense(dn1, size ** (n + 2)) @ dense(dn, size ** (n + 1))) % p
             assert not product.any()
 
 
 def test_d_matrix_degree_zero_and_one_p2r1():
     ctx = GroupContext(2, 1)
-    assert rank(d_matrix(ctx, 0)) == 0  # trivial action: d_0 = 0
-    assert rank(d_matrix(ctx, 1)) == 0  # every degree-1 cochain is a cocycle
+    assert rank(d_matrix(ctx, 0), 2) == 0  # trivial action: d_0 = 0
+    assert rank(d_matrix(ctx, 1), 2) == 0  # every degree-1 cochain is a cocycle
 
 
 def test_d_matrix_is_linear_in_cochains():
     ctx = GroupContext(3, 2)
     rng = random.Random(19)
-    dn = dense(d_matrix(ctx, 2))
+    dn = dense(d_matrix(ctx, 2), 8**3)
     for _ in range(5):
         f = random_icochain(ctx, 2, rng)
-        assert ((dn @ vectorize(f)) % 3 == vectorize(f.coboundary())).all()
+        assert ((dn @ vector(f)) % 3 == vector(f.coboundary())).all()
 
 
 @pytest.mark.parametrize("p,r,max_n", EXHAUSTIVE_TRIPLES)
@@ -261,10 +234,10 @@ def test_d_matrix_columns_are_kernel_coboundaries(p, r, max_n):
     # the columns come from the bar formula; the kernel is derived apart
     ctx = GroupContext(p, r)
     for n in range(max_n + 1):
-        arr = dense(d_matrix(ctx, n))
+        arr = dense(d_matrix(ctx, n), (ctx.order - 1) ** (n + 1))
         for j, key in enumerate(cochain_basis(ctx, n)):
             image = ICochain(ctx, n, MOD_P, {key: 1}).coboundary()
-            assert (arr[:, j] == vectorize(image)).all(), (n, key)
+            assert (arr[:, j] == vector(image)).all(), (n, key)
 
 
 @pytest.mark.parametrize("call,args", [
@@ -296,10 +269,6 @@ def test_budget_refusal():
     assert info.value.required == 8**5 * 8**4 == 134217728
     assert str(info.value) == ("the computation needs 134217728 entries, "
                                "over the budget of 16777216")
-    # a declared shape alone is refused, before its columns are read
-    with pytest.raises(BudgetExceededError) as info:
-        FpMatrix(3, 5000, 5000, [])
-    assert info.value.required == 25000000
 
 
 def test_cohomology_dimension_tables():
@@ -328,7 +297,7 @@ def block_ranks(ctx, n):
 def test_block_ranks_match_dense_rank(p, r, max_n):
     ctx = GroupContext(p, r)
     for n in range(max_n + 1):
-        assert sum(block_ranks(ctx, n).values()) == rank(d_matrix(ctx, n)), n
+        assert sum(block_ranks(ctx, n).values()) == rank(d_matrix(ctx, n), p), n
 
 
 def monomial_weights(p, r, n):
@@ -365,6 +334,64 @@ def test_multigraded_dimensions(p, r, max_n):
         dims = {m: k - rank_n.get(m, 0) - rank_prev.get(m, 0) for m, k in keys.items()}
         assert all(d >= 0 for d in dims.values()), n
         assert {m: d for m, d in dims.items() if d} == monomial_weights(p, r, n), n
+
+
+def key_weights(ctx, n):
+    """Multidegree -> number of n-keys of that weight, by convolving the
+    weight counts one slot at a time."""
+    counts = {(0,) * ctx.r: 1}
+    for _ in range(n):
+        longer = {}
+        for weight, k in counts.items():
+            for a in ctx.nonidentity_elements():
+                m = tuple(map(sum, zip(weight, a)))
+                longer[m] = longer.get(m, 0) + k
+        counts = longer
+    return counts
+
+
+def monomial_count(p, n, m):
+    """The number of degree-n basis monomials of weight m, in closed form.
+
+    At p = 2 only x^m has weight m.  At odd p, x_i weighs e_i and y_i
+    weighs p e_i, so m_i mod p says whether x_i divides and m_i // p is
+    the power of y_i.
+    """
+    if p == 2:
+        return int(sum(m) == n)
+    return int(all(w % p < 2 for w in m) and sum(w % p + 2 * (w // p) for w in m) == n)
+
+
+def weight_defects(ctx, n, rank_n, rank_prev):
+    """The weights m at which #n-keys(m) - rank_n(m) - rank_(n-1)(m), the
+    dimension of H^n_m, differs from the monomial count."""
+    keys = key_weights(ctx, n)
+    return {m for m in keys.keys() | rank_n.keys() | rank_prev.keys()
+            if keys.get(m, 0) - rank_n.get(m, 0) - rank_prev.get(m, 0)
+            != monomial_count(ctx.p, n, m)}
+
+
+@pytest.mark.parametrize("p,r,max_n", [(2, 2, 6), (2, 3, 4), (3, 1, 8), (3, 2, 4), (5, 1, 6),
+                                       (7, 1, 5), (2, 4, 3)])
+def test_cohomology_per_weight(p, r, max_n):
+    """Every multidegree block of H^n has the dimension the ring
+    presentation gives it, so no rank error can move cohomology between
+    weights while keeping each total dim H^n."""
+    ctx = GroupContext(p, r)
+    ranks = [block_ranks(ctx, n) for n in range(-1, max_n + 1)]  # ranks[n + 1] is d_n's
+    moves = 0
+    for n in range(max_n + 1):
+        rank_n, rank_prev = ranks[n + 1], ranks[n]
+        assert not weight_defects(ctx, n, rank_n, rank_prev), n
+        nonzero = [m for m, k in rank_n.items() if k]
+        if len(nonzero) > 1:
+            # one unit of rank moved between two blocks keeps every total
+            moved = dict(rank_n)
+            moved[nonzero[0]] -= 1
+            moved[nonzero[-1]] += 1
+            assert weight_defects(ctx, n, moved, rank_prev), n
+            moves += 1
+    assert moves
 
 
 def test_is_coboundary_basics():
@@ -444,12 +471,11 @@ def test_invert_injective_on_kernel(p, r, max_n):
     """
     for n in range(max_n + 1):
         ctx = GroupContext(p, r)
-        kb = kernel_basis(d_matrix(ctx, n))
-        sigs = sorted(compositions(n, r))
-        sig_index = {s: i for i, s in enumerate(sigs)}
+        kb = kernel_basis(d_matrix(ctx, n), p)
+        basis = cochain_basis(ctx, n)
+        sig_index = {s: i for i, s in enumerate(sorted(compositions(n, r)))}
         columns = []
         for v in kb:
-            f = ICochain(ctx, n, MOD_P, {k: c for k, c in zip(cochain_basis(ctx, n), v) if c})
+            f = ICochain(ctx, n, MOD_P, {basis[j]: c for j, c in v.items()})
             columns.append({sig_index[sig]: c for sig, c in invert(f).terms.items()})
-        m = FpMatrix(p, len(sigs), len(columns), columns)
-        assert rank(m) == cohomology_report(ctx, n).dim_h
+        assert rank(columns, p) == cohomology_report(ctx, n).dim_h

@@ -27,10 +27,7 @@ PUBLIC_NAMES = {
         "BudgetExceededError", "DEFAULT_MAX_ENTRIES", "GroupContext", "INTEGERS", "MOD_P",
         "NotACocycleError", "is_prime", "shifted_monomial",
     },
-    "oracle": {
-        "FpMatrix", "classes_equal", "cochain_basis", "d_matrix", "is_coboundary",
-        "kernel_basis", "random_cocycle", "rank", "vectorize",
-    },
+    "oracle": {"classes_equal", "cochain_basis", "is_coboundary", "random_cocycle"},
 }
 MODULE_OF = {name: module for module, names in PUBLIC_NAMES.items() for name in names}
 
@@ -40,8 +37,10 @@ MODULE_OF = {name: module for module, names in PUBLIC_NAMES.items() for name in 
 # group-ring class and its conversions are gone.  The degree-2 generator has
 # one builder, ``bockstein_cocycle``, so the carry cocycles and the mod-p
 # reduction they ran through are gone, and so are the second builders of
-# generator powers and split probes.  No command reads an algebra document,
-# and a test builds a matrix through the one validated constructor.
+# generator powers and split probes.  No command reads an algebra document.
+# The dense oracle keeps its matrices as plain lists of sparse columns and
+# its vectors as sparse dicts, so the matrix type and the dense-vector
+# conversions are gone.
 REMOVED = {
     "signed_permute": cochain, "perm_compose": cochain, "perm_inverse": cochain,
     "Action": cochain, "binomial_mod_p": generators,
@@ -55,7 +54,8 @@ REMOVED = {
     "carry_cocycle": generators, "carry_cocycle_over_z": generators,
     "generator_power_cocycle": generators, "probe_tuple": generators,
     "mod_p": cochain.ICochain,
-    "parse_algebra_document": cli, "from_dense": oracle.FpMatrix, "unit": algebra.AlgebraElem,
+    "parse_algebra_document": cli, "from_dense": oracle, "unit": algebra.AlgebraElem,
+    "FpMatrix": oracle, "vectorize": oracle, "cochain_from_vector": oracle,
 }
 
 
