@@ -235,7 +235,9 @@ def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
     takes seconds at degree 10^7.
 
     A signature whose degree is over the budget is refused too: each key
-    holds one slot per degree.  This is the only refusal at p = 2, r = 1,
+    holds one slot per degree.  So is one whose key slots ``cup_many``
+    copies, degree x ceil(log2 m) for its m = odd + pairs generator
+    factors, are over it.  These are the only refusals at p = 2, r = 1,
     where every generator, and so every power, has one entry.
     """
     a, b = _power_support(ctx, 1), _power_support(ctx, 2)
@@ -244,7 +246,9 @@ def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
     if log10 > EXACT_SIZE_DIGITS:
         raise BudgetExceededError(None, log10)
     check_budget(a**odd * b**pairs)
-    check_budget(sum(sig))
+    degree = sum(sig)
+    check_budget(degree)
+    check_budget(degree * (odd + pairs - 1).bit_length())
 
 
 def _signature_cocycle(ctx: GroupContext, sig: MonomialSig) -> ICochain:

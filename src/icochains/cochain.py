@@ -21,7 +21,7 @@ building its values again over ``MOD_P``.
   (f cup g) on an (m+n)-tensor is (-1)^(m n) f(first m) g(last n).
 
 The coboundary is one vectorized kernel in ``kernel.py``: keys are
-encoded as integers in base p^r - 1, every contraction term is generated
+slot codes (``_key_codes``), every contraction term is generated
 as a numpy broadcast, and one sort followed by a segmented sum collapses
 equal keys.  ``_bar_coboundary`` writes the classical bar formula
 independently, as a plain loop over the stored keys, and the oracle's
@@ -264,30 +264,16 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     since every other term starts with a.  So df = 0 exactly when its
     partitions at the r generators s_i vanish, and only those are summed.
 
-    A degree-n key is coded in base N = p^r - 1, slot 1 most significant,
-    each element as its index among the nonidentity elements in
-    lexicographic order.  The sums on (a, x_2, ..., x_(n+1)) come from
-    the leading term f(x_2, ...) of every entry; the slot-1 term
-    -f(a x_2, x_3, ...) of every entry (k_1, ...) with k_1 != a, at
-    x_2 = a^-1 k_1; and the inner terms and the trailing term of the
-    entries with k_1 = a alone.  The pairs (x, x^-1 k) of an inner slot
-    are listed only for the k that occur.
+    Keys are summed as their slot codes (``_key_codes``).  The sums on
+    (a, x_2, ..., x_(n+1)) come from the leading term f(x_2, ...) of
+    every entry; the slot-1 term -f(a x_2, x_3, ...) of every entry
+    (k_1, ...) with k_1 != a, at x_2 = a^-1 k_1; and the inner terms and
+    the trailing term of the entries with k_1 = a alone.  The pairs
+    (x, x^-1 k) of an inner slot are listed only for the k that occur.
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
     top = big_n ** (n - 1)  # weight of slot 1 in a degree-n code
-    index: dict = {}
-    codes = {}
-    for key, c in values.items():
-        code = 0
-        for u in key:
-            i = index.get(u)
-            if i is None:
-                i = 0
-                for digit in u:
-                    i = i * p + digit
-                i = index[u] = i - 1
-            code = code * big_n + i
-        codes[code] = c
+    codes = dict(zip(_key_codes(ctx, values), values.values()))
     trail = 1 if n % 2 else -1  # (-1)^(n+1)
     pairs: dict = {}
     for g in range(r):
@@ -323,6 +309,30 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
         if any(map(p.__rmod__, sums.values()) if ring == MOD_P else sums.values()):
             return False
     return True
+
+
+def _key_codes(ctx: GroupContext, keys) -> list:
+    """The slot code of each key, the one numbering of keys that the
+    kernel, the cocycle check and the oracle share: a degree-n key is an
+    integer in base N = p^r - 1, slot 1 most significant, each slot the
+    index of its element among the nonidentity elements in lexicographic
+    order (its exponent vector read in base p, minus one).  Codes sort as
+    the keys do: a key's code is its position in ``oracle.cochain_basis``."""
+    p, big_n = ctx.p, ctx.order - 1
+    index: dict = {}
+    codes = []
+    for key in keys:
+        code = 0
+        for u in key:
+            i = index.get(u)
+            if i is None:
+                i = 0
+                for digit in u:
+                    i = i * p + digit
+                i = index[u] = i - 1
+            code = code * big_n + i
+        codes.append(code)
+    return codes
 
 
 def _pair_codes(p: int, r: int, k: int) -> list:

@@ -8,15 +8,15 @@ in the library that needs numpy, so it lives apart from
 Python) never import numpy.  The oracle builds its matrices from the
 bar formula instead, so it checks this kernel rather than sharing it.
 
-A degree-n key is encoded as an integer in base N = p^r - 1: slot 1 is
-the most significant digit and each nonidentity element is its index in
-lexicographic order, so codes sort as the keys do.
+Keys travel as slot codes (``cochain._key_codes``); ``_decode_keys`` is
+their vectorized inverse.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .cochain import _key_codes
 from .group_ring import MOD_P, GroupContext
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -27,22 +27,9 @@ def _code_dtype(limit: int):
     return np.int64 if limit - 1 <= _INT64_MAX else object
 
 
-def _encode_keys(ctx: GroupContext, n: int, keys: list) -> np.ndarray:
-    """Codes of degree-n keys (tuples of nonidentity exponent vectors)."""
-    big_n = ctx.order - 1
-    dtype = _code_dtype(big_n**n)
-    if not keys or n == 0:
-        return np.zeros(len(keys), dtype=dtype)
-    vectors = np.array(keys, dtype=np.int64).reshape(len(keys), n, ctx.r)
-    index = (vectors @ ctx.p ** np.arange(ctx.r - 1, -1, -1, dtype=np.int64) - 1).astype(dtype)
-    codes = index[:, 0]
-    for j in range(1, n):
-        codes = codes * big_n + index[:, j]
-    return codes
-
-
 def _decode_keys(ctx: GroupContext, n: int, codes: np.ndarray) -> list:
-    """The degree-n keys (tuples of exponent vectors) with the given codes."""
+    """The degree-n keys (tuples of exponent vectors) with the given slot
+    codes: the inverse of ``_key_codes``."""
     if not len(codes):
         return []  # without listing the N elements, which huge p forbids
     big_n = ctx.order - 1
@@ -90,7 +77,7 @@ def coboundary_values(ctx: GroupContext, n: int, values: dict, ring: str) -> dic
     dtype = _code_dtype(max(big_n ** (n + 1) * width, 3 * n * max(p - 1, shift) + 1))
     c = np.array(coeffs, dtype=dtype)
     pos, neg = (c % p, -c % p) if ring == MOD_P else (c + shift, shift - c)
-    codes = _encode_keys(ctx, n, list(values)).astype(dtype)
+    codes = np.array(_key_codes(ctx, values), dtype=dtype)
     elems = np.arange(big_n, dtype=dtype)
     # exponent digits of the elements, most significant first
     digits = (np.arange(1, big_n + 1)[:, None]

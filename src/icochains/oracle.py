@@ -10,7 +10,8 @@ runs, nor on the inverse-map code, and agreement with either is
 meaningful evidence.
 
 A matrix is a plain list of sparse {row: value} columns, values in
-[1, p), and a vector one such dict.  Every question runs on the
+[1, p), and a vector one such dict, both indexed by slot code
+(``cochain._key_codes``).  Every question runs on the
 elimination ``graded._reduce``/``_echelon`` that also ranks the
 multigraded blocks, from which ``graded.cohomology_report`` takes its
 dimensions; ``d_matrix`` and ``rank`` stay as the whole-matrix reference
@@ -25,7 +26,7 @@ import functools
 import itertools
 import random
 
-from .cochain import ICochain, _bar_coboundary
+from .cochain import ICochain, _bar_coboundary, _key_codes
 from .graded import _echelon, _reduce
 from .group_ring import MOD_P, GroupContext, NotACocycleError, check_budget
 
@@ -33,14 +34,8 @@ from .group_ring import MOD_P, GroupContext, NotACocycleError, check_budget
 @functools.lru_cache(maxsize=None)
 def cochain_basis(ctx: GroupContext, n: int) -> tuple:
     """All degree-n basis keys (tuples of nonidentity elements), in
-    lexicographic order."""
+    lexicographic order, which is the order of their slot codes."""
     return tuple(itertools.product(tuple(ctx.nonidentity_elements()), repeat=n))
-
-
-@functools.lru_cache(maxsize=None)
-def _basis_index(ctx: GroupContext, n: int) -> dict:
-    """The position of each degree-n basis key in ``cochain_basis``."""
-    return {key: i for i, key in enumerate(cochain_basis(ctx, n))}
 
 
 def rank(columns: list, p: int) -> int:
@@ -65,16 +60,15 @@ def d_matrix(ctx: GroupContext, n: int) -> list:
     """Columns of the degree-n coboundary on the difference-tensor bases.
 
     Column j is the bar coboundary of the j-th basis cochain of degree n
-    (wrapped without checks), on the degree-(n+1) basis; both follow the
-    lexicographic order of ``cochain_basis``.
+    (wrapped without checks), on the degree-(n+1) basis; both are indexed
+    by slot code (``_key_codes``), the order of ``cochain_basis``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     check_budget((ctx.order - 1) ** (2 * n + 1))
-    rows = _basis_index(ctx, n + 1)
-    return [{rows[k]: v for k, v in
-             _bar_coboundary(ICochain._trusted(ctx, n, MOD_P, {key: 1})).values.items()}
-            for key in cochain_basis(ctx, n)]
+    columns = (_bar_coboundary(ICochain._trusted(ctx, n, MOD_P, {key: 1})).values
+               for key in cochain_basis(ctx, n))
+    return [dict(zip(_key_codes(ctx, col), col.values())) for col in columns]
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,8 +95,7 @@ def is_coboundary(f: ICochain) -> bool:
         raise NotACocycleError("input cochain is not a cocycle")
     if f.degree == 0:
         return f.is_zero()  # nothing maps into degree 0
-    index = _basis_index(f.ctx, f.degree)
-    row = {index[k]: c for k, c in f.values.items()}
+    row = dict(zip(_key_codes(f.ctx, f.values), f.values.values()))
     _reduce(row, _image_pivots(f.ctx, f.degree), f.ctx.p)
     return not row
 

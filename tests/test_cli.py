@@ -411,6 +411,18 @@ def test_tau_refuses_a_signature_of_degree_over_the_budget(sig):
                              "over the budget of 16777216\n")
 
 
+@pytest.mark.parametrize("sig,copies", [("16777216", 385875968), ("884000", 16796000)])
+def test_tau_refuses_a_signature_whose_cup_tree_is_over_the_budget(sig, copies):
+    # a degree inside the budget, but cup_many's merge tree copies each of
+    # its slots ceil(log2 m) times for m = degree / 2 generator factors
+    result = subprocess.run(
+        [sys.executable, "-m", "icochains.cli", "tau", "--p", "2", "--r", "1", "--sig", sig],
+        capture_output=True, text=True, timeout=10)
+    assert (result.returncode, result.stdout) == (EXIT_BUDGET, "")
+    assert result.stderr == (f"error: the computation needs {copies} entries, "
+                             "over the budget of 16777216\n")
+
+
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):
     ctx = GroupContext(2, 1)
     doc = dumps_document(cochain_document(bockstein_cocycle(ctx, 1), "normalized"))

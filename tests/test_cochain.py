@@ -13,6 +13,7 @@ import math
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,9 @@ from icochains import (
     random_cocycle,
     realize,
 )
-from icochains.cochain import _bar_coboundary
+from icochains.acceptance import EXHAUSTIVE_TRIPLES
+from icochains.cochain import _bar_coboundary, _key_codes
+from icochains.kernel import _decode_keys
 from conftest import DESK, ideal_product, random_icochain, random_ideal_elem
 
 
@@ -324,6 +327,19 @@ def test_coboundary_forms_agree_at_the_edges():
         assert_forms_agree(ICochain.constant(ctx, 4, ring))
         for n in range(4):
             assert_forms_agree(ICochain.zero(ctx, n, ring))
+
+
+@pytest.mark.parametrize("p,r,max_n", EXHAUSTIVE_TRIPLES + [(5, 2, 2), (2, 4, 2)])
+def test_slot_codes_are_basis_positions(p, r, max_n):
+    """The one key numbering: the encoder, the kernel's decoder and the
+    oracle's basis order agree, so the code of a key is its position."""
+    ctx = GroupContext(p, r)
+    for n in range(max_n + 1):
+        basis = cochain_basis(ctx, n)
+        codes = list(range((p**r - 1) ** n))
+        assert _key_codes(ctx, basis) == codes
+        if n:  # the kernel decodes keys of degree n + 1 >= 2 only
+            assert _decode_keys(ctx, n, np.arange(len(codes))) == list(basis)
 
 
 def test_is_cocycle_misses_no_entry():
