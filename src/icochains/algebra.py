@@ -13,7 +13,6 @@ variable)^l times (its Bockstein)^k.
 powers.  ``invert`` is the reverse map on cochain representatives, one
 function of the stored values, which is all the paper's formula reads.
 It kills coboundaries exactly, so it is well defined on cohomology.
-``invert_normalized`` is the same function under its older name.
 
 The formula is one sum over generator words w in [r]^n, for every p:
 
@@ -156,9 +155,6 @@ class AlgebraElem:
             return NotImplemented
         return self.ctx == other.ctx and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -167,27 +163,6 @@ class AlgebraElem:
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for sig in sorted(self.terms, key=lambda s: (sum(s), s)):
-            c = self.terms[sig]
-            factors = []
-            for i, m in enumerate(sig, start=1):
-                k, odd = divmod(m, 2)
-                if self.ctx.p == 2:
-                    if m:
-                        factors.append(f"x{i}" + (f"^{m}" if m > 1 else ""))
-                    continue
-                if odd:
-                    factors.append(f"x{i}")
-                if k:
-                    factors.append(f"y{i}" + (f"^{k}" if k > 1 else ""))
-            mono = "*".join(factors) if factors else "1"
-            parts.append(mono if c == 1 and factors else f"{c}*{mono}" if factors else str(c))
-        return " + ".join(parts)
 
     def __repr__(self):
         return f"AlgebraElem(p={self.ctx.p}, r={self.ctx.r}, {self.terms!r})"
@@ -238,17 +213,22 @@ def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
     holds one slot per degree.  So is one whose key slots ``cup_many``
     copies, degree x ceil(log2 m) for its m = odd + pairs generator
     factors, are over it.  These are the only refusals at p = 2, r = 1,
-    where every generator, and so every power, has one entry.
+    where every generator, and so every power, has one entry.  Last come
+    the key slots that the cocycle and its document hold, entries x
+    degree: at p = 3, r = 1 a degree-30 signature has 3^15 entries, under
+    the budget, but 430 467 210 slots.
     """
     a, b = _power_support(ctx, 1), _power_support(ctx, 2)
     odd, pairs = sum(m % 2 for m in sig), sum(m // 2 for m in sig)
     log10 = odd * math.log10(a) + pairs * math.log10(b)
     if log10 > EXACT_SIZE_DIGITS:
         raise BudgetExceededError(None, log10)
-    check_budget(a**odd * b**pairs)
+    entries = a**odd * b**pairs
+    check_budget(entries)
     degree = sum(sig)
     check_budget(degree)
     check_budget(degree * (odd + pairs - 1).bit_length())
+    check_budget(entries * degree)
 
 
 def _signature_cocycle(ctx: GroupContext, sig: MonomialSig) -> ICochain:
@@ -319,6 +299,8 @@ def invert(f) -> AlgebraElem:
     return _signed(ctx, totals)
 
 
+# The older name of ``invert``, kept for the benchmark's reference
+# (bench/workloads.py); the package does not export it.
 invert_normalized = invert
 
 

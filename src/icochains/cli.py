@@ -19,12 +19,12 @@ once, so the megabyte-sized text is copied once.  It renders each distinct
 exponent vector once, and the text of each key up to its last slot once
 per run of keys that share it.
 
-``parse_cochain_document`` checks the entries as columns: each condition
-(entry fields, key lengths, exponent and value types, duplicate keys) is
-one pass of ``map``, ``set`` or ``zip`` that runs in C, and each distinct
-exponent vector is range-checked once.  When any column fails, the
-per-entry loop checks the entries again one by one and raises the first
-error, so every message and exit code is that of the per-entry check.
+``parse_cochain_document`` reads the entries as columns, its one reading
+path: each condition (entry fields, key lengths, exponent and value
+types, duplicate keys) is one pass of ``map``, ``set`` or ``zip`` that
+runs in C, and each distinct exponent vector is range-checked once.  When
+any column fails, a per-entry loop, which builds nothing, checks the
+entries again one by one and raises the first entry's error.
 
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (over the entry budget of
@@ -169,8 +169,8 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
     one passes); each distinct vector has r exponents in [0, p) and is not
     the zero vector; every value is an exact nonzero int, in [1, p) over
     Fp; and no key repeats.  Equal vectors share one tuple.  When any check
-    fails, ``_entry_values_per_entry`` checks the entries again one by one
-    and raises the first error, with the per-entry loop's message.
+    fails, ``_raise_first_entry_error`` checks the entries again one by one
+    and raises the first error.
     """
     from itertools import chain, repeat, tee
 
@@ -180,18 +180,18 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
     if not count:
         return {}
     if not (set(map(type, entries)) == {dict} and set(map(len, entries)) == {2}):
-        return _entry_values_per_entry(entries, ctx, n, ring)
+        _raise_first_entry_error(entries, ctx, n, ring)
     keys = list(map(dict.get, entries, repeat("key")))
     values = list(map(dict.get, entries, repeat("value")))
     if not (set(map(type, keys)) == {list} and set(map(len, keys)) == {n}
             and set(map(type, values)) == {int}
             and (0 < min(values) and max(values) < ctx.p if ring == MOD_P
                  else 0 not in values)):
-        return _entry_values_per_entry(entries, ctx, n, ring)
+        _raise_first_entry_error(entries, ctx, n, ring)
     vectors = list(chain.from_iterable(keys))
     if n and not (set(map(type, vectors)) == {list}
                   and set(map(type, chain.from_iterable(vectors))) == {int}):
-        return _entry_values_per_entry(entries, ctx, n, ring)
+        _raise_first_entry_error(entries, ctx, n, ring)
     distinct: dict = {}  # each distinct vector, mapped to its first tuple
     shared = map(distinct.setdefault, *tee(map(tuple, vectors)))
     # each n consecutive vectors form a key
@@ -199,24 +199,20 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
     if len(result) != count or n and not (
             set(map(len, distinct)) == {ctx.r} and all(map(any, distinct))
             and min(map(min, distinct)) >= 0 and max(map(max, distinct)) < ctx.p):
-        return _entry_values_per_entry(entries, ctx, n, ring)
+        _raise_first_entry_error(entries, ctx, n, ring)
     return result
 
 
-def _entry_values_per_entry(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
-    """The validated {key: value} map of a cochain document's entries, or
-    the error of the first entry that fails, checked one entry at a time.
-
-    Each distinct exponent vector goes through ``_check_vector`` once; a
-    later vector of r exact ints that equals it reuses its tuple.  The
-    types are checked before the lookup, because True == 1 and 1.0 == 1
-    hash alike.  Messages are built only when a check fails.
+def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str) -> NoReturn:
+    """Raise the DocumentError of the first entry that fails, checked one
+    entry at a time: its fields, its key's length, each vector
+    (``_check_vector``), a repeated key, then its value.  It builds
+    nothing.  The column checks of ``_entry_values`` fail exactly when
+    some entry does, so the loop always raises.
     """
     from .group_ring import MOD_P
 
-    int_row = [int] * ctx.r
-    vectors: dict = {}  # every vector validated so far, mapped to itself
-    values: dict = {}
+    seen: set = set()
     for idx, entry in enumerate(entries):
         if not (isinstance(entry, dict) and entry.keys() == {"key", "value"}):
             raise DocumentError(f"entries[{idx}]: must be an object with exactly "
@@ -224,24 +220,17 @@ def _entry_values_per_entry(entries: list, ctx: GroupContext, n: int, ring: str)
         key_raw = entry["key"]
         if not (isinstance(key_raw, list) and len(key_raw) == n):
             raise DocumentError(f"entries[{idx}].key: expected a list of {n} exponent vectors")
-        key = []
-        for j, vec in enumerate(key_raw):
-            u = (vectors.get(tuple(vec))
-                 if type(vec) is list and list(map(type, vec)) == int_row else None)
-            if u is None:
-                u = _check_vector(vec, ctx, f"entries[{idx}].key[{j}]")
-                vectors[u] = u
-            key.append(u)
-        key = tuple(key)
-        if key in values:
+        key = tuple(_check_vector(vec, ctx, f"entries[{idx}].key[{j}]")
+                    for j, vec in enumerate(key_raw))
+        if key in seen:
             raise DocumentError(f"entries[{idx}]: duplicate key")
+        seen.add(key)
         value = entry["value"]
         if not (_is_int(value) and value != 0):
             raise DocumentError(f"entries[{idx}].value: must be a nonzero integer")
         if ring == MOD_P and not 0 < value < ctx.p:
             raise DocumentError(f"entries[{idx}].value: mod-p values must lie in [1, {ctx.p})")
-        values[key] = value
-    return values
+    raise AssertionError("the column checks refused entries that each pass")
 
 
 def cochain_document(cochain, kind: str) -> dict:
@@ -365,7 +354,8 @@ def _read_input(path: str) -> str:
 # The handlers call these names, and the four document functions above,
 # through this module's globals, so a tracer can replace any of them here.
 # Each loads ``algebra`` on its first call.  ``invert_normalized``, the
-# older name of ``invert``, is kept for the benchmark's tracer.
+# older name of ``invert``, is kept for the benchmark's tracer
+# (bench/spans.py).
 
 def realize(e):
     from . import algebra

@@ -6,10 +6,9 @@ values on the difference basis (u_1 - 1) x ... x (u_n - 1), a sparse map
 from tuples of nonidentity group elements to coefficients.  Read on those
 tuples, the same map is the normalized bar cochain
 a(u_1, ..., u_n) = f((u_1 - 1) x ... x (u_n - 1)), so one class serves
-both, and ``NormalizedCochain`` is another name for it.  Coefficients lie
-in F_p (``MOD_P``, stored reduced) or in Z (``INTEGERS``); the cochain
-operations keep the ring, and an integral cochain is reduced mod p by
-building its values again over ``MOD_P``.
+both.  Coefficients lie in F_p (``MOD_P``, stored reduced) or in Z
+(``INTEGERS``); the cochain operations keep the ring, and an integral
+cochain is reduced mod p by building its values again over ``MOD_P``.
 
 * the coboundary contracts adjacent tensor factors with the group-ring
   product, with alternating signs (the coefficients are F_p or Z with the
@@ -133,9 +132,6 @@ class ICochain:
         return (self.ctx == other.ctx and self.degree == other.degree
                 and self.ring == other.ring and self.values == other.values)
 
-    def __hash__(self):
-        return hash((self.ctx, self.degree, self.ring, frozenset(self.values.items())))
-
     def is_zero(self) -> bool:
         return not self.values
 
@@ -168,14 +164,6 @@ class ICochain:
         # slot and N trailing terms
         check_budget(entries * (2 * r + (n - 1) * (big_n - 1) + big_n))
         return _bar_coboundary_vanishes(self.ctx, n, self.values, self.ring)
-
-    def value_at(self, key: tuple) -> int:
-        """The stored coefficient at a basis tuple (0 if absent or normalized away)."""
-        if len(key) != self.degree:
-            raise ValueError(f"expected a {self.degree}-tuple, got {key!r}")
-        if any(u == self.ctx.identity for u in key):
-            return 0
-        return self.values.get(key, 0)
 
     def __repr__(self):
         return (f"ICochain(p={self.ctx.p}, r={self.ctx.r}, "
@@ -250,7 +238,9 @@ class ICochain:
         return cup_many([self, other])
 
 
-# A normalized bar cochain stores the same values (see the module docstring).
+# A normalized bar cochain stores the same values (see the module
+# docstring).  This older name is kept for the benchmark's reference
+# (bench/workloads.py); the package does not export it.
 NormalizedCochain = ICochain
 
 
@@ -390,7 +380,8 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
     Refuses, before enumerating, a product of supports over the default
     entry budget.
 
-    The factors' sorted entry lists are merged pairwise, neighbour with
+    Each distinct factor object is checked and sorted once, however often
+    it repeats.  The sorted entry lists are merged pairwise, neighbour with
     neighbour, until one is left, and only the last merge is built as a
     dict.  A merge pairs each entry of the first list with each entry of
     the second, concatenating keys and multiplying values mod p.  The keys
@@ -407,7 +398,8 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
     if not factors:
         raise ValueError("cup_many needs at least one factor")
     ctx = factors[0].ctx
-    for f in factors:
+    distinct = {id(f): f for f in factors}  # ``realize`` repeats its generators
+    for f in distinct.values():
         if f.ctx != ctx:
             raise ValueError("context mismatch")
         if f.ring != MOD_P:
@@ -415,7 +407,8 @@ def cup_many(factors: Sequence[ICochain]) -> ICochain:
     check_budget(math.prod(len(f.values) for f in factors))
     l = sum(1 for f in factors if f.degree % 2)
     p = ctx.p
-    lists = [sorted(f.values.items()) for f in factors]
+    entries = {i: sorted(f.values.items()) for i, f in distinct.items()}
+    lists = [entries[id(f)] for f in factors]
     if (l * (l - 1) // 2) % 2:
         lists[0] = [(k, -c % p) for k, c in lists[0]]
     while len(lists) > 2:

@@ -20,8 +20,8 @@ keeps the multidegree a_1 + ... + a_(n+1) in Z^r, so d_n is block
 diagonal, one block per multidegree, and its rank is the sum of the
 block ranks.  Each block is row-reduced mod p in pure Python by
 ``_echelon``, which pivots each sparse row on its largest column; the
-dense oracle (``oracle.rank``, ``kernel_basis``, ``is_coboundary``)
-runs on the same ``_reduce`` and ``_echelon`` over its sparse columns.
+dense oracle (``oracle.rank``, ``is_coboundary``) runs on the same
+``_reduce`` and ``_echelon`` over its sparse columns.
 
 This derivation of d shares no code with the coboundary kernel, the
 difference-basis ``oracle.d_matrix`` or the inverse map, so agreement

@@ -1,13 +1,12 @@
 """Brute-force verification by exact linear algebra over F_p.
 
 Builds coboundary matrices on the full difference-tensor basis, computes
-ranks and kernels by sparse row reduction mod p, and answers the
-questions the rest of the library is checked against: coboundary
-membership, class equality, and seeded random cocycles.  Each column is
-the bar-formula reference ``cochain._bar_coboundary`` of one basis
-cochain, so nothing here depends on the coboundary kernel that ``d``
-runs, nor on the inverse-map code, and agreement with either is
-meaningful evidence.
+ranks by sparse row reduction mod p, and answers the questions the rest
+of the library is checked against: coboundary membership and class
+equality.  Each column is the bar-formula reference
+``cochain._bar_coboundary`` of one basis cochain, so nothing here depends
+on the coboundary kernel that ``d`` runs, nor on the inverse-map code,
+and agreement with either is meaningful evidence.
 
 A matrix is a plain list of sparse {row: value} columns, values in
 [1, p), and a vector one such dict, both indexed by slot code
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 
 from .cochain import ICochain, _bar_coboundary, _key_codes
 from .graded import _echelon, _reduce
@@ -38,22 +36,9 @@ def cochain_basis(ctx: GroupContext, n: int) -> tuple:
     return tuple(itertools.product(tuple(ctx.nonidentity_elements()), repeat=n))
 
 
+# The benchmark's tracer (bench/spans.py) patches this name.
 def rank(columns: list, p: int) -> int:
     return len(_echelon(map(dict, columns), p))
-
-
-def kernel_basis(columns: list, p: int) -> list:
-    """A basis of the null space, one sparse {column: coeff} vector per
-    free column.
-
-    Column j is eliminated with a tag entry 1 at index -1-j, below every
-    row index, so each pivot carries in its tags the combination of
-    columns it is.  A combination whose row entries cancel leads with a
-    tag, and its tags are the coefficients of a null vector.
-    """
-    tagged = ({**col, -1 - j: 1} for j, col in enumerate(columns))
-    return [{-1 - t: c for t, c in combo.items()}
-            for lead, combo in _echelon(tagged, p).items() if lead < 0]
 
 
 def d_matrix(ctx: GroupContext, n: int) -> list:
@@ -69,11 +54,6 @@ def d_matrix(ctx: GroupContext, n: int) -> list:
     columns = (_bar_coboundary(ICochain._trusted(ctx, n, MOD_P, {key: 1})).values
                for key in cochain_basis(ctx, n))
     return [dict(zip(_key_codes(ctx, col), col.values())) for col in columns]
-
-
-@functools.lru_cache(maxsize=None)
-def _kernel_basis_cached(ctx: GroupContext, n: int) -> tuple:
-    return tuple(kernel_basis(d_matrix(ctx, n), ctx.p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,16 +86,3 @@ def classes_equal(f: ICochain, g: ICochain) -> bool:
         raise ValueError("cocycles must share context and degree")
     return is_coboundary(f - g)
 
-
-def random_cocycle(ctx: GroupContext, n: int, seed: int) -> ICochain:
-    """A uniformly random element of ker d_n, deterministic per seed."""
-    basis = _kernel_basis_cached(ctx, n)
-    rng = random.Random(seed)
-    p = ctx.p
-    v: dict = {}
-    for b in basis:
-        c = rng.randrange(p)
-        for j, y in b.items():
-            v[j] = (v.get(j, 0) + c * y) % p
-    keys = cochain_basis(ctx, n)
-    return ICochain._trusted(ctx, n, MOD_P, {keys[j]: v[j] for j in sorted(v) if v[j]})

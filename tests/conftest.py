@@ -1,8 +1,12 @@
 """Shared helpers for the test suite."""
 
+import functools
 import json
+import random
 
 from icochains import MOD_P, AlgebraElem, ICochain, cochain_basis, realize
+from icochains.graded import _echelon
+from icochains.oracle import d_matrix
 
 # (p, r) pairs every broad property test runs over.
 DESK = [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)]
@@ -70,3 +74,37 @@ def power_cocycle(ctx, i, m):
     """The degree-m power of variable i, as the library builds it: ``realize``
     on the one-variable signature m e_i (the constant 1 for m = 0)."""
     return realize(AlgebraElem.monomial(ctx, tuple(m if j == i - 1 else 0 for j in range(ctx.r))))
+
+
+def kernel_basis(columns: list, p: int) -> list:
+    """A basis of the null space of a list of sparse {row: value} columns,
+    one sparse {column: coeff} vector per free column.
+
+    Column j is eliminated with a tag entry 1 at index -1-j, below every
+    row index, so each pivot carries in its tags the combination of
+    columns it is.  A combination whose row entries cancel leads with a
+    tag, and its tags are the coefficients of a null vector.
+    """
+    tagged = ({**col, -1 - j: 1} for j, col in enumerate(columns))
+    return [{-1 - t: c for t, c in combo.items()}
+            for lead, combo in _echelon(tagged, p).items() if lead < 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_basis_cached(ctx, n):
+    return tuple(kernel_basis(d_matrix(ctx, n), ctx.p))
+
+
+def random_cocycle(ctx, n, seed):
+    """A uniformly random element of ker d_n on the oracle's dense
+    ``d_matrix``, deterministic per seed."""
+    basis = _kernel_basis_cached(ctx, n)
+    rng = random.Random(seed)
+    p = ctx.p
+    v: dict = {}
+    for b in basis:
+        c = rng.randrange(p)
+        for j, y in b.items():
+            v[j] = (v.get(j, 0) + c * y) % p
+    keys = cochain_basis(ctx, n)
+    return ICochain._trusted(ctx, n, MOD_P, {keys[j]: v[j] for j in sorted(v) if v[j]})

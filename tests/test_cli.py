@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -421,6 +422,17 @@ def test_tau_refuses_a_signature_whose_cup_tree_is_over_the_budget(sig, copies):
     assert (result.returncode, result.stdout) == (EXIT_BUDGET, "")
     assert result.stderr == (f"error: the computation needs {copies} entries, "
                              "over the budget of 16777216\n")
+
+
+def test_tau_refuses_a_signature_whose_key_slots_are_over_the_budget(capsys):
+    # at p = 3, r = 1 the degree-2 generator has 3 entries, so --sig 30 has
+    # 3^15 entries, under the budget, of 30 slots each; the cocycle and its
+    # document would hold 430 467 210 key slots
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "tau", "--p", "3", "--r", "1", "--sig", "30")
+    assert time.perf_counter() - start < 2  # refused before any factor is built
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == "error: the computation needs 430467210 entries, over the budget of 16777216\n"
 
 
 def test_invert_rejects_integer_coefficients(tmp_path, capsys):

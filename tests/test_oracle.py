@@ -24,13 +24,12 @@ from icochains import (
     graded_dimension,
     invert,
     is_coboundary,
-    random_cocycle,
     realize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
 from icochains.graded import _block_ranks, _echelon, _reduce
-from icochains.oracle import d_matrix, kernel_basis, rank
-from conftest import DESK, random_icochain
+from icochains.oracle import d_matrix, rank
+from conftest import DESK, kernel_basis, random_cocycle, random_icochain
 
 
 def reference_rref(rows, cols, p):

@@ -15,13 +15,12 @@ from icochains import (
     cochain_basis,
     compositions,
     exponent_cocycle,
-    random_cocycle,
     realize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES, _random_cochain
 from icochains.cochain import _bar_coboundary
 from icochains.oracle import d_matrix
-from conftest import DESK, random_icochain
+from conftest import DESK, random_cocycle, random_icochain
 
 
 def test_library_builders_never_check_their_own_keys(monkeypatch):
@@ -39,7 +38,7 @@ def test_library_builders_never_check_their_own_keys(monkeypatch):
     _bar_coboundary(f)
     for n in range(3):
         d_matrix(ctx, n)
-    z = random_cocycle(ctx, 2, 7)
+    z = random_cocycle(ctx, 2, 7)  # the tests' helper, on the library's d_matrix
     assert classes_equal(z, z + _bar_coboundary(_random_cochain(ctx, 1, random.Random(2))))
 
 
