@@ -2,29 +2,38 @@
 
 Documents are UTF-8 JSON.  A cochain document carries (p, r, n), a kind
 tag (``normalized`` or ``icochain``), a coefficient-ring tag (``Z`` or
-``Fp``), and a list of entries mapping keys (lists of n exponent vectors,
-each r integers in [0, p), never the zero vector) to nonzero values.  Both
-kinds store the same values, so every document parses to an ``ICochain``;
-the kind is a label, which ``d`` writes back.  An algebra document,
-which ``invert`` writes and no command reads, carries (p, r) and entries
-mapping monomial signatures to coefficients in [1, p).  All output is
-deterministic: entries are sorted and serialization is byte-stable for
-identical inputs.
+``Fp``), and a list of entries mapping keys to nonzero values.  ``tau``,
+``cup`` and ``d`` write schema 2, whose key is a list of n slot codes:
+a group element's exponent vector read in base p, first exponent most
+significant, an integer in [1, p^r) (``cochain._slot_code``).  Codes
+sort as the vectors do, so the entries keep their order.  Every command
+also reads schema 1, whose key is a list of n exponent vectors, each r
+integers in [0, p), never the zero vector; no command writes it.  Both
+kinds store the same values, so every document of either schema parses
+to an ``ICochain``; the kind is a label, which ``d`` writes back.  An
+algebra document, which ``invert`` writes as schema 1 and no command
+reads, carries (p, r) and entries mapping monomial signatures to
+coefficients in [1, p).  All output is deterministic: entries are sorted
+and serialization is byte-stable for identical inputs.
 
-``dumps_document`` writes the two layouts directly.  Its text is
-byte-identical to ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``,
-which the tests keep as the reference.  Every piece of the text, from the
-opening brace to the closing newline, goes into one list that is joined
-once, so the megabyte-sized text is copied once.  It renders each distinct
-exponent vector once, and the text of each key up to its last slot once
-per run of keys that share it.
+``dumps_document`` writes a cochain document byte-identical to
+``json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"`` and an
+algebra document byte-identical to
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, which the tests
+keep as the references.  It writes the cochain layout directly, rendering
+each distinct slot code once and the text of each key up to its last
+slot once per run of keys that share it.
 
 ``parse_cochain_document`` reads the entries as columns, its one reading
-path: each condition (entry fields, key lengths, exponent and value
-types, duplicate keys) is one pass of ``map``, ``set`` or ``zip`` that
-runs in C, and each distinct exponent vector is range-checked once.  When
-any column fails, a per-entry loop, which builds nothing, checks the
-entries again one by one and raises the first entry's error.
+path: each condition (entry fields, key lengths, value types, slot types,
+duplicate keys) is one pass of ``map``, ``set`` or ``zip`` that runs in
+C.  The header and entry checks are shared by both schemas; then one
+slot check per schema range-checks each distinct exponent vector once,
+or decodes each distinct slot code once by r ``divmod``s, after refusing
+(exit 3) r times the number of distinct codes over the entry budget.
+When any column fails, a per-entry loop, which builds nothing and decodes
+no code, checks the entries again one by one and raises the first
+entry's error.
 
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (over the entry budget of
@@ -72,7 +81,11 @@ from __future__ import annotations
 
 import sys
 
-SCHEMA_VERSION = "1"
+# Cochain documents are written as schema 2 and read as schema 1 or 2;
+# algebra documents are written as schema 1.
+SCHEMA_VERSION = "2"
+ALGEBRA_SCHEMA_VERSION = "1"
+READ_SCHEMAS = ("1", "2")
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -122,6 +135,28 @@ def _check_vector(vec, ctx: GroupContext, where: str) -> tuple:
     return tuple(vec)
 
 
+def _check_code(code, ctx: GroupContext, where: str) -> int:
+    """A schema-2 key slot: an exact int in [1, p^r).  The bound is
+    tested against p^min(r, bits of the code), which is at least p^r or
+    larger than the code, so p^r itself is never computed."""
+    _expect(_is_int(code) and 0 < code < ctx.p ** min(ctx.r, code.bit_length()),
+            f"{where}: slot codes must be integers in [1, {ctx.p}^{ctx.r})")
+    return code
+
+
+def _slot_element(code: int, p: int, r: int):
+    """The exponent vector of slot code ``code``, read off by r divmods,
+    last exponent first; None unless 1 <= code < p^r, which holds exactly
+    when the code is positive and the quotient left after the r steps is
+    0."""
+    if code < 1:
+        return None
+    digits = [0] * r
+    for i in range(r - 1, -1, -1):
+        code, digits[i] = divmod(code, p)
+    return None if code else tuple(digits)
+
+
 def _load_json(text: str):
     """The JSON value of a document's text.  Bad syntax, an int past the
     digit limit and nesting past the recursion limit are DocumentErrors."""
@@ -134,18 +169,18 @@ def _load_json(text: str):
 
 
 def parse_cochain_document(text: str):
-    """Parse and validate a cochain document.
+    """Parse and validate a cochain document of schema 1 or 2.
 
     Returns (cochain, kind): an ICochain holding the entries, whatever the
-    kind, and the document's kind tag.
+    kind and the schema, and the document's kind tag.
     """
     from .cochain import ICochain
     from .group_ring import INTEGERS, MOD_P
 
     obj = _load_json(text)
     _expect(isinstance(obj, dict), "document must be a JSON object")
-    _expect(obj.get("schema_version") == SCHEMA_VERSION,
-            f"schema_version must be {SCHEMA_VERSION!r}")
+    schema = obj.get("schema_version")
+    _expect(schema in READ_SCHEMAS, "schema_version must be '1' or '2'")
     ctx = _context_from(obj, "document")
     n = obj.get("n")
     _expect(_is_int(n) and n >= 0, "field 'n' must be a nonnegative integer")
@@ -157,22 +192,22 @@ def parse_cochain_document(text: str):
     entries = obj.get("entries")
     _expect(isinstance(entries, list), "field 'entries' must be a list")
     # every key and value is checked here; the constructor would repeat it
-    return ICochain._trusted(ctx, n, ring, _entry_values(entries, ctx, n, ring)), kind
+    values = _entry_values(entries, ctx, n, ring, schema)
+    return ICochain._trusted(ctx, n, ring, values), kind
 
 
-def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
+def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str, schema: str) -> dict:
     """The validated {key: value} map of a cochain document's entries.
 
     The entries are checked as columns, each in one pass that runs in C:
     every entry is a dict of two items, 'key' and 'value'; every key a list
-    of n lists; every exponent an exact int (so no bool or float equal to
-    one passes); each distinct vector has r exponents in [0, p) and is not
-    the zero vector; every value is an exact nonzero int, in [1, p) over
-    Fp; and no key repeats.  Equal vectors share one tuple.  When any check
-    fails, ``_raise_first_entry_error`` checks the entries again one by one
-    and raises the first error.
+    of n slots; every value an exact nonzero int, in [1, p) over Fp.  Then
+    one slot check per schema (``_vector_elements``, ``_code_elements``)
+    turns the slots into group elements, equal slots into one tuple, and
+    no key may repeat.  When any check fails, ``_raise_first_entry_error``
+    checks the entries again one by one and raises the first error.
     """
-    from itertools import chain, repeat, tee
+    from itertools import chain, repeat
 
     from .group_ring import MOD_P
 
@@ -180,38 +215,79 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str) -> dict:
     if not count:
         return {}
     if not (set(map(type, entries)) == {dict} and set(map(len, entries)) == {2}):
-        _raise_first_entry_error(entries, ctx, n, ring)
+        _raise_first_entry_error(entries, ctx, n, ring, schema)
     keys = list(map(dict.get, entries, repeat("key")))
     values = list(map(dict.get, entries, repeat("value")))
     if not (set(map(type, keys)) == {list} and set(map(len, keys)) == {n}
             and set(map(type, values)) == {int}
             and (0 < min(values) and max(values) < ctx.p if ring == MOD_P
                  else 0 not in values)):
-        _raise_first_entry_error(entries, ctx, n, ring)
-    vectors = list(chain.from_iterable(keys))
-    if n and not (set(map(type, vectors)) == {list}
-                  and set(map(type, chain.from_iterable(vectors))) == {int}):
-        _raise_first_entry_error(entries, ctx, n, ring)
-    distinct: dict = {}  # each distinct vector, mapped to its first tuple
-    shared = map(distinct.setdefault, *tee(map(tuple, vectors)))
-    # each n consecutive vectors form a key
-    result = dict(zip(zip(*[shared] * n) if n else [()] * count, values))
-    if len(result) != count or n and not (
-            set(map(len, distinct)) == {ctx.r} and all(map(any, distinct))
-            and min(map(min, distinct)) >= 0 and max(map(max, distinct)) < ctx.p):
-        _raise_first_entry_error(entries, ctx, n, ring)
+        _raise_first_entry_error(entries, ctx, n, ring, schema)
+    if n:
+        elements = (_vector_elements if schema == "1" else _code_elements)(
+            list(chain.from_iterable(keys)), ctx)
+        if elements is None:
+            _raise_first_entry_error(entries, ctx, n, ring, schema)
+        keys = zip(*[elements] * n)  # each n consecutive slots form a key
+    else:
+        keys = [()] * count
+    result = dict(zip(keys, values))
+    if len(result) != count:
+        _raise_first_entry_error(entries, ctx, n, ring, schema)
     return result
 
 
-def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str) -> NoReturn:
+def _vector_elements(slots: list, ctx: GroupContext):
+    """Schema 1: every slot an exponent vector, a list of r exact ints
+    (so no bool or float equal to one passes) in [0, p), not all zero.
+    Each distinct vector is range-checked once.  Returns an iterator of
+    the slots' elements, equal vectors sharing one tuple, or None when a
+    slot fails."""
+    from itertools import chain, tee
+
+    if not (set(map(type, slots)) == {list}
+            and set(map(type, chain.from_iterable(slots))) == {int}):
+        return None
+    distinct: dict = {}  # each distinct vector, mapped to its first tuple
+    elements = list(map(distinct.setdefault, *tee(map(tuple, slots))))
+    if not (set(map(len, distinct)) == {ctx.r} and all(map(any, distinct))
+            and min(map(min, distinct)) >= 0 and max(map(max, distinct)) < ctx.p):
+        return None
+    return iter(elements)
+
+
+def _code_elements(slots: list, ctx: GroupContext):
+    """Schema 2: every slot a slot code, an exact int in [1, p^r).  Each
+    distinct code is decoded once (``_slot_element``), after r times their
+    number, the exponents the decoding writes, has passed the entry
+    budget.  Returns an iterator of the slots' elements, or None when a
+    slot fails."""
+    from .group_ring import check_budget
+
+    if set(map(type, slots)) != {int}:
+        return None
+    distinct = set(slots)
+    check_budget(ctx.r * len(distinct))
+    p, r = ctx.p, ctx.r
+    elements = {code: _slot_element(code, p, r) for code in distinct}
+    if None in elements.values():
+        return None
+    return map(elements.__getitem__, slots)
+
+
+def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str,
+                             schema: str) -> NoReturn:
     """Raise the DocumentError of the first entry that fails, checked one
-    entry at a time: its fields, its key's length, each vector
-    (``_check_vector``), a repeated key, then its value.  It builds
-    nothing.  The column checks of ``_entry_values`` fail exactly when
-    some entry does, so the loop always raises.
+    entry at a time: its fields, its key's length, each slot
+    (``_check_vector`` or ``_check_code``), a repeated key, then its
+    value.  It builds nothing and decodes no code.  The column checks of
+    ``_entry_values`` fail exactly when some entry does, so the loop
+    always raises.
     """
     from .group_ring import MOD_P
 
+    check_slot, slots = ((_check_vector, "exponent vectors") if schema == "1"
+                         else (_check_code, "slot codes"))
     seen: set = set()
     for idx, entry in enumerate(entries):
         if not (isinstance(entry, dict) and entry.keys() == {"key", "value"}):
@@ -219,9 +295,9 @@ def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str
                                 "'key' and 'value'")
         key_raw = entry["key"]
         if not (isinstance(key_raw, list) and len(key_raw) == n):
-            raise DocumentError(f"entries[{idx}].key: expected a list of {n} exponent vectors")
-        key = tuple(_check_vector(vec, ctx, f"entries[{idx}].key[{j}]")
-                    for j, vec in enumerate(key_raw))
+            raise DocumentError(f"entries[{idx}].key: expected a list of {n} {slots}")
+        key = tuple(check_slot(slot, ctx, f"entries[{idx}].key[{j}]")
+                    for j, slot in enumerate(key_raw))
         if key in seen:
             raise DocumentError(f"entries[{idx}]: duplicate key")
         seen.add(key)
@@ -234,13 +310,23 @@ def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str
 
 
 def cochain_document(cochain, kind: str) -> dict:
-    # keys stay tuples of exponent-vector tuples, which JSON writes as arrays
-    entries = [{"key": key, "value": c} for key, c in sorted(cochain.values.items())]
+    """The schema-2 document of a cochain: each key a list of n slot
+    codes (``cochain._slot_code``), entries sorted by key."""
+    from itertools import chain
+
+    from .cochain import _slot_code
+
+    p, n, values = cochain.ctx.p, cochain.degree, cochain.values
+    code = {u: _slot_code(p, u) for u in set(chain.from_iterable(values))}
+    slots = map(code.__getitem__, chain.from_iterable(values))
+    keys = zip(*[slots] * n) if n else [()] * len(values)
+    # codes sort as the keys do, so the order is the order of the keys
+    entries = [{"key": key, "value": c} for key, c in sorted(zip(keys, values.values()))]
     return {
         "schema_version": SCHEMA_VERSION,
-        "p": cochain.ctx.p,
+        "p": p,
         "r": cochain.ctx.r,
-        "n": cochain.degree,
+        "n": n,
         "kind": kind,
         "coeff_ring": cochain.ring,
         "entries": entries,
@@ -251,7 +337,7 @@ def algebra_document(e: AlgebraElem) -> dict:
     entries = [{"signature": list(sig), "coeff": c}
                for sig, c in sorted(e.terms.items())]
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": ALGEBRA_SCHEMA_VERSION,
         "p": e.ctx.p,
         "r": e.ctx.r,
         "entries": entries,
@@ -262,70 +348,43 @@ def dumps_document(doc: dict) -> str:
     """The text of a document built by ``cochain_document`` or
     ``algebra_document``.
 
-    It is byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``
-    plus a newline, which on Python 3.11 never uses the C encoder.  The
-    fields and entries of the two layouts are written directly, as pieces
-    of one list joined once at the end; each distinct exponent vector is
-    rendered once per document, and each key prefix (all slots but the
-    last) once per run of entries sharing it.
+    A schema-2 (cochain) document is byte-identical to
+    ``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` plus a
+    newline, and is written directly.  Each distinct slot code is rendered
+    once, each key's text up to its last slot once per run of entries
+    sharing it, and the rest of an entry once per distinct last slot and
+    value; the entries' pieces are joined once.  A
+    schema-1 (algebra) document, a few entries long, is
+    ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
     """
     import json
 
-    out = []
-    sep = "{\n  "
-    for name, value in sorted(doc.items()):
-        out += (sep, json.dumps(name), ": ")
-        if name == "entries":
-            _write_entries(out, value)
-        else:
-            out.append(json.dumps(value))
-        sep = ",\n  "
-    out.append("\n}\n")
-    return "".join(out)
+    if doc["schema_version"] != SCHEMA_VERSION:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return "{" + ",".join([json.dumps(name) + ":" + (
+        _entries_text(value) if name == "entries" else json.dumps(value))
+        for name, value in sorted(doc.items())]) + "}\n"
 
 
-def _write_entries(out: list, entries: list) -> None:
-    """Append the pieces of the ``entries`` array to ``out``: {key, value}
-    cochain entries, whose exponent vectors repeat, or {coeff, signature}
-    algebra entries.
-
-    A cochain entry's text up to its key's last slot is rendered once per
-    run of entries whose keys agree on every slot but the last, which in
-    sorted order is one run per prefix.
-    """
-    if not entries:
-        out.append("[]")
-        return
-    slots: dict = {}  # exponent vector -> its text as a key slot
-    lasts: dict = {}  # exponent vector -> its text as a key's last slot, to the value
-
-    def slot_text(u) -> str:
-        text = slots.get(u)
-        if text is None:
-            text = slots[u] = "\n        [\n          " + ",\n          ".join(
-                map(int.__repr__, u)) + "\n        ]"
-        return text
-
+def _entries_text(entries: list) -> str:
+    """The compact text of a cochain document's entries, {key, value}
+    objects whose keys are lists of slot codes."""
+    codes: dict = {}  # slot code -> its text and a comma
+    tails: dict = {}  # (last slot code, value) -> the entry's text after its prefix
     prefix = head = None
-    sep = "[\n    "
+    pieces = []
     for entry in entries:
-        if "key" in entry:
-            key = entry["key"]
-            if key[:-1] != prefix:
-                prefix = key[:-1]
-                head = '{\n      "key": [' + "".join(slot_text(tuple(u)) + "," for u in prefix)
-            last = tuple(key[-1]) if key else ()
-            tail = lasts.get(last)
-            if tail is None:
-                tail = slot_text(last) + "\n      ]," if key else "],"
-                tail = lasts[last] = tail + '\n      "value": '
-            out += (sep, head, tail, int.__repr__(entry["value"]), "\n    }")
-        else:
-            out += (sep, '{\n      "coeff": ', int.__repr__(entry["coeff"]),
-                    ',\n      "signature": [\n        ',
-                    ",\n        ".join(map(int.__repr__, entry["signature"])), "\n      ]\n    }")
-        sep = ",\n    "
-    out.append("\n  ]")
+        key, value = entry["key"], entry["value"]
+        if key[:-1] != prefix:
+            prefix = key[:-1]
+            head = '{"key":[' + "".join([codes.get(c) or codes.setdefault(c, f"{c},")
+                                         for c in prefix])
+        last = (key[-1] if key else None, value)
+        tail = tails.get(last)
+        if tail is None:
+            tail = tails[last] = f'{key[-1] if key else ""}],"value":{value}}}'
+        pieces.append(head + tail)
+    return "[" + ",".join(pieces) + "]"
 
 
 def _read_input(path: str) -> str:

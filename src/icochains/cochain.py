@@ -27,10 +27,12 @@ independently, as a plain loop over the stored keys, and the oracle's
 ``d_matrix`` is built from it; the acceptance suite and the tests compare
 the two pointwise on full bases.  ``is_cocycle`` uses neither: it sums
 the bar coboundary in pure Python, one first-argument partition at a
-time, and only at the r generators of G.  Each of these computations
-refuses, through ``group_ring.check_budget``, a count of terms over the
-default entry budget before it starts.  This module itself does not
-import numpy.
+time, and only at the r generators of G; a partition at a where
+f(x_2, ...) - f(a x_2, ...) + f(a, x_3, ...) cancels is decided instead
+by the coboundary of the slice f_a = f(a, ...), one degree lower, on a
+worklist.  Each of these computations refuses, through
+``group_ring.check_budget``, a count of terms over the default entry
+budget before it starts.  This module itself does not import numpy.
 """
 
 from __future__ import annotations
@@ -150,8 +152,11 @@ class ICochain:
         nonzero value.
 
         Otherwise ``_bar_coboundary_vanishes`` decides the rest, unless
-        the terms it sums, at most E (2r + (n-1)(N-1) + N), are over the
-        entry budget; then it is refused before any work.
+        the terms it sums at the top degree, at most
+        E (2r + (n-1)(N-1) + N), are over the entry budget; then it is
+        refused before any work.  A partition it certifies by its
+        first-slot slice f_a is replaced by the check of f_a, whose
+        entries are a subset of f's, one degree lower.
         """
         n, entries = self.degree, len(self.values)
         if not n or not entries:
@@ -246,7 +251,7 @@ NormalizedCochain = ICochain
 
 def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str) -> bool:
     """Whether the bar coboundary df of degree-n >= 1 values is zero,
-    computed one first-argument partition at a time.
+    decided one first-argument partition at a time.
 
     The first arguments a at which df(a, ...) vanishes form a subgroup:
     d(df) = 0 read at (a, b, x_3, ...) gives df(b, x_3, ...) =
@@ -255,49 +260,78 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     partitions at the r generators s_i vanish, and only those are summed.
 
     Keys are summed as their slot codes (``_key_codes``).  The sums on
-    (a, x_2, ..., x_(n+1)) come from the leading term f(x_2, ...) of
-    every entry; the slot-1 term -f(a x_2, x_3, ...) of every entry
-    (k_1, ...) with k_1 != a, at x_2 = a^-1 k_1; and the inner terms and
-    the trailing term of the entries with k_1 = a alone.  The pairs
-    (x, x^-1 k) of an inner slot are listed only for the k that occur.
+    (a, X), X = (x_2, ..., x_(n+1)), start from the leading term f(X) of
+    every entry and the slot-1 term -f(a x_2, x_3, ...) of every entry
+    (k_1, ...) with k_1 != a, at x_2 = a^-1 k_1.  With f_a(y) = f(a, y),
+    the rest of the partition, from the entries with k_1 = a alone, is
+    f_a(x_3, ...) - (d f_a)(X), so
+
+        df(a, X) = S_a(X) - (d f_a)(X),
+        S_a(X) = f(X) - f(a x_2, x_3, ...) + f_a(x_3, ...).
+
+    S_a vanishes exactly when the two sums so far are nonzero at N |f_a|
+    points, and are -f_a(x_3, ...) at each (x_2, x_3, ...) with
+    (x_3, ...) a key of f_a; that check is one scan of the sums and N
+    lookups per entry of f_a.  Where it holds, the partition vanishes iff
+    d f_a = 0, so f_a, of degree n - 1 and holding only the entries whose
+    first slot is a, goes on a worklist of cochains to check in the same
+    way (a worklist, not recursion: the degree can be in the hundreds of
+    thousands).  Where it does not hold, the inner terms and the trailing
+    term of the entries with k_1 = a are added to the sums, which must
+    then vanish.  The pairs (x, x^-1 k) of an inner slot are listed only
+    for the k that occur.
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
-    top = big_n ** (n - 1)  # weight of slot 1 in a degree-n code
-    codes = dict(zip(_key_codes(ctx, values), values.values()))
-    trail = 1 if n % 2 else -1  # (-1)^(n+1)
+    mod = p.__rmod__ if ring == MOD_P else operator.pos  # a sum's value in the ring
+    zeros = itertools.repeat(0)
     pairs: dict = {}
-    for g in range(r):
-        w = p ** (r - 1 - g)  # weight of exponent g in an element's value
-        a = w - 1  # the index of the generator s_(g+1)
-        sums = dict(codes)  # the leading term
-        get = sums.get
-        own = []
-        for code, c in codes.items():
-            b, rest = divmod(code, top)
-            if b == a:
-                own.append((rest, c))
+    # (degree, weight of slot 1 in a code of that degree, codes and values)
+    work = [(n, big_n ** (n - 1), dict(zip(_key_codes(ctx, values), values.values())))]
+    while work:
+        n, top, codes = work.pop()
+        if not n or not codes:
+            continue  # a constant, or zero, is a cocycle
+        trail = 1 if n % 2 else -1  # (-1)^(n+1)
+        for g in range(r):
+            w = p ** (r - 1 - g)  # weight of exponent g in an element's value
+            a = w - 1  # the index of the generator s_(g+1)
+            sums = dict(codes)  # the leading term
+            get = sums.get
+            own = {}  # f_a, on (n-1)-codes
+            for code, c in codes.items():
+                b, rest = divmod(code, top)
+                if b == a:
+                    own[rest] = c
+                    continue
+                # a^-1 b lowers exponent g of b by one, mod p
+                t = (b - w if (b + 1) // w % p else b + (p - 1) * w) * top + rest
+                sums[t] = get(t, 0) - c
+            # S_a = 0: the sums are nonzero at N |f_a| points, each
+            # (x_2, rest) with rest a key of f_a, where they are -f_a(rest)
+            left = list(map(mod, sums.values()))
+            if len(left) - left.count(0) == big_n * len(own) and all(
+                    list(map(mod, map(get, range(rest, rest + big_n * top, top), zeros)))
+                    .count(mod(-c)) == big_n for rest, c in own.items()):
+                work.append((n - 1, top // big_n, own))  # the partition is -d f_a
                 continue
-            # a^-1 b lowers exponent g of b by one, mod p
-            t = (b - w if (b + 1) // w % p else b + (p - 1) * w) * top + rest
-            sums[t] = get(t, 0) - c
-        for rest, c in own:
-            for j in range(2, n + 1):
-                low = big_n ** (n - j)  # weight of slot j in a degree-n code
-                k = rest // low % big_n
-                offsets = pairs.get((k, low))
-                if offsets is None:
-                    offsets = pairs[k, low] = [o * low for o in _pair_codes(p, r, k)]
-                base = rest // (low * big_n) * (low * big_n * big_n) + rest % low
-                term = -c if j % 2 else c
-                for o in offsets:
-                    t = base + o
+            for rest, c in own.items():
+                for j in range(2, n + 1):
+                    low = big_n ** (n - j)  # weight of slot j in a degree-n code
+                    k = rest // low % big_n
+                    offsets = pairs.get((k, low))
+                    if offsets is None:
+                        offsets = pairs[k, low] = [o * low for o in _pair_codes(p, r, k)]
+                    base = rest // (low * big_n) * (low * big_n * big_n) + rest % low
+                    term = -c if j % 2 else c
+                    for o in offsets:
+                        t = base + o
+                        sums[t] = get(t, 0) + term
+                base = rest * big_n
+                term = trail * c
+                for t in range(base, base + big_n):
                     sums[t] = get(t, 0) + term
-            base = rest * big_n
-            term = trail * c
-            for t in range(base, base + big_n):
-                sums[t] = get(t, 0) + term
-        if any(map(p.__rmod__, sums.values()) if ring == MOD_P else sums.values()):
-            return False
+            if any(map(mod, sums.values())):
+                return False
     return True
 
 
@@ -306,7 +340,7 @@ def _key_codes(ctx: GroupContext, keys) -> list:
     kernel, the cocycle check and the oracle share: a degree-n key is an
     integer in base N = p^r - 1, slot 1 most significant, each slot the
     index of its element among the nonidentity elements in lexicographic
-    order (its exponent vector read in base p, minus one).  Codes sort as
+    order (its ``_slot_code`` minus one).  Codes sort as
     the keys do: a key's code is its position in ``oracle.cochain_basis``."""
     p, big_n = ctx.p, ctx.order - 1
     index: dict = {}
@@ -316,13 +350,24 @@ def _key_codes(ctx: GroupContext, keys) -> list:
         for u in key:
             i = index.get(u)
             if i is None:
-                i = 0
-                for digit in u:
-                    i = i * p + digit
-                i = index[u] = i - 1
+                i = index[u] = _slot_code(p, u) - 1
             code = code * big_n + i
         codes.append(code)
     return codes
+
+
+def _slot_code(p: int, u) -> int:
+    """The code of a key slot in a cochain document: the element's
+    exponent vector read in base p, first exponent most significant, in
+    [1, p^r) for a nonidentity element.  It is one more than the
+    element's index among the nonidentity elements in lexicographic order
+    (the per-slot index of ``_key_codes``).  With the first exponent most
+    significant, codes sort as the vectors do, so a document's entries,
+    sorted by code, keep the order of the keys."""
+    code = 0
+    for digit in u:
+        code = code * p + digit
+    return code
 
 
 def _pair_codes(p: int, r: int, k: int) -> list:

@@ -76,7 +76,7 @@ def test_document_validation_messages():
         return json.dumps(doc)
 
     with pytest.raises(DocumentError, match="schema_version"):
-        parse_cochain_document(broken(schema_version="2"))
+        parse_cochain_document(broken(schema_version="3"))
     with pytest.raises(DocumentError, match="prime"):
         parse_cochain_document(broken(p=4))
     with pytest.raises(DocumentError, match="kind"):

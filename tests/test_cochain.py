@@ -26,6 +26,7 @@ from icochains import (
     INTEGERS,
     MOD_P,
     cochain_basis,
+    compositions,
     cup_many,
     realize,
 )
@@ -455,6 +456,62 @@ def test_is_cocycle_agrees_on_perturbed_coboundaries(data):
     for key, c in draw_values(n, 2).items():
         values[key] = values.get(key, 0) + c
     check_agrees(ICochain(ctx, n, ring, values))
+
+
+# (p, r, largest degree) of the certificate property below
+CERTIFICATE_SHAPES = [(2, 1, 6), (2, 2, 4), (2, 3, 3), (3, 1, 5), (3, 2, 3), (5, 1, 4),
+                      (5, 2, 2), (7, 1, 3)]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_is_cocycle_agrees_with_the_bar_coboundary(data):
+    """The first-slot certificate, and the expansion where it fails, give
+    the answer of ``_bar_coboundary``: on realize outputs, random cocycles,
+    Z cochains (realize outputs read over Z, and integral coboundaries)
+    and products x_i cup g with g random, each as drawn or with one entry
+    changed or added."""
+    p, r, max_n = data.draw(st.sampled_from(CERTIFICATE_SHAPES), label="shape")
+    ctx = GroupContext(p, r)
+    big_n = ctx.order - 1
+    n = data.draw(st.integers(1, max_n), label="n")
+    sources = ["realize", "realize over Z", "Z coboundary", "x_i cup random"]
+    sources += ["random cocycle"] if big_n**n <= 600 else []
+    source = data.draw(st.sampled_from(sources), label="source")
+    ring = INTEGERS if source in ("realize over Z", "Z coboundary") else MOD_P
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    if source.startswith("realize"):
+        sig = data.draw(st.sampled_from(list(compositions(n, r))), label="sig")
+        values = dict(realize(AlgebraElem.monomial(ctx, sig)).values)
+    elif source == "random cocycle":
+        values = dict(random_cocycle(ctx, n, rng.randrange(10)).values)
+    elif source == "Z coboundary":
+        values = dict(random_icochain(ctx, n - 1, rng, INTEGERS, max_support=4)
+                      .coboundary().values)
+    else:
+        # S_a vanishes at every generator, and df = 0 iff the random
+        # factor's coboundary does, which decides it one degree lower
+        i = rng.randrange(r)
+        x = realize(AlgebraElem.monomial(ctx, tuple(int(j == i) for j in range(r))))
+        values = dict(x.cup(random_icochain(ctx, n - 1, rng, max_support=6)).values)
+    change = data.draw(st.sampled_from(["none", "change", "add"]), label="change")
+    if change == "change" and values:
+        key = data.draw(st.sampled_from(sorted(values)), label="key")
+        values[key] += data.draw(st.integers(1, max(1, p - 1)), label="by")
+    elif change == "add":
+        nonid = list(ctx.nonidentity_elements())
+        key = tuple(data.draw(st.sampled_from(nonid)) for _ in range(n))
+        values[key] = values.get(key, 0) + data.draw(st.integers(1, max(1, p - 1)), label="by")
+    f = ICochain(ctx, n, ring, values)
+    assert f.is_cocycle() == _bar_coboundary(f).is_zero()
+
+
+def test_is_cocycle_of_a_long_one_entry_chain():
+    # at p = 2, r = 1 every partition is certified, and its f_a, one degree
+    # lower, goes on the worklist: recursion would pass the interpreter's
+    # limit
+    f = realize(AlgebraElem.monomial(GroupContext(2, 1), (5000,)))
+    assert f.is_cocycle() and _bar_coboundary(f).is_zero()
 
 
 def test_is_cocycle_refuses_an_over_budget_check():

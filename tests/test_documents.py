@@ -1,12 +1,17 @@
 """Document I/O: the writer's byte contract and the one-pass parser.
 
-``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` is the reference
-writer, and ``reference_parse`` below, the per-entry validation loop,
-is the reference parser.  The golden ``cli/*.stdout`` files were written
-by the ``json.dumps`` writer and must be reproduced byte for byte.
+``json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\\n"`` is the
+reference writer of cochain documents (schema 2, keys as slot codes), and
+``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` that of algebra
+documents (schema 1).  ``reference_parse`` below, the per-entry
+validation loop, is the reference parser of both cochain schemas:
+schema 1, whose keys are lists of exponent vectors, and schema 2.  The
+golden ``cli/*.stdout`` files were written by the ``json.dumps`` writer
+and must be reproduced byte for byte.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -15,8 +20,9 @@ from hypothesis import strategies as st
 
 from icochains import INTEGERS, MOD_P, AlgebraElem, GroupContext, ICochain, cli
 from icochains.cli import (
+    EXIT_BUDGET,
+    EXIT_INVALID,
     EXIT_OK,
-    SCHEMA_VERSION,
     DocumentError,
     _check_vector,
     _context_from,
@@ -58,14 +64,55 @@ def test_cli_stdout_matches_golden(name, capsys, monkeypatch):
     assert out == (GOLDEN / "cli" / f"{name}.stdout").read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["d", "--in"], ["check-cocycle", "--in"], ["invert", "--unchecked", "--in"],
+    ["cup", "--in", "h1_p3r1.json", "--in"],
+])
+def test_schema_2_input_gives_the_output_of_its_schema_1_twin(argv, capsys, monkeypatch):
+    # the golden inputs stay schema 1; f1_p3r1_schema2.json holds the
+    # same entries as f1_p3r1.json
+    monkeypatch.chdir(GOLDEN)
+    outcomes = []
+    for path in ("cli/f1_p3r1.json", "cli/f1_p3r1_schema2.json"):
+        code = main(argv + [path])
+        outcomes.append((code, capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (EXIT_OK, 2) and outcomes[0][1].out
+
+
 # -- the writer ---------------------------------------------------------
 
 def reference_dumps(doc: dict) -> str:
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def reference_algebra_dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def slot_code(p: int, u) -> int:
+    """The document code of an exponent vector: the vector read in base p,
+    first exponent most significant."""
+    return sum(a * p ** (len(u) - 1 - i) for i, a in enumerate(u))
+
+
+def schema_1_document(f: ICochain, kind: str) -> dict:
+    """f as a schema-1 document, whose keys are lists of exponent vectors."""
+    return {"schema_version": "1", "p": f.ctx.p, "r": f.ctx.r, "n": f.degree, "kind": kind,
+            "coeff_ring": f.ring, "entries": [{"key": [list(u) for u in key], "value": c}
+                                              for key, c in sorted(f.values.items())]}
+
+
+def document(f: ICochain, kind: str, schema: str) -> dict:
+    """f as a JSON object of the given schema, as a reader gets it."""
+    if schema == "1":
+        return json.loads(json.dumps(schema_1_document(f, kind), indent=2, sort_keys=True))
+    return json.loads(dumps_document(cochain_document(f, kind)))
 
 
 PRIMES = (2, 3, 5, 7)
 KINDS = ("normalized", "icochain")
+SCHEMAS = ("1", "2")
 Z_VALUES = st.one_of(st.integers(-99, 99), st.integers(2**63 - 2, 2**80),
                      st.integers(-(2**80), -(2**63) + 2)).filter(bool)
 
@@ -88,14 +135,19 @@ def cochains(draw):
 @example((ICochain(GroupContext(3, 2), 0, INTEGERS, {(): -(2**70)}), "icochain"))
 @example((ICochain(GroupContext(5, 4), 2, MOD_P, {}), "normalized"))
 @example((ICochain(GroupContext(2, 1), 3, INTEGERS, {((1,),) * 3: 2**64}), "icochain"))
+@example((ICochain(GroupContext(7, 3), 2, MOD_P, {((6, 6, 6), (0, 0, 1)): 3}), "icochain"))
 @settings(max_examples=300, deadline=None)
 def test_writer_is_json_dumps_and_round_trips(case):
     f, kind = case
     doc = cochain_document(f, kind)
     text = dumps_document(doc)
     assert text == reference_dumps(doc)
-    assert dumps_document(json.loads(text)) == text  # list vectors as well as tuples
-    assert parse_cochain_document(text) == (f, kind)
+    assert dumps_document(json.loads(text)) == text  # list keys as well as tuples
+    # the codes are the exponent vectors read in base p
+    assert [entry["key"] for entry in json.loads(text)["entries"]] == [
+        [slot_code(f.ctx.p, u) for u in key] for key in sorted(f.values)]
+    schema_1_text = json.dumps(schema_1_document(f, kind), indent=2, sort_keys=True)
+    assert parse_cochain_document(text) == parse_cochain_document(schema_1_text) == (f, kind)
 
 
 @given(cochains(), st.data())
@@ -114,9 +166,9 @@ def test_writer_is_json_dumps_on_entries_in_any_order(case, data):
 @pytest.mark.parametrize("n,keys", [
     (0, [()]),
     (1, []),
-    (1, [((2,),), ((1,),)]),
-    (2, [((1,), (1,)), ((2,), (1,)), ((1,), (2,)), ((2,), (2,))]),
-    (3, [((1,), (1,), (2,)), ((1,), (2,), (2,)), ((1,), (1,), (1,))]),
+    (1, [(2,), (1,)]),
+    (2, [(1, 1), (2, 1), (1, 2), (2, 2)]),
+    (3, [(1, 1, 2), (1, 2, 2), (1, 1, 1)]),
 ])
 def test_writer_on_chosen_entry_orders(n, keys):
     doc = cochain_document(ICochain.zero(GroupContext(3, 1), n), "icochain")
@@ -132,22 +184,30 @@ def test_algebra_writer_is_json_dumps_and_round_trips(p, r, data):
     e = AlgebraElem(GroupContext(p, r), terms)
     doc = algebra_document(e)
     text = dumps_document(doc)
-    assert text == reference_dumps(doc)
+    assert text == reference_algebra_dumps(doc)
+    assert doc["schema_version"] == "1"
     assert algebra_terms(text) == e.terms
 
 
 # -- the parser ---------------------------------------------------------
 
+def reference_check_code(code, ctx, where):
+    """A schema-2 slot, checked against p^r itself."""
+    _expect(_is_int(code) and 1 <= code < ctx.p ** ctx.r,
+            f"{where}: slot codes must be integers in [1, {ctx.p}^{ctx.r})")
+    return tuple(code // ctx.p ** (ctx.r - 1 - i) % ctx.p for i in range(ctx.r))
+
+
 def reference_parse(text: str):
-    """The per-entry validation loop: every vector of every key goes
-    through ``_check_vector``."""
+    """The per-entry validation loop: every slot of every key goes through
+    ``_check_vector`` (schema 1) or ``reference_check_code`` (schema 2)."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
     _expect(isinstance(obj, dict), "document must be a JSON object")
-    _expect(obj.get("schema_version") == SCHEMA_VERSION,
-            f"schema_version must be {SCHEMA_VERSION!r}")
+    schema = obj.get("schema_version")
+    _expect(schema in SCHEMAS, "schema_version must be '1' or '2'")
     ctx = _context_from(obj, "document")
     n = obj.get("n")
     _expect(_is_int(n) and n >= 0, "field 'n' must be a nonnegative integer")
@@ -158,6 +218,8 @@ def reference_parse(text: str):
     _expect(ring in (INTEGERS, MOD_P), "field 'coeff_ring' must be 'Z' or 'Fp'")
     entries = obj.get("entries")
     _expect(isinstance(entries, list), "field 'entries' must be a list")
+    check_slot, slots = ((_check_vector, "exponent vectors") if schema == "1"
+                         else (reference_check_code, "slot codes"))
     values: dict = {}
     for idx, entry in enumerate(entries):
         where = f"entries[{idx}]"
@@ -165,9 +227,8 @@ def reference_parse(text: str):
                 f"{where}: must be an object with exactly 'key' and 'value'")
         key_raw = entry["key"]
         _expect(isinstance(key_raw, list) and len(key_raw) == n,
-                f"{where}.key: expected a list of {n} exponent vectors")
-        key = tuple(_check_vector(v, ctx, f"{where}.key[{j}]")
-                    for j, v in enumerate(key_raw))
+                f"{where}.key: expected a list of {n} {slots}")
+        key = tuple(check_slot(v, ctx, f"{where}.key[{j}]") for j, v in enumerate(key_raw))
         _expect(key not in values, f"{where}: duplicate key")
         value = entry["value"]
         _expect(_is_int(value) and value != 0,
@@ -206,48 +267,75 @@ VECTOR_MUTATIONS = {
     "not a list": lambda vec, p: vec[0],
 }
 
-# Mutations of one entry: each maps the entry and a vector of the
-# document's length r to the entry's replacement.
+# Mutations of one slot code, given the code and p^r.
+CODE_MUTATIONS = {
+    "bool": lambda code, top: code == 1 or bool(code),
+    "float": lambda code, top: float(code),
+    "1e0": lambda code, top: EXPONENT_FLOAT,
+    "nan": lambda code, top: float("nan"),
+    "infinity": lambda code, top: float("inf"),
+    "str": lambda code, top: str(code),
+    "null": lambda code, top: None,
+    "nested list": lambda code, top: [code],
+    "zero": lambda code, top: 0,
+    "negative": lambda code, top: -code,
+    "p^r": lambda code, top: top,
+    "past p^r": lambda code, top: code + top,
+    "huge": lambda code, top: top ** 40 + code,
+}
+
+# Mutations of one entry: each maps the entry and a slot of the
+# document's schema to the entry's replacement.
 ENTRY_MUTATIONS = {
-    "extra field": lambda entry, vec: {**entry, "extra": 1},
-    "missing key": lambda entry, vec: {"value": entry["value"]},
-    "missing value": lambda entry, vec: {"key": entry["key"]},
-    "key not a list": lambda entry, vec: {**entry, "key": "k" * len(entry["key"])},
-    "key null": lambda entry, vec: {**entry, "key": None},
-    "long key": lambda entry, vec: {**entry, "key": entry["key"] + [vec]},
-    "short key": lambda entry, vec: {**entry, "key": entry["key"][:-1]},
-    "list": lambda entry, vec: [entry["key"], entry["value"]],
-    "null": lambda entry, vec: None,
+    "extra field": lambda entry, slot: {**entry, "extra": 1},
+    "missing key": lambda entry, slot: {"value": entry["value"]},
+    "missing value": lambda entry, slot: {"key": entry["key"]},
+    "key not a list": lambda entry, slot: {**entry, "key": "k" * len(entry["key"])},
+    "key null": lambda entry, slot: {**entry, "key": None},
+    "long key": lambda entry, slot: {**entry, "key": entry["key"] + [slot]},
+    "short key": lambda entry, slot: {**entry, "key": entry["key"][:-1]},
+    "list": lambda entry, slot: [entry["key"], entry["value"]],
+    "null": lambda entry, slot: None,
 }
 
 
-@given(cochains(), st.data())
-@example((ICochain(GroupContext(3, 1), 0, MOD_P, {(): 2}), "normalized"), None)
-@example((ICochain(GroupContext(2, 2), 0, INTEGERS, {(): -7}), "icochain"), None)
+def a_slot(ctx: GroupContext, schema: str):
+    """A valid slot of the schema: the vector (1, ..., 1) or its code."""
+    return [1] * ctx.r if schema == "1" else slot_code(ctx.p, (1,) * ctx.r)
+
+
+@given(cochains(), st.sampled_from(SCHEMAS), st.data())
+@example((ICochain(GroupContext(3, 1), 0, MOD_P, {(): 2}), "normalized"), "1", None)
+@example((ICochain(GroupContext(2, 2), 0, INTEGERS, {(): -7}), "icochain"), "2", None)
 @settings(max_examples=400, deadline=None)
-def test_parser_agrees_with_reference_on_mutated_documents(case, data):
+def test_parser_agrees_with_reference_on_mutated_documents(case, schema, data):
     f, kind = case
-    obj = json.loads(dumps_document(cochain_document(f, kind)))
+    obj = document(f, kind, schema)
     entries = obj["entries"]
     sites = [(i, j) for i, e in enumerate(entries) for j in range(len(e["key"]))]
     choices = ["none", "value", "duplicate", "string field"] + (["entry"] if entries else [])
-    choices += ["vector"] if sites else []
+    choices += ["slot"] if sites else []
     mutation = data.draw(st.sampled_from(choices), label="mutation") if data else "none"
-    if mutation == "vector":
-        # the first occurrence of a vector, or a repeated one when there is one
+    if mutation == "slot":
+        # the first occurrence of a slot, or a repeated one when there is one
         seen, first, repeated = set(), [], []
         for i, j in sites:
-            vec = tuple(entries[i]["key"][j])
-            (repeated if vec in seen else first).append((i, j))
-            seen.add(vec)
+            slot = json.dumps(entries[i]["key"][j])
+            (repeated if slot in seen else first).append((i, j))
+            seen.add(slot)
         group = data.draw(st.sampled_from([first, repeated] if repeated else [first]))
         i, j = data.draw(st.sampled_from(group), label="site")
-        change = data.draw(st.sampled_from(sorted(VECTOR_MUTATIONS)), label="change")
-        entries[i]["key"][j] = VECTOR_MUTATIONS[change](entries[i]["key"][j], f.ctx.p)
+        if schema == "1":
+            change = data.draw(st.sampled_from(sorted(VECTOR_MUTATIONS)), label="change")
+            new = VECTOR_MUTATIONS[change](entries[i]["key"][j], f.ctx.p)
+        else:
+            change = data.draw(st.sampled_from(sorted(CODE_MUTATIONS)), label="change")
+            new = CODE_MUTATIONS[change](entries[i]["key"][j], f.ctx.p ** f.ctx.r)
+        entries[i]["key"][j] = new
     elif mutation == "entry":
         i = data.draw(st.integers(0, len(entries) - 1), label="entry")
         change = data.draw(st.sampled_from(sorted(ENTRY_MUTATIONS)), label="change")
-        entries[i] = ENTRY_MUTATIONS[change](entries[i], [1] * f.ctx.r)
+        entries[i] = ENTRY_MUTATIONS[change](entries[i], a_slot(f.ctx, schema))
     elif mutation == "value" and entries:
         i = data.draw(st.integers(0, len(entries) - 1), label="entry")
         value = entries[i]["value"]
@@ -266,13 +354,13 @@ def test_parser_agrees_with_reference_on_mutated_documents(case, data):
 
 
 # Sorted, its entries are ((1,0),(1,0)), ((1,0),(2,1)) and ((2,1),(1,0)):
-# entries[0].key[0] is the first [1, 0] and entries[2].key[1] a repeat.
+# entries[0].key[0] is the first [1, 0] (code 3) and entries[2].key[1] a
+# repeat.
 FIXED_VALUES = {((1, 0), (2, 1)): 1, ((1, 0), (1, 0)): 2, ((2, 1), (1, 0)): 1}
 
 
-def fixed_document(ring=MOD_P) -> dict:
-    f = ICochain(GroupContext(3, 2), 2, ring, FIXED_VALUES)
-    return json.loads(dumps_document(cochain_document(f, "icochain")))
+def fixed_document(ring=MOD_P, schema="1") -> dict:
+    return document(ICochain(GroupContext(3, 2), 2, ring, FIXED_VALUES), "icochain", schema)
 
 
 def assert_parsers_agree(obj: dict):
@@ -290,11 +378,27 @@ def test_each_vector_mutation_gets_the_reference_error(change, i, j):
     assert_parsers_agree(obj)
 
 
+@pytest.mark.parametrize("change", sorted(CODE_MUTATIONS))
+@pytest.mark.parametrize("i,j", [(0, 0), (2, 1)])
+def test_each_code_mutation_gets_the_reference_error(change, i, j):
+    obj = fixed_document(schema="2")
+    obj["entries"][i]["key"][j] = CODE_MUTATIONS[change](obj["entries"][i]["key"][j], 9)
+    assert_parsers_agree(obj)
+
+
 @pytest.mark.parametrize("change", sorted(ENTRY_MUTATIONS))
 @pytest.mark.parametrize("i", [0, 2])
 def test_each_entry_mutation_gets_the_reference_error(change, i):
     obj = fixed_document()
     obj["entries"][i] = ENTRY_MUTATIONS[change](obj["entries"][i], [1, 1])
+    assert_parsers_agree(obj)
+
+
+@pytest.mark.parametrize("change", sorted(ENTRY_MUTATIONS))
+@pytest.mark.parametrize("i", [0, 2])
+def test_each_entry_mutation_of_a_schema_2_document_gets_the_reference_error(change, i):
+    obj = fixed_document(schema="2")
+    obj["entries"][i] = ENTRY_MUTATIONS[change](obj["entries"][i], 4)
     assert_parsers_agree(obj)
 
 
@@ -304,29 +408,45 @@ def test_duplicate_key_gets_the_reference_error():
     assert_parsers_agree(obj)
 
 
-@pytest.mark.parametrize("ring,value", [(MOD_P, 0), (MOD_P, 3), (MOD_P, -1), (MOD_P, True),
-                                        (MOD_P, 1.0), (INTEGERS, 0), (INTEGERS, False),
-                                        (INTEGERS, -2.0), (INTEGERS, "-2"), (INTEGERS, None)])
+def test_duplicate_key_of_a_schema_2_document_gets_the_reference_error():
+    obj = fixed_document(schema="2")
+    obj["entries"][2]["key"] = obj["entries"][0]["key"]
+    assert_parsers_agree(obj)
+
+
+VALUE_MUTATIONS = [(MOD_P, 0), (MOD_P, 3), (MOD_P, -1), (MOD_P, True), (MOD_P, 1.0),
+                   (INTEGERS, 0), (INTEGERS, False), (INTEGERS, -2.0), (INTEGERS, "-2"),
+                   (INTEGERS, None)]
+
+
+@pytest.mark.parametrize("ring,value", VALUE_MUTATIONS)
 def test_each_value_mutation_gets_the_reference_error(ring, value):
     obj = fixed_document(ring)
     obj["entries"][1]["value"] = value
     assert_parsers_agree(obj)
 
 
-@given(cochains())
-@example((ICochain(GroupContext(3, 1), 0, MOD_P, {(): 2}), "normalized"))
-@example((ICochain(GroupContext(2, 2), 0, INTEGERS, {(): -7}), "icochain"))
+@pytest.mark.parametrize("ring,value", VALUE_MUTATIONS)
+def test_each_value_mutation_of_a_schema_2_document_gets_the_reference_error(ring, value):
+    obj = fixed_document(ring, schema="2")
+    obj["entries"][1]["value"] = value
+    assert_parsers_agree(obj)
+
+
+@given(cochains(), st.sampled_from(SCHEMAS))
+@example((ICochain(GroupContext(3, 1), 0, MOD_P, {(): 2}), "normalized"), "1")
+@example((ICochain(GroupContext(2, 2), 0, INTEGERS, {(): -7}), "icochain"), "2")
 @example((ICochain(GroupContext(5, 1), 1, INTEGERS, {((1,),): -(2**70), ((2,),): -1}),
-          "icochain"))
+          "icochain"), "2")
 @settings(max_examples=200, deadline=None)
-def test_valid_documents_pass_the_column_checks(case):
+def test_valid_documents_pass_the_column_checks(case, schema):
     # Z values of either sign and n = 0 keys among them: only an invalid
     # document reaches the per-entry loop
     def per_entry(*args):
         raise AssertionError("a valid document left the column checks")
 
     f, kind = case
-    text = dumps_document(cochain_document(f, kind))
+    text = json.dumps(document(f, kind, schema))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli, "_raise_first_entry_error", per_entry)
         assert parse_cochain_document(text) == (f, kind)
@@ -343,3 +463,61 @@ def test_repeated_vector_with_equal_bool_or_float_is_rejected():
         with pytest.raises(DocumentError,
                            match=r"entries\[1\]\.key\[0\]: exponents must be integers"):
             parse_cochain_document(text)
+
+
+def test_repeated_code_with_equal_bool_or_float_is_rejected():
+    # code 1 is decoded for entries[0]; true and 1.0 equal it
+    for bad in ("true", "1.0"):
+        text = json.dumps({
+            "schema_version": "2", "p": 3, "r": 2, "n": 1, "kind": "icochain",
+            "coeff_ring": "Fp", "entries": [{"key": [1], "value": 1},
+                                            {"key": [99], "value": 1}],
+        }).replace("[99]", f"[{bad}]")
+        with pytest.raises(DocumentError,
+                           match=r"entries\[1\]\.key\[0\]: slot codes must be integers"):
+            parse_cochain_document(text)
+
+
+# -- hostile schema-2 input -----------------------------------------------
+
+def one_entry_document(p: int, r: int, key: list) -> str:
+    return json.dumps({"schema_version": "2", "p": p, "r": r, "n": len(key),
+                       "kind": "icochain", "coeff_ring": "Fp",
+                       "entries": [{"key": key, "value": 1}]})
+
+
+@pytest.mark.parametrize("command", [["invert"], ["invert", "--unchecked"],
+                                     ["check-cocycle"], ["d"]])
+def test_a_huge_r_is_refused_before_any_code_is_decoded(command, tmp_path, capsys):
+    # decoding code 1 at r = 10^9 would build a 10^9-tuple, which a
+    # schema-1 document would have to spell out in its text
+    path = tmp_path / "wide.json"
+    path.write_text(one_entry_document(2, 10**9, [1]))
+    start = time.perf_counter()
+    code = main(command + ["--in", str(path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET
+    assert err.count("\n") == 1 and "1000000000 entries" in err
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("bad", ["0", "9", "-1", "true", "1.0", "[1]", "[[1, 0]]", str(9**50)])
+def test_a_bad_code_exits_1_naming_its_slot(bad, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(one_entry_document(3, 2, [4, 99]).replace("99", bad))
+    code = main(["check-cocycle", "--in", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert err == "error: entries[0].key[1]: slot codes must be integers in [1, 3^2)\n"
+
+
+def test_the_first_bad_code_is_found_at_a_huge_r_without_p_to_the_r():
+    # entries[1] sends the document to the per-entry loop, whose code check
+    # stops at the bits of each code: p^r at r = 10^9 is never computed
+    text = json.dumps({"schema_version": "2", "p": 3, "r": 10**9, "n": 2, "kind": "icochain",
+                       "coeff_ring": "Fp", "entries": [{"key": [1, 0], "value": 1}, None]})
+    start = time.perf_counter()
+    with pytest.raises(DocumentError, match=r"^entries\[0\]\.key\[1\]: .*\[1, 3\^1000000000\)$"):
+        parse_cochain_document(text)
+    assert time.perf_counter() - start < 2.0
