@@ -85,7 +85,6 @@ import sys
 # algebra documents are written as schema 1.
 SCHEMA_VERSION = "2"
 ALGEBRA_SCHEMA_VERSION = "1"
-READ_SCHEMAS = ("1", "2")
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -180,7 +179,7 @@ def parse_cochain_document(text: str):
     obj = _load_json(text)
     _expect(isinstance(obj, dict), "document must be a JSON object")
     schema = obj.get("schema_version")
-    _expect(schema in READ_SCHEMAS, "schema_version must be '1' or '2'")
+    _expect(schema in ("1", "2"), "schema_version must be '1' or '2'")
     ctx = _context_from(obj, "document")
     n = obj.get("n")
     _expect(_is_int(n) and n >= 0, "field 'n' must be a nonnegative integer")
@@ -228,7 +227,7 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str, schema: s
             list(chain.from_iterable(keys)), ctx)
         if elements is None:
             _raise_first_entry_error(entries, ctx, n, ring, schema)
-        keys = zip(*[elements] * n)  # each n consecutive slots form a key
+        keys = zip(*[iter(elements)] * n)  # each n consecutive slots form a key
     else:
         keys = [()] * count
     result = dict(zip(keys, values))
@@ -240,9 +239,9 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str, schema: s
 def _vector_elements(slots: list, ctx: GroupContext):
     """Schema 1: every slot an exponent vector, a list of r exact ints
     (so no bool or float equal to one passes) in [0, p), not all zero.
-    Each distinct vector is range-checked once.  Returns an iterator of
-    the slots' elements, equal vectors sharing one tuple, or None when a
-    slot fails."""
+    Each distinct vector is range-checked once.  Returns the slots'
+    elements, equal vectors sharing one tuple, or None when a slot
+    fails."""
     from itertools import chain, tee
 
     if not (set(map(type, slots)) == {list}
@@ -253,14 +252,14 @@ def _vector_elements(slots: list, ctx: GroupContext):
     if not (set(map(len, distinct)) == {ctx.r} and all(map(any, distinct))
             and min(map(min, distinct)) >= 0 and max(map(max, distinct)) < ctx.p):
         return None
-    return iter(elements)
+    return elements
 
 
 def _code_elements(slots: list, ctx: GroupContext):
     """Schema 2: every slot a slot code, an exact int in [1, p^r).  Each
     distinct code is decoded once (``_slot_element``), after r times their
     number, the exponents the decoding writes, has passed the entry
-    budget.  Returns an iterator of the slots' elements, or None when a
+    budget.  Returns the slots' elements, as an iterator, or None when a
     slot fails."""
     from .group_ring import check_budget
 
@@ -309,16 +308,29 @@ def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str
     raise AssertionError("the column checks refused entries that each pass")
 
 
+class _SlotCodes(dict):
+    """The slot code (``cochain._slot_code``) of each exponent vector
+    looked up, computed on its first lookup, so that mapping a document's
+    slots hashes each slot once."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, u) -> int:
+        from .cochain import _slot_code
+
+        code = self[u] = _slot_code(self.p, u)
+        return code
+
+
 def cochain_document(cochain, kind: str) -> dict:
     """The schema-2 document of a cochain: each key a list of n slot
-    codes (``cochain._slot_code``), entries sorted by key."""
+    codes, entries sorted by key."""
     from itertools import chain
 
-    from .cochain import _slot_code
-
     p, n, values = cochain.ctx.p, cochain.degree, cochain.values
-    code = {u: _slot_code(p, u) for u in set(chain.from_iterable(values))}
-    slots = map(code.__getitem__, chain.from_iterable(values))
+    slots = map(_SlotCodes(p).__getitem__, chain.from_iterable(values))
     keys = zip(*[slots] * n) if n else [()] * len(values)
     # codes sort as the keys do, so the order is the order of the keys
     entries = [{"key": key, "value": c} for key, c in sorted(zip(keys, values.values()))]

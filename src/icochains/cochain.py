@@ -306,12 +306,13 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
                 # a^-1 b lowers exponent g of b by one, mod p
                 t = (b - w if (b + 1) // w % p else b + (p - 1) * w) * top + rest
                 sums[t] = get(t, 0) - c
-            # S_a = 0: the sums are nonzero at N |f_a| points, each
-            # (x_2, rest) with rest a key of f_a, where they are -f_a(rest)
-            left = list(map(mod, sums.values()))
-            if len(left) - left.count(0) == big_n * len(own) and all(
+            # S_a = 0: the sums are -f_a(rest) at each (x_2, rest) with rest
+            # a key of f_a, and those N |f_a| points are all their nonzero
+            # points.  Without f_a, the expansion below adds nothing.
+            if own and all(
                     list(map(mod, map(get, range(rest, rest + big_n * top, top), zeros)))
-                    .count(mod(-c)) == big_n for rest, c in own.items()):
+                    .count(mod(-c)) == big_n for rest, c in own.items()) and (
+                    len(sums) - list(map(mod, sums.values())).count(0) == big_n * len(own)):
                 work.append((n - 1, top // big_n, own))  # the partition is -d f_a
                 continue
             for rest, c in own.items():

@@ -506,6 +506,37 @@ def test_is_cocycle_agrees_with_the_bar_coboundary(data):
     assert f.is_cocycle() == _bar_coboundary(f).is_zero()
 
 
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+def test_is_cocycle_on_products_whose_first_factor_is_an_x(p, r):
+    """x_i cup g passes the first-slot certificate at s_i, so its answer
+    there is that of d g, one degree lower: with g a cocycle or a random
+    cochain, as it is or with one entry added, at a random key or at a
+    key (u, y) with u != s_i and y no key of the slice at s_i."""
+    ctx = GroupContext(p, r)
+    rng = random.Random(100 * p + r)
+    nonid = list(ctx.nonidentity_elements())
+    seen = set()
+    for i in range(r):
+        s_i = tuple(int(j == i) for j in range(r))
+        x = realize(AlgebraElem.monomial(ctx, s_i))
+        for n in (2, 3):
+            cocycle = realize(AlgebraElem.monomial(ctx, (n - 1,) + (0,) * (r - 1)))
+            for g in (cocycle, random_icochain(ctx, n - 1, rng, max_support=6)):
+                f = x.cup(g)
+                rests = {key[1:] for key in f.values if key[0] == s_i}
+                off = [y for y in itertools.product(nonid, repeat=n - 1) if y not in rests]
+                extras = [None, tuple(rng.choice(nonid) for _ in range(n))]
+                extras += [(rng.choice([u for u in nonid if u != s_i]),) + off[0]] if off else []
+                for extra in extras:
+                    values = dict(f.values)
+                    if extra:
+                        values[extra] = values.get(extra, 0) + 1
+                    h = ICochain(ctx, n, MOD_P, values)
+                    assert h.is_cocycle() == _bar_coboundary(h).is_zero()
+                    seen.add(h.is_cocycle())
+    assert seen == {True, False}
+
+
 def test_is_cocycle_of_a_long_one_entry_chain():
     # at p = 2, r = 1 every partition is certified, and its f_a, one degree
     # lower, goes on the worklist: recursion would pass the interpreter's
