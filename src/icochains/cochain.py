@@ -308,10 +308,16 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
                 sums[t] = get(t, 0) - c
             # S_a = 0: the sums are -f_a(rest) at each (x_2, rest) with rest
             # a key of f_a, and those N |f_a| points are all their nonzero
-            # points.  Without f_a, the expansion below adds nothing.
-            if own and all(
-                    list(map(mod, map(get, range(rest, rest + big_n * top, top), zeros)))
-                    .count(mod(-c)) == big_n for rest, c in own.items()) and (
+            # points.  Without f_a, the expansion below adds nothing.  (A
+            # loop, not a generator expression, keeps this function's
+            # variables local.)
+            certified = bool(own)
+            for rest, c in own.items():
+                found = map(get, range(rest, rest + big_n * top, top), zeros)
+                if list(map(mod, found)).count(mod(-c)) != big_n:
+                    certified = False
+                    break
+            if certified and (
                     len(sums) - list(map(mod, sums.values())).count(0) == big_n * len(own)):
                 work.append((n - 1, top // big_n, own))  # the partition is -d f_a
                 continue
