@@ -275,11 +275,14 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     lookups per entry of f_a.  Where it holds, the partition vanishes iff
     d f_a = 0, so f_a, of degree n - 1 and holding only the entries whose
     first slot is a, goes on a worklist of cochains to check in the same
-    way (a worklist, not recursion: the degree can be in the hundreds of
-    thousands).  Where it does not hold, the inner terms and the trailing
-    term of the entries with k_1 = a are added to the sums, which must
-    then vanish.  The pairs (x, x^-1 k) of an inner slot are listed only
-    for the k that occur.
+    way (a worklist, not recursion).  Where it does not hold, the inner
+    terms and the trailing term of the entries with k_1 = a are added to
+    the sums, which must then vanish.  That expansion adds
+    (n-1)(N-1) + N terms per entry of f_a, so the check, N lookups per
+    entry, is tried only where (n-1)(N-1) > 0: at n = 1, or at N = 1
+    (p = 2, r = 1), where each level of a long one-key chain would pass
+    it, it saves no term.  The pairs (x, x^-1 k) of an inner slot are
+    listed only for the k that occur.
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
     mod = p.__rmod__ if ring == MOD_P else operator.pos  # a sum's value in the ring
@@ -311,7 +314,7 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
             # points.  Without f_a, the expansion below adds nothing.  (A
             # loop, not a generator expression, keeps this function's
             # variables local.)
-            certified = bool(own)
+            certified = bool(own) and n > 1 and big_n > 1
             for rest, c in own.items():
                 found = map(get, range(rest, rest + big_n * top, top), zeros)
                 if list(map(mod, found)).count(mod(-c)) != big_n:
