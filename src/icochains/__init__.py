@@ -18,16 +18,14 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algebra": (
-        "AlgebraElem", "compositions", "count_terms", "count_terms_closed_form",
-        "invert", "invert_normalized_counted", "monomial_mul", "realize",
-    ),
+    "algebra": ("AlgebraElem", "compositions", "monomial_mul", "realize"),
     "cochain": ("ICochain", "cup_many"),
     "generators": (
         "bockstein_cocycle", "bockstein_pair_value", "exponent_cocycle", "probe_tensor",
         "probe_tensor_split", "q_choices",
     ),
     "graded": ("CohomologyReport", "cohomology_report", "graded_dimension"),
+    "inverse": ("count_terms", "count_terms_closed_form", "invert", "invert_normalized_counted"),
     "group_ring": (
         "DEFAULT_MAX_ENTRIES", "INTEGERS", "MOD_P", "BudgetExceededError",
         "GroupContext", "NotACocycleError", "is_prime", "shifted_monomial",

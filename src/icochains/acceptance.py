@@ -13,15 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import (
-    AlgebraElem,
-    compositions,
-    count_terms,
-    count_terms_closed_form,
-    invert,
-    invert_normalized_counted,
-    realize,
-)
+from .algebra import AlgebraElem, compositions, realize
 from .cochain import ICochain, _bar_coboundary
 from .generators import (
     bockstein_cocycle,
@@ -33,6 +25,7 @@ from .generators import (
 )
 from .graded import cohomology_report, graded_dimension
 from .group_ring import MOD_P, GroupContext, shifted_monomial
+from .inverse import count_terms, count_terms_closed_form, invert, invert_normalized_counted
 from .oracle import classes_equal, cochain_basis
 
 # Contexts every broad check runs over; bigger ones appear where a

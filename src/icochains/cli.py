@@ -1,39 +1,9 @@
-"""Command-line surface with a stable JSON interchange format.
+"""Command-line surface: the argument parser, one handler per command,
+and the exit path.
 
-Documents are UTF-8 JSON.  A cochain document carries (p, r, n), a kind
-tag (``normalized`` or ``icochain``), a coefficient-ring tag (``Z`` or
-``Fp``), and a list of entries mapping keys to nonzero values.  ``tau``,
-``cup`` and ``d`` write schema 2, whose key is a list of n slot codes:
-a group element's exponent vector read in base p, first exponent most
-significant, an integer in [1, p^r) (``cochain._slot_code``).  Codes
-sort as the vectors do, so the entries keep their order.  Every command
-also reads schema 1, whose key is a list of n exponent vectors, each r
-integers in [0, p), never the zero vector; no command writes it.  Both
-kinds store the same values, so every document of either schema parses
-to an ``ICochain``; the kind is a label, which ``d`` writes back.  An
-algebra document, which ``invert`` writes as schema 1 and no command
-reads, carries (p, r) and entries mapping monomial signatures to
-coefficients in [1, p).  All output is deterministic: entries are sorted
-and serialization is byte-stable for identical inputs.
-
-``dumps_document`` writes a cochain document byte-identical to
-``json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"`` and an
-algebra document byte-identical to
-``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, which the tests
-keep as the references.  It writes the cochain layout directly, rendering
-each distinct slot code once and the text of each key up to its last
-slot once per run of keys that share it.
-
-``parse_cochain_document`` reads the entries as columns, its one reading
-path: each condition (entry fields, key lengths, value types, slot types,
-duplicate keys) is one pass of ``map``, ``set`` or ``zip`` that runs in
-C.  The header and entry checks are shared by both schemas; then one
-slot check per schema range-checks each distinct exponent vector once,
-or decodes each distinct slot code once by r ``divmod``s, after refusing
-(exit 3) r times the number of distinct codes over the entry budget.
-When any column fails, a per-entry loop, which builds nothing and decodes
-no code, checks the entries again one by one and raises the first
-entry's error.
+Commands read cochain documents and write cochain or algebra documents
+(``documents``: the format, its reader and its writer).  All output is
+deterministic and byte-stable for identical inputs.
 
 Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 (input is not a cocycle); 3 resource refusal (over the entry budget of
@@ -42,19 +12,22 @@ usage errors such as unknown flags; 141 (128 + SIGPIPE) when the reader
 closes stdout early, with nothing on stderr.
 
 At module level this file imports only ``sys``; ``argparse`` loads in
-``build_parser``, ``json`` in the document functions, and each library
-module in the handler that runs it, so a process compiles only what its
-command needs.  ``dims`` loads ``group_ring`` and ``graded`` and ranks the
-multigraded blocks in pure Python, with no cochain, algebra or inverse-map
-code.  ``tau``, ``invert``, ``cup``, ``d``, ``check-cocycle`` and
-``count-terms`` load ``algebra`` or ``cochain`` (and through them
-``group_ring`` and ``generators``).  Only ``d``, which runs the
-coboundary kernel on either kind, and ``selftest``, which checks that
-kernel against the bar formula, import numpy; the dense oracle that
+``build_parser``, and each library module in the handler or the wrapper
+that runs it, so a process compiles only what its command needs.
+``dims`` loads ``group_ring`` and ``graded`` and ranks the multigraded
+blocks in pure Python, with no cochain, document, algebra or inverse-map
+code.  ``tau`` loads ``algebra`` and ``generators`` to realize, and
+``documents`` to write, but no inverse map.  ``invert`` loads
+``documents`` and ``inverse`` (and through it ``algebra``), but not
+``generators``.  ``cup``, ``d`` and ``check-cocycle`` load ``documents``
+and ``cochain``; ``count-terms`` loads ``inverse``.  Only ``d``, which
+runs the coboundary kernel on either kind, and ``selftest``, which checks
+that kernel against the bar formula, import numpy; the dense oracle that
 ``selftest`` also runs is pure Python, and ``invert`` and
-``check-cocycle`` decide cocycles on the bar formula in pure Python.  The handlers reach ``realize``, ``invert`` and the four
-document functions through this module's globals, so replacing one of
-these names here (as a tracer does) reaches every command that calls it.
+``check-cocycle`` decide cocycles on the bar formula in pure Python.  The
+handlers reach ``realize``, ``invert`` and the four document functions
+through this module's globals, so replacing one of these names here (as
+a tracer does) reaches every command that calls it.
 
 Only the CLI's own boundary errors become exit codes: ``DocumentError``
 (including a bad ``--p``/``--r``), ``NotACocycleError`` and
@@ -81,11 +54,6 @@ from __future__ import annotations
 
 import sys
 
-# Cochain documents are written as schema 2 and read as schema 1 or 2;
-# algebra documents are written as schema 1.
-SCHEMA_VERSION = "2"
-ALGEBRA_SCHEMA_VERSION = "1"
-
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NOT_COCYCLE = 2
@@ -94,322 +62,18 @@ EXIT_USAGE = 64
 EXIT_BROKEN_PIPE = 141
 
 
-class DocumentError(ValueError):
-    """A document failed to parse or validate."""
-
-
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise DocumentError(message)
-
-
-def _is_int(value) -> bool:
-    # bool is a subclass of int; JSON true/false must not pass as numbers
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _context_from(obj: dict, where: str) -> GroupContext:
-    _expect(_is_int(obj.get("p")) and _is_int(obj.get("r")),
-            f"{where}: fields 'p' and 'r' must be integers")
-    return _group_context(obj["p"], obj["r"], f"{where}: ")
-
-
-def _group_context(p: int, r: int, where: str = "") -> GroupContext:
-    """GroupContext(p, r), whose ValueError becomes a DocumentError."""
-    from .group_ring import GroupContext
-
-    try:
-        return GroupContext(p, r)
-    except ValueError as exc:
-        raise DocumentError(f"{where}{exc}") from None
-
-
-def _check_vector(vec, ctx: GroupContext, where: str) -> tuple:
-    _expect(isinstance(vec, list) and len(vec) == ctx.r,
-            f"{where}: expected a list of {ctx.r} integers")
-    _expect(all(_is_int(a) and 0 <= a < ctx.p for a in vec),
-            f"{where}: exponents must be integers in [0, {ctx.p})")
-    _expect(any(vec),
-            f"{where}: the all-zero exponent vector (identity) is not allowed")
-    return tuple(vec)
-
-
-def _check_code(code, ctx: GroupContext, where: str) -> int:
-    """A schema-2 key slot: an exact int in [1, p^r).  The bound is
-    tested against p^min(r, bits of the code), which is at least p^r or
-    larger than the code, so p^r itself is never computed."""
-    _expect(_is_int(code) and 0 < code < ctx.p ** min(ctx.r, code.bit_length()),
-            f"{where}: slot codes must be integers in [1, {ctx.p}^{ctx.r})")
-    return code
-
-
-def _slot_element(code: int, p: int, r: int):
-    """The exponent vector of slot code ``code``, read off by r divmods,
-    last exponent first; None unless 1 <= code < p^r, which holds exactly
-    when the code is positive and the quotient left after the r steps is
-    0."""
-    if code < 1:
-        return None
-    digits = [0] * r
-    for i in range(r - 1, -1, -1):
-        code, digits[i] = divmod(code, p)
-    return None if code else tuple(digits)
-
-
-def _load_json(text: str):
-    """The JSON value of a document's text.  Bad syntax, an int past the
-    digit limit and nesting past the recursion limit are DocumentErrors."""
-    import json
-
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from None
-
-
-def parse_cochain_document(text: str):
-    """Parse and validate a cochain document of schema 1 or 2.
-
-    Returns (cochain, kind): an ICochain holding the entries, whatever the
-    kind and the schema, and the document's kind tag.
-    """
-    from .cochain import ICochain
-    from .group_ring import INTEGERS, MOD_P
-
-    obj = _load_json(text)
-    _expect(isinstance(obj, dict), "document must be a JSON object")
-    schema = obj.get("schema_version")
-    _expect(schema in ("1", "2"), "schema_version must be '1' or '2'")
-    ctx = _context_from(obj, "document")
-    n = obj.get("n")
-    _expect(_is_int(n) and n >= 0, "field 'n' must be a nonnegative integer")
-    kind = obj.get("kind")
-    _expect(kind in ("normalized", "icochain"),
-            "field 'kind' must be 'normalized' or 'icochain'")
-    ring = obj.get("coeff_ring")
-    _expect(ring in (INTEGERS, MOD_P), "field 'coeff_ring' must be 'Z' or 'Fp'")
-    entries = obj.get("entries")
-    _expect(isinstance(entries, list), "field 'entries' must be a list")
-    # every key and value is checked here; the constructor would repeat it
-    values = _entry_values(entries, ctx, n, ring, schema)
-    return ICochain._trusted(ctx, n, ring, values), kind
-
-
-def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str, schema: str) -> dict:
-    """The validated {key: value} map of a cochain document's entries.
-
-    The entries are checked as columns, each in one pass that runs in C:
-    every entry is a dict of two items, 'key' and 'value'; every key a list
-    of n slots; every value an exact nonzero int, in [1, p) over Fp.  Then
-    one slot check per schema (``_vector_elements``, ``_code_elements``)
-    turns the slots into group elements, equal slots into one tuple, and
-    no key may repeat.  When any check fails, ``_raise_first_entry_error``
-    checks the entries again one by one and raises the first error.
-    """
-    from itertools import chain, repeat
-
-    from .group_ring import MOD_P
-
-    count = len(entries)
-    if not count:
-        return {}
-    if not (set(map(type, entries)) == {dict} and set(map(len, entries)) == {2}):
-        _raise_first_entry_error(entries, ctx, n, ring, schema)
-    keys = list(map(dict.get, entries, repeat("key")))
-    values = list(map(dict.get, entries, repeat("value")))
-    if not (set(map(type, keys)) == {list} and set(map(len, keys)) == {n}
-            and set(map(type, values)) == {int}
-            and (0 < min(values) and max(values) < ctx.p if ring == MOD_P
-                 else 0 not in values)):
-        _raise_first_entry_error(entries, ctx, n, ring, schema)
-    if n:
-        elements = (_vector_elements if schema == "1" else _code_elements)(
-            list(chain.from_iterable(keys)), ctx)
-        if elements is None:
-            _raise_first_entry_error(entries, ctx, n, ring, schema)
-        keys = zip(*[iter(elements)] * n)  # each n consecutive slots form a key
-    else:
-        keys = [()] * count
-    result = dict(zip(keys, values))
-    if len(result) != count:
-        _raise_first_entry_error(entries, ctx, n, ring, schema)
-    return result
-
-
-def _vector_elements(slots: list, ctx: GroupContext):
-    """Schema 1: every slot an exponent vector, a list of r exact ints
-    (so no bool or float equal to one passes) in [0, p), not all zero.
-    Each distinct vector is range-checked once.  Returns the slots'
-    elements, equal vectors sharing one tuple, or None when a slot
-    fails."""
-    from itertools import chain, tee
-
-    if not (set(map(type, slots)) == {list}
-            and set(map(type, chain.from_iterable(slots))) == {int}):
-        return None
-    distinct: dict = {}  # each distinct vector, mapped to its first tuple
-    elements = list(map(distinct.setdefault, *tee(map(tuple, slots))))
-    if not (set(map(len, distinct)) == {ctx.r} and all(map(any, distinct))
-            and min(map(min, distinct)) >= 0 and max(map(max, distinct)) < ctx.p):
-        return None
-    return elements
-
-
-def _code_elements(slots: list, ctx: GroupContext):
-    """Schema 2: every slot a slot code, an exact int in [1, p^r).  Each
-    distinct code is decoded once (``_slot_element``), after r times their
-    number, the exponents the decoding writes, has passed the entry
-    budget.  Returns the slots' elements, as an iterator, or None when a
-    slot fails."""
-    from .group_ring import check_budget
-
-    if set(map(type, slots)) != {int}:
-        return None
-    distinct = set(slots)
-    check_budget(ctx.r * len(distinct))
-    p, r = ctx.p, ctx.r
-    elements = {code: _slot_element(code, p, r) for code in distinct}
-    if None in elements.values():
-        return None
-    return map(elements.__getitem__, slots)
-
-
-def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str,
-                             schema: str) -> NoReturn:
-    """Raise the DocumentError of the first entry that fails, checked one
-    entry at a time: its fields, its key's length, each slot
-    (``_check_vector`` or ``_check_code``), a repeated key, then its
-    value.  It builds nothing and decodes no code.  The column checks of
-    ``_entry_values`` fail exactly when some entry does, so the loop
-    always raises.
-    """
-    from .group_ring import MOD_P
-
-    check_slot, slots = ((_check_vector, "exponent vectors") if schema == "1"
-                         else (_check_code, "slot codes"))
-    seen: set = set()
-    for idx, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and entry.keys() == {"key", "value"}):
-            raise DocumentError(f"entries[{idx}]: must be an object with exactly "
-                                "'key' and 'value'")
-        key_raw = entry["key"]
-        if not (isinstance(key_raw, list) and len(key_raw) == n):
-            raise DocumentError(f"entries[{idx}].key: expected a list of {n} {slots}")
-        key = tuple(check_slot(slot, ctx, f"entries[{idx}].key[{j}]")
-                    for j, slot in enumerate(key_raw))
-        if key in seen:
-            raise DocumentError(f"entries[{idx}]: duplicate key")
-        seen.add(key)
-        value = entry["value"]
-        if not (_is_int(value) and value != 0):
-            raise DocumentError(f"entries[{idx}].value: must be a nonzero integer")
-        if ring == MOD_P and not 0 < value < ctx.p:
-            raise DocumentError(f"entries[{idx}].value: mod-p values must lie in [1, {ctx.p})")
-    raise AssertionError("the column checks refused entries that each pass")
-
-
-class _SlotCodes(dict):
-    """The slot code (``cochain._slot_code``) of each exponent vector
-    looked up, computed on its first lookup, so that mapping a document's
-    slots hashes each slot once."""
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, u) -> int:
-        from .cochain import _slot_code
-
-        code = self[u] = _slot_code(self.p, u)
-        return code
-
-
-def cochain_document(cochain, kind: str) -> dict:
-    """The schema-2 document of a cochain: each key a list of n slot
-    codes, entries sorted by key."""
-    from itertools import chain
-
-    p, n, values = cochain.ctx.p, cochain.degree, cochain.values
-    slots = map(_SlotCodes(p).__getitem__, chain.from_iterable(values))
-    keys = zip(*[slots] * n) if n else [()] * len(values)
-    # codes sort as the keys do, so the order is the order of the keys
-    entries = [{"key": key, "value": c} for key, c in sorted(zip(keys, values.values()))]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "p": p,
-        "r": cochain.ctx.r,
-        "n": n,
-        "kind": kind,
-        "coeff_ring": cochain.ring,
-        "entries": entries,
-    }
-
-
-def algebra_document(e: AlgebraElem) -> dict:
-    entries = [{"signature": list(sig), "coeff": c}
-               for sig, c in sorted(e.terms.items())]
-    return {
-        "schema_version": ALGEBRA_SCHEMA_VERSION,
-        "p": e.ctx.p,
-        "r": e.ctx.r,
-        "entries": entries,
-    }
-
-
-def dumps_document(doc: dict) -> str:
-    """The text of a document built by ``cochain_document`` or
-    ``algebra_document``.
-
-    A schema-2 (cochain) document is byte-identical to
-    ``json.dumps(doc, separators=(",", ":"), sort_keys=True)`` plus a
-    newline, and is written directly.  Each distinct slot code is rendered
-    once, each key's text up to its last slot once per run of entries
-    sharing it, and the rest of an entry once per distinct last slot and
-    value; the entries' pieces are joined once.  A
-    schema-1 (algebra) document, a few entries long, is
-    ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
-    """
-    import json
-
-    if doc["schema_version"] != SCHEMA_VERSION:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return "{" + ",".join([json.dumps(name) + ":" + (
-        _entries_text(value) if name == "entries" else json.dumps(value))
-        for name, value in sorted(doc.items())]) + "}\n"
-
-
-def _entries_text(entries: list) -> str:
-    """The compact text of a cochain document's entries, {key, value}
-    objects whose keys are lists of slot codes."""
-    codes: dict = {}  # slot code -> its text and a comma
-    tails: dict = {}  # (last slot code, value) -> the entry's text after its prefix
-    prefix = head = None
-    pieces = []
-    for entry in entries:
-        key, value = entry["key"], entry["value"]
-        if key[:-1] != prefix:
-            prefix = key[:-1]
-            head = '{"key":[' + "".join([codes.get(c) or codes.setdefault(c, f"{c},")
-                                         for c in prefix])
-        last = (key[-1] if key else None, value)
-        tail = tails.get(last)
-        if tail is None:
-            tail = tails[last] = f'{key[-1] if key else ""}],"value":{value}}}'
-        pieces.append(head + tail)
-    return "[" + ",".join(pieces) + "]"
-
-
 def _read_input(path: str) -> str:
     """The text of the cochain document at ``path``, or of stdin for "-".
 
     The parser's modules load here, before the read, and ``invert`` loads
-    ``algebra`` before calling this, so in a pipe such as
+    ``inverse`` before calling this, so in a pipe such as
     ``tau | invert --in -`` the reader compiles them while the writer is
     still computing.
     """
     import json  # noqa: F401  (for the parser, ahead of the read)
 
-    from . import cochain  # noqa: F401
+    from . import documents  # noqa: F401
+    from .group_ring import DocumentError
 
     try:
         if path == "-":
@@ -422,11 +86,32 @@ def _read_input(path: str) -> str:
 
 # -- the library entry points the handlers call ---------------------------
 #
-# The handlers call these names, and the four document functions above,
-# through this module's globals, so a tracer can replace any of them here.
-# Each loads ``algebra`` on its first call.  ``invert_normalized``, the
-# older name of ``invert``, is kept for the benchmark's tracer
-# (bench/spans.py).
+# The handlers call these names through this module's globals, so a tracer
+# can replace any of them here.  Each loads the module that does the work
+# on its first call: ``documents`` for the four document functions,
+# ``algebra`` for ``realize`` and ``inverse`` for ``invert``.
+# ``invert_normalized``, the older name of ``invert``, is kept for the
+# benchmark's tracer (bench/spans.py).
+
+def parse_cochain_document(text: str):
+    from . import documents
+    return documents.parse_cochain_document(text)
+
+
+def cochain_document(cochain, kind: str) -> dict:
+    from . import documents
+    return documents.cochain_document(cochain, kind)
+
+
+def algebra_document(e) -> dict:
+    from . import documents
+    return documents.algebra_document(e)
+
+
+def dumps_document(doc: dict) -> str:
+    from . import documents
+    return documents.dumps_document(doc)
+
 
 def realize(e):
     from . import algebra
@@ -434,8 +119,8 @@ def realize(e):
 
 
 def invert(f):
-    from . import algebra
-    return algebra.invert(f)
+    from . import inverse
+    return inverse.invert(f)
 
 
 invert_normalized = invert
@@ -468,8 +153,8 @@ def _write(text: str) -> None:
 # only what its command needs.
 
 def _cmd_invert(args) -> int:
-    from . import algebra  # noqa: F401  (for invert, ahead of the read)
-    from .group_ring import MOD_P, NotACocycleError
+    from . import inverse  # noqa: F401  (for invert, ahead of the read)
+    from .group_ring import MOD_P, DocumentError, NotACocycleError
 
     cochain, _ = parse_cochain_document(_read_input(args.infile))
     if cochain.ring != MOD_P:
@@ -482,6 +167,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_tau(args) -> int:
     from .algebra import AlgebraElem
+    from .group_ring import DocumentError, _group_context
 
     ctx = _group_context(args.p, args.r)
     try:
@@ -497,7 +183,7 @@ def _cmd_tau(args) -> int:
 
 def _cmd_cup(args) -> int:
     from .cochain import cup_many
-    from .group_ring import MOD_P
+    from .group_ring import MOD_P, DocumentError
 
     if len(args.infile) < 2:
         raise DocumentError("cup needs at least two --in documents")
@@ -530,6 +216,7 @@ def _cmd_check_cocycle(args) -> int:
 
 def _cmd_dims(args) -> int:
     from .graded import check_table_budget, cohomology_report, graded_dimension
+    from .group_ring import _group_context
 
     ctx = _group_context(args.p, args.r)
     check_table_budget(ctx, args.max_n)
@@ -543,7 +230,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_count_terms(args) -> int:
-    from .algebra import count_terms
+    from .group_ring import _group_context
+    from .inverse import count_terms
 
     _write(_decimal_text(count_terms(_group_context(args.p, args.r), args.n)) + "\n")
     return EXIT_OK
@@ -662,7 +350,7 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    from .group_ring import BudgetExceededError, NotACocycleError
+    from .group_ring import BudgetExceededError, DocumentError, NotACocycleError
 
     try:
         return args.func(args)

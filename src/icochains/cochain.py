@@ -257,51 +257,72 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     d(df) = 0 read at (a, b, x_3, ...) gives df(b, x_3, ...) =
     df(ab, x_3, ...) once df vanishes on the tuples starting with a,
     since every other term starts with a.  So df = 0 exactly when its
-    partitions at the r generators s_i vanish, and only those are summed.
+    partitions at the r generators s_i vanish, and only those are decided.
 
-    Keys are summed as their slot codes (``_key_codes``).  The sums on
-    (a, X), X = (x_2, ..., x_(n+1)), start from the leading term f(X) of
-    every entry and the slot-1 term -f(a x_2, x_3, ...) of every entry
-    (k_1, ...) with k_1 != a, at x_2 = a^-1 k_1.  With f_a(y) = f(a, y),
-    the rest of the partition, from the entries with k_1 = a alone, is
-    f_a(x_3, ...) - (d f_a)(X), so
+    Write f_x for the slice f_x(Y) = f(x, Y), of degree n - 1, with
+    f_1 = 0.  Of the terms of df(a, x, Y), the leading term f(x, Y) and the
+    slot-1 term -f(a x, Y) do not come from f_a; the others are f_a(Y) and
+    the terms of -(d f_a)(x, Y) but its first, so
 
-        df(a, X) = S_a(X) - (d f_a)(X),
-        S_a(X) = f(X) - f(a x_2, x_3, ...) + f_a(x_3, ...).
+        df(a, x, Y) = S_a(x, Y) - (d f_a)(x, Y),
+        S_a(x, Y) = f_x(Y) - f_(a x)(Y) + f_a(Y).
 
-    S_a vanishes exactly when the two sums so far are nonzero at N |f_a|
-    points, and are -f_a(x_3, ...) at each (x_2, x_3, ...) with
-    (x_3, ...) a key of f_a; that check is one scan of the sums and N
-    lookups per entry of f_a.  Where it holds, the partition vanishes iff
-    d f_a = 0, so f_a, of degree n - 1 and holding only the entries whose
+    Once per worklist level the entries, sorted by key, are grouped by
+    their first slot: each slice f_x is one run of them, and the r
+    generators share the runs.  S_a vanishes exactly when
+    f_(a x) = f_x + f_a for every x != 1 (``_slot_one_vanishes``): N
+    comparisons of runs, as lists or dicts, each of which runs in C.
+    Where S_a vanishes, the partition is -d f_a, which vanishes iff
+    d f_a = 0; so f_a, of degree n - 1 and holding only the entries whose
     first slot is a, goes on a worklist of cochains to check in the same
-    way (a worklist, not recursion).  Where it does not hold, the inner
-    terms and the trailing term of the entries with k_1 = a are added to
-    the sums, which must then vanish.  That expansion adds
-    (n-1)(N-1) + N terms per entry of f_a, so the check, N lookups per
-    entry, is tried only where (n-1)(N-1) > 0: at n = 1, or at N = 1
-    (p = 2, r = 1), where each level of a long one-key chain would pass
-    it, it saves no term.  The pairs (x, x^-1 k) of an inner slot are
-    listed only for the k that occur.
+    way (a worklist, not recursion; at n = 1, f_a is a constant, which is
+    a cocycle).
+
+    Where S_a does not vanish, the partition is expanded term by term on
+    the keys' slot codes (``_key_codes``), and the sums must vanish: they
+    start from the leading term f(X) of every entry,
+    X = (x_2, ..., x_(n+1)), the slot-1 term -f(a x_2, x_3, ...) of every
+    entry (k_1, ...) with k_1 != a, at x_2 = a^-1 k_1, and the inner and
+    trailing terms of the entries with k_1 = a.  The pairs (x, x^-1 k) of
+    an inner slot are listed only for the k that occur.  At N = 1 (p = 2,
+    r = 1) the one generator's partition is always expanded: there every
+    level of a long one-key chain would pass the comparison, while the
+    expansion adds one term per entry.
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
     mod = p.__rmod__ if ring == MOD_P else operator.pos  # a sum's value in the ring
-    zeros = itertools.repeat(0)
     pairs: dict = {}
-    # (degree, weight of slot 1 in a code of that degree, codes and values)
-    work = [(n, big_n ** (n - 1), dict(zip(_key_codes(ctx, values), values.values())))]
+    keys, vals = list(values), list(values.values())
+    if any(map(operator.ge, keys, itertools.islice(keys, 1, None))):
+        keys, vals = map(list, zip(*sorted(values.items())))
+    work = [(n, keys, vals)]  # (degree, keys in increasing order, their values)
     while work:
-        n, top, codes = work.pop()
-        if not n or not codes:
+        n, keys, vals = work.pop()
+        if not n or not keys:
             continue  # a constant, or zero, is a cocycle
+        if big_n > 1:
+            runs = {}  # first slot x -> the run of f_x in the lists
+            lo = 0
+            for x, run in itertools.groupby(map(operator.itemgetter(0), keys)):
+                runs[x] = lo, (lo := lo + len(list(run)))
+            rests = list(map(operator.itemgetter(slice(1, None)), keys))
+        codes = None
+        top = big_n ** (n - 1)  # weight of slot 1 in a code
         trail = 1 if n % 2 else -1  # (-1)^(n+1)
         for g in range(r):
+            if big_n > 1 and _slot_one_vanishes(ctx, g, runs, rests, vals, mod):
+                run = runs.get(ctx.generator(g + 1))
+                if n > 1 and run:  # the partition is -d f_a
+                    work.append((n - 1, rests[run[0]:run[1]], vals[run[0]:run[1]]))
+                continue
+            if codes is None:
+                codes = _key_codes(ctx, keys)
             w = p ** (r - 1 - g)  # weight of exponent g in an element's value
-            a = w - 1  # the index of the generator s_(g+1)
-            sums = dict(codes)  # the leading term
+            a = w - 1  # the index of the generator s_(g+1) among the nonidentity elements
+            sums = dict(zip(codes, vals))  # the leading term
             get = sums.get
             own = {}  # f_a, on (n-1)-codes
-            for code, c in codes.items():
+            for code, c in zip(codes, vals):
                 b, rest = divmod(code, top)
                 if b == a:
                     own[rest] = c
@@ -309,21 +330,6 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
                 # a^-1 b lowers exponent g of b by one, mod p
                 t = (b - w if (b + 1) // w % p else b + (p - 1) * w) * top + rest
                 sums[t] = get(t, 0) - c
-            # S_a = 0: the sums are -f_a(rest) at each (x_2, rest) with rest
-            # a key of f_a, and those N |f_a| points are all their nonzero
-            # points.  Without f_a, the expansion below adds nothing.  (A
-            # loop, not a generator expression, keeps this function's
-            # variables local.)
-            certified = bool(own) and n > 1 and big_n > 1
-            for rest, c in own.items():
-                found = map(get, range(rest, rest + big_n * top, top), zeros)
-                if list(map(mod, found)).count(mod(-c)) != big_n:
-                    certified = False
-                    break
-            if certified and (
-                    len(sums) - list(map(mod, sums.values())).count(0) == big_n * len(own)):
-                work.append((n - 1, top // big_n, own))  # the partition is -d f_a
-                continue
             for rest, c in own.items():
                 for j in range(2, n + 1):
                     low = big_n ** (n - j)  # weight of slot j in a degree-n code
@@ -345,25 +351,101 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     return True
 
 
+def _slot_one_vanishes(ctx: GroupContext, g: int, runs: dict, rests: list, vals: list,
+                       mod) -> bool:
+    """Whether S_a = 0 (see ``_bar_coboundary_vanishes``) for the
+    generator a = s_(g+1): whether f_(a x) = f_x + f_a for every x != 1,
+    with f_1 = 0.  The slice f_x is the run ``runs[x]`` of ``rests`` (the
+    keys less their first slot) and ``vals``, its keys in increasing order.
+
+    When f_a = 0 this reads f_(a x) = f_x, two runs equal as lists.  Only
+    the x with f_x != 0 are compared: were f_x = 0 != f_(a x), then
+    following x' = a x, a^2 x, ... around its orbit, which ends at x, some
+    comparison of a nonzero f_x' would fail.  When f_a != 0, every x needs
+    f_x or f_(a x) nonzero, so fewer than N / 2 slices fail at once.
+    Otherwise every x is compared.  Where f_x is 0, or has the keys of
+    f_a, f_x + f_a is the list of the sums of their values (reduced mod p
+    over F_p), less the zeros; elsewhere two dicts are compared, each
+    holding an item, 0 where it has no entry, at every key of f_a.  Both
+    comparisons are exact, since values are reduced into [1, p) over F_p
+    and exact over Z."""
+    p = ctx.p
+
+    def times_a(x: tuple) -> tuple:  # exponent g of x raised by one, mod p
+        return x[:g] + ((x[g] + 1) % p,) + x[g + 1:]
+
+    def run_of(x: tuple) -> tuple:  # the keys and the values of f_x
+        lo, hi = runs.get(x, (0, 0))
+        return rests[lo:hi], vals[lo:hi]
+
+    a = ctx.generator(g + 1)
+    if a not in runs:
+        return all(run_of(times_a(x)) == run_of(x) for x in runs)
+    if 2 * len(runs) < ctx.order - 1:
+        return False
+    keys_a, vals_a = run_of(a)
+    padding = None
+    for x in ctx.nonidentity_elements():
+        keys_x, vals_x = run_of(x)
+        keys_ax, vals_ax = run_of(times_a(x))
+        if not keys_x or keys_x == keys_a:
+            sums = list(map(mod, map(operator.add, vals_x, vals_a))) if keys_x else vals_a
+            if keys_ax != list(itertools.compress(keys_a, sums)) or (
+                    vals_ax != list(filter(None, sums))):
+                return False
+            continue
+        if padding is None:
+            padding = dict.fromkeys(keys_a, 0)
+        f_x = dict(zip(keys_x, vals_x))
+        sums = map(mod, map(operator.add, map(f_x.get, keys_a, itertools.repeat(0)), vals_a))
+        if {**padding, **dict(zip(keys_ax, vals_ax))} != {**f_x, **dict(zip(keys_a, sums))}:
+            return False
+    return True
+
+
 def _key_codes(ctx: GroupContext, keys) -> list:
     """The slot code of each key, the one numbering of keys that the
     kernel, the cocycle check and the oracle share: a degree-n key is an
     integer in base N = p^r - 1, slot 1 most significant, each slot the
     index of its element among the nonidentity elements in lexicographic
     order (its ``_slot_code`` minus one).  Codes sort as
-    the keys do: a key's code is its position in ``oracle.cochain_basis``."""
-    p, big_n = ctx.p, ctx.order - 1
-    index: dict = {}
-    codes = []
-    for key in keys:
-        code = 0
-        for u in key:
-            i = index.get(u)
-            if i is None:
-                i = index[u] = _slot_code(p, u) - 1
-            code = code * big_n + i
-        codes.append(code)
+    the keys do: a key's code is its position in ``oracle.cochain_basis``.
+
+    The slots' indices are read in one pass that runs in C, each distinct
+    element coded once.  Then the codes are built one slot position at a
+    time, each step a pass over all keys in C, or, for fewer keys than
+    slots (a long chain), key by key."""
+    keys = list(keys)
+    if not keys or not keys[0]:
+        return [0] * len(keys)
+    n, big_n = len(keys[0]), ctx.order - 1
+    digits = list(map(_SlotCodes(ctx.p, 1).__getitem__, itertools.chain.from_iterable(keys)))
+    if len(keys) < n:
+        codes = []
+        for start in range(0, len(digits), n):
+            code = 0
+            for i in digits[start:start + n]:
+                code = code * big_n + i
+            codes.append(code)
+        return codes
+    codes = digits[::n]
+    for j in range(1, n):
+        codes = [code * big_n + i for code, i in zip(codes, digits[j::n])]
     return codes
+
+
+class _SlotCodes(dict):
+    """The slot code (``_slot_code``) less ``shift`` of each exponent
+    vector looked up, computed on its first lookup, so that mapping many
+    slots hashes each slot once."""
+
+    def __init__(self, p: int, shift: int = 0):
+        super().__init__()
+        self.p, self.shift = p, shift
+
+    def __missing__(self, u) -> int:
+        code = self[u] = _slot_code(self.p, u) - self.shift
+        return code
 
 
 def _slot_code(p: int, u) -> int:

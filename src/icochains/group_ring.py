@@ -38,6 +38,10 @@ class NotACocycleError(ValueError):
     """Raised when an operation defined on cohomology classes gets a non-cocycle."""
 
 
+class DocumentError(ValueError):
+    """A document, or a command-line argument, failed to parse or validate."""
+
+
 # Sizes of more decimal digits than this are printed as a bound; str()
 # refuses ints of more than 4 300 digits.
 EXACT_SIZE_DIGITS = 3900
@@ -196,6 +200,15 @@ class GroupContext:
         if not 1 <= i <= self.r:
             raise ValueError(f"generator index must be in [1, {self.r}], got {i}")
         return i
+
+
+def _group_context(p: int, r: int, where: str = "") -> GroupContext:
+    """GroupContext(p, r) read from a document or the command line, whose
+    ValueError becomes a DocumentError."""
+    try:
+        return GroupContext(p, r)
+    except ValueError as exc:
+        raise DocumentError(f"{where}{exc}") from None
 
 
 def _check_ring(ring: str) -> str:

@@ -28,7 +28,7 @@ from icochains import (
     probe_tensor,
     realize,
 )
-from icochains import algebra
+from icochains import inverse
 from icochains.generators import _power_support
 from conftest import DESK, power_cocycle, random_cocycle, random_icochain
 
@@ -432,8 +432,8 @@ def test_invert_never_runs_the_formula(monkeypatch):
     def refuse(*args):
         raise AssertionError("invert reached the formula or its term count")
 
-    monkeypatch.setattr(algebra, "invert_normalized_counted", refuse)
-    monkeypatch.setattr(algebra, "count_terms", refuse)
+    monkeypatch.setattr(inverse, "invert_normalized_counted", refuse)
+    monkeypatch.setattr(inverse, "count_terms", refuse)
     assert [invert(f) for f in cochains] == expected
 
 

@@ -29,13 +29,13 @@ from icochains.cli import (
     EXIT_NOT_COCYCLE,
     EXIT_OK,
     EXIT_USAGE,
-    DocumentError,
     algebra_document,
     cochain_document,
     dumps_document,
     main,
     parse_cochain_document,
 )
+from icochains.group_ring import DocumentError
 from conftest import algebra_terms
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,7 +76,7 @@ def test_document_validation_messages():
         return json.dumps(doc)
 
     with pytest.raises(DocumentError, match="schema_version"):
-        parse_cochain_document(broken(schema_version="3"))
+        parse_cochain_document(broken(schema_version="2"))  # retired
     with pytest.raises(DocumentError, match="prime"):
         parse_cochain_document(broken(p=4))
     with pytest.raises(DocumentError, match="kind"):
@@ -797,6 +797,8 @@ CLI = [sys.executable, "-m", "icochains.cli"]
 SYS_EXIT = [sys.executable, "-c", "import sys; sys.settrace(lambda *args: None); "
             "from icochains.cli import entry_point; entry_point()"]
 TAU_222 = ["tau", "--p", "2", "--r", "3", "--sig", "2,2,2"]
+# 368 KB of text, far past a pipe's 64 KiB buffer
+TAU_33 = ["tau", "--p", "3", "--r", "2", "--sig", "3,3"]
 
 
 def process_env(unbuffered: bool = False) -> dict:
@@ -887,7 +889,7 @@ def _exit_outcome(argv: list, env: dict, close_after=None) -> tuple:
 
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv,close_after", [
-    (TAU_222, 20),  # like `| head -c 20`
+    (TAU_33, 20),  # like `| head -c 20`
     (["count-terms", "--p", "3", "--r", "1", "--n", "2"], None),
 ])
 def test_closed_reader_gives_the_sys_exit_outcome(argv, close_after, unbuffered):
