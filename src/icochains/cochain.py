@@ -25,12 +25,15 @@ as a numpy broadcast, and one sort followed by a segmented sum collapses
 equal keys.  ``_bar_coboundary`` writes the classical bar formula
 independently, as a plain loop over the stored keys, and the oracle's
 ``d_matrix`` is built from it; the acceptance suite and the tests compare
-the two pointwise on full bases.  ``is_cocycle`` uses neither: it sums
-the bar coboundary in pure Python, one first-argument partition at a
-time, and only at the r generators of G; a partition at a where
-f(x_2, ...) - f(a x_2, ...) + f(a, x_3, ...) cancels is decided instead
-by the coboundary of the slice f_a = f(a, ...), one degree lower, on a
-worklist.  Each of these computations refuses, through
+the two pointwise on full bases.  ``is_cocycle`` uses neither: it
+decides the bar coboundary in pure Python, one first-argument partition
+at a time, and only at the r generators of G.  With the slices
+f_x(Y) = f(x, Y) and f_1 = 0, the partition at a is S_a - d f_a, where
+S_a(x, Y) = f_x(Y) - f_(a x)(Y) + f_a(Y); so where f_(a x) = f_x + f_a
+for every x, which compares the runs of the sorted entries grouped by
+first slot, the partition is decided by the coboundary of f_a, one
+degree lower, on a worklist, and elsewhere its terms are summed.  Each of
+these computations refuses, through
 ``group_ring.check_budget``, a count of terms over the default entry
 budget before it starts.  This module itself does not import numpy.
 """
@@ -154,9 +157,10 @@ class ICochain:
         Otherwise ``_bar_coboundary_vanishes`` decides the rest, unless
         the terms it sums at the top degree, at most
         E (2r + (n-1)(N-1) + N), are over the entry budget; then it is
-        refused before any work.  A partition it certifies by its
-        first-slot slice f_a is replaced by the check of f_a, whose
-        entries are a subset of f's, one degree lower.
+        refused before any work.  A partition whose slot-1 part S_a
+        vanishes, f_(a x) = f_x + f_a for every x (compared as runs of
+        the sorted entries, grouped by first slot), is replaced by the
+        check of f_a, whose entries are a subset of f's, one degree lower.
         """
         n, entries = self.degree, len(self.values)
         if not n or not entries:
@@ -271,12 +275,15 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     their first slot: each slice f_x is one run of them, and the r
     generators share the runs.  S_a vanishes exactly when
     f_(a x) = f_x + f_a for every x != 1 (``_slot_one_vanishes``): N
-    comparisons of runs, as lists or dicts, each of which runs in C.
-    Where S_a vanishes, the partition is -d f_a, which vanishes iff
-    d f_a = 0; so f_a, of degree n - 1 and holding only the entries whose
-    first slot is a, goes on a worklist of cochains to check in the same
-    way (a worklist, not recursion; at n = 1, f_a is a constant, which is
-    a cocycle).
+    comparisons of runs, as lists or dicts, each of which runs in C.  The
+    comparison is exact: keys are unique and in increasing order within a
+    run, and values are reduced into [1, p) over F_p and exact over Z, so
+    two runs are equal as lists, or as dicts, exactly when they are the
+    same function.  Where S_a vanishes, the partition is -d f_a, which
+    vanishes iff d f_a = 0; so f_a, of degree n - 1 and holding only the
+    entries whose first slot is a, goes on a worklist of cochains to check
+    in the same way (a worklist, not recursion; at n = 1, f_a is a
+    constant, which is a cocycle).
 
     Where S_a does not vanish, the partition is expanded term by term on
     the keys' slot codes (``_key_codes``), and the sums must vanish: they
@@ -409,43 +416,19 @@ def _key_codes(ctx: GroupContext, keys) -> list:
     integer in base N = p^r - 1, slot 1 most significant, each slot the
     index of its element among the nonidentity elements in lexicographic
     order (its ``_slot_code`` minus one).  Codes sort as
-    the keys do: a key's code is its position in ``oracle.cochain_basis``.
-
-    The slots' indices are read in one pass that runs in C, each distinct
-    element coded once.  Then the codes are built one slot position at a
-    time, each step a pass over all keys in C, or, for fewer keys than
-    slots (a long chain), key by key."""
-    keys = list(keys)
-    if not keys or not keys[0]:
-        return [0] * len(keys)
-    n, big_n = len(keys[0]), ctx.order - 1
-    digits = list(map(_SlotCodes(ctx.p, 1).__getitem__, itertools.chain.from_iterable(keys)))
-    if len(keys) < n:
-        codes = []
-        for start in range(0, len(digits), n):
-            code = 0
-            for i in digits[start:start + n]:
-                code = code * big_n + i
-            codes.append(code)
-        return codes
-    codes = digits[::n]
-    for j in range(1, n):
-        codes = [code * big_n + i for code, i in zip(codes, digits[j::n])]
+    the keys do: a key's code is its position in ``oracle.cochain_basis``."""
+    p, big_n = ctx.p, ctx.order - 1
+    index: dict = {}
+    codes = []
+    for key in keys:
+        code = 0
+        for u in key:
+            i = index.get(u)
+            if i is None:
+                i = index[u] = _slot_code(p, u) - 1
+            code = code * big_n + i
+        codes.append(code)
     return codes
-
-
-class _SlotCodes(dict):
-    """The slot code (``_slot_code``) less ``shift`` of each exponent
-    vector looked up, computed on its first lookup, so that mapping many
-    slots hashes each slot once."""
-
-    def __init__(self, p: int, shift: int = 0):
-        super().__init__()
-        self.p, self.shift = p, shift
-
-    def __missing__(self, u) -> int:
-        code = self[u] = _slot_code(self.p, u) - self.shift
-        return code
 
 
 def _slot_code(p: int, u) -> int:

@@ -46,7 +46,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .cochain import ICochain, _SlotCodes
+from .cochain import ICochain, _slot_code
 from .group_ring import (
     INTEGERS,
     MOD_P,
@@ -301,6 +301,20 @@ def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str
 
 
 # -- writing ----------------------------------------------------------------
+
+class _SlotCodes(dict):
+    """The slot code (``cochain._slot_code``) of each exponent vector
+    looked up, computed on its first lookup, so that mapping a document's
+    slots hashes each slot once."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, u) -> int:
+        code = self[u] = _slot_code(self.p, u)
+        return code
+
 
 def cochain_document(cochain, kind: str) -> dict:
     """The schema-3 document of a cochain: its entries sorted by key, the

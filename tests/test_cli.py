@@ -702,11 +702,13 @@ def test_cli_as_subprocess():
 
 # Imports the package and the CLI in a fresh interpreter, checking that
 # neither loads a submodule it does not need, then runs cli.main and checks
-# whether numpy was imported against the first argument, and that none of
-# the comma-separated modules in the second was.
+# whether numpy was imported against the first argument, that none of the
+# comma-separated modules in the second was, and that the icochains
+# modules loaded are exactly those in the third.
 _IMPORT_PROBE = """
 import sys
-expect_numpy, absent, argv = sys.argv[1] == "numpy", sys.argv[2].split(","), sys.argv[3:]
+expect_numpy, absent, modules, argv = (sys.argv[1] == "numpy", sys.argv[2].split(","),
+                                       sys.argv[3], sys.argv[4:])
 before = set(sys.modules)
 import icochains
 assert [m for m in sys.modules if m.startswith("icochains.")] == [], "import icochains"
@@ -717,7 +719,17 @@ assert not loaded & {"json", "argparse"}, loaded
 assert cli.main(argv) == 0, argv
 assert ("numpy" in sys.modules) == expect_numpy, argv
 assert [m for m in absent if m in set(sys.modules) - before] == [], argv
+ours = ",".join(sorted(m[len("icochains."):] for m in sys.modules if m.startswith("icochains.")))
+assert ours == modules, (argv, ours)
 """
+
+# The icochains modules each command loads: tau compiles no inverse map,
+# invert no generator cocycles, and dims no document, cochain or algebra
+# code.
+TAU_MODULES = "algebra,cli,cochain,documents,generators,group_ring"
+INVERT_MODULES = "algebra,cli,cochain,documents,group_ring,inverse"
+DOCUMENT_MODULES = "cli,cochain,documents,group_ring"
+DIMS_MODULES = "cli,graded,group_ring"
 
 
 def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
@@ -730,28 +742,28 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
     p3b = doc("b3.json", exponent_cocycle(ctx3, 1))
     p3b_normalized = write_doc(tmp_path, "b3n.json", dumps_document(
         cochain_document(exponent_cocycle(ctx3, 1), "normalized")))
-    block_only = "icochains.algebra,icochains.cochain,icochains.generators,json"
-    without = [  # argv, other modules that must not load
-        (["tau", "--p", "3", "--r", "2", "--sig", "2,1"], ""),
-        (["invert", "--unchecked", "--in", p2], ""),
-        (["invert", "--unchecked", "--in", p3], ""),
-        (["invert", "--unchecked", "--normalized", "--in", p3], ""),
-        (["invert", "--in", p3], ""),
-        (["invert", "--normalized", "--in", p3], ""),
-        (["check-cocycle", "--in", p3], ""),
-        (["cup", "--in", p3, "--in", p3b], ""),
-        (["count-terms", "--p", "3", "--r", "2", "--n", "4"], "json"),
-        (["dims", "--p", "2", "--r", "1", "--max-n", "1"], block_only),
-        (["dims", "--p", "3", "--r", "2", "--max-n", "3"], block_only),
+    without = [  # argv, other modules that must not load, the icochains modules loaded
+        (["tau", "--p", "3", "--r", "2", "--sig", "2,1"], "", TAU_MODULES),
+        (["invert", "--unchecked", "--in", p2], "", INVERT_MODULES),
+        (["invert", "--unchecked", "--in", p3], "", INVERT_MODULES),
+        (["invert", "--unchecked", "--normalized", "--in", p3], "", INVERT_MODULES),
+        (["invert", "--in", p3], "", INVERT_MODULES),
+        (["invert", "--normalized", "--in", p3], "", INVERT_MODULES),
+        (["check-cocycle", "--in", p3], "", DOCUMENT_MODULES),
+        (["cup", "--in", p3, "--in", p3b], "", DOCUMENT_MODULES),
+        (["count-terms", "--p", "3", "--r", "2", "--n", "4"], "json",
+         "algebra,cli,cochain,group_ring,inverse"),
+        (["dims", "--p", "2", "--r", "1", "--max-n", "1"], "json", DIMS_MODULES),
+        (["dims", "--p", "3", "--r", "2", "--max-n", "3"], "json", DIMS_MODULES),
     ]
     with_numpy = [  # d runs the coboundary kernel on either kind
-        (["d", "--in", p3b], ""),
-        (["d", "--in", p3b_normalized], ""),
+        (["d", "--in", p3b], "", DOCUMENT_MODULES + ",kernel"),
+        (["d", "--in", p3b_normalized], "", DOCUMENT_MODULES + ",kernel"),
     ]
     for expect, runs in (("no-numpy", without), ("numpy", with_numpy)):
-        for argv, absent in runs:
+        for argv, absent, modules in runs:
             result = subprocess.run(
-                [sys.executable, "-c", _IMPORT_PROBE, expect, absent, *argv],
+                [sys.executable, "-c", _IMPORT_PROBE, expect, absent, modules, *argv],
                 capture_output=True, text=True, timeout=60)
             assert result.returncode == 0, (expect, argv, result.stderr)
 

@@ -30,6 +30,7 @@ from icochains import (
     cup_many,
     realize,
 )
+from icochains import cochain
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
 from icochains.cochain import _bar_coboundary, _key_codes
 from icochains.kernel import _decode_keys
@@ -504,6 +505,72 @@ def test_is_cocycle_agrees_with_the_bar_coboundary(data):
         values[key] = values.get(key, 0) + data.draw(st.integers(1, max(1, p - 1)), label="by")
     f = ICochain(ctx, n, ring, values)
     assert f.is_cocycle() == _bar_coboundary(f).is_zero()
+
+
+# (p, r, largest degree) of the group-certificate property below
+GROUP_CERTIFICATE_SHAPES = [(2, 2, 4), (2, 3, 3), (3, 1, 5), (3, 2, 3), (5, 1, 4), (5, 2, 2),
+                            (7, 1, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_group_certificate_agrees_with_the_bar_coboundary(data):
+    """The slow reference for the first-slot group certificate: over F_p
+    and Z, ``is_cocycle`` is ``_bar_coboundary(f).is_zero()`` on
+    realize(sig) + d g, on degree-1 cochains (a sum of exponent readings,
+    a homomorphism, or random values) and on the one-key chains of
+    p = 2, r = 1 (N = 1), each as drawn, with one value changed or with
+    one key added, and with its entries in a shuffled order."""
+    source = data.draw(st.sampled_from(["realize + d g", "degree 1", "N = 1 chain"]),
+                       label="source")
+    ring = data.draw(st.sampled_from([MOD_P, INTEGERS]), label="ring")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
+    if source == "N = 1 chain":
+        ctx, n = GroupContext(2, 1), data.draw(st.integers(1, 60), label="n")
+        values = {((1,),) * n: data.draw(st.integers(-3, 3).filter(bool), label="value")}
+    else:
+        p, r, max_n = data.draw(st.sampled_from(GROUP_CERTIFICATE_SHAPES), label="shape")
+        ctx = GroupContext(p, r)
+        nonid = list(ctx.nonidentity_elements())
+        if source == "degree 1":
+            n = 1
+            weights = [rng.randrange(p) for _ in range(r)]
+            kind = data.draw(st.sampled_from(["homomorphism", "random"]), label="kind")
+            values = {(u,): (sum(map(int.__mul__, weights, u)) % p if kind == "homomorphism"
+                             else rng.randint(-p, p)) for u in nonid}
+        else:
+            n = data.draw(st.integers(1, max_n), label="n")
+            sig = data.draw(st.sampled_from(list(compositions(n, r))), label="sig")
+            values = dict(realize(AlgebraElem.monomial(ctx, sig)).values)
+            g = random_icochain(ctx, n - 1, rng, ring, max_support=4)
+            for key, c in _bar_coboundary(g).values.items():
+                values[key] = values.get(key, 0) + c
+        change = data.draw(st.sampled_from(["none", "change", "add"]), label="change")
+        if change == "change" and values:
+            key = data.draw(st.sampled_from(sorted(values)), label="key")
+            values[key] += data.draw(st.integers(1, p - 1), label="by")
+        elif change == "add":
+            key = tuple(data.draw(st.sampled_from(nonid), label="slot") for _ in range(n))
+            values[key] = values.get(key, 0) + data.draw(st.integers(1, p - 1), label="by")
+    items = list(values.items())
+    rng.shuffle(items)
+    f = ICochain(ctx, n, ring, dict(items))
+    assert f.is_cocycle() == _bar_coboundary(f).is_zero()
+
+
+@pytest.mark.parametrize("p,r,sig", [(2, 2, (2, 2)), (2, 3, (2, 2, 2)), (2, 3, (1, 3, 2)),
+                                     (3, 2, (1, 1)), (3, 3, (1, 1, 1)), (5, 2, (1, 1))])
+def test_group_certificate_decides_products_of_xs_without_expansion(p, r, sig, monkeypatch):
+    # at p = 2 every class, and at p > 2 a product of x_i's, passes the
+    # comparison at every generator of every level, f_a = 0 or not, so no
+    # partition is expanded term by term (the expansion reads slot codes)
+    f = realize(AlgebraElem.monomial(GroupContext(p, r), sig))
+
+    def refuse(*args):
+        raise AssertionError("a partition was expanded")
+
+    monkeypatch.setattr(cochain, "_key_codes", refuse)
+    assert f.is_cocycle()
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])

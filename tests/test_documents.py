@@ -14,6 +14,8 @@ wrote them, whose keys were lists of slot codes inside entry objects.
 
 import json
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -689,3 +691,8 @@ def test_hostile_columns_exit_1_with_one_line_naming_the_item(name, tmp_path, ca
     for command in (["check-cocycle"], ["invert"], ["d"]):
         code = main(command + ["--in", str(path)])
         assert (code, capsys.readouterr().err) == (EXIT_INVALID, f"error: {message}\n")
+    # and as a process, where the CLI module runs as __main__
+    result = subprocess.run([sys.executable, "-m", "icochains.cli", "invert", "--in", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        EXIT_INVALID, "", f"error: {message}\n")
