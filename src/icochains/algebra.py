@@ -84,29 +84,8 @@ class AlgebraElem:
         self.terms = clean
 
     @classmethod
-    def zero(cls, ctx: GroupContext) -> "AlgebraElem":
-        return cls(ctx, {})
-
-    @classmethod
     def monomial(cls, ctx: GroupContext, sig: Sequence[int], coeff: int = 1) -> "AlgebraElem":
         return cls(ctx, {tuple(sig): coeff})
-
-    def __add__(self, other: "AlgebraElem") -> "AlgebraElem":
-        if self.ctx != other.ctx:
-            raise ValueError("context mismatch")
-        terms = dict(self.terms)
-        for sig, c in other.terms.items():
-            terms[sig] = terms.get(sig, 0) + c
-        return AlgebraElem(self.ctx, terms)
-
-    def __neg__(self) -> "AlgebraElem":
-        return AlgebraElem(self.ctx, {s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElem") -> "AlgebraElem":
-        return self + (-other)
-
-    def scale(self, c: int) -> "AlgebraElem":
-        return AlgebraElem(self.ctx, {s: c * v for s, v in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElem") -> "AlgebraElem":
         if self.ctx != other.ctx:

@@ -20,14 +20,15 @@ code.  ``tau`` loads ``algebra`` and ``generators`` to realize, and
 ``documents`` to write, but no inverse map.  ``invert`` loads
 ``documents`` and ``inverse`` (and through it ``algebra``), but not
 ``generators``.  ``cup``, ``d`` and ``check-cocycle`` load ``documents``
-and ``cochain``; ``count-terms`` loads ``inverse``.  Only ``d``, which
-runs the coboundary kernel on either kind, and ``selftest``, which checks
-that kernel against the bar formula, import numpy; the dense oracle that
-``selftest`` also runs is pure Python, and ``invert`` and
-``check-cocycle`` decide cocycles on the bar formula in pure Python.  The
-handlers reach ``realize``, ``invert`` and the four document functions
-through this module's globals, so replacing one of these names here (as
-a tracer does) reaches every command that calls it.
+and ``cochain``; ``count-terms`` loads ``inverse``.  The cocycle check,
+``cocycle``, loads only in ``check-cocycle`` and the checked ``invert``,
+which decide cocycles on the bar formula in pure Python.  Only ``d``,
+which runs the coboundary kernel on either kind, and ``selftest``, which
+checks that kernel against the bar formula, import numpy; the dense
+oracle that ``selftest`` also runs is pure Python.  The handlers reach
+``realize``, ``invert`` and the four document functions through this
+module's globals, so replacing one of these names here (as a tracer
+does) reaches every command that calls it.
 
 Only the CLI's own boundary errors become exit codes: ``DocumentError``
 (including a bad ``--p``/``--r``), ``NotACocycleError`` and

@@ -26,14 +26,9 @@ equal keys.  ``_bar_coboundary`` writes the classical bar formula
 independently, as a plain loop over the stored keys, and the oracle's
 ``d_matrix`` is built from it; the acceptance suite and the tests compare
 the two pointwise on full bases.  ``is_cocycle`` uses neither: it
-decides the bar coboundary in pure Python, one first-argument partition
-at a time, and only at the r generators of G.  With the slices
-f_x(Y) = f(x, Y) and f_1 = 0, the partition at a is S_a - d f_a, where
-S_a(x, Y) = f_x(Y) - f_(a x)(Y) + f_a(Y); so where f_(a x) = f_x + f_a
-for every x, which compares the runs of the sorted entries grouped by
-first slot, the partition is decided by the coboundary of f_a, one
-degree lower, on a worklist, and elsewhere its terms are summed.  Each of
-these computations refuses, through
+answers the sparse cases and checks the budget here, and decides the
+rest on the bar formula in pure Python, in ``cocycle.py``, which it
+loads on first use.  Each of these computations refuses, through
 ``group_ring.check_budget``, a count of terms over the default entry
 budget before it starts.  This module itself does not import numpy.
 """
@@ -154,13 +149,11 @@ class ICochain:
         {(K, y)} in at most one point, so one of its N points keeps a
         nonzero value.
 
-        Otherwise ``_bar_coboundary_vanishes`` decides the rest, unless
-        the terms it sums at the top degree, at most
+        Otherwise ``cocycle._bar_coboundary_vanishes`` decides the rest,
+        unless the terms it sums at the top degree, at most
         E (2r + (n-1)(N-1) + N), are over the entry budget; then it is
-        refused before any work.  A partition whose slot-1 part S_a
-        vanishes, f_(a x) = f_x + f_a for every x (compared as runs of
-        the sorted entries, grouped by first slot), is replaced by the
-        check of f_a, whose entries are a subset of f's, one degree lower.
+        refused before any work.  The module loads on first use, so a
+        command that decides no cocycle never compiles it.
         """
         n, entries = self.degree, len(self.values)
         if not n or not entries:
@@ -172,6 +165,7 @@ class ICochain:
         # and in the one partition of its first slot N - 1 terms per inner
         # slot and N trailing terms
         check_budget(entries * (2 * r + (n - 1) * (big_n - 1) + big_n))
+        from .cocycle import _bar_coboundary_vanishes  # compiled only when a check runs
         return _bar_coboundary_vanishes(self.ctx, n, self.values, self.ring)
 
     def __repr__(self):
@@ -253,163 +247,6 @@ class ICochain:
 NormalizedCochain = ICochain
 
 
-def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str) -> bool:
-    """Whether the bar coboundary df of degree-n >= 1 values is zero,
-    decided one first-argument partition at a time.
-
-    The first arguments a at which df(a, ...) vanishes form a subgroup:
-    d(df) = 0 read at (a, b, x_3, ...) gives df(b, x_3, ...) =
-    df(ab, x_3, ...) once df vanishes on the tuples starting with a,
-    since every other term starts with a.  So df = 0 exactly when its
-    partitions at the r generators s_i vanish, and only those are decided.
-
-    Write f_x for the slice f_x(Y) = f(x, Y), of degree n - 1, with
-    f_1 = 0.  Of the terms of df(a, x, Y), the leading term f(x, Y) and the
-    slot-1 term -f(a x, Y) do not come from f_a; the others are f_a(Y) and
-    the terms of -(d f_a)(x, Y) but its first, so
-
-        df(a, x, Y) = S_a(x, Y) - (d f_a)(x, Y),
-        S_a(x, Y) = f_x(Y) - f_(a x)(Y) + f_a(Y).
-
-    Once per worklist level the entries, sorted by key, are grouped by
-    their first slot: each slice f_x is one run of them, and the r
-    generators share the runs.  S_a vanishes exactly when
-    f_(a x) = f_x + f_a for every x != 1 (``_slot_one_vanishes``): N
-    comparisons of runs, as lists or dicts, each of which runs in C.  The
-    comparison is exact: keys are unique and in increasing order within a
-    run, and values are reduced into [1, p) over F_p and exact over Z, so
-    two runs are equal as lists, or as dicts, exactly when they are the
-    same function.  Where S_a vanishes, the partition is -d f_a, which
-    vanishes iff d f_a = 0; so f_a, of degree n - 1 and holding only the
-    entries whose first slot is a, goes on a worklist of cochains to check
-    in the same way (a worklist, not recursion; at n = 1, f_a is a
-    constant, which is a cocycle).
-
-    Where S_a does not vanish, the partition is expanded term by term on
-    the keys' slot codes (``_key_codes``), and the sums must vanish: they
-    start from the leading term f(X) of every entry,
-    X = (x_2, ..., x_(n+1)), the slot-1 term -f(a x_2, x_3, ...) of every
-    entry (k_1, ...) with k_1 != a, at x_2 = a^-1 k_1, and the inner and
-    trailing terms of the entries with k_1 = a.  The pairs (x, x^-1 k) of
-    an inner slot are listed only for the k that occur.  At N = 1 (p = 2,
-    r = 1) the one generator's partition is always expanded: there every
-    level of a long one-key chain would pass the comparison, while the
-    expansion adds one term per entry.
-    """
-    p, r, big_n = ctx.p, ctx.r, ctx.order - 1
-    mod = p.__rmod__ if ring == MOD_P else operator.pos  # a sum's value in the ring
-    pairs: dict = {}
-    keys, vals = list(values), list(values.values())
-    if any(map(operator.ge, keys, itertools.islice(keys, 1, None))):
-        keys, vals = map(list, zip(*sorted(values.items())))
-    work = [(n, keys, vals)]  # (degree, keys in increasing order, their values)
-    while work:
-        n, keys, vals = work.pop()
-        if not n or not keys:
-            continue  # a constant, or zero, is a cocycle
-        if big_n > 1:
-            runs = {}  # first slot x -> the run of f_x in the lists
-            lo = 0
-            for x, run in itertools.groupby(map(operator.itemgetter(0), keys)):
-                runs[x] = lo, (lo := lo + len(list(run)))
-            rests = list(map(operator.itemgetter(slice(1, None)), keys))
-        codes = None
-        top = big_n ** (n - 1)  # weight of slot 1 in a code
-        trail = 1 if n % 2 else -1  # (-1)^(n+1)
-        for g in range(r):
-            if big_n > 1 and _slot_one_vanishes(ctx, g, runs, rests, vals, mod):
-                run = runs.get(ctx.generator(g + 1))
-                if n > 1 and run:  # the partition is -d f_a
-                    work.append((n - 1, rests[run[0]:run[1]], vals[run[0]:run[1]]))
-                continue
-            if codes is None:
-                codes = _key_codes(ctx, keys)
-            w = p ** (r - 1 - g)  # weight of exponent g in an element's value
-            a = w - 1  # the index of the generator s_(g+1) among the nonidentity elements
-            sums = dict(zip(codes, vals))  # the leading term
-            get = sums.get
-            own = {}  # f_a, on (n-1)-codes
-            for code, c in zip(codes, vals):
-                b, rest = divmod(code, top)
-                if b == a:
-                    own[rest] = c
-                    continue
-                # a^-1 b lowers exponent g of b by one, mod p
-                t = (b - w if (b + 1) // w % p else b + (p - 1) * w) * top + rest
-                sums[t] = get(t, 0) - c
-            for rest, c in own.items():
-                for j in range(2, n + 1):
-                    low = big_n ** (n - j)  # weight of slot j in a degree-n code
-                    k = rest // low % big_n
-                    offsets = pairs.get((k, low))
-                    if offsets is None:
-                        offsets = pairs[k, low] = [o * low for o in _pair_codes(p, r, k)]
-                    base = rest // (low * big_n) * (low * big_n * big_n) + rest % low
-                    term = -c if j % 2 else c
-                    for o in offsets:
-                        t = base + o
-                        sums[t] = get(t, 0) + term
-                base = rest * big_n
-                term = trail * c
-                for t in range(base, base + big_n):
-                    sums[t] = get(t, 0) + term
-            if any(map(mod, sums.values())):
-                return False
-    return True
-
-
-def _slot_one_vanishes(ctx: GroupContext, g: int, runs: dict, rests: list, vals: list,
-                       mod) -> bool:
-    """Whether S_a = 0 (see ``_bar_coboundary_vanishes``) for the
-    generator a = s_(g+1): whether f_(a x) = f_x + f_a for every x != 1,
-    with f_1 = 0.  The slice f_x is the run ``runs[x]`` of ``rests`` (the
-    keys less their first slot) and ``vals``, its keys in increasing order.
-
-    When f_a = 0 this reads f_(a x) = f_x, two runs equal as lists.  Only
-    the x with f_x != 0 are compared: were f_x = 0 != f_(a x), then
-    following x' = a x, a^2 x, ... around its orbit, which ends at x, some
-    comparison of a nonzero f_x' would fail.  When f_a != 0, every x needs
-    f_x or f_(a x) nonzero, so fewer than N / 2 slices fail at once.
-    Otherwise every x is compared.  Where f_x is 0, or has the keys of
-    f_a, f_x + f_a is the list of the sums of their values (reduced mod p
-    over F_p), less the zeros; elsewhere two dicts are compared, each
-    holding an item, 0 where it has no entry, at every key of f_a.  Both
-    comparisons are exact, since values are reduced into [1, p) over F_p
-    and exact over Z."""
-    p = ctx.p
-
-    def times_a(x: tuple) -> tuple:  # exponent g of x raised by one, mod p
-        return x[:g] + ((x[g] + 1) % p,) + x[g + 1:]
-
-    def run_of(x: tuple) -> tuple:  # the keys and the values of f_x
-        lo, hi = runs.get(x, (0, 0))
-        return rests[lo:hi], vals[lo:hi]
-
-    a = ctx.generator(g + 1)
-    if a not in runs:
-        return all(run_of(times_a(x)) == run_of(x) for x in runs)
-    if 2 * len(runs) < ctx.order - 1:
-        return False
-    keys_a, vals_a = run_of(a)
-    padding = None
-    for x in ctx.nonidentity_elements():
-        keys_x, vals_x = run_of(x)
-        keys_ax, vals_ax = run_of(times_a(x))
-        if not keys_x or keys_x == keys_a:
-            sums = list(map(mod, map(operator.add, vals_x, vals_a))) if keys_x else vals_a
-            if keys_ax != list(itertools.compress(keys_a, sums)) or (
-                    vals_ax != list(filter(None, sums))):
-                return False
-            continue
-        if padding is None:
-            padding = dict.fromkeys(keys_a, 0)
-        f_x = dict(zip(keys_x, vals_x))
-        sums = map(mod, map(operator.add, map(f_x.get, keys_a, itertools.repeat(0)), vals_a))
-        if {**padding, **dict(zip(keys_ax, vals_ax))} != {**f_x, **dict(zip(keys_a, sums))}:
-            return False
-    return True
-
-
 def _key_codes(ctx: GroupContext, keys) -> list:
     """The slot code of each key, the one numbering of keys that the
     kernel, the cocycle check and the oracle share: a degree-n key is an
@@ -443,17 +280,6 @@ def _slot_code(p: int, u) -> int:
     for digit in u:
         code = code * p + digit
     return code
-
-
-def _pair_codes(p: int, r: int, k: int) -> list:
-    """The base-N codes of the 2-slot keys (x, x^-1 k), x neither 1 nor k:
-    the keys whose two slots multiply to the element of index k."""
-    big_n = p**r - 1
-    quotients = [0]  # value of x^-1 k, for x in lexicographic order
-    for g in range(r - 1, -1, -1):
-        digit = (k + 1) // p**g % p
-        quotients = [q * p + (digit - x) % p for q in quotients for x in range(p)]
-    return [(x - 1) * big_n + q - 1 for x, q in enumerate(quotients) if x and q]
 
 
 def _bar_coboundary(f: ICochain) -> ICochain:

@@ -4,9 +4,10 @@
 its one caller, through ``coboundary_values``.  It is the only code
 in the library that needs numpy, so it lives apart from
 ``cochain``: commands that never compute a coboundary (every command but
-``d`` and ``selftest``; ``is_cocycle`` sums the bar formula in pure
-Python) never import numpy.  The oracle builds its matrices from the
-bar formula instead, so it checks this kernel rather than sharing it.
+``d`` and ``selftest``; ``is_cocycle`` decides on the bar formula in
+pure Python, in ``cocycle``) never import numpy.  The oracle builds its
+matrices from the bar formula instead, so it checks this kernel rather
+than sharing it.
 
 Keys travel as slot codes (``cochain._key_codes``); ``_decode_keys`` is
 their vectorized inverse.

@@ -58,6 +58,16 @@ def ideal_product(ctx, *factors):
     return {u: c for u, c in product.items() if c and u != ctx.identity}
 
 
+def algebra_combination(ctx, *pairs):
+    """The algebra element sum of c e over the (c, e) pairs, added and
+    scaled on its terms: ``AlgebraElem`` itself has only the product."""
+    terms: dict = {}
+    for c, e in pairs:
+        for sig, v in e.terms.items():
+            terms[sig] = terms.get(sig, 0) + c * v
+    return AlgebraElem(ctx, terms)
+
+
 def random_icochain(ctx, n, rng, ring=MOD_P, max_support=None):
     """Random cochain; support capped to keep large bases cheap."""
     basis = cochain_basis(ctx, n)

@@ -30,7 +30,7 @@ from icochains import (
 )
 from icochains import inverse
 from icochains.generators import _power_support
-from conftest import DESK, power_cocycle, random_cocycle, random_icochain
+from conftest import DESK, algebra_combination, power_cocycle, random_cocycle, random_icochain
 
 
 def shuffles(block_sizes):
@@ -113,7 +113,7 @@ def test_algebra_mul_associative_and_graded_commutative(p):
         assert (a * b) * c == a * (b * c)
         da = sum(next(iter(a.terms)))
         db = sum(next(iter(b.terms)))
-        flipped = (a * b).scale(-1 if (da * db) % 2 else 1)
+        flipped = algebra_combination(ctx, (-1 if (da * db) % 2 else 1, a * b))
         assert b * a == flipped
 
 
@@ -232,7 +232,7 @@ def test_invert_is_linear_and_class_invariant():
         f = random_cocycle(ctx, n, seed=n)
         g = random_icochain(ctx, n - 1, rng)
         assert invert(f + g.coboundary()) == invert(f)
-        assert invert(f.scale(2)) == invert(f).scale(2)
+        assert invert(f.scale(2)) == algebra_combination(ctx, (2, invert(f)))
 
 
 def test_shuffle_form_matches_direct_form_p2():

@@ -724,10 +724,12 @@ assert ours == modules, (argv, ours)
 """
 
 # The icochains modules each command loads: tau compiles no inverse map,
-# invert no generator cocycles, and dims no document, cochain or algebra
-# code.
+# invert no generator cocycles, dims no document, cochain or algebra
+# code, and only the commands that decide a cocycle (checked invert and
+# check-cocycle) the cocycle check.
 TAU_MODULES = "algebra,cli,cochain,documents,generators,group_ring"
-INVERT_MODULES = "algebra,cli,cochain,documents,group_ring,inverse"
+UNCHECKED_INVERT_MODULES = "algebra,cli,cochain,documents,group_ring,inverse"
+CHECKED_INVERT_MODULES = "algebra,cli,cochain,cocycle,documents,group_ring,inverse"
 DOCUMENT_MODULES = "cli,cochain,documents,group_ring"
 DIMS_MODULES = "cli,graded,group_ring"
 
@@ -744,12 +746,12 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
         cochain_document(exponent_cocycle(ctx3, 1), "normalized")))
     without = [  # argv, other modules that must not load, the icochains modules loaded
         (["tau", "--p", "3", "--r", "2", "--sig", "2,1"], "", TAU_MODULES),
-        (["invert", "--unchecked", "--in", p2], "", INVERT_MODULES),
-        (["invert", "--unchecked", "--in", p3], "", INVERT_MODULES),
-        (["invert", "--unchecked", "--normalized", "--in", p3], "", INVERT_MODULES),
-        (["invert", "--in", p3], "", INVERT_MODULES),
-        (["invert", "--normalized", "--in", p3], "", INVERT_MODULES),
-        (["check-cocycle", "--in", p3], "", DOCUMENT_MODULES),
+        (["invert", "--unchecked", "--in", p2], "", UNCHECKED_INVERT_MODULES),
+        (["invert", "--unchecked", "--in", p3], "", UNCHECKED_INVERT_MODULES),
+        (["invert", "--unchecked", "--normalized", "--in", p3], "", UNCHECKED_INVERT_MODULES),
+        (["invert", "--in", p3], "", CHECKED_INVERT_MODULES),
+        (["invert", "--normalized", "--in", p3], "", CHECKED_INVERT_MODULES),
+        (["check-cocycle", "--in", p3], "", "cli,cochain,cocycle,documents,group_ring"),
         (["cup", "--in", p3, "--in", p3b], "", DOCUMENT_MODULES),
         (["count-terms", "--p", "3", "--r", "2", "--n", "4"], "json",
          "algebra,cli,cochain,group_ring,inverse"),

@@ -30,7 +30,7 @@ from icochains import (
     cup_many,
     realize,
 )
-from icochains import cochain
+from icochains import cocycle
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
 from icochains.cochain import _bar_coboundary, _key_codes
 from icochains.kernel import _decode_keys
@@ -517,19 +517,22 @@ GROUP_CERTIFICATE_SHAPES = [(2, 2, 4), (2, 3, 3), (3, 1, 5), (3, 2, 3), (5, 1, 4
 def test_group_certificate_agrees_with_the_bar_coboundary(data):
     """The slow reference for the first-slot group certificate: over F_p
     and Z, ``is_cocycle`` is ``_bar_coboundary(f).is_zero()`` on
-    realize(sig) + d g, on degree-1 cochains (a sum of exponent readings,
-    a homomorphism, or random values) and on the one-key chains of
-    p = 2, r = 1 (N = 1), each as drawn, with one value changed or with
-    one key added, and with its entries in a shuffled order."""
-    source = data.draw(st.sampled_from(["realize + d g", "degree 1", "N = 1 chain"]),
-                       label="source")
+    realize(sig) + d g, on realize of a sum of 2-3 classes, plus d g or
+    not (slices with keys that f_a lacks), on degree-1 cochains (a sum
+    of exponent readings, a homomorphism, or random values) and on the
+    one-key chains of p = 2, r = 1 (N = 1), each as drawn, with one value
+    changed or with one key added, and with its entries in a shuffled
+    order."""
+    source = data.draw(st.sampled_from(["realize + d g", "sum of classes", "degree 1",
+                                        "N = 1 chain"]), label="source")
     ring = data.draw(st.sampled_from([MOD_P, INTEGERS]), label="ring")
     rng = random.Random(data.draw(st.integers(0, 10**6), label="seed"))
     if source == "N = 1 chain":
         ctx, n = GroupContext(2, 1), data.draw(st.integers(1, 60), label="n")
         values = {((1,),) * n: data.draw(st.integers(-3, 3).filter(bool), label="value")}
     else:
-        p, r, max_n = data.draw(st.sampled_from(GROUP_CERTIFICATE_SHAPES), label="shape")
+        shapes = [s for s in GROUP_CERTIFICATE_SHAPES if source != "sum of classes" or s[1] > 1]
+        p, r, max_n = data.draw(st.sampled_from(shapes), label="shape")
         ctx = GroupContext(p, r)
         nonid = list(ctx.nonidentity_elements())
         if source == "degree 1":
@@ -540,11 +543,18 @@ def test_group_certificate_agrees_with_the_bar_coboundary(data):
                              else rng.randint(-p, p)) for u in nonid}
         else:
             n = data.draw(st.integers(1, max_n), label="n")
-            sig = data.draw(st.sampled_from(list(compositions(n, r))), label="sig")
-            values = dict(realize(AlgebraElem.monomial(ctx, sig)).values)
-            g = random_icochain(ctx, n - 1, rng, ring, max_support=4)
-            for key, c in _bar_coboundary(g).values.items():
-                values[key] = values.get(key, 0) + c
+            sigs = list(compositions(n, r))
+            if source == "sum of classes":
+                terms = data.draw(st.dictionaries(st.sampled_from(sigs), st.integers(1, p - 1),
+                                                  min_size=2, max_size=3), label="terms")
+                plus_d_g = data.draw(st.booleans(), label="plus d g")
+            else:
+                terms, plus_d_g = {data.draw(st.sampled_from(sigs), label="sig"): 1}, True
+            values = dict(realize(AlgebraElem(ctx, terms)).values)
+            if plus_d_g:
+                g = random_icochain(ctx, n - 1, rng, ring, max_support=4)
+                for key, c in _bar_coboundary(g).values.items():
+                    values[key] = values.get(key, 0) + c
         change = data.draw(st.sampled_from(["none", "change", "add"]), label="change")
         if change == "change" and values:
             key = data.draw(st.sampled_from(sorted(values)), label="key")
@@ -569,7 +579,7 @@ def test_group_certificate_decides_products_of_xs_without_expansion(p, r, sig, m
     def refuse(*args):
         raise AssertionError("a partition was expanded")
 
-    monkeypatch.setattr(cochain, "_key_codes", refuse)
+    monkeypatch.setattr(cocycle, "_key_codes", refuse)
     assert f.is_cocycle()
 
 

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from icochains import AlgebraElem, GroupContext, ICochain, compositions, invert, realize
+from conftest import algebra_combination
 
 
 def inverse_mod_p(a, p):
@@ -72,8 +73,8 @@ def substitute(ctx, sig, a):
     r = ctx.r
 
     def image(i, degree):
-        return sum((AlgebraElem.monomial(ctx, tuple(degree * (t == j) for t in range(r)), a[i][j])
-                    for j in range(r)), AlgebraElem.zero(ctx))
+        return algebra_combination(ctx, *((a[i][j], AlgebraElem.monomial(
+            ctx, tuple(degree * (t == j) for t in range(r)))) for j in range(r)))
 
     product = AlgebraElem.monomial(ctx, (0,) * r)
     for i, m in enumerate(sig):

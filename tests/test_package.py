@@ -50,6 +50,9 @@ MODULE_OF = {name: module for module, names in PUBLIC_NAMES.items() for name in 
 # its vectors as sparse dicts, so the matrix type and the dense-vector
 # conversions are gone, and its kernel bases and random cocycles are test
 # helpers (``tests/conftest.py``).  A stored value is read from ``values``.
+# An algebra element has the product the acceptance suite uses, but no
+# linear operations: only tests added or scaled elements, and they do it
+# on the terms (``conftest.algebra_combination``).
 REMOVED = {
     "signed_permute": cochain, "perm_compose": cochain, "perm_inverse": cochain,
     "Action": cochain, "binomial_mod_p": generators,
@@ -67,6 +70,9 @@ REMOVED = {
     "FpMatrix": oracle, "vectorize": oracle, "cochain_from_vector": oracle,
     "kernel_basis": oracle, "_kernel_basis_cached": oracle, "random_cocycle": oracle,
     "value_at": cochain.ICochain,
+    "zero": algebra.AlgebraElem, "__add__": algebra.AlgebraElem,
+    "__neg__": algebra.AlgebraElem, "__sub__": algebra.AlgebraElem,
+    "scale": algebra.AlgebraElem,
 }
 
 
