@@ -5,9 +5,10 @@
 With no argument it runs every ``*.json`` catalogue next to this script.
 A catalogue holds ``mutations``, each a ``file`` of the repository, an
 ``old`` text that occurs exactly once in it, the ``new`` text that
-replaces it, and the pytest node ``tests`` that must fail; and
-``left_out``, mutations that provably cannot change an answer, each with
-its ``reason``, whose ``old`` text is checked to occur once as well.
+replaces it, the pytest node ``tests`` that must fail and an optional
+``note``; and ``left_out``, mutations that provably cannot change an
+answer, each with its ``reason``, whose ``old`` text is checked to
+occur once as well.
 
 The runner copies ``src/`` to a temporary directory and runs every listed
 test on the unmutated copy, which must pass.  Then it applies one

@@ -51,11 +51,10 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     two runs are equal as lists exactly when they are the same function;
     it certifies S_a = 0 where every nonzero f_x has the keys of f_a, or
     f_a = 0, and answers no elsewhere.  Where it certifies S_a = 0, the
-    partition is -d f_a, which
-    vanishes iff d f_a = 0; so f_a, of degree n - 1 and holding only the
-    entries whose first slot is a, goes on a worklist of cochains to check
-    in the same way (a worklist, not recursion; at n = 1, f_a is a
-    constant, which is a cocycle).
+    partition is -d f_a, which vanishes iff d f_a = 0; so f_a, of degree
+    n - 1 and holding only the entries whose first slot is a, goes on a
+    worklist of cochains to check in the same way (a worklist, not
+    recursion; at n = 1, f_a is a constant, which is a cocycle).
 
     Where the comparison fails, the partition is expanded term by term on
     the keys' slot codes (``_key_codes``), and the sums must vanish: they
