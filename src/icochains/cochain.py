@@ -3,10 +3,10 @@
 The paper's cochains are C^n(G, M) = Hom(T^n(I), M), with T^n(I) the n-fold
 tensor power of the augmentation ideal I.  An ``ICochain`` f stores its
 values on the difference basis (u_1 - 1) x ... x (u_n - 1), a sparse map
-from tuples of nonidentity group elements to coefficients.  Read on those
-tuples, the same map is the normalized bar cochain
-a(u_1, ..., u_n) = f((u_1 - 1) x ... x (u_n - 1)), so one class serves
-both.  Coefficients lie in F_p (``MOD_P``, stored reduced) or in Z
+from tuples of nonidentity group elements, their codes in [1, p^r) (see
+``group_ring``), to coefficients.  Read on those tuples, the same map is
+the normalized bar cochain a(u_1, ..., u_n) = f((u_1 - 1) x ... x
+(u_n - 1)), so one class serves both.  Coefficients lie in F_p (``MOD_P``, stored reduced) or in Z
 (``INTEGERS``); the cochain operations keep the ring, and an integral
 cochain is reduced mod p by building its values again over ``MOD_P``.
 
@@ -20,9 +20,9 @@ cochain is reduced mod p by building its values again over ``MOD_P``.
   (f cup g) on an (m+n)-tensor is (-1)^(m n) f(first m) g(last n).
 
 The coboundary is one vectorized kernel in ``kernel.py``: keys are
-slot codes (``_key_codes``), every contraction term is generated
-as a numpy broadcast, and one sort followed by a segmented sum collapses
-equal keys.  ``_bar_coboundary`` writes the classical bar formula
+numbered in base p^r - 1 (``_key_codes``), every contraction term is
+generated as a numpy broadcast, and one sort followed by a segmented sum
+collapses equal keys.  ``_bar_coboundary`` writes the classical bar formula
 independently, as a plain loop over the stored keys, and the oracle's
 ``d_matrix`` is built from it; the acceptance suite and the tests compare
 the two pointwise on full bases.  ``is_cocycle`` uses neither: it
@@ -48,7 +48,12 @@ class ICochain:
 
     Stored values are the evaluations on the difference basis
     (u_1 - 1) x ... x (u_n - 1); evaluation extends multilinearly.  Read on
-    the tuples (u_1, ..., u_n), they are a normalized bar cochain.
+    the tuples (u_1, ..., u_n), they are a normalized bar cochain.  The
+    constructor alone takes keys of exponent vectors, which it checks and
+    encodes:
+
+    >>> ICochain(GroupContext(3, 2), 1, MOD_P, {((1, 2),): 4}).values
+    {(5,): 1}
     """
 
     __slots__ = ("ctx", "degree", "ring", "values")
@@ -64,15 +69,13 @@ class ICochain:
         self.degree = degree
         self.ring = _check_ring(ring)
         p = ctx.p
-        identity = ctx.identity
         clean = {}
         for key, c in values.items():
             if not isinstance(key, tuple) or len(key) != degree:
-                raise ValueError(f"key must be a {degree}-tuple of group elements: {key!r}")
-            for u in key:
-                ctx.check_elem(u)
-                if u == identity:
-                    raise ValueError("keys may not contain the identity element")
+                raise ValueError(f"key must be a {degree}-tuple of exponent vectors: {key!r}")
+            key = tuple(map(ctx.encode, key))
+            if 0 in key:
+                raise ValueError("keys may not contain the identity element")
             if not isinstance(c, int):
                 raise ValueError(f"coefficients must be integers: {c!r}")
             if ring == MOD_P:
@@ -83,8 +86,8 @@ class ICochain:
 
     @classmethod
     def _trusted(cls, ctx: GroupContext, degree: int, ring: str, values: dict):
-        """Wrap values that are already valid: keys of nonidentity group
-        elements, nonzero coefficients, reduced into [0, p) over MOD_P.
+        """Wrap values that are already valid: keys of nonidentity element
+        codes, nonzero coefficients, reduced into [0, p) over MOD_P.
         No check, no copy."""
         cochain = cls.__new__(cls)
         cochain.ctx, cochain.degree, cochain.ring, cochain.values = ctx, degree, ring, values
@@ -186,11 +189,9 @@ class ICochain:
         ctx = self.ctx
         if len(factors) != self.degree:
             raise ValueError(f"expected {self.degree} factors, got {len(factors)}")
-        identity = ctx.identity
         for d in factors:
             for u, c in d.items():
-                ctx.check_elem(u)
-                if u == identity:
+                if ctx.check_elem(u) == ctx.identity:
                     raise ValueError("the identity is not a difference-basis element")
                 if not isinstance(c, int):
                     raise ValueError(f"coefficients must be integers: {c!r}")
@@ -221,11 +222,15 @@ class ICochain:
         factor contractions a_i a_(i+1) (a product in the group ring); an
         ideal element acts as zero on the trivial coefficient module, so
         there is no action term.  The contractions run in one vectorized
-        pass (``kernel.coboundary_values``).
+        pass (``kernel.coboundary_values``).  A constant or a zero cochain
+        has nothing to contract, so its zero coboundary is returned before
+        the budget check, which would compute p^r.
         """
+        ctx, n, values = self.ctx, self.degree, self.values
+        if not n or not values:
+            return ICochain._trusted(ctx, n + 1, self.ring, {})
         from .kernel import coboundary_values  # numpy loads only when a coboundary is computed
 
-        ctx, n, values = self.ctx, self.degree, self.values
         # the kernel's three (E, N) families per slot
         check_budget(len(values) * 3 * n * (ctx.order - 1))
         # The kernel's keys and sums are valid as they stand.
@@ -248,38 +253,20 @@ NormalizedCochain = ICochain
 
 
 def _key_codes(ctx: GroupContext, keys) -> list:
-    """The slot code of each key, the one numbering of keys that the
-    kernel, the cocycle check and the oracle share: a degree-n key is an
-    integer in base N = p^r - 1, slot 1 most significant, each slot the
-    index of its element among the nonidentity elements in lexicographic
-    order (its ``_slot_code`` minus one).  Codes sort as
-    the keys do: a key's code is its position in ``oracle.cochain_basis``."""
-    p, big_n = ctx.p, ctx.order - 1
-    index: dict = {}
+    """The number of each key, the one numbering of keys that the kernel,
+    the cocycle check and the oracle share: a degree-n key is an integer
+    in base N = p^r - 1, slot 1 most significant, each slot its element
+    less one (its index among the nonidentity elements).  Numbers sort as
+    the keys do: a key's number is its position in
+    ``oracle.cochain_basis``."""
+    big_n = ctx.order - 1
     codes = []
     for key in keys:
         code = 0
         for u in key:
-            i = index.get(u)
-            if i is None:
-                i = index[u] = _slot_code(p, u) - 1
-            code = code * big_n + i
+            code = code * big_n + u - 1
         codes.append(code)
     return codes
-
-
-def _slot_code(p: int, u) -> int:
-    """The code of a key slot in a cochain document: the element's
-    exponent vector read in base p, first exponent most significant, in
-    [1, p^r) for a nonidentity element.  It is one more than the
-    element's index among the nonidentity elements in lexicographic order
-    (the per-slot index of ``_key_codes``).  With the first exponent most
-    significant, codes sort as the vectors do, so a document's entries,
-    sorted by code, keep the order of the keys."""
-    code = 0
-    for digit in u:
-        code = code * p + digit
-    return code
 
 
 def _bar_coboundary(f: ICochain) -> ICochain:
@@ -294,8 +281,8 @@ def _bar_coboundary(f: ICochain) -> ICochain:
     # per entry: N leading, at most N per inner slot and N trailing terms
     check_budget(len(f.values) * (n + 2) * (ctx.order - 1))
     out: dict = {}
-    nonid = list(ctx.nonidentity_elements())
-    inv = ctx.inverse
+    nonid = ctx.nonidentity_elements()
+    pairs: dict = {}  # k -> the pairs (x, x^-1 k); x = k would make the second 1
     trail_sign = -1 if (n + 1) % 2 else 1
     for key, c in f.values.items():
         for v in nonid:
@@ -303,12 +290,12 @@ def _bar_coboundary(f: ICochain) -> ICochain:
             out[t] = out.get(t, 0) + c
         for j in range(1, n + 1):
             kj = key[j - 1]
+            if kj not in pairs:
+                pairs[kj] = [(x, ctx.mul(ctx.inverse(x), kj)) for x in nonid if x != kj]
             sign_c = -c if j % 2 else c
             head, tail = key[: j - 1], key[j:]
-            for x in nonid:
-                if x == kj:
-                    continue  # would force the second factor to be 1
-                t = head + (x, ctx.mul(inv(x), kj)) + tail
+            for pair in pairs[kj]:
+                t = head + pair + tail
                 out[t] = out.get(t, 0) + sign_c
         for v in nonid:
             t = key + (v,)

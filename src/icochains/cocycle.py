@@ -9,9 +9,10 @@ compile it.  The ideal-form coboundary has the values of the bar
 coboundary, so the decision is made on the bar formula, one
 first-argument partition at a time, at the r generators of G only: by a
 comparison of first-slot slices where it certifies the partition, and by
-summing its terms on slot codes (``cochain._key_codes``) elsewhere.  The
-tests compare it with ``cochain._bar_coboundary``, the bar formula as a
-plain loop.
+summing its terms on key numbers (``cochain._key_codes``) elsewhere.
+Elements are their codes (see ``group_ring``), so multiplying by a
+generator is one digit step on an int.  The tests compare it with
+``cochain._bar_coboundary``, the bar formula as a plain loop.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     recursion; at n = 1, f_a is a constant, which is a cocycle).
 
     Where the comparison fails, the partition is expanded term by term on
-    the keys' slot codes (``_key_codes``), and the sums must vanish: they
+    the keys' numbers (``_key_codes``), and the sums must vanish: they
     start from the leading term f(X) of every entry,
     X = (x_2, ..., x_(n+1)), the slot-1 term -f(a x_2, x_3, ...) of every
     entry (k_1, ...) with k_1 != a, at x_2 = a^-1 k_1, and the inner and
@@ -95,8 +96,8 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
                 continue
             if codes is None:
                 codes = _key_codes(ctx, keys)
-            w = p ** (r - 1 - g)  # weight of exponent g in an element's value
-            a = w - 1  # the index of the generator s_(g+1) among the nonidentity elements
+            w = ctx.generator(g + 1)  # s_(g+1), the weight of exponent g in an element
+            a = w - 1  # the generator's slot in a key number
             sums = dict(zip(codes, vals))  # the leading term
             get = sums.get
             own = {}  # f_a, on (n-1)-codes
@@ -147,15 +148,16 @@ def _slot_one_vanishes(ctx: GroupContext, g: int, runs: dict, rests: list, vals:
     exactly.  The comparisons are exact, since values are reduced into
     [1, p) over F_p and exact over Z."""
     p = ctx.p
+    a = ctx.generator(g + 1)  # the weight of exponent g in an element
+    wrap = (p - 1) * a
 
-    def times_a(x: tuple) -> tuple:  # exponent g of x raised by one, mod p
-        return x[:g] + ((x[g] + 1) % p,) + x[g + 1:]
+    def times_a(x: int) -> int:  # exponent g of x raised by one, mod p
+        return x + a if x // a % p != p - 1 else x - wrap
 
-    def run_of(x: tuple) -> tuple:  # the keys and the values of f_x
+    def run_of(x: int) -> tuple:  # the keys and the values of f_x
         lo, hi = runs.get(x, (0, 0))
         return rests[lo:hi], vals[lo:hi]
 
-    a = ctx.generator(g + 1)
     if a not in runs:
         return all(run_of(times_a(x)) == run_of(x) for x in runs)
     keys_a, vals_a = run_of(a)
@@ -172,10 +174,10 @@ def _slot_one_vanishes(ctx: GroupContext, g: int, runs: dict, rests: list, vals:
 
 
 def _pair_codes(p: int, r: int, k: int) -> list:
-    """The base-N codes of the 2-slot keys (x, x^-1 k), x neither 1 nor k:
-    the keys whose two slots multiply to the element of index k."""
+    """The base-N numbers of the 2-slot keys (x, x^-1 k), x neither 1 nor
+    k: the keys whose two slots multiply to the element k + 1."""
     big_n = p**r - 1
-    quotients = [0]  # value of x^-1 k, for x in lexicographic order
+    quotients = [0]  # the element x^-1 (k + 1), for each element x in order
     for g in range(r - 1, -1, -1):
         digit = (k + 1) // p**g % p
         quotients = [q * p + (digit - x) % p for q in quotients for x in range(p)]

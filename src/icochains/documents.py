@@ -5,40 +5,40 @@ tag (``normalized`` or ``icochain``), a coefficient-ring tag (``Z`` or
 ``Fp``) and the E entries of the cochain.  ``tau``, ``cup`` and ``d``
 write schema 3, whose entries are two columns:
 
-* ``slots``, the n E slot codes of the keys, one key after another in
-  entry order.  A slot's code is its element's exponent vector read in
-  base p, first exponent most significant, an integer in [1, p^r)
-  (``cochain._slot_code``).
+* ``slots``, the n E slots of the keys, one key after another in entry
+  order.  A slot code is the element itself (see ``group_ring``): its
+  exponent vector read in base p, first exponent most significant, an
+  integer in [1, p^r).
 * ``values``, the E nonzero values; value i belongs to the key
   ``slots[i n : (i + 1) n]``.
 
 Entries are sorted by key; codes sort as the vectors do.  Every command
 also reads schema 1, whose entries are {"key", "value"} objects and
 whose key is a list of n exponent vectors, each r integers in [0, p),
-never the zero vector; no command writes it.  Schema 2, whose keys were
-lists of slot codes inside the same objects, is no longer read.  Both
-kinds store the same values, so every document parses to an
-``ICochain``; the kind is a label, which ``d`` writes back.  An algebra
-document, which ``invert`` writes as schema 1 and no command reads,
-carries (p, r) and entries mapping monomial signatures to coefficients in
-[1, p).
+never the zero vector, which the reader encodes; no command writes it.
+Schema 2, whose keys were lists of slot codes inside the same objects,
+is no longer read.  Both kinds store the same values, so every document
+parses to an ``ICochain``; the kind is a label, which ``d`` writes back.
+An algebra document, which ``invert`` writes as schema 1 and no command
+reads, carries (p, r) and entries mapping monomial signatures to
+coefficients in [1, p).
 
 ``dumps_document`` writes a cochain document as
 ``json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"`` and an
 algebra document as ``json.dumps(doc, indent=2, sort_keys=True) + "\n"``.
 
 ``parse_cochain_document`` checks the columns of either schema in passes
-of ``map``, ``set``, ``min`` and ``max`` that run in C, before it decodes
-anything.  Schema 3: the length of ``slots`` is n times that of
-``values``; every value is an exact int, nonzero, in [1, p) over Fp; every
-slot an exact int in [1, p^r); then r times the number of distinct codes,
-the exponents that decoding writes, must pass the entry budget (exit 3).
-Each distinct code is decoded once, by r ``divmod``s.  Schema 1: entry
-fields, key lengths, value types and ranges, then each distinct exponent
-vector is range-checked once.  In either schema no key may repeat.  When
-a column fails, a loop finds the first failing item and raises its error,
-naming ``slots[k]`` or ``values[i]`` (schema 3) or ``entries[i]``
-(schema 1).
+of ``map``, ``set``, ``min`` and ``max`` that run in C.  Schema 3: the
+length of ``slots`` is n times that of ``values``; every value is an
+exact int, nonzero, in [1, p) over Fp; every slot an exact int in
+[1, p^r); then r times the number of distinct codes must pass the entry
+budget (exit 3), since every later operation on an element reads its r
+digits.  The slot column is then cut into keys as it stands.  Schema 1:
+entry fields, key lengths and value types and ranges; then each distinct
+exponent vector is checked and encoded once.  In either schema no key
+may repeat.  When a column fails, a loop finds the first failing item
+and raises its error, naming ``slots[k]`` or ``values[i]`` (schema 3)
+or ``entries[i]`` (schema 1).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .cochain import ICochain, _slot_code
+from .cochain import ICochain
 from .group_ring import (
     INTEGERS,
     MOD_P,
@@ -90,16 +90,9 @@ def _check_vector(vec, ctx: GroupContext, where: str) -> tuple:
 
 def _check_code(code, ctx: GroupContext, where: str) -> int:
     """A slot code: an exact int in [1, p^r)."""
-    _expect(_is_int(code) and 0 < code and _below_order(code, ctx),
+    _expect(_is_int(code) and 0 < code and ctx.below_order(code),
             f"{where}: slot codes must be integers in [1, {ctx.p}^{ctx.r})")
     return code
-
-
-def _below_order(code: int, ctx: GroupContext) -> bool:
-    """Whether a nonnegative int is below p^r.  The bound is tested
-    against p^min(r, bits of the code), which is at least p^r or larger
-    than the code, so p^r itself is never computed."""
-    return code < ctx.p ** min(ctx.r, code.bit_length())
 
 
 def _check_value(value, ctx: GroupContext, ring: str, where: str) -> None:
@@ -131,15 +124,6 @@ def _values_pass(values: list, ctx: GroupContext, ring: str, bools: bool) -> boo
     distinct = _distinct_ints(values, bools)
     return distinct is not None and (
         0 < min(distinct) and max(distinct) < ctx.p if ring == MOD_P else 0 not in distinct)
-
-
-def _slot_element(code: int, p: int, r: int) -> tuple:
-    """The exponent vector of a slot code in [1, p^r), read off by r
-    divmods, last exponent first."""
-    digits = [0] * r
-    for i in range(r - 1, -1, -1):
-        code, digits[i] = divmod(code, p)
-    return tuple(digits)
 
 
 def _load_json(text: str):
@@ -204,14 +188,11 @@ def _column_values(slots, values, ctx: GroupContext, n: int, ring: str, bools: b
     else:
         distinct = _distinct_ints(slots, bools)
         if not (distinct is not None and min(distinct) > 0
-                and _below_order(max(distinct), ctx)):
+                and ctx.below_order(max(distinct))):
             for k, code in enumerate(slots):
                 _check_code(code, ctx, f"slots[{k}]")
         check_budget(ctx.r * len(distinct))
-        p, r = ctx.p, ctx.r
-        elements = {code: _slot_element(code, p, r) for code in distinct}
-        # each n consecutive slots form a key
-        keys = zip(*[map(elements.__getitem__, slots)] * n)
+        keys = zip(*[iter(slots)] * n)  # each n consecutive slots form a key
     result = dict(zip(keys, values))
     if len(result) != count:
         seen: set = set()
@@ -230,10 +211,9 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str, bools: bo
     The entries are checked as columns, each in one pass that runs in C:
     every entry is a dict of two items, 'key' and 'value'; every key a list
     of n slots; every value an exact nonzero int, in [1, p) over Fp.  Then
-    ``_vector_elements`` turns the slots into group elements, equal slots
-    into one tuple, and no key may repeat.  When any check fails,
-    ``_raise_first_entry_error`` checks the entries again one by one and
-    raises the first error.
+    ``_vector_elements`` encodes the slots, and no key may repeat.  When
+    any check fails, ``_raise_first_entry_error`` checks the entries again
+    one by one and raises the first error.
     """
     count = len(entries)
     if not count:
@@ -261,19 +241,19 @@ def _entry_values(entries: list, ctx: GroupContext, n: int, ring: str, bools: bo
 def _vector_elements(slots: list, ctx: GroupContext):
     """Every slot an exponent vector, a list of r exact ints (so no bool
     or float equal to one passes) in [0, p), not all zero.  Each distinct
-    vector is range-checked once.  Returns the slots' elements, equal
-    vectors sharing one tuple, or None when a slot fails."""
-    from itertools import tee
-
+    vector is checked and encoded once.  Returns the slots' elements, or
+    None when a slot fails."""
     if not (set(map(type, slots)) == {list}
             and set(map(type, chain.from_iterable(slots))) == {int}):
         return None
-    distinct: dict = {}  # each distinct vector, mapped to its first tuple
-    elements = list(map(distinct.setdefault, *tee(map(tuple, slots))))
-    if not (set(map(len, distinct)) == {ctx.r} and all(map(any, distinct))
-            and min(map(min, distinct)) >= 0 and max(map(max, distinct)) < ctx.p):
+    vectors = list(map(tuple, slots))
+    try:
+        elements = {v: ctx.encode(v) for v in set(vectors)}
+    except ValueError:
         return None
-    return elements
+    if 0 in elements.values():
+        return None
+    return list(map(elements.__getitem__, vectors))
 
 
 def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str):
@@ -302,25 +282,11 @@ def _raise_first_entry_error(entries: list, ctx: GroupContext, n: int, ring: str
 
 # -- writing ----------------------------------------------------------------
 
-class _SlotCodes(dict):
-    """The slot code (``cochain._slot_code``) of each exponent vector
-    looked up, computed on its first lookup, so that mapping a document's
-    slots hashes each slot once."""
-
-    def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-
-    def __missing__(self, u) -> int:
-        code = self[u] = _slot_code(self.p, u)
-        return code
-
-
 def cochain_document(cochain, kind: str) -> dict:
     """The schema-3 document of a cochain: its entries sorted by key, the
-    keys' slot codes in one column and the values in another."""
+    keys' slots, which are element codes, in one column and the values in
+    another."""
     entries = sorted(cochain.values.items(), key=itemgetter(0))
-    keys = map(itemgetter(0), entries)
     return {
         "schema_version": SCHEMA_VERSION,
         "p": cochain.ctx.p,
@@ -328,7 +294,7 @@ def cochain_document(cochain, kind: str) -> dict:
         "n": cochain.degree,
         "kind": kind,
         "coeff_ring": cochain.ring,
-        "slots": list(map(_SlotCodes(cochain.ctx.p).__getitem__, chain.from_iterable(keys))),
+        "slots": list(chain.from_iterable(map(itemgetter(0), entries))),
         "values": list(map(itemgetter(1), entries)),
     }
 

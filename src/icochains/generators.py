@@ -25,12 +25,14 @@ def exponent_cocycle(ctx: GroupContext, i: int) -> ICochain:
 
     On the shifted basis it is dual to s_i - 1: it gives 1 there and 0 on
     every other shifted monomial.  Represents the i-th degree-1 generator.
+    The i-th exponent of u is digit i of its code, counted from the most
+    significant.
     """
-    ctx.check_index(i)
+    p, w = ctx.p, ctx.generator(i)
     values = {}
     for u in ctx.nonidentity_elements():
-        if u[i - 1]:
-            values[(u,)] = u[i - 1]
+        if digit := u // w % p:
+            values[(u,)] = digit
     # keys of nonidentity elements, values in [1, p): valid as built
     return ICochain._trusted(ctx, 1, MOD_P, values)
 
@@ -48,11 +50,12 @@ def bockstein_cocycle(ctx: GroupContext, i: int) -> ICochain:
     and 0 elsewhere (a fact the tests verify against
     ``bockstein_pair_value``).
     """
-    ctx.check_index(i)
+    p, w = ctx.p, ctx.generator(i)
+    digits = [(u, u // w % p) for u in ctx.nonidentity_elements()]
     values = {}
-    for u in ctx.nonidentity_elements():
-        for v in ctx.nonidentity_elements():
-            if u[i - 1] + v[i - 1] >= ctx.p:
+    for u, k in digits:
+        for v, l in digits:
+            if k + l >= p:
                 values[(u, v)] = 1
     # keys of nonidentity elements, coefficient 1: valid as built
     return ICochain._trusted(ctx, 2, MOD_P, values)
@@ -137,7 +140,7 @@ def probe_tensor_split(ctx: GroupContext, i: int, m: int, q: Sequence[int]) -> t
     splits.
 
     >>> probe_tensor_split(GroupContext(3, 1), 1, 3, (2,))
-    ({(1,): 1}, {(2,): 1}, {(1,): 1})
+    ({1: 1}, {2: 1}, {1: 1})
     """
     ctx.check_index(i)
     q = tuple(q)

@@ -38,10 +38,11 @@ build, before its first degree.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
-from .group_ring import GroupContext, check_budget
+from .group_ring import EXACT_SIZE_DIGITS, BudgetExceededError, GroupContext, check_budget
 
 
 def _reduce(row: dict, pivots: dict, p: int) -> None:
@@ -98,12 +99,13 @@ def _block_ranks(ctx: GroupContext, n: int) -> tuple:
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
     check_budget(big_n**n + big_n ** (n + 1))
-    # An exponent vector is coded in a base that no coordinate of an
-    # (n+1)-key's multidegree reaches, so a key's multidegree is the sum
-    # of its codes and a + b is an element iff its code is one.
+    # A t-exponent vector a != 0 is coded in a base that no coordinate of
+    # an (n+1)-key's multidegree reaches, so a key's multidegree is the
+    # sum of its codes and a + b is a monomial of I iff its code is one.
     base = (n + 1) * (p - 1) + 1
     place = [base ** (r - 1 - j) for j in range(r)]
-    elems = [sum(a * w for a, w in zip(u, place)) for u in ctx.nonidentity_elements()]
+    elems = [sum(e * w for e, w in zip(a, place))
+             for a in itertools.product(range(p), repeat=r) if any(a)]
     valid = set(elems)
     cols = {0: [()]}  # multidegree -> n-keys
     for _ in range(n):
@@ -180,8 +182,13 @@ def check_table_budget(ctx: GroupContext, max_n: int) -> None:
     grows as the cube of max_n, where a count of n-keys alone would stay
     at 2 per degree.  The terms grow with n, so the sum stops at the first
     degree whose running total exceeds the entry budget, and that total is
-    the one reported.
+    the one reported.  When N alone has more than ``EXACT_SIZE_DIGITS``
+    digits, degree 0 is refused by the logarithm of p^r, without
+    computing it.
     """
+    log10 = ctx.r * math.log10(ctx.p)
+    if log10 > EXACT_SIZE_DIGITS:
+        raise BudgetExceededError(None, log10)
     big_n, built, required = ctx.order - 1, 0, 0
     for n in range(max_n + 1):
         built += (n + 1) * big_n ** (n + 1)  # the slots of degree n

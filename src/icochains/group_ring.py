@@ -1,33 +1,31 @@
 """The group G = F_p^r, and elements of its augmentation ideal.
 
-G is F_p^r written multiplicatively: an element is an exponent vector
-``(k_1, ..., k_r)`` with ``0 <= k_i < p``, and multiplication adds exponents
-mod p.  The augmentation ideal I of Z[G] (the kernel of the coefficient-sum
-map) has the nonidentity differences ``u - 1`` as a basis, and an element
-of I is kept on that basis only: a dict {u: c} with u a nonidentity
-element and c an exact int, the form in which cochains store their values
-and evaluate.  ``shifted_monomial`` expands the products of the
-differences ``s_i - 1`` of the distinguished generators onto it.  The
-entry budget, ``check_budget`` (which refuses a size over it) and the two
-errors every layer raises (``BudgetExceededError``, ``NotACocycleError``)
-live here too, so the block oracle and the CLI reach them without
-loading any cochain code.
+G is F_p^r written multiplicatively, and an element is its code: the int
+in [0, p^r) whose base-p digits, first most significant, are its exponent
+vector (k_1, ..., k_r).  The identity is 0, the generator s_i is p^(r-i),
+codes sort as the vectors do, and multiplication adds digits mod p with
+no carry.  Cochain documents write the same ints; ``GroupContext.encode``
+and ``decode`` are the one pair that knows exponent vectors.  The
+augmentation ideal I of Z[G] (the kernel of the coefficient-sum map) has
+the nonidentity differences ``u - 1`` as a basis, and an element of I is
+kept on that basis only: a dict {u: c} with u a nonidentity element and
+c an exact int, the form in which cochains store their values and
+evaluate.  ``shifted_monomial`` expands the products of the differences
+``s_i - 1`` of the distinguished generators onto it.  The entry budget,
+``check_budget`` (which refuses a size over it) and the two errors every
+layer raises (``BudgetExceededError``, ``NotACocycleError``) live here
+too, so the block oracle and the CLI reach them without loading any
+cochain code.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from typing import Iterator
 
 # Coefficient-ring tags.  MOD_P values are always stored reduced into [0, p).
 INTEGERS = "Z"
 MOD_P = "Fp"
-
-# A group element is a plain tuple of ints, checked by GroupContext.check_elem
-# where it enters from outside.
-GroupElem = tuple
 
 # The entry budget of the oracles' dense matrices and enumerated keys, and of
 # the terms of coboundaries and cup products.  No flag or parameter raises it.
@@ -117,18 +115,21 @@ def is_prime(n: int) -> bool:
 
 class GroupContext:
     """Ambient parameters (p, r) for G = F_p^r, shared by all values.
-    Immutable, compared and hashed by (p, r).
+    Immutable, compared and hashed by (p, r).  Elements are codes (see the
+    module docstring).
 
     >>> ctx = GroupContext(3, 2)
     >>> ctx
     GroupContext(p=3, r=2)
-    >>> ctx.mul((1, 2), (2, 2))
+    >>> ctx.decode(ctx.mul(ctx.encode((1, 2)), ctx.encode((2, 2))))
     (0, 1)
-    >>> ctx.identity
-    (0, 0)
+    >>> ctx.generator(1), ctx.identity
+    (3, 0)
     """
 
     __slots__ = ("p", "r")
+
+    identity = 0
 
     def __init__(self, p: int, r: int):
         try:
@@ -160,46 +161,70 @@ class GroupContext:
         return f"GroupContext(p={self.p!r}, r={self.r!r})"
 
     @property
-    def identity(self) -> GroupElem:
-        return (0,) * self.r
-
-    @property
     def order(self) -> int:
         return self.p**self.r
 
-    def elements(self) -> Iterator[GroupElem]:
-        """All p^r exponent vectors in lexicographic order."""
-        return itertools.product(range(self.p), repeat=self.r)
+    def elements(self) -> range:
+        """All p^r elements, in increasing order."""
+        return range(self.order)
 
-    def nonidentity_elements(self) -> Iterator[GroupElem]:
-        return (u for u in self.elements() if any(u))
+    def nonidentity_elements(self) -> range:
+        return range(1, self.order)
 
-    def generator(self, i: int) -> GroupElem:
+    def generator(self, i: int) -> int:
         """The i-th distinguished generator s_i (1-based)."""
         self.check_index(i)
-        return tuple(1 if j == i - 1 else 0 for j in range(self.r))
+        return self.p ** (self.r - i)
 
-    def generator_power(self, i: int, k: int) -> GroupElem:
-        self.check_index(i)
-        return tuple(k % self.p if j == i - 1 else 0 for j in range(self.r))
+    def generator_power(self, i: int, k: int) -> int:
+        return k % self.p * self.generator(i)
 
-    def mul(self, u: GroupElem, v: GroupElem) -> GroupElem:
-        return tuple((a + b) % self.p for a, b in zip(u, v))
+    def mul(self, u: int, v: int) -> int:
+        p = self.p
+        return _code(((a + b) % p for a, b in zip(self.decode(u), self.decode(v))), p)
 
-    def inverse(self, u: GroupElem) -> GroupElem:
-        return tuple((-a) % self.p for a in u)
+    def inverse(self, u: int) -> int:
+        p = self.p
+        return _code((-a % p for a in self.decode(u)), p)
 
-    def check_elem(self, u) -> GroupElem:
-        if not isinstance(u, tuple) or len(u) != self.r:
-            raise ValueError(f"group element must be a tuple of length {self.r}: {u!r}")
-        if any(not isinstance(a, int) or not 0 <= a < self.p for a in u):
-            raise ValueError(f"exponents must be integers in [0, {self.p}): {u!r}")
+    def encode(self, vector) -> int:
+        """The element of an exponent vector, a tuple of r ints in [0, p)."""
+        if not isinstance(vector, tuple) or len(vector) != self.r:
+            raise ValueError(f"exponent vector must be a tuple of length {self.r}: {vector!r}")
+        if any(not isinstance(a, int) or not 0 <= a < self.p for a in vector):
+            raise ValueError(f"exponents must be integers in [0, {self.p}): {vector!r}")
+        return _code(vector, self.p)
+
+    def decode(self, u: int) -> tuple:
+        """The exponent vector of an element, read off by r divmods."""
+        p, digits = self.p, [0] * self.r
+        for i in range(self.r - 1, -1, -1):
+            u, digits[i] = divmod(u, p)
+        return tuple(digits)
+
+    def below_order(self, u: int) -> bool:
+        """Whether a nonnegative int is below p^r.  The bound is tested
+        against p^min(r, bits of u), which is at least p^r or larger than
+        u, so p^r itself is never computed."""
+        return u < self.p ** min(self.r, u.bit_length())
+
+    def check_elem(self, u) -> int:
+        if type(u) is not int or u < 0 or not self.below_order(u):
+            raise ValueError(f"group elements are integers in [0, {self.p}^{self.r}): {u!r}")
         return u
 
     def check_index(self, i: int) -> int:
         if not 1 <= i <= self.r:
             raise ValueError(f"generator index must be in [1, {self.r}], got {i}")
         return i
+
+
+def _code(digits, p: int) -> int:
+    """The int whose base-p digits are ``digits``, most significant first."""
+    code = 0
+    for digit in digits:
+        code = code * p + digit
+    return code
 
 
 def _group_context(p: int, r: int, where: str = "") -> GroupContext:
@@ -245,8 +270,11 @@ def shifted_monomial(ctx: GroupContext, k) -> dict:
     honestly in Z[G] (where s_i^p = 1).  Callers that need residues
     reduce the result mod p.
 
+    The exponent vector ``k`` is a vector of exponents of the t_i =
+    s_i - 1, not an element; the result's keys are elements.
+
     >>> ctx = GroupContext(3, 1)
-    >>> shifted_monomial(ctx, (2,)) == {(1,): -2, (2,): 1}
+    >>> shifted_monomial(ctx, (2,)) == {1: -2, 2: 1}
     True
     """
     if len(k) != ctx.r or any(not isinstance(a, int) or a < 0 for a in k):
@@ -254,10 +282,10 @@ def shifted_monomial(ctx: GroupContext, k) -> dict:
     if not any(k):
         raise ValueError("the zero exponent vector gives 1, which is not in the ideal")
     p = ctx.p
-    terms: dict = {(): 1}
-    for e in k:
+    terms: dict = {0: 1}
+    for e in k:  # the element codes, one base-p digit per generator
         factor = _difference_power(e, p).items()
-        terms = {u + (j,): c * v for u, c in terms.items() for j, v in factor}
+        terms = {u * p + j: c * v for u, c in terms.items() for j, v in factor}
     # Products of nonzero integers stay nonzero, so only the identity goes.
-    terms.pop(ctx.identity, None)
+    terms.pop(0, None)
     return terms

@@ -70,24 +70,19 @@ def invert(f) -> AlgebraElem:
     sums over the stored keys, in O(E n r): each key meets at most one
     term of the formula (see the module docstring).  A key is read from
     its last slot, which ends a block and so is a generator on every
-    probe; most keys off the probes fail that first test.  A slot's
-    exponents lie in [0, p), so they sum to 1 only at a generator, and
-    nothing is built per generator.
+    probe; most keys off the probes fail that first test.  A slot is read
+    from its code's digits, and nothing is built per generator.
     """
     _require_mod_p(f)
     ctx = f.ctx
-    slots: dict = {}  # element -> (generator index, exponent), or None
     totals: dict = {}
     for key, v in f.values.items():
-        if key and sum(key[-1]) != 1:
+        if key and _generator_power(ctx, key[-1]) is None:
             continue
         sizes = [0] * ctx.r  # slots of each generator read so far
         inversions = 0  # pairs of the generator word out of order
         for u in reversed(key):
-            slot = slots.get(u, False)
-            if slot is False:
-                support = [g for g, e in enumerate(u) if e]
-                slot = slots[u] = (support[0], u[support[0]]) if len(support) == 1 else None
+            slot = _generator_power(ctx, u)
             if slot is None:
                 break
             g, e = slot
@@ -99,6 +94,16 @@ def invert(f) -> AlgebraElem:
             comp = tuple(sizes)
             totals[comp] = totals.get(comp, 0) + (-v if inversions % 2 else v)
     return _signed(ctx, totals)
+
+
+def _generator_power(ctx: GroupContext, u: int):
+    """(g, e) when the element u != 1 is s_(g+1)^e, else None: its code
+    is e times a power of p, read off by stripping its low zero digits."""
+    p, g = ctx.p, ctx.r - 1
+    while not u % p:
+        u //= p
+        g -= 1
+    return (g, u) if u < p else None
 
 
 # The older name of ``invert``, kept for the benchmark's reference, which
@@ -123,8 +128,7 @@ def invert_normalized_counted(a) -> tuple[AlgebraElem, int]:
     _require_mod_p(a)
     ctx, n, values = a.ctx, a.degree, a.values
     r = ctx.r
-    steady = [(ctx.generator(g),) for g in range(1, r + 1)]
-    split: list = [None] * r
+    split: dict = {}
     totals: dict = {}
     evaluations = 0
     for word in itertools.product(range(r), repeat=n):
@@ -133,9 +137,9 @@ def invert_normalized_counted(a) -> tuple[AlgebraElem, int]:
         slots = []  # each slot's choices, last slot first
         for g in reversed(word):
             inversions += sum(sizes[:g])
-            if sizes[g] % 2 and split[g] is None:
+            if sizes[g] % 2 and g not in split:
                 split[g] = tuple(ctx.generator_power(g + 1, q) for q in range(1, ctx.p))
-            slots.append(split[g] if sizes[g] % 2 else steady[g])
+            slots.append(split[g] if sizes[g] % 2 else (ctx.generator(g + 1),))
             sizes[g] += 1
         total = 0
         for key in itertools.product(*reversed(slots)):

@@ -9,8 +9,9 @@ pure Python, in ``cocycle``) never import numpy.  The oracle builds its
 matrices from the bar formula instead, so it checks this kernel rather
 than sharing it.
 
-Keys travel as slot codes (``cochain._key_codes``); ``_decode_keys`` is
-their vectorized inverse.
+Keys travel as their numbers in base p^r - 1 (``cochain._key_codes``);
+``_decode_keys`` is the vectorized inverse, whose slots are the element
+codes themselves.
 """
 
 from __future__ import annotations
@@ -29,22 +30,19 @@ def _code_dtype(limit: int):
 
 
 def _decode_keys(ctx: GroupContext, n: int, codes: np.ndarray) -> list:
-    """The degree-n keys (tuples of exponent vectors) with the given slot
-    codes: the inverse of ``_key_codes``."""
-    if not len(codes):
-        return []  # without listing the N elements, which huge p forbids
+    """The degree-n keys (tuples of element codes) with the given
+    numbers: the inverse of ``_key_codes``."""
     big_n = ctx.order - 1
-    elems = list(ctx.nonidentity_elements())
     slots = []
     for _ in range(n):
-        slots.append([elems[i] for i in (codes % big_n).tolist()])
+        slots.append((codes % big_n + 1).tolist())
         codes = codes // big_n
     return list(zip(*reversed(slots)))
 
 
 def coboundary_values(ctx: GroupContext, n: int, values: dict, ring: str) -> dict:
-    """Ideal-form coboundary of degree-n values {key: coefficient} as one
-    sort-and-reduce.
+    """Ideal-form coboundary of degree-n >= 1 values {key: coefficient},
+    at least one of them, as one sort-and-reduce.
 
     Entry e is the e-th key, encoded as ``codes[e]``, with coefficient
     ``coeffs[e]``.  Its image under the coboundary is, for each slot i
@@ -52,8 +50,8 @@ def coboundary_values(ctx: GroupContext, n: int, values: dict, ring: str) -> dic
     read backwards: the key k_i at slot i is hit by the (n+1)-keys with
     (x, x^-1 k_i) for x != k_i (coefficient +sign), (k_i, y) for every y
     and (x, k_i) for every x (coefficient -sign) in slots i, i+1.  Each
-    family is an (E, N) broadcast; x^-1 k_i is worked out on exponent
-    digits, with no p^r x p^r table.
+    family is an (E, N) broadcast; x^-1 k_i is worked out on the
+    elements' base-p digits, with no p^r x p^r table.
 
     Terms are packed as code * width + coefficient digit (c mod p, or
     c + m for integers bounded by m in absolute value), sorted once, and
@@ -65,8 +63,6 @@ def coboundary_values(ctx: GroupContext, n: int, values: dict, ring: str) -> dic
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
     entries = len(values)
-    if n == 0 or entries == 0:
-        return {}
     coeffs = list(values.values())
     if ring == MOD_P:
         shift, width = 0, p

@@ -9,7 +9,7 @@ on the coboundary kernel that ``d`` runs, nor on the inverse-map code,
 and agreement with either is meaningful evidence.
 
 A matrix is a plain list of sparse {row: value} columns, values in
-[1, p), and a vector one such dict, both indexed by slot code
+[1, p), and a vector one such dict, both indexed by key number
 (``cochain._key_codes``).  Every question runs on the
 elimination ``graded._reduce``/``_echelon`` that also ranks the
 multigraded blocks, from which ``graded.cohomology_report`` takes its
@@ -32,8 +32,8 @@ from .group_ring import MOD_P, GroupContext, NotACocycleError, check_budget
 @functools.lru_cache(maxsize=None)
 def cochain_basis(ctx: GroupContext, n: int) -> tuple:
     """All degree-n basis keys (tuples of nonidentity elements), in
-    lexicographic order, which is the order of their slot codes."""
-    return tuple(itertools.product(tuple(ctx.nonidentity_elements()), repeat=n))
+    increasing order, which is the order of their key numbers."""
+    return tuple(itertools.product(ctx.nonidentity_elements(), repeat=n))
 
 
 # The benchmark's tracer (bench/spans.py) patches this name.
@@ -46,7 +46,7 @@ def d_matrix(ctx: GroupContext, n: int) -> list:
 
     Column j is the bar coboundary of the j-th basis cochain of degree n
     (wrapped without checks), on the degree-(n+1) basis; both are indexed
-    by slot code (``_key_codes``), the order of ``cochain_basis``.
+    by key number (``_key_codes``), the order of ``cochain_basis``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -77,7 +77,14 @@ def random_icochain(ctx, n, rng, ring=MOD_P, max_support=None):
         values = {k: rng.randrange(ctx.p) for k in basis}
     else:
         values = {k: rng.randint(-9, 9) for k in basis}
-    return ICochain(ctx, n, ring, values)
+    return from_codes(ctx, n, ring, values)
+
+
+def from_codes(ctx, n, ring, values):
+    """The cochain of {key: value} with keys of element codes, built by the
+    public constructor, which checks the keys' exponent vectors."""
+    decode = functools.lru_cache(maxsize=None)(ctx.decode)
+    return ICochain(ctx, n, ring, {tuple(map(decode, k)): c for k, c in values.items()})
 
 
 def power_cocycle(ctx, i, m):

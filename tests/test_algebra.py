@@ -30,7 +30,14 @@ from icochains import (
 )
 from icochains import inverse
 from icochains.generators import _power_support
-from conftest import DESK, algebra_combination, power_cocycle, random_cocycle, random_icochain
+from conftest import (
+    DESK,
+    algebra_combination,
+    from_codes,
+    power_cocycle,
+    random_cocycle,
+    random_icochain,
+)
 
 
 def shuffles(block_sizes):
@@ -70,7 +77,7 @@ def invert_via_shuffles(f) -> AlgebraElem:
     shuffles sigma of sgn(sigma) times f on the probe tensors' factors,
     scattered by sigma.  Either cochain kind is read as an ICochain."""
     ctx, n = f.ctx, f.degree
-    f = ICochain(ctx, n, f.ring, f.values)
+    f = from_codes(ctx, n, f.ring, f.values)
     terms = {}
     for comp in compositions(n, ctx.r):
         factors = [a for i, m in enumerate(comp, start=1)
@@ -299,7 +306,7 @@ def word_cochain(ctx, n, rng, size=100):
     later slots share, and a random power on the others."""
     def slot():
         if rng.random() < 0.1:
-            return tuple(rng.randrange(ctx.p) for _ in range(ctx.r - 1)) + (1,)
+            return ctx.encode(tuple(rng.randrange(ctx.p) for _ in range(ctx.r - 1)) + (1,))
         e = 1 if rng.random() < 0.6 else rng.randrange(1, ctx.p)
         return ctx.generator_power(rng.randrange(1, ctx.r + 1), e)
 
@@ -310,7 +317,7 @@ def word_cochain(ctx, n, rng, size=100):
         probe.append(ctx.generator_power(g + 1, rng.randrange(1, ctx.p) if later[g] % 2 else 1))
         later[g] += 1
     probe = tuple(reversed(probe))
-    return ICochain(ctx, n, MOD_P, {key: rng.randrange(1, ctx.p) for key in keys}), probe
+    return from_codes(ctx, n, MOD_P, {key: rng.randrange(1, ctx.p) for key in keys}), probe
 
 
 # Every (p, r, n) with p in {2, 3, 5, 7}, r <= 3 and at most 2 000 formula
@@ -324,7 +331,7 @@ def test_formula_matches_the_shuffle_form_and_the_entry_sum(p, r, n):
     ctx = GroupContext(p, r)
     f, probe = word_cochain(ctx, n, random.Random(f"{p}-{r}-{n}"))
     # the one key on a term gives one signature, with coefficient +-1
-    for g in (f, ICochain(ctx, n, MOD_P, {probe: 1})):
+    for g in (f, from_codes(ctx, n, MOD_P, {probe: 1})):
         formula, evaluations = invert_normalized_counted(g)
         assert evaluations == count_terms(ctx, n)
         assert formula == invert_via_shuffles(g)
@@ -442,7 +449,7 @@ def test_invert_at_large_r(n):
     # a generator slot is told by its own exponents, so a key costs O(n r)
     # and nothing is built per generator: r = 20 000, empty and one entry
     ctx = GroupContext(2, 20000)
-    one_entry = ICochain(ctx, n, MOD_P, {(ctx.generator(7),) * n: 1})
+    one_entry = from_codes(ctx, n, MOD_P, {(ctx.generator(7),) * n: 1})
     monomial = AlgebraElem.monomial(ctx, tuple(n if j == 6 else 0 for j in range(ctx.r)))
     start = time.perf_counter()
     assert invert(ICochain.zero(ctx, n)).is_zero()
@@ -488,10 +495,10 @@ def test_realize_output_is_canonical(p, r):
             e = AlgebraElem(ctx, {sig: rng.randrange(1, p) for sig in chosen})
             f = realize(e)
             assert f.degree == degree and len(e.terms) > 1
-            assert f == ICochain(ctx, degree, MOD_P, f.values)
+            assert f == from_codes(ctx, degree, MOD_P, f.values)
     f = realize(AlgebraElem.monomial(ctx, (1,) + (0,) * (r - 1)))
     g = cup_many([f, f.scale(-1)])
-    assert g == ICochain(ctx, 2, MOD_P, g.values)
+    assert g == from_codes(ctx, 2, MOD_P, g.values)
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),

@@ -2,6 +2,7 @@
 from the integral coboundary, and Kraines' identity <x_i>^p = -y_i for the
 p-fold Massey power of x_i."""
 
+import itertools
 import math
 import operator
 from functools import reduce
@@ -19,12 +20,14 @@ from icochains import (
     invert,
     realize,
 )
+from conftest import from_codes
 
 
 def binomial_cochain(ctx, i, k):
     """gamma_k: u -> C(u_i, k) mod p, a degree-1 cochain read on the
     exponents of its one slot."""
-    values = {(u,): math.comb(u[i - 1], k) for u in ctx.nonidentity_elements()}
+    values = {(u,): math.comb(u[i - 1], k)
+              for u in itertools.product(range(ctx.p), repeat=ctx.r) if any(u)}
     return ICochain(ctx, 1, MOD_P, values)
 
 
@@ -58,9 +61,9 @@ def bockstein(f):
     the integral coboundary, whose every value is then divisible by p,
     divide by p and reduce mod p."""
     p = f.ctx.p
-    lifted = ICochain(f.ctx, f.degree, INTEGERS, f.values).coboundary()
+    lifted = from_codes(f.ctx, f.degree, INTEGERS, f.values).coboundary()
     assert all(v % p == 0 for v in lifted.values.values())
-    return ICochain(f.ctx, f.degree + 1, MOD_P, {k: v // p for k, v in lifted.values.items()})
+    return from_codes(f.ctx, f.degree + 1, MOD_P, {k: v // p for k, v in lifted.values.items()})
 
 
 def bockstein_of_monomial(ctx, sig):

@@ -330,6 +330,25 @@ def test_d_at_huge_p_refuses_before_allocating(kind, n, code, tmp_path):
         assert str(3 * (10**18 + 2)) in result.stderr and result.stdout == ""
 
 
+@pytest.mark.parametrize("fields", [
+    {"schema_version": "3", "n": 2, "slots": [], "values": []},
+    {"schema_version": "1", "n": 2, "entries": []},
+    {"schema_version": "3", "n": 0, "slots": [], "values": [1]},
+], ids=["empty", "empty-schema-1", "degree-0"])
+def test_d_with_nothing_to_contract_at_a_huge_r(fields, tmp_path, capsys):
+    # an empty or a degree-0 cochain has the zero coboundary, returned
+    # before the budget check, which would compute p^r = 3^(10^9)
+    doc = {"p": 3, "r": 10**9, "kind": "icochain", "coeff_ring": "Fp", **fields}
+    path = write_doc(tmp_path, "wide.json", json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "d", "--in", path)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (EXIT_OK, "")
+    result = json.loads(out)
+    assert (result["n"], result["r"]) == (fields["n"] + 1, 10**9)
+    assert result["slots"] == result["values"] == []
+
+
 def test_d_refuses_both_kinds_by_one_rule(tmp_path, capsys):
     # E 3n N = 280 * 6 * 10006 = 16 810 080 kernel terms, just over 2^24; the
     # bar form's E (n+2) N = 11 206 720 would have passed
@@ -533,6 +552,19 @@ def test_dims_refuses_a_long_table_before_its_first_degree():
         assert result.returncode == EXIT_BUDGET, result.stderr
         assert f"needs {_line_table_slots(first)} entries" in result.stderr
         assert result.stdout == ""
+
+
+@pytest.mark.parametrize("p,r,exponent", [(3, 10**9, 477121254),
+                                          (10**18 + 3, 100000, 1799999)])
+def test_dims_refuses_a_huge_group_by_its_logarithm(p, r, exponent, capsys):
+    # degree 0 alone needs N = p^r - 1 slots; computing p^r would take
+    # about a second at p = 10^18 + 3, r = 10^5, and far longer at r = 10^9
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dims", "--p", str(p), "--r", str(r), "--max-n", "0")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == (f"error: the computation needs more than 10^{exponent} entries, "
+                   f"over the budget of {2**24}\n")
 
 
 def test_dims_on_a_line_up_to_the_budget():

@@ -1,5 +1,6 @@
 """The explicit generator cocycles and their probes."""
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from icochains import (
     shifted_monomial,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
-from conftest import DESK, power_cocycle, random_icochain
+from conftest import DESK, from_codes, power_cocycle, random_icochain
 
 
 def _shifted_power(ctx, i, k):
@@ -28,7 +29,7 @@ def _shifted_power(ctx, i, k):
 def carry_over_z(ctx, i):
     """The integral carry functional: the Bockstein cocycle's values, all 1,
     read over Z."""
-    return ICochain(ctx, 2, INTEGERS, bockstein_cocycle(ctx, i).values)
+    return from_codes(ctx, 2, INTEGERS, bockstein_cocycle(ctx, i).values)
 
 
 def test_exponent_cocycle_dual_to_shifted_generators():
@@ -51,7 +52,7 @@ def test_exponent_cocycle_kills_higher_shifted_powers():
 def test_exponent_cocycle_reads_exponents():
     ctx = GroupContext(5, 1)
     f = exponent_cocycle(ctx, 1)
-    assert f.evaluate([{(2,): 1}]) == 2  # s^2 - 1
+    assert f.evaluate([{ctx.encode((2,)): 1}]) == 2  # s^2 - 1
 
 
 def test_exponent_cocycle_is_cocycle():
@@ -73,13 +74,17 @@ def test_index_validation():
 def test_carry_cocycle_values():
     ctx = GroupContext(3, 1)
     z = carry_over_z(ctx, 1)
-    assert z.values.get(((2,), (2,)), 0) == 1  # 2 + 2 >= 3
-    assert z.values.get(((1,), (1,)), 0) == 0
-    assert z.values.get(((1,), (2,)), 0) == 1
+
+    def value(z, *vectors):
+        return z.values.get(tuple(map(z.ctx.encode, vectors)), 0)
+
+    assert value(z, (2,), (2,)) == 1  # 2 + 2 >= 3
+    assert value(z, (1,), (1,)) == 0
+    assert value(z, (1,), (2,)) == 1
     ctx2 = GroupContext(3, 2)
     z2 = carry_over_z(ctx2, 2)
-    assert z2.values.get(((0, 2), (1, 2)), 0) == 1
-    assert z2.values.get(((2, 1), (2, 1)), 0) == 0  # carries in slot 1, not slot 2
+    assert value(z2, (0, 2), (1, 2)) == 1
+    assert value(z2, (2, 1), (2, 1)) == 0  # carries in slot 1, not slot 2
 
 
 def test_carry_cocycle_is_cocycle():
@@ -96,7 +101,7 @@ def test_bockstein_cocycle_matches_carry():
     ctx = GroupContext(3, 2)
     b = bockstein_cocycle(ctx, 1)
     assert b.ring == MOD_P and set(b.values.values()) == {1}
-    assert b == ICochain(ctx, 2, MOD_P, carry_over_z(ctx, 1).values)
+    assert b == from_codes(ctx, 2, MOD_P, carry_over_z(ctx, 1).values)
 
 
 @pytest.mark.parametrize("p,r", [(p, r) for p, r, _ in EXHAUSTIVE_TRIPLES] + [(7, 3)])
@@ -104,13 +109,13 @@ def test_bockstein_cocycle_equals_the_constructor_path(p, r):
     # bockstein_cocycle wraps keys it knows are valid; the checking
     # constructors must build the same cochains, over Z and mod p
     ctx = GroupContext(p, r)
-    nonid = list(ctx.nonidentity_elements())
+    vectors = [u for u in itertools.product(range(p), repeat=r) if any(u)]
     for i in range(1, r + 1):
-        values = {(u, v): 1 for u in nonid for v in nonid if u[i - 1] + v[i - 1] >= p}
+        values = {(u, v): 1 for u in vectors for v in vectors if u[i - 1] + v[i - 1] >= p}
         over_z = ICochain(ctx, 2, INTEGERS, values)
         assert carry_over_z(ctx, i) == over_z
         b = bockstein_cocycle(ctx, i)
-        assert b == ICochain(ctx, 2, MOD_P, over_z.values)
+        assert b == ICochain(ctx, 2, MOD_P, values)
 
 
 def test_bockstein_pair_value_example():
@@ -188,9 +193,10 @@ def test_generator_powers_are_cocycles(p, r):
 
 
 def test_probe_tensor_shapes():
+    # at r = 1 an element's code is its exponent
     ctx = GroupContext(3, 1)
-    top, t = _shifted_power(ctx, 1, 2), {(1,): 1}
-    assert top == {(1,): -2, (2,): 1}
+    top, t = _shifted_power(ctx, 1, 2), {1: 1}
+    assert top == {1: -2, 2: 1}
     assert probe_tensor(ctx, 1, 2) == (top, t)  # (s-1)^(p-1) first
     assert probe_tensor(ctx, 1, 1) == (t,)
     assert probe_tensor(ctx, 1, 5) == (t, top, t, top, t)
@@ -207,8 +213,8 @@ def test_probe_tuple_shapes():
         assert all(list(d.values()) == [1] for d in factors)
         return tuple(u for d in factors for u in d)
 
-    assert elements(4, (2, 3)) == ((2,), (1,), (3,), (1,))
-    assert elements(5, (2, 3)) == ((1,), (2,), (1,), (3,), (1,))
+    assert elements(4, (2, 3)) == (2, 1, 3, 1)  # codes at r = 1 are exponents
+    assert elements(5, (2, 3)) == (1, 2, 1, 3, 1)
     assert elements(0, ()) == ()
     with pytest.raises(ValueError):
         probe_tensor_split(ctx, 1, 4, (2,))
@@ -219,8 +225,8 @@ def test_probe_tuple_shapes():
 def test_probe_split_consistency():
     # with every q = 1 the split of an odd probe is all s_i - 1 factors
     ctx = GroupContext(3, 1)
-    assert probe_tensor_split(ctx, 1, 3, (1,)) == ({(1,): 1},) * 3
-    assert probe_tensor_split(ctx, 1, 3, (2,)) == ({(1,): 1}, {(2,): 1}, {(1,): 1})
+    assert probe_tensor_split(ctx, 1, 3, (1,)) == ({1: 1},) * 3
+    assert probe_tensor_split(ctx, 1, 3, (2,)) == ({1: 1}, {2: 1}, {1: 1})
 
 
 @pytest.mark.parametrize("p,r", DESK)

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icochains import (
     BudgetExceededError,
@@ -86,25 +88,77 @@ def test_context_validation():
         GroupContext(3, 0)
     ctx = GroupContext(3, 2)
     with pytest.raises(ValueError):
-        ctx.check_elem((0, 3))
+        ctx.encode((0, 3))
     with pytest.raises(ValueError):
-        ctx.check_elem((0,))
+        ctx.encode((0,))
+    for bad in (9, -1, True, 1.0, (0, 1)):
+        with pytest.raises(ValueError):
+            ctx.check_elem(bad)
 
 
 def test_group_mul_wraps():
     ctx = GroupContext(3, 2)
-    assert ctx.mul((1, 2), (2, 2)) == (0, 1)
+    assert ctx.mul(ctx.encode((1, 2)), ctx.encode((2, 2))) == ctx.encode((0, 1))
     for u in ctx.elements():
         assert ctx.mul(u, ctx.inverse(u)) == ctx.identity
 
 
+# The exponent-vector semantics of the group, as tuples, against which the
+# codes are checked: an element is the vector read in base p, first
+# exponent most significant.
+
+def vector_code(p, vector):
+    return sum(a * p ** (len(vector) - 1 - i) for i, a in enumerate(vector))
+
+
+@st.composite
+def vector_pairs(draw):
+    """(p, u, v): two exponent vectors of one group, at p in {2, 3, 5, 7}
+    with r <= 6, or at p = 10^18 + 3 with r = 1."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 10**18 + 3]))
+    r = 1 if p > 7 else draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(0, p - 1)] * r)
+    return p, draw(vector), draw(vector)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vector_pairs())
+def test_codes_are_the_exponent_vectors_read_in_base_p(case):
+    p, u, v = case
+    r = len(u)
+    ctx = GroupContext(p, r)
+    a, b = ctx.encode(u), ctx.encode(v)
+    assert (a, b) == (vector_code(p, u), vector_code(p, v))
+    assert ctx.decode(a) == u and ctx.decode(b) == v
+    assert (a < b) == (u < v) and 0 <= a < p**r
+    assert ctx.encode((0,) * r) == ctx.identity == 0
+    # the group law adds exponents digit by digit mod p, with no carry
+    assert ctx.decode(ctx.mul(a, b)) == tuple((x + y) % p for x, y in zip(u, v))
+    assert ctx.decode(ctx.inverse(a)) == tuple(-x % p for x in u)
+
+
+@pytest.mark.parametrize("p,r", DESK + [(7, 2), (2, 5)])
+def test_elements_are_the_vectors_in_lexicographic_order(p, r):
+    ctx = GroupContext(p, r)
+    vectors = list(itertools.product(range(p), repeat=r))
+    assert [ctx.decode(u) for u in ctx.elements()] == vectors
+    assert list(ctx.elements()) == [vector_code(p, u) for u in vectors]
+    assert list(ctx.nonidentity_elements()) == [vector_code(p, u) for u in vectors if any(u)]
+    for i in range(1, r + 1):
+        for k in range(-1, p + 1):
+            power = tuple(k % p if j == i - 1 else 0 for j in range(r))
+            assert ctx.generator_power(i, k) == vector_code(p, power)
+        assert ctx.generator(i) == ctx.generator_power(i, 1)
+
+
 def test_ideal_product_reference():
     # the test-side group-ring product: (s - 1)^2 = s^2 - 2s + 1 at p = 3,
-    # and s (s^2) = 1, so (s - 1)(s^2 - 1) = 2 - s - s^2
+    # and s (s^2) = 1, so (s - 1)(s^2 - 1) = 2 - s - s^2; at r = 1 an
+    # element's code is its exponent
     ctx = GroupContext(3, 1)
-    s, s2 = {(1,): 1}, {(2,): 1}
-    assert ideal_product(ctx, s, s) == {(2,): 1, (1,): -2}
-    assert ideal_product(ctx, s, s2) == {(1,): -1, (2,): -1}
+    s, s2 = {1: 1}, {2: 1}
+    assert ideal_product(ctx, s, s) == {2: 1, 1: -2}
+    assert ideal_product(ctx, s, s2) == {1: -1, 2: -1}
     assert ideal_product(ctx, s) == s
     assert ideal_product(ctx, {}, s) == {}
 
@@ -112,7 +166,7 @@ def test_ideal_product_reference():
 def test_shifted_generator_squared_p2():
     # (s - 1)^2 = s^2 - 2s + 1 = 2 - 2s = -2 (s - 1) when s^2 = 1
     ctx = GroupContext(2, 1)
-    assert shifted_monomial(ctx, (2,)) == {(1,): -2}
+    assert shifted_monomial(ctx, (2,)) == {1: -2}
     assert mod_p(shifted_monomial(ctx, (2,)), 2) == {}
 
 
@@ -120,11 +174,11 @@ def test_shifted_monomial_p3():
     # (s-1)^2 = s^2 - 2s + 1 = (s^2 - 1) - 2 (s - 1), and mod 3 it equals
     # (s - 1) + (s^2 - 1); (s-1)^3 = 3s - 3s^2 has no identity term at all
     ctx = GroupContext(3, 1)
-    assert shifted_monomial(ctx, (1,)) == {(1,): 1}
+    assert shifted_monomial(ctx, (1,)) == {1: 1}
     sq = shifted_monomial(ctx, (2,))
-    assert sq == {(2,): 1, (1,): -2}
-    assert mod_p(sq, 3) == {(1,): 1, (2,): 1}
-    assert shifted_monomial(ctx, (3,)) == {(1,): 3, (2,): -3}
+    assert sq == {2: 1, 1: -2}
+    assert mod_p(sq, 3) == {1: 1, 2: 1}
+    assert shifted_monomial(ctx, (3,)) == {1: 3, 2: -3}
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 1), (3, 3)])
@@ -151,11 +205,11 @@ def test_probe_top_factor_is_the_norm_element_mod_p(monkeypatch):
     p = 10007
     ctx = GroupContext(p, 1)
     top, t = generators.probe_tensor(ctx, 1, 2)
-    assert mod_p(top, p) == {(j,): 1 for j in range(1, p)}
-    assert t == {(1,): 1}
+    assert mod_p(top, p) == {j: 1 for j in range(1, p)}
+    assert t == {1: 1}
     # without an even part no (s-1)^(p-1) factor is built at all
     monkeypatch.setattr(generators, "shifted_monomial", None)
-    assert generators.probe_tensor(ctx, 1, 1) == ({(1,): 1},)
+    assert generators.probe_tensor(ctx, 1, 1) == ({1: 1},)
     assert generators.probe_tensor(ctx, 1, 0) == ()
 
 
@@ -222,9 +276,9 @@ def test_difference_basis():
     # from the closed form and from the group-basis product alike; 1 has no
     # difference-basis form
     ctx = GroupContext(3, 1)
-    s = {(1,): 1}
+    s = {1: 1}
     assert shifted_monomial(ctx, (1,)) == s
-    assert shifted_monomial(ctx, (2,)) == ideal_product(ctx, s, s) == {(2,): 1, (1,): -2}
+    assert shifted_monomial(ctx, (2,)) == ideal_product(ctx, s, s) == {2: 1, 1: -2}
     assert on_group_basis(ctx, shifted_monomial(ctx, (2,))) == group_product(
         ctx, on_group_basis(ctx, s), on_group_basis(ctx, s))
     with pytest.raises(ValueError):
@@ -235,7 +289,7 @@ def test_power():
     # shifted_monomial(k e_1) is the k-th power of s - 1; the zeroth power
     # is 1, outside the ideal, and negative powers are refused
     ctx = GroupContext(3, 1)
-    s = {(1,): 1}
+    s = {1: 1}
     assert shifted_monomial(ctx, (3,)) == ideal_product(ctx, s, s, s)
     for bad in [(0,), (-1,)]:
         with pytest.raises(ValueError):
@@ -249,7 +303,7 @@ def test_shifted_monomials_linearly_independent_mod_p(p, r):
     ctx = GroupContext(p, r)
     index = {u: i for i, u in enumerate(ctx.nonidentity_elements())}
     columns = [{index[u]: c for u, c in mod_p(shifted_monomial(ctx, k), p).items()}
-               for k in ctx.nonidentity_elements()]
+               for k in itertools.product(range(p), repeat=r) if any(k)]
     assert rank(columns, p) == ctx.order - 1
 
 

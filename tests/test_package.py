@@ -98,7 +98,7 @@ def test_lazy_names_resolve():
     # modules re-exports a name it does not use
     for module, names in ((cochain, ("DEFAULT_MAX_ENTRIES", "BudgetExceededError",
                                      "NotACocycleError")),
-                          (graded, ("BudgetExceededError",)),
+                          (graded, ("DEFAULT_MAX_ENTRIES", "NotACocycleError")),
                           (oracle, ("CohomologyReport", "cohomology_report",
                                     "DEFAULT_MAX_ENTRIES", "BudgetExceededError"))):
         for name in names:
