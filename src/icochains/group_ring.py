@@ -191,9 +191,11 @@ class GroupContext:
         """The element of an exponent vector, a tuple of r ints in [0, p)."""
         if not isinstance(vector, tuple) or len(vector) != self.r:
             raise ValueError(f"exponent vector must be a tuple of length {self.r}: {vector!r}")
-        if any(not isinstance(a, int) or not 0 <= a < self.p for a in vector):
-            raise ValueError(f"exponents must be integers in [0, {self.p}): {vector!r}")
-        return _code(vector, self.p)
+        p = self.p
+        for a in vector:
+            if not isinstance(a, int) or not 0 <= a < p:
+                raise ValueError(f"exponents must be integers in [0, {p}): {vector!r}")
+        return _code(vector, p)
 
     def decode(self, u: int) -> tuple:
         """The exponent vector of an element, read off by r divmods."""

@@ -77,8 +77,10 @@ def invert(f) -> AlgebraElem:
     ctx = f.ctx
     totals: dict = {}
     for key, v in f.values.items():
-        if key and _generator_power(ctx, key[-1]) is None:
-            continue
+        if key:
+            last = _generator_power(ctx, key[-1])
+            if last is None or last[1] != 1:
+                continue  # no generator s_i itself at the end of a block
         sizes = [0] * ctx.r  # slots of each generator read so far
         inversions = 0  # pairs of the generator word out of order
         for u in reversed(key):
