@@ -14,7 +14,9 @@ The runner copies ``src/`` to a temporary directory and runs every listed
 test on the unmutated copy, which must pass.  Then it applies one
 mutation at a time to the copy and runs that mutation's tests, with
 ``src/`` of the copy first on ``PYTHONPATH``.  A mutation is caught when
-each of its tests fails, or when the run exceeds ``TIMEOUT_S``.
+each of its tests fails, as pytest's JUnit XML report in the temporary
+directory records it (so an id may hold any character, a space
+included), or when the run exceeds ``TIMEOUT_S``.
 Hypothesis runs with a fixed seed and a database in the temporary
 directory, so a run is repeatable and leaves nothing in the repository.
 Exit status: 0 when every mutation is caught, 1 otherwise.
@@ -24,16 +26,23 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
+
+
+def junit_key(node_id: str) -> tuple:
+    """The (classname, name) pair under which the JUnit XML report names
+    a node id: tests/test_a.py::test_b[x y] is ("tests.test_a", "test_b[x y]")."""
+    path, *names = node_id.split("::")
+    return ".".join([path.removesuffix(".py").replace("/", "."), *names[:-1]]), names[-1]
 
 
 def run_tests(tmp: Path, tests: list) -> tuple:
@@ -41,14 +50,19 @@ def run_tests(tmp: Path, tests: list) -> tuple:
     status, the failed ids (None on a timeout) and the output's last line."""
     env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1",
            "HYPOTHESIS_STORAGE_DIRECTORY": str(tmp / "hypothesis")}
-    command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-               "--hypothesis-seed=0", *tests]
+    report = tmp / "junit.xml"
+    report.unlink(missing_ok=True)
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+               f"--junitxml={report}", "--hypothesis-seed=0", *tests]
     try:
         result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True,
                                 timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return None, None, f"timed out after {TIMEOUT_S} s"
-    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", result.stdout, re.M))
+    cases = ElementTree.parse(report).iter("testcase") if report.exists() else ()
+    failed_keys = {(case.get("classname"), case.get("name")) for case in cases
+                   if case.find("failure") is not None or case.find("error") is not None}
+    failed = {test for test in tests if junit_key(test) in failed_keys}
     lines = result.stdout.strip().splitlines()
     return result.returncode, failed, lines[-1] if lines else result.stderr.strip()
 

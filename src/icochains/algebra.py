@@ -24,7 +24,7 @@ import math
 from typing import Iterator, Sequence
 
 from .cochain import ICochain, cup_many
-from .group_ring import EXACT_SIZE_DIGITS, BudgetExceededError, GroupContext, check_budget
+from .group_ring import GroupContext, check_budget
 
 MonomialSig = tuple  # r nonnegative ints; degree = their sum
 
@@ -154,9 +154,9 @@ def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
 
     Its support is a^odd b^pairs, with a and b the supports of a degree-1
     and a degree-2 generator (see ``_power_support``), odd the number of
-    odd exponents and pairs the sum of their halves.  The logarithm decides
-    first, so a huge signature is refused without the exact product, which
-    takes seconds at degree 10^7.
+    odd exponents and pairs the sum of their halves.  The budget check
+    decides on its logarithm first, so a huge signature is refused without
+    p^r or the exact product, which takes seconds at degree 10^7.
 
     A signature whose degree is over the budget is refused too: each key
     holds one slot per degree.  So is one whose key slots ``cup_many``
@@ -169,14 +169,13 @@ def _check_signature_budget(ctx: GroupContext, sig: MonomialSig) -> None:
     """
     from .generators import _power_support
 
-    a, b = _power_support(ctx, 1), _power_support(ctx, 2)
     odd, pairs = sum(m % 2 for m in sig), sum(m // 2 for m in sig)
-    log10 = odd * math.log10(a) + pairs * math.log10(b)
-    if log10 > EXACT_SIZE_DIGITS:
-        raise BudgetExceededError(None, log10)
-    entries = a**odd * b**pairs
-    check_budget(entries)
-    degree = sum(sig)
+    p, degree = ctx.p, sum(sig)
+    # the logarithm of a^odd b^pairs, a = (p-1) p^(r-1) and b = p(p-1)/2 p^(2r-2)
+    log10 = (odd * math.log10(p - 1) + pairs * math.log10(p * (p - 1) // 2)
+             + degree * (ctx.r - 1) * math.log10(p))
+    entries = check_budget(lambda: _power_support(ctx, 1) ** odd * _power_support(ctx, 2) ** pairs,
+                           log10)
     check_budget(degree)
     check_budget(degree * (odd + pairs - 1).bit_length())
     check_budget(entries * degree)

@@ -40,7 +40,7 @@ import math
 import operator
 from typing import Sequence
 
-from .group_ring import MOD_P, GroupContext, _check_ring, check_budget
+from .group_ring import MOD_P, GroupContext, _check_ring, _log10_size, check_budget
 
 
 class ICochain:
@@ -145,31 +145,32 @@ class ICochain:
 
         A nonzero cochain of degree n >= 1 with E entries and
         3nE <= N = p^r - 1 is never a cocycle, so such input is answered
-        at once, whatever the size of N.  Take a stored key K with
-        coefficient c: the slot-n contraction of K gives every (n+1)-key
-        (K, y) of the ideal-form coboundary the term -+c, and each of its
-        other 3nE - 1 (entry, slot, family) term sets meets the line
-        {(K, y)} in at most one point, so one of its N points keeps a
-        nonzero value.
+        at once, without p^r (``GroupContext.below_order``).  Take a stored
+        key K with coefficient c: the slot-n contraction of K gives every
+        (n+1)-key (K, y) of the ideal-form coboundary the term -+c, and
+        each of its other 3nE - 1 (entry, slot, family) term sets meets
+        the line {(K, y)} in at most one point, so one of its N points
+        keeps a nonzero value.
 
         Otherwise ``cocycle._bar_coboundary_vanishes`` decides the rest,
         unless the terms it sums at the top degree, at most
         E (2r + (n-1)(N-1) + N), are over the entry budget; then it is
-        refused before any work.  The module loads on first use, so a
-        command that decides no cocycle never compiles it.
+        refused before any work, on their logarithm when N is huge.  The
+        module loads on first use, so a command that decides no cocycle
+        never compiles it.
         """
         n, entries = self.degree, len(self.values)
         if not n or not entries:
             return True
-        r, big_n = self.ctx.r, self.ctx.order - 1
-        if 3 * n * entries <= big_n:
+        ctx = self.ctx
+        if ctx.below_order(3 * n * entries):
             return False
-        # per entry: a leading and a slot-1 term in each of the r partitions,
-        # and in the one partition of its first slot N - 1 terms per inner
-        # slot and N trailing terms
-        check_budget(entries * (2 * r + (n - 1) * (big_n - 1) + big_n))
+        # per entry: a leading and a slot-1 term in each of the r partitions, and in
+        # its first slot's N - 1 per inner slot and N trailing: nN + 2r - n + 1 >= N
+        check_budget(lambda: entries * (n * (ctx.order - 1) + 2 * ctx.r - n + 1),
+                     _log10_size(ctx, entries))
         from .cocycle import _bar_coboundary_vanishes  # compiled only when a check runs
-        return _bar_coboundary_vanishes(self.ctx, n, self.values, self.ring)
+        return _bar_coboundary_vanishes(ctx, n, self.values, self.ring)
 
     def __repr__(self):
         return (f"ICochain(p={self.ctx.p}, r={self.ctx.r}, "
@@ -222,17 +223,16 @@ class ICochain:
         factor contractions a_i a_(i+1) (a product in the group ring); an
         ideal element acts as zero on the trivial coefficient module, so
         there is no action term.  The contractions run in one vectorized
-        pass (``kernel.coboundary_values``).  A constant or a zero cochain
-        has nothing to contract, so its zero coboundary is returned before
-        the budget check, which would compute p^r.
+        pass (``kernel.coboundary_values``) once their 3nEN terms pass the
+        budget check.  A constant or a zero cochain has nothing to contract.
         """
         ctx, n, values = self.ctx, self.degree, self.values
         if not n or not values:
             return ICochain._trusted(ctx, n + 1, self.ring, {})
+        terms = 3 * n * len(values)  # the kernel's three (E, N) families per slot
+        check_budget(lambda: terms * (ctx.order - 1), _log10_size(ctx, terms))
         from .kernel import coboundary_values  # numpy loads only when a coboundary is computed
 
-        # the kernel's three (E, N) families per slot
-        check_budget(len(values) * 3 * n * (ctx.order - 1))
         # The kernel's keys and sums are valid as they stand.
         return ICochain._trusted(ctx, n + 1, self.ring,
                                  coboundary_values(ctx, n, values, self.ring))
@@ -278,8 +278,8 @@ def _bar_coboundary(f: ICochain) -> ICochain:
     u_1 . a(u_2, ...) is a plain copy of a(u_2, ...).
     """
     ctx, n = f.ctx, f.degree
-    # per entry: N leading, at most N per inner slot and N trailing terms
-    check_budget(len(f.values) * (n + 2) * (ctx.order - 1))
+    terms = (n + 2) * len(f.values)  # per entry: N leading, N per inner slot, N trailing
+    check_budget(lambda: terms * (ctx.order - 1), _log10_size(ctx, terms))
     out: dict = {}
     nonid = ctx.nonidentity_elements()
     pairs: dict = {}  # k -> the pairs (x, x^-1 k); x = k would make the second 1

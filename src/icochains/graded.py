@@ -42,7 +42,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .group_ring import EXACT_SIZE_DIGITS, BudgetExceededError, GroupContext, check_budget
+from .group_ring import GroupContext, _log10_size, check_budget
 
 
 def _reduce(row: dict, pivots: dict, p: int) -> None:
@@ -92,13 +92,13 @@ def _block_ranks(ctx: GroupContext, n: int) -> tuple:
     """((multidegree, rank), ...) for the blocks of d_n, by increasing
     multidegree.
 
-    Refuses, before enumerating, when the N^n + N^(n+1) keys exceed the
-    entry budget, and before eliminating, when the rows x columns of the
-    largest block do.  Only the n-keys are held; the rows of one
-    block at a time are generated as they are eliminated.
+    Refuses, before enumerating, when the N^n + N^(n+1) = N^n p^r keys
+    exceed the entry budget, and before eliminating, when the rows x
+    columns of the largest block do.  Only the n-keys are held; the rows
+    of one block at a time are generated as they are eliminated.
     """
-    p, r, big_n = ctx.p, ctx.r, ctx.order - 1
-    check_budget(big_n**n + big_n ** (n + 1))
+    check_budget(lambda: (ctx.order - 1) ** n * ctx.order, _log10_size(ctx, 1, n + 1))
+    p, r = ctx.p, ctx.r
     # A t-exponent vector a != 0 is coded in a base that no coordinate of
     # an (n+1)-key's multidegree reaches, so a key's multidegree is the
     # sum of its codes and a + b is a monomial of I iff its code is one.
@@ -164,8 +164,8 @@ def cohomology_report(ctx: GroupContext, n: int) -> CohomologyReport:
     block ranks."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    rank_dn = _rank(ctx, n)  # its budget check refuses a huge N before N^n
     dim_c = (ctx.order - 1) ** n
-    rank_dn = _rank(ctx, n)
     dim_ker = dim_c - rank_dn
     rank_prev = _rank(ctx, n - 1) if n > 0 else 0
     return CohomologyReport(ctx.p, ctx.r, n, dim_c, rank_dn, dim_ker,
@@ -182,14 +182,11 @@ def check_table_budget(ctx: GroupContext, max_n: int) -> None:
     grows as the cube of max_n, where a count of n-keys alone would stay
     at 2 per degree.  The terms grow with n, so the sum stops at the first
     degree whose running total exceeds the entry budget, and that total is
-    the one reported.  When N alone has more than ``EXACT_SIZE_DIGITS``
-    digits, degree 0 is refused by the logarithm of p^r, without
-    computing it.
+    the one reported.  Degree 0's N slots are charged first, so a huge N
+    is refused on its logarithm.
     """
-    log10 = ctx.r * math.log10(ctx.p)
-    if log10 > EXACT_SIZE_DIGITS:
-        raise BudgetExceededError(None, log10)
-    big_n, built, required = ctx.order - 1, 0, 0
+    big_n = check_budget(lambda: ctx.order - 1, _log10_size(ctx, 1))
+    built = required = 0
     for n in range(max_n + 1):
         built += (n + 1) * big_n ** (n + 1)  # the slots of degree n
         required += built

@@ -11,11 +11,11 @@ the nonidentity differences ``u - 1`` as a basis, and an element of I is
 kept on that basis only: a dict {u: c} with u a nonidentity element and
 c an exact int, the form in which cochains store their values and
 evaluate.  ``shifted_monomial`` expands the products of the differences
-``s_i - 1`` of the distinguished generators onto it.  The entry budget,
-``check_budget`` (which refuses a size over it) and the two errors every
-layer raises (``BudgetExceededError``, ``NotACocycleError``) live here
-too, so the block oracle and the CLI reach them without loading any
-cochain code.
+``s_i - 1`` of the distinguished generators onto it.  ``check_budget``
+refuses every size over the entry budget, on its logarithm first, so no
+refused size needs p^r; it and the two errors every layer raises
+(``BudgetExceededError``, ``NotACocycleError``) live here, so the block
+oracle and the CLI reach them without loading any cochain code.
 """
 
 from __future__ import annotations
@@ -46,14 +46,10 @@ EXACT_SIZE_DIGITS = 3900
 
 
 class BudgetExceededError(RuntimeError):
-    """A matrix, the key set of a block computation, or the terms of a
-    coboundary or cup product would exceed the entry budget.
-
-    ``required`` is the size needed, printed in full up to
-    ``EXACT_SIZE_DIGITS`` digits and as a bound, "more than 10^k", past
-    them.  A caller that cannot afford the exact size passes None and its
-    base-10 logarithm ``log10``; ``required`` is then None.
-    """
+    """A computation would exceed the entry budget (see ``check_budget``):
+    ``required``, the size needed, is printed in full up to
+    ``EXACT_SIZE_DIGITS`` digits and as "more than 10^k" past them; it is
+    None for a size refused on a bound ``log10`` of its logarithm alone."""
 
     def __init__(self, required: int | None, log10: float | None = None):
         if required is not None:
@@ -67,12 +63,25 @@ class BudgetExceededError(RuntimeError):
         self.required = required
 
 
-def check_budget(required: int) -> None:
-    """Refuse, before any work, a computation that needs more entries than
-    the entry budget.  Callers that can only afford the logarithm of the
-    size raise ``BudgetExceededError`` with it themselves."""
-    if required > DEFAULT_MAX_ENTRIES:
-        raise BudgetExceededError(required)
+def check_budget(size, log10: float = 0.0, digits: int = EXACT_SIZE_DIGITS) -> int:
+    """Refuse, before any work, a computation of more entries than the
+    entry budget, and return its size: on ``log10``, a lower bound of the
+    size's base-10 logarithm, alone past ``digits`` digits, and otherwise
+    on ``size``, an int or a function that computes it.  A count that is
+    returned, not built, passes its own logarithm and ``digits`` = the budget."""
+    if log10 >= digits:
+        raise BudgetExceededError(None, log10)
+    size = size() if callable(size) else size
+    if size > DEFAULT_MAX_ENTRIES:
+        raise BudgetExceededError(size)
+    return size
+
+
+def _log10_size(ctx: GroupContext, factor: int, power: int = 1) -> float:
+    """log10(factor N^power), from N = p^r - 1 = p^r (1 - p^-r) without p^r;
+    N = 1 (p = 2, r = 1) gives 0 for every power."""
+    log10_n = ctx.r * math.log10(ctx.p) + math.log10(-math.expm1(-ctx.r * math.log(ctx.p)))
+    return math.log10(factor) + power * log10_n if factor else -math.inf
 
 
 # Strong-probable-prime bases 2..41 (the first 13 primes) decide primality
@@ -163,10 +172,6 @@ class GroupContext:
     @property
     def order(self) -> int:
         return self.p**self.r
-
-    def elements(self) -> range:
-        """All p^r elements, in increasing order."""
-        return range(self.order)
 
     def nonidentity_elements(self) -> range:
         return range(1, self.order)

@@ -40,7 +40,7 @@ import math
 from typing import Sequence
 
 from .algebra import AlgebraElem
-from .group_ring import DEFAULT_MAX_ENTRIES, MOD_P, BudgetExceededError, GroupContext, check_budget
+from .group_ring import DEFAULT_MAX_ENTRIES, MOD_P, GroupContext, check_budget
 
 
 # -- the inverse map ----------------------------------------------------
@@ -161,8 +161,9 @@ def count_terms(ctx: GroupContext, n: int) -> int:
     (p-1)^(number of split choices).  The sum is taken one variable at a
     time, T_k(n) = sum_m C(n, m) (p-1)^(m//2) T_(k-1)(n-m) with
     T_1(m) = (p-1)^(m//2), in at most (r-1) n^2 steps.  Before any
-    arithmetic it refuses a count whose bound r^n (p-1)^(n//2) has more
-    decimal digits than the entry budget, or more steps than it.
+    arithmetic it refuses a count of more decimal digits than the entry
+    budget by its lower bound max(r^n, (p-1)^(n//2)), and then more steps
+    than the budget.
 
     >>> count_terms(GroupContext(3, 2), 2)
     6
@@ -170,12 +171,10 @@ def count_terms(ctx: GroupContext, n: int) -> int:
     if n < 0:
         raise ValueError("n must be >= 0")
     p, r = ctx.p, ctx.r
-    # the digits of r^n (p-1)^(n//2), which bounds the count, reporting the
-    # count's lower bound max(r^n, (p-1)^(n//2)); then the steps
-    low, high = n * math.log10(r), n // 2 * math.log10(p - 1)
-    if int(low + high) + 1 > DEFAULT_MAX_ENTRIES:
-        raise BudgetExceededError(None, max(low, high))
-    check_budget((r - 1) * n * n)
+    # The count is returned, not built, so only a count of more digits than
+    # the budget is refused, by its lower bound; then the steps are charged.
+    log10 = max(n * math.log10(r), n // 2 * math.log10(p - 1))
+    check_budget((r - 1) * n * n, log10, digits=DEFAULT_MAX_ENTRIES)
     if r == 1 or n == 0:
         return (p - 1) ** (n // 2)
     first = [(p - 1) ** (m // 2) for m in range(n + 1)]  # T_1

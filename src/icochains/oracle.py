@@ -26,7 +26,7 @@ import itertools
 
 from .cochain import ICochain, _bar_coboundary, _key_codes
 from .graded import _echelon, _reduce
-from .group_ring import MOD_P, GroupContext, NotACocycleError, check_budget
+from .group_ring import MOD_P, GroupContext, NotACocycleError, _log10_size, check_budget
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,7 +50,7 @@ def d_matrix(ctx: GroupContext, n: int) -> list:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    check_budget((ctx.order - 1) ** (2 * n + 1))
+    check_budget(lambda: (ctx.order - 1) ** (2 * n + 1), _log10_size(ctx, 1, 2 * n + 1))
     columns = (_bar_coboundary(ICochain._trusted(ctx, n, MOD_P, {key: 1})).values
                for key in cochain_basis(ctx, n))
     return [dict(zip(_key_codes(ctx, col), col.values())) for col in columns]

@@ -648,6 +648,24 @@ def test_is_cocycle_refuses_an_over_budget_check():
     assert info.value.required == 2100 * (2 + 4097 + 4098) == 17213700
 
 
+@pytest.mark.parametrize("p,r,n,entries,expanded", [
+    (13, 1, 1, 4, False), (7, 1, 2, 1, False), (2, 2, 1, 1, False),
+    (3, 2, 1, 3, True), (2, 2, 1, 2, True),
+])
+def test_the_sparse_lemma_answers_exactly_while_3nE_is_at_most_N(
+        p, r, n, entries, expanded, monkeypatch):
+    # 3nE = N is answered False at once; at 3nE = N + 1 = p^r (p = 3 only)
+    # and past it the bar formula decides, here once on a cocycle
+    calls = []
+    vanishes = cocycle._bar_coboundary_vanishes
+    monkeypatch.setattr(cocycle, "_bar_coboundary_vanishes",
+                        lambda *args: calls.append(args) or vanishes(*args))
+    ctx = GroupContext(p, r)
+    f = ICochain._trusted(ctx, n, MOD_P, {(u,) * n: 1 for u in range(1, entries + 1)})
+    assert f.is_cocycle() == _bar_coboundary(f).is_zero()
+    assert bool(calls) == expanded
+
+
 @pytest.mark.parametrize("p,r", DESK)
 def test_normalized_is_cocycle_matches_bar_coboundary(p, r):
     ctx = GroupContext(p, r)

@@ -27,6 +27,7 @@ from icochains import INTEGERS, MOD_P, AlgebraElem, GroupContext, ICochain, docu
 from icochains.cli import (
     EXIT_BUDGET,
     EXIT_INVALID,
+    EXIT_NOT_COCYCLE,
     EXIT_OK,
     algebra_document,
     cochain_document,
@@ -664,6 +665,24 @@ def test_the_first_bad_code_is_found_at_a_huge_r_without_p_to_the_r():
     with pytest.raises(DocumentError, match=r"^slots\[1\]: .*\[1, 3\^1000000000\)$"):
         parse_cochain_document(text)
     assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("command,code,out", [("check-cocycle", EXIT_NOT_COCYCLE, "false\n"),
+                                              ("d", EXIT_BUDGET, "")], ids=["check-cocycle", "d"])
+def test_a_one_entry_document_at_r_16_000_000_is_decided_without_p_to_the_r(
+        command, code, out, tmp_path):
+    # the reader admits r x 1 distinct code; the sparse lemma (3nE <= N)
+    # and the budget check of d's 3nEN terms then decide without p^r, whose
+    # 7 633 941 digits take seconds
+    path = tmp_path / "wide.json"
+    path.write_text(one_entry_document(3, 16_000_000, [1]))
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "icochains.cli", command, "--in", str(path)],
+                            capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert (result.returncode, result.stdout) == (code, out)
+    assert result.stderr == ("" if out else "error: the computation needs more than "
+                             "10^7633940 entries, over the budget of 16777216\n")
 
 
 # Hostile schema-3 documents at p = 3, r = 2, n = 2, each with the one

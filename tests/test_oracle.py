@@ -4,6 +4,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from icochains import (
     realize,
 )
 from icochains.acceptance import EXHAUSTIVE_TRIPLES
+from icochains.cochain import _bar_coboundary
 from icochains.graded import _block_ranks, _echelon, _reduce
 from icochains.oracle import d_matrix, rank
 from conftest import DESK, from_codes, kernel_basis, random_cocycle, random_icochain
@@ -268,6 +270,32 @@ def test_budget_refusal():
     assert info.value.required == 8**5 * 8**4 == 134217728
     assert str(info.value) == ("the computation needs 134217728 entries, "
                                "over the budget of 16777216")
+
+
+HUGE = GroupContext(3, 16_000_000)
+ONE_ENTRY = ICochain._trusted(HUGE, 1, MOD_P, {(1,): 1})
+
+
+@pytest.mark.parametrize("call", [
+    ONE_ENTRY.coboundary,
+    lambda: _bar_coboundary(ONE_ENTRY),
+    lambda: _block_ranks(HUGE, 0),
+    lambda: d_matrix(HUGE, 0),
+    lambda: cohomology_report(HUGE, 0),
+], ids=["coboundary", "_bar_coboundary", "_block_ranks", "d_matrix", "cohomology_report"])
+def test_budget_sites_refuse_a_huge_group_by_its_logarithm(call):
+    # p^r at r = 16 000 000 has 7 633 941 digits and takes seconds; each
+    # size is refused on its logarithm before p^r is computed
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"needs more than 10\^7633940 entries"):
+        call()
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_power_of_n_1_is_never_refused():
+    # at p = 2, r = 1 every power of N = 1 is 1, though 2^(2n+1) has 4 215
+    # digits at n = 7000; the one basis cochain's coboundary is 1 - 1 = 0
+    assert d_matrix(GroupContext(2, 1), 7000) == [{}]
 
 
 def test_cohomology_dimension_tables():
