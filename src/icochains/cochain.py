@@ -26,11 +26,11 @@ collapses equal keys.  ``_bar_coboundary`` writes the classical bar formula
 independently, as a plain loop over the stored keys, and the oracle's
 ``d_matrix`` is built from it; the acceptance suite and the tests compare
 the two pointwise on full bases.  ``is_cocycle`` uses neither: it
-answers the sparse cases and checks the budget here, and decides the
-rest on the bar formula in pure Python, in ``cocycle.py``, which it
-loads on first use.  Each of these computations refuses, through
-``group_ring.check_budget``, a count of terms over the default entry
-budget before it starts.  This module itself does not import numpy.
+answers the sparse cases here, and decides the rest on the bar formula
+in pure Python, in ``cocycle.py``, which it loads on first use.  Each of
+these computations refuses, through ``group_ring.check_budget``, the
+terms it would sum once they are over the default entry budget, before
+it sums them.  This module itself does not import numpy.
 """
 
 from __future__ import annotations
@@ -152,12 +152,9 @@ class ICochain:
         the line {(K, y)} in at most one point, so one of its N points
         keeps a nonzero value.
 
-        Otherwise ``cocycle._bar_coboundary_vanishes`` decides the rest,
-        unless the terms it sums at the top degree, at most
-        E (2r + (n-1)(N-1) + N), are over the entry budget; then it is
-        refused before any work, on their logarithm when N is huge.  The
-        module loads on first use, so a command that decides no cocycle
-        never compiles it.
+        Otherwise ``cocycle._bar_coboundary_vanishes`` decides the rest
+        and charges the work it runs against the entry budget.  It loads
+        on first use, so a command that decides no cocycle never compiles it.
         """
         n, entries = self.degree, len(self.values)
         if not n or not entries:
@@ -165,10 +162,6 @@ class ICochain:
         ctx = self.ctx
         if ctx.below_order(3 * n * entries):
             return False
-        # per entry: a leading and a slot-1 term in each of the r partitions, and in
-        # its first slot's N - 1 per inner slot and N trailing: nN + 2r - n + 1 >= N
-        check_budget(lambda: entries * (n * (ctx.order - 1) + 2 * ctx.r - n + 1),
-                     _log10_size(ctx, entries))
         from .cocycle import _bar_coboundary_vanishes  # compiled only when a check runs
         return _bar_coboundary_vanishes(ctx, n, self.values, self.ring)
 
@@ -223,14 +216,12 @@ class ICochain:
         factor contractions a_i a_(i+1) (a product in the group ring); an
         ideal element acts as zero on the trivial coefficient module, so
         there is no action term.  The contractions run in one vectorized
-        pass (``kernel.coboundary_values``) once their 3nEN terms pass the
-        budget check.  A constant or a zero cochain has nothing to contract.
+        pass (``kernel.coboundary_values``), which refuses them over the
+        entry budget.  A constant or a zero cochain has nothing to contract.
         """
         ctx, n, values = self.ctx, self.degree, self.values
         if not n or not values:
             return ICochain._trusted(ctx, n + 1, self.ring, {})
-        terms = 3 * n * len(values)  # the kernel's three (E, N) families per slot
-        check_budget(lambda: terms * (ctx.order - 1), _log10_size(ctx, terms))
         from .kernel import coboundary_values  # numpy loads only when a coboundary is computed
 
         # The kernel's keys and sums are valid as they stand.

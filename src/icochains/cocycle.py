@@ -1,18 +1,18 @@
 """The cocycle decision behind ``ICochain.is_cocycle``: whether the bar
 coboundary of a cochain's values vanishes, decided in pure Python.
 
-``is_cocycle`` answers the sparse cases and refuses an over-budget check
-itself, then loads this module on first use, as ``coboundary`` loads
-``kernel``; so the commands that decide no cocycle (``tau``, ``cup``,
-``d``, ``count-terms``, ``dims`` and ``invert --unchecked``) never
-compile it.  The ideal-form coboundary has the values of the bar
-coboundary, so the decision is made on the bar formula, one
-first-argument partition at a time, at the r generators of G only: by a
-comparison of first-slot slices where it certifies the partition, and by
-summing its terms on key numbers (``cochain._key_codes``) elsewhere.
-Elements are their codes (see ``group_ring``), so multiplying by a
-generator is one digit step on an int.  The tests compare it with
-``cochain._bar_coboundary``, the bar formula as a plain loop.
+``is_cocycle`` answers the sparse cases itself, then loads this module on
+first use, as ``coboundary`` loads ``kernel``; so the commands that decide
+no cocycle (``tau``, ``cup``, ``d``, ``count-terms``, ``dims`` and
+``invert --unchecked``) never compile it.  The ideal-form coboundary has
+the values of the bar coboundary, so the decision is made on the bar
+formula, one first-argument partition at a time, at the r generators of
+G only: by a comparison of first-slot slices where it certifies the
+partition, and by summing its terms on key numbers
+(``cochain._key_codes``) elsewhere.  Elements are their codes (see
+``group_ring``), so multiplying by a generator is one digit step on an
+int.  The tests compare it with ``cochain._bar_coboundary``, the bar
+formula as a plain loop.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import itertools
 import operator
 
 from .cochain import _key_codes
-from .group_ring import MOD_P, GroupContext
+from .group_ring import MOD_P, GroupContext, check_budget
 
 
 def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str) -> bool:
@@ -67,6 +67,13 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     r = 1) the one generator's partition is always expanded: there every
     level of a long one-key chain would pass the comparison, while the
     expansion adds one term per entry.
+
+    One running total of the work passes ``check_budget`` before each
+    step, so the step that would take it over the entry budget is refused
+    before it runs: r (E + N) for the comparisons at a node of E entries,
+    and 2E + |f_a| ((n-1)(N-1) + N) for each partition expanded, a leading
+    and at most one slot-1 term per entry and the inner and trailing terms
+    of the entries of f_a.
     """
     p, r, big_n = ctx.p, ctx.r, ctx.order - 1
     mod = p.__rmod__ if ring == MOD_P else operator.pos  # a sum's value in the ring
@@ -75,11 +82,13 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
     if any(map(operator.ge, keys, itertools.islice(keys, 1, None))):
         keys, vals = map(list, zip(*sorted(values.items())))
     work = [(n, keys, vals)]  # (degree, keys in increasing order, their values)
+    spent = 0  # the running total of the check's work
     while work:
         n, keys, vals = work.pop()
         if not n or not keys:
             continue  # a constant, or zero, is a cocycle
         if big_n > 1:
+            spent = check_budget(spent + r * (len(keys) + big_n))
             runs = {}  # first slot x -> the run of f_x in the lists
             lo = 0
             for x, run in itertools.groupby(map(operator.itemgetter(0), keys)):
@@ -89,14 +98,17 @@ def _bar_coboundary_vanishes(ctx: GroupContext, n: int, values: dict, ring: str)
         top = big_n ** (n - 1)  # weight of slot 1 in a code
         trail = 1 if n % 2 else -1  # (-1)^(n+1)
         for g in range(r):
+            w = ctx.generator(g + 1)  # s_(g+1), the weight of exponent g in an element
             if big_n > 1 and _slot_one_vanishes(ctx, g, runs, rests, vals, mod):
-                run = runs.get(ctx.generator(g + 1))
+                run = runs.get(w)
                 if n > 1 and run:  # the partition is -d f_a
                     work.append((n - 1, rests[run[0]:run[1]], vals[run[0]:run[1]]))
                 continue
+            lo, hi = runs.get(w, (0, 0)) if big_n > 1 else (0, len(keys))  # f_a's run
+            spent = check_budget(spent + 2 * len(keys)
+                                 + (hi - lo) * ((n - 1) * (big_n - 1) + big_n))
             if codes is None:
                 codes = _key_codes(ctx, keys)
-            w = ctx.generator(g + 1)  # s_(g+1), the weight of exponent g in an element
             a = w - 1  # the generator's slot in a key number
             sums = dict(zip(codes, vals))  # the leading term
             get = sums.get

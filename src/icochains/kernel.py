@@ -1,13 +1,13 @@
 """The vectorized ideal-form coboundary: one numpy sort-and-reduce kernel.
 
 ``ICochain.coboundary``, and with it ``d`` on either document kind, is
-its one caller, through ``coboundary_values``.  It is the only code
-in the library that needs numpy, so it lives apart from
-``cochain``: commands that never compute a coboundary (every command but
-``d`` and ``selftest``; ``is_cocycle`` decides on the bar formula in
-pure Python, in ``cocycle``) never import numpy.  The oracle builds its
-matrices from the bar formula instead, so it checks this kernel rather
-than sharing it.
+its one caller, through ``coboundary_values``.  It is the only code in
+the library that needs numpy, and it imports numpy only once the
+kernel's terms pass the budget check, so commands that never compute a
+coboundary (every command but ``d`` and ``selftest``; ``is_cocycle``
+decides on the bar formula in pure Python, in ``cocycle``) and a
+refused ``d`` never import it.  The oracle builds its matrices from the
+bar formula instead, so it checks this kernel rather than sharing it.
 
 Keys travel as their numbers in base p^r - 1 (``cochain._key_codes``);
 ``_decode_keys`` is the vectorized inverse, whose slots are the element
@@ -16,20 +16,11 @@ codes themselves.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cochain import _key_codes
-from .group_ring import MOD_P, GroupContext
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
+from .group_ring import MOD_P, GroupContext, _log10_size, check_budget
 
 
-def _code_dtype(limit: int):
-    """int64 when every value stays below ``limit`` <= 2^63, else exact Python ints."""
-    return np.int64 if limit - 1 <= _INT64_MAX else object
-
-
-def _decode_keys(ctx: GroupContext, n: int, codes: np.ndarray) -> list:
+def _decode_keys(ctx: GroupContext, n: int, codes) -> list:
     """The degree-n keys (tuples of element codes) with the given
     numbers: the inverse of ``_key_codes``."""
     big_n = ctx.order - 1
@@ -58,20 +49,26 @@ def coboundary_values(ctx: GroupContext, n: int, values: dict, ring: str) -> dic
     equal codes are summed.  Packed values and sums are int64 when their
     bounds fit, otherwise exact Python ints.
 
-    Returns the nonzero sums {(n+1)-key: value} in increasing key order,
-    reduced into [1, p) over MOD_P.
+    Refuses its 3nEN terms over the entry budget, logarithm first, before
+    numpy loads.  Returns the nonzero sums {(n+1)-key: value} in
+    increasing key order, reduced into [1, p) over MOD_P.
     """
-    p, r, big_n = ctx.p, ctx.r, ctx.order - 1
     entries = len(values)
+    count = 3 * n * entries  # three (E, N) families per slot
+    check_budget(lambda: count * (ctx.order - 1), _log10_size(ctx, count))
+    import numpy as np  # loaded only when a coboundary is computed
+
+    p, r, big_n = ctx.p, ctx.r, ctx.order - 1
     coeffs = list(values.values())
     if ring == MOD_P:
         shift, width = 0, p
     else:
         shift = max(abs(c) for c in coeffs)
         width = 2 * shift + 1
-    # Besides zero terms a code is hit at most once per slot and family,
-    # so a run sums at most 3n digits.
-    dtype = _code_dtype(max(big_n ** (n + 1) * width, 3 * n * max(p - 1, shift) + 1))
+    # Besides zero terms a code is hit at most once per slot and family, so
+    # a run sums at most 3n digits; int64 while every value stays below 2^63.
+    limit = max(big_n ** (n + 1) * width, 3 * n * max(p - 1, shift) + 1)
+    dtype = np.int64 if limit <= 1 << 63 else object
     c = np.array(coeffs, dtype=dtype)
     pos, neg = (c % p, -c % p) if ring == MOD_P else (c + shift, shift - c)
     codes = np.array(_key_codes(ctx, values), dtype=dtype)

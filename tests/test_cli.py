@@ -366,7 +366,7 @@ def test_d_refuses_both_kinds_by_one_rule(tmp_path, capsys):
 
 def test_check_cocycle_refuses_an_over_budget_check(tmp_path):
     # 1 400 degree-1 entries at p = 4099 pass the sparse lemma (3 * 1400 > 4098);
-    # the summed partition has at most 1400 * (2 + 4098) terms: decided
+    # the comparisons and the summed partition cost 1400 + 4098 + 2 * 1400 + 4098: decided
     doc = {"schema_version": "1", "p": 4099, "r": 1, "n": 1, "kind": "icochain",
            "coeff_ring": "Fp", "entries": [{"key": [[u]], "value": 1} for u in range(1, 1401)]}
     path = write_doc(tmp_path, "wide.json", json.dumps(doc))
@@ -375,7 +375,12 @@ def test_check_cocycle_refuses_an_over_budget_check(tmp_path):
                                 capture_output=True, text=True, timeout=10)
         assert result.returncode == EXIT_NOT_COCYCLE, (argv, result.stderr)
         assert "Traceback" not in result.stderr and result.stdout == out
-    # 2 100 degree-2 keys (s, s^u) bound 2100 * (2 + 4097 + 4098) terms: refused
+    # 2 100 degree-2 keys (s, s^u) all lie in the partition at s, so the running
+    # total reaches 4098 + 2100 for the comparisons and 2 * 2100 + 2100 (4097 + 4098)
+    # for the expansion: refused
+    big_n, entries = 4098, 2100
+    required = big_n + entries + 2 * entries + entries * ((big_n - 1) + big_n)
+    assert required == 17219898
     doc["n"] = 2
     doc["entries"] = [{"key": [[1], [u]], "value": 1} for u in range(1, 2101)]
     path = write_doc(tmp_path, "wide2.json", json.dumps(doc))
@@ -383,8 +388,9 @@ def test_check_cocycle_refuses_an_over_budget_check(tmp_path):
         result = subprocess.run([sys.executable, "-m", "icochains.cli", *argv],
                                 capture_output=True, text=True, timeout=10)
         assert result.returncode == EXIT_BUDGET, (argv, result.stderr)
-        assert "17213700" in result.stderr
-        assert "Traceback" not in result.stderr and result.stdout == ""
+        assert result.stderr == (f"error: the computation needs {required} entries, "
+                                 "over the budget of 16777216\n")
+        assert result.stdout == ""
 
 
 def test_tau_refuses_an_over_budget_cup_product():
@@ -735,12 +741,12 @@ def test_cli_as_subprocess():
 # Imports the package and the CLI in a fresh interpreter, checking that
 # neither loads a submodule it does not need, then runs cli.main and checks
 # whether numpy was imported against the first argument, that none of the
-# comma-separated modules in the second was, and that the icochains
-# modules loaded are exactly those in the third.
+# comma-separated modules in the second was, that the icochains modules
+# loaded are exactly those in the third, and that main returned the fourth.
 _IMPORT_PROBE = """
 import sys
-expect_numpy, absent, modules, argv = (sys.argv[1] == "numpy", sys.argv[2].split(","),
-                                       sys.argv[3], sys.argv[4:])
+expect_numpy, absent, modules, code, argv = (sys.argv[1] == "numpy", sys.argv[2].split(","),
+                                             sys.argv[3], int(sys.argv[4]), sys.argv[5:])
 before = set(sys.modules)
 import icochains
 assert [m for m in sys.modules if m.startswith("icochains.")] == [], "import icochains"
@@ -748,7 +754,7 @@ import icochains.cli as cli
 loaded = set(sys.modules) - before
 assert [m for m in loaded if m.startswith("icochains.")] == ["icochains.cli"], loaded
 assert not loaded & {"json", "argparse"}, loaded
-assert cli.main(argv) == 0, argv
+assert cli.main(argv) == code, argv
 assert ("numpy" in sys.modules) == expect_numpy, argv
 assert [m for m in absent if m in set(sys.modules) - before] == [], argv
 ours = ",".join(sorted(m[len("icochains."):] for m in sys.modules if m.startswith("icochains.")))
@@ -776,6 +782,10 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
     p3b = doc("b3.json", exponent_cocycle(ctx3, 1))
     p3b_normalized = write_doc(tmp_path, "b3n.json", dumps_document(
         cochain_document(exponent_cocycle(ctx3, 1), "normalized")))
+    # 280 entries of degree 2 at p = 10007: 16 810 080 kernel terms, refused
+    wide = write_doc(tmp_path, "wide.json", json.dumps({
+        "schema_version": "1", "p": 10007, "r": 1, "n": 2, "kind": "icochain",
+        "coeff_ring": "Fp", "entries": [{"key": [[u], [1]], "value": 1} for u in range(1, 281)]}))
     without = [  # argv, other modules that must not load, the icochains modules loaded
         (["tau", "--p", "3", "--r", "2", "--sig", "2,1"], "", TAU_MODULES),
         (["invert", "--unchecked", "--in", p2], "", UNCHECKED_INVERT_MODULES),
@@ -789,15 +799,17 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
          "algebra,cli,cochain,group_ring,inverse"),
         (["dims", "--p", "2", "--r", "1", "--max-n", "1"], "json", DIMS_MODULES),
         (["dims", "--p", "3", "--r", "2", "--max-n", "3"], "json", DIMS_MODULES),
+        (["d", "--in", wide], "", DOCUMENT_MODULES + ",kernel", EXIT_BUDGET),
     ]
     with_numpy = [  # d runs the coboundary kernel on either kind
         (["d", "--in", p3b], "", DOCUMENT_MODULES + ",kernel"),
         (["d", "--in", p3b_normalized], "", DOCUMENT_MODULES + ",kernel"),
     ]
     for expect, runs in (("no-numpy", without), ("numpy", with_numpy)):
-        for argv, absent, modules in runs:
+        for argv, absent, modules, *code in runs:  # the exit code is 0 unless given
+            code = str(code[0] if code else EXIT_OK)
             result = subprocess.run(
-                [sys.executable, "-c", _IMPORT_PROBE, expect, absent, modules, *argv],
+                [sys.executable, "-c", _IMPORT_PROBE, expect, absent, modules, code, *argv],
                 capture_output=True, text=True, timeout=60)
             assert result.returncode == 0, (expect, argv, result.stderr)
 
@@ -905,6 +917,24 @@ def test_tau_pipes_into_invert_through_an_os_pipe():
     result = subprocess.run(CLI + TAU_222, capture_output=True, env=env, timeout=10)
     assert result.returncode == 0
     assert len(result.stdout) == len(expected) and result.stdout.decode() == expected
+
+
+def test_the_checked_commands_decide_tau_of_a_degree_4_class_at_p_29():
+    """The 164 836 entries of ``tau --p 29 --r 1 --sig 4`` pass the cocycle
+    check, whose running total peaks at 538 790 terms, where a charge of
+    every partition expanded, E (nN + 2r - n + 1), would be 18 296 796."""
+    env = process_env()
+    tau = subprocess.run(CLI + ["tau", "--p", "29", "--r", "1", "--sig", "4"],
+                         capture_output=True, text=True, env=env, timeout=30)
+    assert tau.returncode == 0, tau.stderr
+    inverted = subprocess.run(CLI + ["invert", "--in", "-"], input=tau.stdout,
+                              capture_output=True, text=True, env=env, timeout=30)
+    assert (inverted.returncode, inverted.stderr) == (EXIT_OK, "")
+    assert inverted.stdout == dumps_document(
+        algebra_document(AlgebraElem.monomial(GroupContext(29, 1), (4,))))
+    checked = subprocess.run(CLI + ["check-cocycle", "--in", "-"], input=tau.stdout,
+                             capture_output=True, text=True, env=env, timeout=30)
+    assert (checked.returncode, checked.stdout, checked.stderr) == (EXIT_OK, "true\n", "")
 
 
 def _exit_outcome(argv: list, env: dict, close_after=None) -> tuple:

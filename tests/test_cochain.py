@@ -637,15 +637,47 @@ def test_is_cocycle_of_a_long_one_entry_chain():
 
 
 def test_is_cocycle_refuses_an_over_budget_check():
-    # past the sparse lemma, the E (2r + (n-1)(N-1) + N) terms summed at the
-    # generator partitions are bounded: 1400 * 4100 are within the budget
+    # past the sparse lemma the check charges its running total: r (E + N)
+    # for a node's comparisons, then 2E + |f_a| ((n-1)(N-1) + N) for the
+    # partition it expands.  1400 degree-1 entries at N = 4098 (f_a one
+    # entry) cost 1400 + 4098 + 2 * 1400 + 4098, within the budget
+    big_n = 4098
     ctx = GroupContext(4099, 1)
     f = ICochain(ctx, 1, MOD_P, {((u,),): 1 for u in range(1, 1401)})
     assert not f.is_cocycle()
-    g = ICochain(ctx, 2, MOD_P, {((1,), (u,)): 1 for u in range(1, 2101)})
+    # 2100 degree-2 keys (s, s^u): f_a is every entry, and its expansion is refused
+    entries = 2100
+    g = ICochain(ctx, 2, MOD_P, {((1,), (u,)): 1 for u in range(1, entries + 1)})
     with pytest.raises(BudgetExceededError) as info:
         g.is_cocycle()
-    assert info.value.required == 2100 * (2 + 4097 + 4098) == 17213700
+    required = (big_n + entries) + 2 * entries + entries * ((big_n - 1) + big_n)
+    assert info.value.required == required == 17219898
+
+
+def test_is_cocycle_charges_each_step_before_it_runs(monkeypatch):
+    # at p = 5, r = 1 (N = 4): r (E + N) before a node's comparisons, and
+    # 2E + |f_a| ((n-1)(N-1) + N) before a partition is expanded
+    totals = []
+    monkeypatch.setattr(cocycle, "check_budget", lambda size: totals.append(size) or size)
+    ctx = GroupContext(5, 1)
+    # f(u, v) = u g(v), g = 1 everywhere: the comparisons certify the partition
+    # at s, and its slice g (4 entries, not additive) is compared, then expanded
+    f = ICochain._trusted(ctx, 2, MOD_P, {(u, v): u for u in range(1, 5) for v in range(1, 5)})
+    assert not f.is_cocycle()
+    assert totals == [16 + 4, 20 + (4 + 4), 28 + 2 * 4 + 1 * 4]
+    # the keys (s, v) all lie in the partition at s, which is expanded at degree 2
+    totals.clear()
+    h = ICochain._trusted(ctx, 2, MOD_P, {(1, v): 1 for v in range(1, 5)})
+    assert not h.is_cocycle()
+    assert totals == [4 + 4, 8 + 2 * 4 + 4 * ((2 - 1) * (4 - 1) + 4)]
+
+
+def test_is_cocycle_decides_a_class_whose_every_partition_expanded_is_over_the_budget():
+    # E (nN + 2r - n + 1) = 262144 * 93 = 24 379 392 terms, were every
+    # partition expanded; the comparisons certify most of them instead
+    f = realize(AlgebraElem.monomial(GroupContext(2, 4), (2, 2, 2, 0)))
+    assert len(f.values) * (6 * 15 + 2 * 4 - 6 + 1) == 24379392
+    assert f.is_cocycle()
 
 
 @pytest.mark.parametrize("p,r,n,entries,expanded", [
