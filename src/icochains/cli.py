@@ -1,4 +1,4 @@
-"""Command-line surface: the argument parser, one handler per command,
+"""Command-line surface: the command table, one handler per command,
 and the exit path.
 
 Commands read cochain documents and write cochain or algebra documents
@@ -11,9 +11,14 @@ Exit codes: 0 success; 1 parse/validation failure; 2 mathematical failure
 usage errors such as unknown flags; 141 (128 + SIGPIPE) when the reader
 closes stdout early, with nothing on stderr.
 
-At module level this file imports only ``sys``; ``argparse`` loads in
-``build_parser``, and each library module in the handler or the wrapper
-that runs it, so a process compiles only what its command needs.
+The command line is written once, in ``COMMANDS``.  ``main`` first reads
+argv against it (``_parse``); only when that declines, on help and on
+anything that may be a usage error, does ``build_parser`` build the
+argparse parser from the same table, so every help text, usage error and
+exit code is argparse's.  At module level this file imports only
+``sys``; ``argparse`` loads in ``build_parser``, and each library module
+in the handler or the wrapper that runs it, so a process compiles only
+what its command needs.
 ``dims`` loads ``group_ring`` and ``graded`` and ranks the multigraded
 blocks in pure Python, with no cochain, document, algebra or inverse-map
 code.  ``tau`` loads ``algebra`` and ``generators`` to realize, and
@@ -22,13 +27,14 @@ code.  ``tau`` loads ``algebra`` and ``generators`` to realize, and
 ``generators``.  ``cup``, ``d`` and ``check-cocycle`` load ``documents``
 and ``cochain``; ``count-terms`` loads ``inverse``.  The cocycle check,
 ``cocycle``, loads only in ``check-cocycle`` and the checked ``invert``,
-which decide cocycles on the bar formula in pure Python.  Only ``d``,
-which runs the coboundary kernel on either kind, and ``selftest``, which
-checks that kernel against the bar formula, import numpy; the dense
-oracle that ``selftest`` also runs is pure Python.  The handlers reach
-``realize``, ``invert`` and the four document functions through this
-module's globals, so replacing one of these names here (as a tracer
-does) reaches every command that calls it.
+which decide cocycles on the bar formula in pure Python; they load it
+before the read, so in ``tau | invert --in -`` it compiles while ``tau``
+computes.  Only ``d``, which runs the coboundary kernel on either kind,
+and ``selftest``, which checks that kernel against the bar formula,
+import numpy; the dense oracle that ``selftest`` also runs is pure
+Python.  The handlers reach ``realize``, ``invert`` and the four document
+functions through this module's globals, so replacing one of these names
+here (as a tracer does) reaches every command that calls it.
 
 Only the CLI's own boundary errors become exit codes: ``DocumentError``
 (including a bad ``--p``/``--r``), ``NotACocycleError`` and
@@ -67,7 +73,8 @@ def _read_input(path: str) -> str:
     """The text of the cochain document at ``path``, or of stdin for "-".
 
     The parser's modules load here, before the read, and ``invert`` loads
-    ``inverse`` before calling this, so in a pipe such as
+    ``inverse`` (and ``cocycle`` when checked) and ``check-cocycle`` loads
+    ``cocycle`` before calling this, so in a pipe such as
     ``tau | invert --in -`` the reader compiles them while the writer is
     still computing.
     """
@@ -155,6 +162,8 @@ def _write(text: str) -> None:
 
 def _cmd_invert(args) -> int:
     from . import inverse  # noqa: F401  (for invert, ahead of the read)
+    if not args.unchecked:
+        from . import cocycle  # noqa: F401  (for the check, ahead of the read)
     from .group_ring import MOD_P, DocumentError, NotACocycleError
 
     cochain, _ = parse_cochain_document(_read_input(args.infile))
@@ -177,8 +186,7 @@ def _cmd_tau(args) -> int:
         raise DocumentError(f"--sig must be comma-separated integers: {args.sig!r}") from None
     if len(sig) != ctx.r or any(m < 0 for m in sig):
         raise DocumentError(f"--sig must be {ctx.r} nonnegative integers")
-    cocycle = realize(AlgebraElem.monomial(ctx, sig))
-    _write(dumps_document(cochain_document(cocycle, "icochain")))
+    _write(dumps_document(cochain_document(realize(AlgebraElem.monomial(ctx, sig)), "icochain")))
     return EXIT_OK
 
 
@@ -207,12 +215,12 @@ def _cmd_d(args) -> int:
 
 
 def _cmd_check_cocycle(args) -> int:
+    from . import cocycle  # noqa: F401  (for the check, ahead of the read)
+
     cochain, _ = parse_cochain_document(_read_input(args.infile))
-    if cochain.is_cocycle():
-        _write("true\n")
-        return EXIT_OK
-    _write("false\n")
-    return EXIT_NOT_COCYCLE
+    ok = cochain.is_cocycle()
+    _write("true\n" if ok else "false\n")
+    return EXIT_OK if ok else EXIT_NOT_COCYCLE
 
 
 def _cmd_dims(args) -> int:
@@ -232,36 +240,10 @@ def _cmd_dims(args) -> int:
 
 def _cmd_count_terms(args) -> int:
     from .group_ring import _group_context
-    from .inverse import count_terms
+    from .inverse import _decimal_text, count_terms
 
     _write(_decimal_text(count_terms(_group_context(args.p, args.r), args.n)) + "\n")
     return EXIT_OK
-
-
-def _decimal_text(x: int) -> str:
-    """The decimal digits of a nonnegative int of any length.
-
-    ``str`` refuses ints of more than 4 300 digits and is quadratic past
-    them on Python 3.11; this splits x at powers of two and rejoins the
-    halves in ``decimal``, whose products are subquadratic.
-    """
-    import decimal
-
-    powers: dict = {}
-
-    def convert(value: int, bits: int) -> decimal.Decimal:
-        if bits <= 4096:
-            return decimal.Decimal(value)
-        half = bits >> 1
-        if half not in powers:
-            powers[half] = decimal.Decimal(2) ** half
-        high = value >> half
-        return convert(value - (high << half), half) + convert(high, bits - half) * powers[half]
-
-    with decimal.localcontext() as context:
-        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        context.traps[decimal.Inexact] = True
-        return str(convert(x, x.bit_length()))
 
 
 def _cmd_selftest(_args) -> int:
@@ -270,7 +252,84 @@ def _cmd_selftest(_args) -> int:
     return EXIT_OK if acceptance.run_selftest(print) else 1
 
 
+# -- the command line ------------------------------------------------------
+#
+# The one spec of the command line: command -> (handler, help, flags), each
+# flag an (option, kind, help) triple.  A "bool" flag is store_true, and
+# "one-of" flags are store_true flags of one mutually exclusive group.  An
+# "str", "int" or "degree" (nonnegative int) flag takes one value and a
+# "list" flag one value per use; each of these is required.  ``--in``
+# stores to ``infile``, every other option to its own name.
+
+_IN = (("--in", "str", None),)
+COMMANDS = {
+    "invert": (_cmd_invert, "map a cocycle document to algebra coordinates", (
+        ("--in", "str", "cochain document path, or - for stdin"),
+        # both kinds store the same values, so the kind flags change nothing
+        ("--normalized", "one-of", "accepted for compatibility; no effect"),
+        ("--icochain", "one-of", "accepted for compatibility; no effect"),
+        ("--unchecked", "bool", "skip the cocycle check (raw linear map)"))),
+    "tau": (_cmd_tau, "realize a monomial signature as a cocycle document", (
+        ("--p", "int", None), ("--r", "int", None),
+        ("--sig", "str", "comma-separated signature, r entries"))),
+    "cup": (_cmd_cup, "cup product of two or more cochain documents",
+            (("--in", "list", "repeatable: cochain document path"),)),
+    "d": (_cmd_d, "coboundary of a cochain document", _IN),
+    "check-cocycle": (_cmd_check_cocycle, "report whether a document is a cocycle", _IN),
+    "dims": (_cmd_dims, "cohomology dimension table from the rank oracle", (
+        ("--p", "int", None), ("--r", "int", None),
+        ("--max-n", "degree", "last degree of the table; refused when the key slots the "
+                              "whole table enumerates, or rows x columns of its largest "
+                              "multidegree block, exceed the entry budget of 2^24"))),
+    "count-terms": (_cmd_count_terms, "number of evaluations in the inverse formula",
+                    (("--p", "int", None), ("--r", "int", None), ("--n", "degree", None))),
+    "selftest": (_cmd_selftest, "run the acceptance suite", ()),
+}
+SWITCHES = ("bool", "one-of")
+
+
+def _parse(argv: list):
+    """The namespace argparse returns for a well-formed ``argv``, read from
+    ``COMMANDS`` without argparse, or None to leave ``argv`` to argparse.
+
+    It reads a command followed by its exact options, each value in the
+    next argument, and declines everything else: help, an abbreviation,
+    ``--opt=value``, a repeated option (other than a "list" one), a missing
+    option or value, two "one-of" switches, ``--``, a value that starts
+    with "-" (other than "-" itself), and an int or a degree that does not
+    parse or a degree below 0.
+    """
+    # an unknown command has no handler and no flags
+    func, _, options = COMMANDS.get(argv[0] if argv else None, (None, None, ()))
+    flags = {option: ("infile" if option == "--in" else option[2:].replace("-", "_"), kind)
+             for option, kind, _ in options}
+    values = {dest: False if kind in SWITCHES else None for dest, kind in flags.values()}
+    tokens = iter(argv[1:])
+    for option in tokens:
+        dest, kind = flags.get(option, (None, None))
+        if kind in SWITCHES and not values[dest]:
+            values[dest] = True
+            continue
+        value = next(tokens, "--")  # a missing value is declined as "--" is
+        if (kind in (None, *SWITCHES) or value[:1] == "-" and value != "-"
+                or kind != "list" and values[dest] is not None):
+            return None
+        try:
+            values[dest] = ((values[dest] or []) + [value] if kind == "list"
+                            else value if kind == "str" else int(value))
+        except ValueError:
+            return None
+    if (func is None or None in values.values()
+            or sum(values[d] for d, k in flags.values() if k == "one-of") > 1
+            or any(values[d] < 0 for d, k in flags.values() if k == "degree")):
+        return None
+    from types import SimpleNamespace
+
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
 def build_parser():
+    """The argparse parser of ``COMMANDS``, for help and usage errors."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -286,84 +345,39 @@ def build_parser():
             raise argparse.ArgumentTypeError(f"must be a nonnegative degree, got {value}")
         return value
 
-    parser = Parser(prog="icochains",
-                     description="Mod-p cohomology of elementary abelian groups "
-                                 "at explicit cochain level.")
+    kinds = {"bool": {"action": "store_true"}, "one-of": {"action": "store_true"}, "str": {},
+             "int": {"type": int}, "degree": {"type": degree}, "list": {"action": "append"}}
+    parser = Parser(prog="icochains", description="Mod-p cohomology of elementary abelian "
+                                                  "groups at explicit cochain level.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    p_invert = sub.add_parser("invert", help="map a cocycle document "
-                              "to algebra coordinates")
-    p_invert.add_argument("--in", dest="infile", required=True,
-                          help="cochain document path, or - for stdin")
-    # both kinds store the same values, so the kind flags change nothing
-    kind = p_invert.add_mutually_exclusive_group()
-    kind.add_argument("--normalized", action="store_true",
-                      help="accepted for compatibility; no effect")
-    kind.add_argument("--icochain", action="store_true",
-                      help="accepted for compatibility; no effect")
-    p_invert.add_argument("--unchecked", action="store_true",
-                          help="skip the cocycle check (raw linear map)")
-    p_invert.set_defaults(func=_cmd_invert)
-
-    p_tau = sub.add_parser("tau", help="realize a monomial signature as a cocycle document")
-    p_tau.add_argument("--p", type=int, required=True)
-    p_tau.add_argument("--r", type=int, required=True)
-    p_tau.add_argument("--sig", required=True, help="comma-separated signature, r entries")
-    p_tau.set_defaults(func=_cmd_tau)
-
-    p_cup = sub.add_parser("cup", help="cup product of two or more cochain documents")
-    p_cup.add_argument("--in", dest="infile", action="append", required=True,
-                       help="repeatable: cochain document path")
-    p_cup.set_defaults(func=_cmd_cup)
-
-    p_d = sub.add_parser("d", help="coboundary of a cochain document")
-    p_d.add_argument("--in", dest="infile", required=True)
-    p_d.set_defaults(func=_cmd_d)
-
-    p_check = sub.add_parser("check-cocycle", help="report whether a document is a cocycle")
-    p_check.add_argument("--in", dest="infile", required=True)
-    p_check.set_defaults(func=_cmd_check_cocycle)
-
-    p_dims = sub.add_parser("dims", help="cohomology dimension table from the rank oracle")
-    p_dims.add_argument("--p", type=int, required=True)
-    p_dims.add_argument("--r", type=int, required=True)
-    p_dims.add_argument("--max-n", type=degree, required=True,
-                        help="last degree of the table; refused when the key slots the "
-                             "whole table enumerates, or rows x columns of its largest "
-                             "multidegree block, exceed the entry budget of 2^24")
-    p_dims.set_defaults(func=_cmd_dims)
-
-    p_count = sub.add_parser("count-terms", help="number of evaluations in the inverse formula")
-    p_count.add_argument("--p", type=int, required=True)
-    p_count.add_argument("--r", type=int, required=True)
-    p_count.add_argument("--n", type=degree, required=True)
-    p_count.set_defaults(func=_cmd_count_terms)
-
-    p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    p_self.set_defaults(func=_cmd_selftest)
-
+    for name, (func, text, flags) in COMMANDS.items():
+        command, group = sub.add_parser(name, help=text), None
+        for option, kind, help_text in flags:
+            if kind == "one-of":
+                group = group or command.add_mutually_exclusive_group()
+            (group if kind == "one-of" else command).add_argument(
+                option, dest="infile" if option == "--in" else None, help=help_text,
+                required=kind not in SWITCHES, **kinds[kind])
+        command.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
     from .group_ring import BudgetExceededError, DocumentError, NotACocycleError
 
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except (DocumentError, NotACocycleError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NotACocycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_COCYCLE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return (EXIT_INVALID if isinstance(exc, DocumentError) else
+                EXIT_NOT_COCYCLE if isinstance(exc, NotACocycleError) else EXIT_BUDGET)
 
 
 def entry_point() -> None:

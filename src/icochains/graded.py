@@ -18,15 +18,22 @@ merges slots i and i+1 into a_i + a_(i+1), for each i whose sum stays
 below p in every coordinate: at most n entries, all of them +-1.  Merging
 keeps the multidegree a_1 + ... + a_(n+1) in Z^r, so d_n is block
 diagonal, one block per multidegree, and its rank is the sum of the
-block ranks.  Each block is row-reduced mod p in pure Python by
-``_echelon``, which pivots each sparse row on its largest column; the
-dense oracle (``oracle.rank``, ``is_coboundary``) runs on the same
-``_reduce`` and ``_echelon`` over its sparse columns.
+block ranks.  Permuting the coordinates of G = F_p^r is an automorphism
+that maps the t-basis, its merges and their signs onto themselves, so it
+carries block m onto block sigma(m) with the same rank: only one block of
+each S_r orbit, the one whose multidegree is sorted, is eliminated (at
+p = 2, r = 5, d_3 has 968 blocks in 49 orbits).  Each such block is
+reduced mod p in pure Python by ``_echelon``, one column (n-key) at a
+time, each sparse vector pivoted on its largest index; the block has
+fewer columns than rows, and its rank is the same.  The dense oracle
+(``oracle.rank``, ``is_coboundary``) runs on the same ``_reduce`` and
+``_echelon`` over its sparse columns.
 
 This derivation of d shares no code with the coboundary kernel, the
 difference-basis ``oracle.d_matrix`` or the inverse map, so agreement
 with them is independent evidence; the elimination they share is checked
-against its own reference in the tests.  ``graded_dimension`` gives the
+against its own reference in the tests, and the orbit ranks against an
+elimination of every block.  ``graded_dimension`` gives the
 expected dim H^n, the count C(n+r-1, r-1) of monomial signatures,
 without any block.
 The module imports only ``group_ring``, so ``dims`` loads no cochain,
@@ -92,16 +99,22 @@ def _block_ranks(ctx: GroupContext, n: int) -> tuple:
     """((multidegree, rank), ...) for the blocks of d_n, by increasing
     multidegree.
 
+    A block is eliminated only if its multidegree is sorted; any other
+    takes the rank of the block of its sorted multidegree, its image
+    under a coordinate permutation.  The block's columns are eliminated:
+    the column at an n-key holds (-1)^i at each (n+1)-key that splits its
+    slot i into two monomials of I, the transpose of the row rule.
     Refuses, before enumerating, when the N^n + N^(n+1) = N^n p^r keys
     exceed the entry budget, and before eliminating, when the rows x
-    columns of the largest block do.  Only the n-keys are held; the rows
-    of one block at a time are generated as they are eliminated.
+    columns of the largest block do.  Only the n-keys are held; the
+    columns of one block at a time are generated as they are eliminated,
+    and that block's (n+1)-keys are numbered as they are met.
     """
     check_budget(lambda: (ctx.order - 1) ** n * ctx.order, _log10_size(ctx, 1, n + 1))
     p, r = ctx.p, ctx.r
     # A t-exponent vector a != 0 is coded in a base that no coordinate of
     # an (n+1)-key's multidegree reaches, so a key's multidegree is the
-    # sum of its codes and a + b is a monomial of I iff its code is one.
+    # sum of its codes, and a - b is a monomial of I iff its code is one.
     base = (n + 1) * (p - 1) + 1
     place = [base ** (r - 1 - j) for j in range(r)]
     elems = [sum(e * w for e, w in zip(a, place))
@@ -114,31 +127,33 @@ def _block_ranks(ctx: GroupContext, n: int) -> tuple:
             for a in elems:
                 longer.setdefault(weight + a, []).extend([k + (a,) for k in keys])
         cols = longer
-    # The rows of block m are the n-keys of weight w, each followed by a,
-    # for every w + a = m; blocks without columns have rank 0.
-    parts: dict = {}
-    for weight in cols:
+    # Block m has the (n+1)-keys of weight m as rows, so it exists when some
+    # n-key of weight w and some a have w + a = m; blocks without columns
+    # have rank 0.
+    row_counts: dict = {}
+    for weight, keys in cols.items():
         for a in elems:
             if weight + a in cols:
-                parts.setdefault(weight + a, []).append((cols[weight], a))
-    largest = max((len(cols[m]) * sum(len(heads) for heads, _ in ps)
-                   for m, ps in parts.items()), default=0)
-    check_budget(largest)
+                row_counts[weight + a] = row_counts.get(weight + a, 0) + len(keys)
+    check_budget(max((len(cols[m]) * k for m, k in row_counts.items()), default=0))
     signs = [1 if i % 2 else p - 1 for i in range(1, n + 1)]  # (-1)^i mod p
+    splits = {a: [(b, a - b) for b in elems if a - b in valid] for a in elems}
+    # A sorted multidegree has the least code of its orbit, so its block
+    # comes first and is the one eliminated.
+    ranks: dict = {}
     out = []
-    for m in sorted(parts):
-        index = {k: j for j, k in enumerate(cols[m])}
+    for m in sorted(row_counts):
+        degree = tuple(m // w % base for w in place)
+        orbit = tuple(sorted(degree))
+        if orbit not in ranks:
+            index: dict = {}  # (n+1)-key -> row, numbered as first met
 
-        def row(key):
-            entries = {}
-            for i in range(n):
-                merged = key[i] + key[i + 1]
-                if merged in valid:
-                    entries[index[key[:i] + (merged,) + key[i + 2:]]] = signs[i]
-            return entries
+            def column(key):
+                return {index.setdefault(key[:i] + split + key[i + 1:], len(index)): signs[i]
+                        for i in range(n) for split in splits[key[i]]}
 
-        rows = (row(head + (a,)) for heads, a in parts[m] for head in heads)
-        out.append((tuple(m // w % base for w in place), len(_echelon(rows, p))))
+            ranks[orbit] = len(_echelon(map(column, cols[m]), p))
+        out.append((degree, ranks[orbit]))
     return tuple(out)
 
 

@@ -30,7 +30,8 @@ term, and counts its evaluations; it is the reference the tests compare
 ``invert`` with.
 
 The module loads ``algebra`` for ``AlgebraElem`` and builds no generator
-cocycle, so inverting never loads ``generators``.
+cocycle, so inverting never loads ``generators``.  ``_decimal_text``
+writes a count of any length for ``count-terms``.
 """
 
 from __future__ import annotations
@@ -183,6 +184,32 @@ def count_terms(ctx: GroupContext, n: int) -> int:
         layer = [sum(math.comb(k, m) * first[m] * layer[k - m] for m in range(k + 1))
                  for k in range(n + 1)]
     return sum(math.comb(n, m) * first[m] * layer[n - m] for m in range(n + 1))
+
+
+def _decimal_text(x: int) -> str:
+    """The decimal digits of a nonnegative int of any length.
+
+    ``str`` refuses ints of more than 4 300 digits and is quadratic past
+    them on Python 3.11; this splits x at powers of two and rejoins the
+    halves in ``decimal``, whose products are subquadratic.
+    """
+    import decimal
+
+    powers: dict = {}
+
+    def convert(value: int, bits: int) -> decimal.Decimal:
+        if bits <= 4096:
+            return decimal.Decimal(value)
+        half = bits >> 1
+        if half not in powers:
+            powers[half] = decimal.Decimal(2) ** half
+        high = value >> half
+        return convert(value - (high << half), half) + convert(high, bits - half) * powers[half]
+
+    with decimal.localcontext() as context:
+        context.prec, context.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        context.traps[decimal.Inexact] = True
+        return str(convert(x, x.bit_length()))
 
 
 def count_terms_closed_form(ctx: GroupContext, n: int) -> float:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import functools
+import itertools
 import json
 import random
 
@@ -125,3 +126,41 @@ def random_cocycle(ctx, n, seed):
             v[j] = (v.get(j, 0) + c * y) % p
     keys = cochain_basis(ctx, n)
     return ICochain._trusted(ctx, n, MOD_P, {keys[j]: v[j] for j in sorted(v) if v[j]})
+
+
+def every_block_ranks(ctx, n):
+    """((multidegree, rank), ...) for the blocks of d_n, by increasing
+    multidegree, each block eliminated on its own.
+
+    The reference for ``graded._block_ranks``, which eliminates one block
+    per orbit of the coordinate permutations.  Here every block is built
+    from the definition: its columns are the n-keys of t-exponent vectors
+    of that multidegree, and the row of an (n+1)-key holds (-1)^i at the
+    key that merges slots i and i+1, wherever their sum stays below p.
+    """
+    p, r = ctx.p, ctx.r
+    elems = [a for a in itertools.product(range(p), repeat=r) if any(a)]
+
+    def weight(key):
+        return tuple(map(sum, zip(*key))) if key else (0,) * r
+
+    cols, rows = {}, {}
+    for key in itertools.product(elems, repeat=n):
+        cols.setdefault(weight(key), []).append(key)
+    for key in itertools.product(elems, repeat=n + 1):
+        if weight(key) in cols:
+            rows.setdefault(weight(key), []).append(key)
+    out = []
+    for m in sorted(rows):
+        index = {k: j for j, k in enumerate(cols[m])}
+
+        def row(key):
+            entries = {}
+            for i in range(n):
+                merged = tuple(a + b for a, b in zip(key[i], key[i + 1]))
+                if max(merged) < p:
+                    entries[index[key[:i] + (merged,) + key[i + 2:]]] = p - 1 if i % 2 else 1
+            return entries
+
+        out.append((m, len(_echelon(map(row, rows[m]), p))))
+    return tuple(out)

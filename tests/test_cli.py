@@ -1,7 +1,10 @@
 """CLI commands, document validation, exit codes, and byte stability."""
 
+import contextlib
 import decimal
+import functools
 import gc
+import io
 import itertools
 import json
 import os
@@ -11,6 +14,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import icochains
 from icochains import (
@@ -725,6 +730,145 @@ def test_negative_degree_is_usage_error(argv, capsys):
     assert "nonnegative" in captured.err
 
 
+# Command lines the table parse must leave to argparse: help, usage errors,
+# and the forms argparse accepts that the table does not read (an
+# abbreviation, --opt=value, a repeated option, --, a value starting with -).
+DECLINED = [
+    ["--help"], ["-h"], ["dims", "--help"], ["invert", "-h", "--in", "x"],
+    ["no-such-command"], ["dim", "--p", "3", "--r", "1", "--max-n", "1"],
+    ["invert", "--unch", "--in", "x"], ["tau", "--p=3", "--r", "1", "--sig", "1"],
+    ["tau", "--p", "3", "--p", "3", "--r", "1", "--sig", "1"],
+    ["invert", "--unchecked", "--unchecked", "--in", "x"],
+    ["invert", "--normalized", "--icochain", "--in", "x"],
+    ["tau", "--p", "3", "--r", "1"], ["invert"], ["selftest", "extra"],
+    ["tau", "--p", "x", "--r", "1", "--sig", "1"], ["dims", "--p", "3", "--r", "1", "--max-n"],
+    ["dims", "--p", "3", "--r", "1", "--max-n", "-1"],
+    ["dims", "--p", "3", "--r", "1", "--max-n", " -1"],
+    ["count-terms", "--p", "3", "--r", "1", "--n", "1.5"], ["invert", "--in", "--", "x"],
+    ["invert", "--", "--in", "x"], ["tau", "--p", "-3", "--r", "1", "--sig", "1"],
+    ["invert", "--in", "-x"], [],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_the_table_parse_declines_what_it_does_not_read_exactly(argv):
+    assert cli_module._parse(argv) is None
+
+
+@functools.lru_cache(maxsize=None)
+def argparse_parser():
+    return cli_module.build_parser()
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(argparse_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@pytest.mark.parametrize("argv", [
+    ["invert", "--in", "-"], ["invert", "--unchecked", "--icochain", "--in", "a b"],
+    ["tau", "--sig", "2,1", "--r", "2", "--p", "3"], ["cup", "--in", "a", "--in", "-"],
+    ["dims", "--p", "2", "--r", "4", "--max-n", "0"],
+    ["count-terms", "--p", " 3", "--r", "+2", "--n", "1_0"],
+    ["d", "--in", ""], ["check-cocycle", "--in", "x"], ["selftest"],
+], ids=" ".join)
+def test_the_table_parse_reads_well_formed_command_lines_as_argparse_does(argv):
+    assert vars(cli_module._parse(argv)) == argparse_vars(argv)
+
+
+def _flag_values(kind):
+    """A strategy of well-formed values of a flag of this kind."""
+    if kind in ("int", "degree"):
+        return st.integers(0, 10**6).map(str) | st.sampled_from([" 7", "+2", "1_0", "\u0663"])
+    return st.just("-") | st.text(max_size=6).filter(lambda text: not text.startswith("-"))
+
+
+# values that replace a well-formed one; argparse takes "-1" as a value
+CHANGED_VALUES = {"negative": ["-1", "-0", "-7", " -1"], "dash": ["-", "-x", "-h", "--p", "--"],
+                  "not an int": ["x", "1.5", "", "0x10", "1e3"]}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, well-formed): a command line drawn from ``cli.COMMANDS``,
+    and perhaps one change that argparse may treat differently."""
+    name = draw(st.sampled_from(sorted(cli_module.COMMANDS)))
+    uses, one_of = [], False
+    for option, kind, _ in cli_module.COMMANDS[name][2]:
+        if kind in cli_module.SWITCHES:
+            if draw(st.booleans()) and not (kind == "one-of" and one_of):
+                uses.append([option])
+                one_of |= kind == "one-of"
+        else:
+            for _ in range(draw(st.integers(1, 3)) if kind == "list" else 1):
+                uses.append([option, draw(_flag_values(kind))])
+    uses = draw(st.permutations(uses))
+    change = draw(st.sampled_from([None, "abbreviate", "=", "repeat", "drop value", "drop flag",
+                                   "insert", "negative", "dash", "not an int"]))
+    at = draw(st.integers(0, len(uses)))
+    if change == "insert":
+        uses.insert(at, [draw(st.sampled_from(["-h", "--help", "--", "-", "x", "--bogus"]))])
+    elif uses and at < len(uses):
+        use = uses[at]
+        if change == "abbreviate":
+            use[0] = use[0][:draw(st.integers(2, len(use[0]) - 1))]
+        elif change == "=" and len(use) == 2:
+            uses[at] = [f"{use[0]}={use[1]}"]
+        elif change == "repeat":
+            uses.insert(at, list(use))
+        elif change == "drop value" and len(use) == 2:
+            use.pop()
+        elif change == "drop flag":
+            uses.pop(at)
+        elif change in CHANGED_VALUES and len(use) == 2:
+            use[1] = draw(st.sampled_from(CHANGED_VALUES[change]))
+        else:
+            change = "no-op"
+    else:
+        change = "no-op"
+    return [name] + [token for use in uses for token in use], change in (None, "no-op")
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_the_table_parse_agrees_with_argparse(drawn):
+    argv, well_formed = drawn
+    table = cli_module._parse(argv)
+    if well_formed:
+        assert table is not None, argv
+    if table is not None:
+        assert vars(table) == argparse_vars(argv), argv
+
+
+def test_the_cocycle_check_loads_before_the_read(tmp_path):
+    """check-cocycle and the checked invert compile the check before they
+    read, as invert compiles the inverse map, so in a pipe it compiles
+    while the writer computes; invert --unchecked does not load it."""
+    path = write_doc(tmp_path, "f.json", dumps_document(cochain_document(
+        realize(AlgebraElem.monomial(GroupContext(3, 1), (1,))), "icochain")))
+    probe = """
+import sys
+import icochains.cli as cli
+read = cli._read_input
+def spy(path):
+    print(*(f"icochains.{m}" in sys.modules for m in ("cocycle", "inverse")))
+    return read(path)
+cli._read_input = spy
+cli.main(sys.argv[1:])
+"""
+    for argv, loaded in ((["check-cocycle"], "True False"), (["invert"], "True True"),
+                         (["invert", "--unchecked"], "False True")):
+        result = subprocess.run([sys.executable, "-c", probe, *argv, "--in", path],
+                                capture_output=True, text=True, env=process_env(), timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[0] == loaded, argv
+
+
 def test_cli_as_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "icochains.cli", "count-terms",
@@ -787,23 +931,24 @@ def test_numpy_is_imported_only_by_kernel_commands(tmp_path):
         "schema_version": "1", "p": 10007, "r": 1, "n": 2, "kind": "icochain",
         "coeff_ring": "Fp", "entries": [{"key": [[u], [1]], "value": 1} for u in range(1, 281)]}))
     without = [  # argv, other modules that must not load, the icochains modules loaded
-        (["tau", "--p", "3", "--r", "2", "--sig", "2,1"], "", TAU_MODULES),
-        (["invert", "--unchecked", "--in", p2], "", UNCHECKED_INVERT_MODULES),
-        (["invert", "--unchecked", "--in", p3], "", UNCHECKED_INVERT_MODULES),
-        (["invert", "--unchecked", "--normalized", "--in", p3], "", UNCHECKED_INVERT_MODULES),
-        (["invert", "--in", p3], "", CHECKED_INVERT_MODULES),
-        (["invert", "--normalized", "--in", p3], "", CHECKED_INVERT_MODULES),
-        (["check-cocycle", "--in", p3], "", "cli,cochain,cocycle,documents,group_ring"),
-        (["cup", "--in", p3, "--in", p3b], "", DOCUMENT_MODULES),
-        (["count-terms", "--p", "3", "--r", "2", "--n", "4"], "json",
+        (["tau", "--p", "3", "--r", "2", "--sig", "2,1"], "argparse", TAU_MODULES),
+        (["invert", "--unchecked", "--in", p2], "argparse", UNCHECKED_INVERT_MODULES),
+        (["invert", "--unchecked", "--in", p3], "argparse", UNCHECKED_INVERT_MODULES),
+        (["invert", "--unchecked", "--normalized", "--in", p3], "argparse",
+         UNCHECKED_INVERT_MODULES),
+        (["invert", "--in", p3], "argparse", CHECKED_INVERT_MODULES),
+        (["invert", "--normalized", "--in", p3], "argparse", CHECKED_INVERT_MODULES),
+        (["check-cocycle", "--in", p3], "argparse", "cli,cochain,cocycle,documents,group_ring"),
+        (["cup", "--in", p3, "--in", p3b], "argparse", DOCUMENT_MODULES),
+        (["count-terms", "--p", "3", "--r", "2", "--n", "4"], "json,argparse",
          "algebra,cli,cochain,group_ring,inverse"),
-        (["dims", "--p", "2", "--r", "1", "--max-n", "1"], "json", DIMS_MODULES),
-        (["dims", "--p", "3", "--r", "2", "--max-n", "3"], "json", DIMS_MODULES),
-        (["d", "--in", wide], "", DOCUMENT_MODULES + ",kernel", EXIT_BUDGET),
+        (["dims", "--p", "2", "--r", "1", "--max-n", "1"], "json,argparse", DIMS_MODULES),
+        (["dims", "--p", "3", "--r", "2", "--max-n", "3"], "json,argparse", DIMS_MODULES),
+        (["d", "--in", wide], "argparse", DOCUMENT_MODULES + ",kernel", EXIT_BUDGET),
     ]
     with_numpy = [  # d runs the coboundary kernel on either kind
-        (["d", "--in", p3b], "", DOCUMENT_MODULES + ",kernel"),
-        (["d", "--in", p3b_normalized], "", DOCUMENT_MODULES + ",kernel"),
+        (["d", "--in", p3b], "argparse", DOCUMENT_MODULES + ",kernel"),
+        (["d", "--in", p3b_normalized], "argparse", DOCUMENT_MODULES + ",kernel"),
     ]
     for expect, runs in (("no-numpy", without), ("numpy", with_numpy)):
         for argv, absent, modules, *code in runs:  # the exit code is 0 unless given

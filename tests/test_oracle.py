@@ -31,7 +31,8 @@ from icochains.acceptance import EXHAUSTIVE_TRIPLES
 from icochains.cochain import _bar_coboundary
 from icochains.graded import _block_ranks, _echelon, _reduce
 from icochains.oracle import d_matrix, rank
-from conftest import DESK, from_codes, kernel_basis, random_cocycle, random_icochain
+from conftest import (DESK, every_block_ranks, from_codes, kernel_basis, random_cocycle,
+                      random_icochain)
 
 
 def reference_rref(rows, cols, p):
@@ -172,6 +173,13 @@ def test_rref_matches_reference(p):
         mat = [[a + p * rng.randint(-3, 3) for a in row]
                for row in random_matrix(rng, p, rows, cols)]
         assert_elimination_matches_reference(from_rows(p, mat, cols), mat, p)
+
+
+def test_echelon_pivots_lead_with_1():
+    # rows whose largest columns differ need no reduction: each pivot is
+    # its row scaled by the inverse of its leading value
+    assert _echelon([{3: 2, 1: 4}, {2: 3, 0: 1}, {4: 4}], 5) == {
+        3: {3: 1, 1: 2}, 2: {2: 1, 0: 2}, 4: {4: 1}}
 
 
 def test_rref_is_exact_beyond_int64():
@@ -325,6 +333,42 @@ def test_block_ranks_match_dense_rank(p, r, max_n):
     ctx = GroupContext(p, r)
     for n in range(max_n + 1):
         assert sum(block_ranks(ctx, n).values()) == rank(d_matrix(ctx, n), p), n
+
+
+# (p, r, max_n) with r = 1..5 at p = 2, 3 and 5, as far as the every-block
+# reference stays within about a second in all
+ORBIT_SHAPES = [(2, 1, 6), (3, 1, 5), (5, 1, 4), (2, 2, 5), (3, 2, 3), (5, 2, 2), (2, 3, 3),
+                (3, 3, 2), (5, 3, 1), (2, 4, 3), (3, 4, 1), (2, 5, 2), (3, 5, 1)]
+
+
+@pytest.mark.parametrize("p,r,max_n", ORBIT_SHAPES)
+def test_block_ranks_match_every_block_eliminated(p, r, max_n):
+    ctx = GroupContext(p, r)
+    for n in range(max_n + 1):
+        assert _block_ranks(ctx, n) == every_block_ranks(ctx, n), n
+
+
+@pytest.mark.parametrize("p,r,n", [(2, 4, 2), (3, 3, 2), (2, 5, 2), (5, 2, 2)])
+def test_block_ranks_eliminate_one_block_per_orbit(p, r, n, monkeypatch):
+    """Permuting coordinates maps blocks onto blocks of the same rank, so
+    only one block of each orbit, the one whose multidegree is sorted, is
+    eliminated."""
+    from icochains import graded
+
+    calls = []
+
+    def counting(rows, q):
+        calls.append(q)
+        return _echelon(rows, q)
+
+    monkeypatch.setattr(graded, "_echelon", counting)
+    _block_ranks.cache_clear()
+    try:
+        blocks = _block_ranks(GroupContext(p, r), n)
+    finally:
+        _block_ranks.cache_clear()
+    orbits = {tuple(sorted(m)) for m, _ in blocks}
+    assert len(calls) == len(orbits) < len(blocks)
 
 
 def monomial_weights(p, r, n):
